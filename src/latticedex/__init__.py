@@ -5,9 +5,8 @@ side-information gains against the known bounds, and estimate symbol error
 rates over AWGN and Rayleigh channels with reproducible Monte Carlo.
 """
 
-from .analysis import (FadingReport, GainReport, OkLatticeCode,
-                       build_oklattice_code, capacity_rhs,
-                       diversity_and_product_distance, gain_bounds,
+from .analysis import (FadingReport, GainReport, build_oklattice_code,
+                       capacity_rhs, diversity_and_product_distance, gain_bounds,
                        ideal_lambda1_sq, min_distance, minkowski_upper_bound,
                        oklattice_min_distance, oklattice_side_info_gain,
                        overall_side_info_gain, side_info_gain)
@@ -21,18 +20,17 @@ from .numberfield import (AlgebraicInt, Ideal, NumberField, classify_prime,
                           maximal_real_field, prime_ideals_above, principal_ideal,
                           quadratic_field, whole_ring)
 from .presets import preset_code, preset_names, preset_summary
-from .sim import (SimConfig, SimPoint, SimResult, SymbolTransform,
-                  confidence_interval, curve_filename, diversity_slope,
-                  ml_detect, read_curve_csv, run_sim, si_gain_from_curves,
-                  write_curve_csv)
+from .sim import (SimConfig, SimPoint, SimResult, confidence_interval,
+                  curve_filename, diversity_slope, ml_detect, read_curve_csv,
+                  run_sim, si_gain_from_curves, write_curve_csv)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraicInt", "CodePoint", "FadingReport", "GainReport", "Ideal",
     "IndexCode", "Infeasible", "InvalidArgument", "InvariantViolation",
-    "LatticedexError", "Message", "NumberField", "OkLatticeCode", "SimConfig",
-    "SimPoint", "SimResult", "SymbolTransform", "Unsupported",
+    "LatticedexError", "Message", "NumberField", "SimConfig",
+    "SimPoint", "SimResult", "Unsupported",
     "build_index_code", "build_oklattice_code", "capacity_rhs",
     "classify_prime", "code_from_dict", "confidence_interval",
     "curve_filename", "cyclotomic_field", "decode_point",

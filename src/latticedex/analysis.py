@@ -1,9 +1,11 @@
-"""Distance and gain analysis for index codes, plus O_K-lattice codes.
+"""Distance and gain analysis for index codes.
 
-Side-information gains are computed from exact squared distances:
-d_S is the shortest nonzero vector of the ideal lattice Psi(prod_{k in S} p_k)
-(revealing w_S reduces the candidate set to a translate of that ideal), found
-by exhaustive enumeration with exact integer scoring.  min_distance is the
+Side-information gains are computed from exact squared distances: d_0 is the
+shortest nonzero vector of the code lattice and d_S that of its side
+sublattice, the u with every slot in prod_{k in S} p_k (revealing w_S reduces
+the candidate set to a translate of it), both found by exhaustive
+enumeration with exact integer scoring.  For the plain code on O_K the side
+sublattice is the ideal lattice Psi(prod_{k in S} p_k).  min_distance is the
 finite-subcode brute force over constellation pairs; the two agree on every
 built code and are cross-checked in the tests.
 """
@@ -16,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codec import minkowski_bound_sq, rate
+from .codec import build_index_code, minkowski_bound_sq, rate
 from .errors import Infeasible, InvalidArgument, InvariantViolation
-from .numberfield import AlgebraicInt, whole_ring
-from .numberfield.linalg import short_vectors, shortest_nonzero
+# bench/workloads.py traces enumeration through analysis.short_vectors too
+from .numberfield.linalg import short_vectors, shortest_nonzero  # noqa: F401
 
 SIX_DB = 20.0 * math.log10(2.0)  # exact gain of PID constructions, ~6.0206
 _PAIR_CHUNK = 512
@@ -104,7 +106,7 @@ def min_distance(code, s, fixed=None):
     if idx.shape[0] < 2:
         raise InvalidArgument("subcode has fewer than two points; distance undefined")
     X = code.coords_matrix[idx]
-    G = code.field.gram2_np
+    G = code.gram2
     q = np.einsum("ij,jk,ik->i", X, G, X)
     XG = X @ G
     best = None
@@ -150,16 +152,30 @@ def gain_bounds(code, s):
 
 
 def side_info_gain(code, s):
-    """GainReport for a nonempty side-information set."""
+    """GainReport for a nonempty side-information set.
+
+    The plain code reports the Minkowski bound of prod_{k in S} p_k and the
+    field's gain sandwich; other generators report the ball-packing bound of
+    the side sublattice and the exact 20*log10(2) only on imaginary
+    quadratic PIDs.
+    """
     s = code.check_side_info(s)
     if not s:
         raise InvalidArgument("side-information set must be nonempty")
-    d0_sq = ideal_lambda1_sq(whole_ring(code.field))
-    ideal_s = code.side_ideal(s)
-    ds_sq = ideal_lambda1_sq(ideal_s)
+    val0, _ = shortest_nonzero(code.gram2)
+    d0_sq = Fraction(int(val0), 2)
+    side_gram = code.side_sublattice_gram(s)
+    vals, _ = shortest_nonzero(side_gram)
+    ds_sq = Fraction(int(vals), 2)
     r = rate(code, s)
     gamma_db = 10.0 * math.log10(float(ds_sq / d0_sq)) / r
-    lower, upper = gain_bounds(code, s)
+    exact = code.field.is_imaginary_quadratic_pid
+    if code.is_plain:
+        lower, upper = gain_bounds(code, s)
+        mink = minkowski_upper_bound(code.field, code.side_ideal(s))
+    else:
+        lower = upper = SIX_DB if exact else None
+        mink = _general_minkowski(side_gram)
     return GainReport(
         s=s,
         d0_sq=d0_sq,
@@ -168,9 +184,20 @@ def side_info_gain(code, s):
         gamma_db=gamma_db,
         lower_bound_db=lower,
         upper_bound_db=upper,
-        minkowski_upper=minkowski_upper_bound(code.field, ideal_s),
-        exact_uniform=code.field.is_imaginary_quadratic_pid,
+        minkowski_upper=mink,
+        exact_uniform=exact,
     )
+
+
+def _general_minkowski(gram2):
+    """Ball-packing bound on the shortest vector from the Gram determinant."""
+    d = gram2.shape[0]
+    sign, logdet = np.linalg.slogdet(gram2.astype(float) / 2.0)
+    if sign <= 0:
+        raise InvariantViolation("lattice Gram matrix is not positive definite")
+    log_covol = 0.5 * logdet
+    log_ball = (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
+    return 2.0 * math.exp((log_covol - log_ball) / d)
 
 
 def overall_side_info_gain(code, k_cap=20):
@@ -192,13 +219,16 @@ def overall_side_info_gain(code, k_cap=20):
 
 
 def _coordinate_gaps(field, diff_embedded):
-    """Per-coordinate magnitudes, complex pairs collapsed to one column."""
+    """Per-coordinate magnitudes, slot by slot, complex pairs collapsed to one
+    column."""
     r1, r2 = field.signature
-    cols = [np.abs(diff_embedded[..., :r1])] if r1 else []
-    for j in range(r2):
-        re = diff_embedded[..., r1 + 2 * j]
-        im = diff_embedded[..., r1 + 2 * j + 1]
-        cols.append(np.hypot(re, im)[..., None])
+    cols = []
+    for slot in range(0, diff_embedded.shape[-1], field.n):
+        d = diff_embedded[..., slot:slot + field.n]
+        if r1:
+            cols.append(np.abs(d[..., :r1]))
+        for j in range(r2):
+            cols.append(np.hypot(d[..., r1 + 2 * j], d[..., r1 + 2 * j + 1])[..., None])
     return np.concatenate(cols, axis=-1)
 
 
@@ -232,7 +262,7 @@ def diversity_and_product_distance(code, s, fixed=None, tol=1e-9):
         pmin = pm if pmin is None else min(pmin, pm)
     s = code.check_side_info(s)
     floor = None
-    if code.field.is_totally_real:
+    if code.is_plain and code.field.is_totally_real:
         floor = float(math.prod(code.primes[k - 1].norm for k in s))
     return FadingReport(s=s, diversity=diversity, product_distance=pmin, floor=floor)
 
@@ -244,266 +274,7 @@ def capacity_rhs(snr):
     return 0.5 * math.log2(1.0 + snr)
 
 
-# ============================================================
-# O_K-lattice codes: m copies of the ring glued by a generator matrix
-# ============================================================
-
-
-def _ring_det(rows):
-    """Determinant of a small matrix of ring elements, cofactor expansion."""
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    field = rows[0][0].field
-    total = field.zero
-    for j in range(m):
-        minor = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _ring_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _general_minkowski(gram2):
-    """Ball-packing bound on the shortest vector from the Gram determinant."""
-    d = gram2.shape[0]
-    sign, logdet = np.linalg.slogdet(gram2.astype(float) / 2.0)
-    if sign <= 0:
-        raise InvariantViolation("lattice Gram matrix is not positive definite")
-    log_covol = 0.5 * logdet
-    log_ball = (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
-    return 2.0 * math.exp((log_covol - log_ball) / d)
-
-
-class OkLatticeCode:
-    """Index code on m ring copies mixed by an invertible generator matrix.
-
-    Points are minimum-energy representatives of G~ * O^m modulo G~ * I^m
-    with I the product of the message ideals; labels factor into K messages
-    of size N(p_k)^m.  Coordinates are slot-major integer vectors in the
-    power basis of each slot.
-    """
-
-    def __init__(self, field, m, gmatrix, primes, modulus, basis, gram2_big,
-                 coords_u, norms2, msg_indices, per_prime_indices):
-        self.field = field
-        self.m = m
-        self.gmatrix = gmatrix
-        self.primes = primes
-        self.modulus = modulus
-        self.basis = basis  # (m*n) x (m*n) integer matrix, columns = images of e_i
-        self.gram2_big = gram2_big
-        order = np.argsort(msg_indices, kind="stable")
-        if not np.array_equal(np.bincount(msg_indices, minlength=order.shape[0]),
-                              np.ones(order.shape[0], dtype=np.int64)):
-            raise InvariantViolation("labels do not enumerate every message exactly once")
-        self.coords_matrix = coords_u[order]
-        self.norms2 = norms2[order]
-        self.residue_indices = tuple(a[order] for a in per_prime_indices)
-        n = field.n
-        E = self.coords_matrix.reshape(-1, m, n).astype(float) @ field.embed_matrix.T
-        self.embedded = E.reshape(-1, m * n)
-        total = int(self.norms2.sum())
-        self.mean_energy = Fraction(total, 2 * self.coords_matrix.shape[0])
-        self.gamma = 1.0 / math.sqrt(float(self.mean_energy))
-
-    @property
-    def num_messages(self):
-        return self.coords_matrix.shape[0]
-
-    @property
-    def dimension(self):
-        return self.m * self.field.n
-
-    def check_side_info(self, s):
-        s = tuple(sorted(set(int(k) for k in s)))
-        for k in s:
-            if not 1 <= k <= len(self.primes):
-                raise InvalidArgument(
-                    f"side-information index {k} out of range 1..{len(self.primes)}")
-        return s
-
-    def subcode_indices(self, s, fixed=None):
-        s = self.check_side_info(s)
-        mask = np.ones(self.num_messages, dtype=bool)
-        for k in s:
-            want = 0 if fixed is None else int(fixed[k - 1])
-            mask &= self.residue_indices[k - 1] == want
-        return np.nonzero(mask)[0]
-
-    def side_sublattice_gram(self, s):
-        """Gram of the u-sublattice with every slot congruent to 0 mod I_S."""
-        s = self.check_side_info(s)
-        ideal = whole_ring(self.field)
-        for k in s:
-            ideal = ideal * self.primes[k - 1]
-        H = np.array(ideal.hnf, dtype=np.int64)
-        T = np.kron(np.eye(self.m, dtype=np.int64), H)
-        return T.T @ self.gram2_big @ T
-
-    def __repr__(self):
-        return (f"OkLatticeCode({self.field.name}, m={self.m}, "
-                f"K={len(self.primes)}, {self.num_messages} points)")
-
-
-def build_oklattice_code(field, primes, gmatrix, energy_radius_factor=1.0,
-                         enumeration_cap=10 ** 6):
-    """Constellation for m stacked ring copies mixed by the matrix gmatrix.
-
-    gmatrix entries may be ring elements or rational integers; the matrix
-    must be invertible over the fraction field.  Enumeration and labeling
-    follow build_index_code, with cosets keyed slot-by-slot mod the product
-    ideal.
-    """
-    from .codec import _ensure_prime_tags, _BOX_CELL_LIMIT
-
-    if energy_radius_factor <= 0:
-        raise InvalidArgument("energy_radius_factor must be positive")
-    rows = []
-    m = len(gmatrix)
-    for row in gmatrix:
-        if len(row) != m:
-            raise InvalidArgument("generator matrix must be square")
-        rows.append(tuple(
-            e if isinstance(e, AlgebraicInt) else field.from_int(int(e))
-            for e in row))
-    for row in rows:
-        for e in row:
-            if e.field is not field:
-                raise InvalidArgument("generator entries must live in the code's field")
-    if _ring_det(rows).is_zero:
-        raise InvalidArgument("generator matrix is singular")
-
-    primes = _ensure_prime_tags(field, primes)
-    if len({p.label() for p in primes}) != len(primes):
-        raise InvalidArgument("message ideals must be distinct")
-    norms = [p.norm for p in primes]
-    count = 1
-    for N in norms:
-        count *= N ** m
-    if count > enumeration_cap:
-        raise Infeasible(
-            f"constellation size {count} exceeds enumeration cap {enumeration_cap}")
-
-    modulus = primes[0]
-    for p in primes[1:]:
-        if not (modulus + p).norm == 1:
-            raise InvalidArgument(
-                f"ideals {modulus.label()} and {p.label()} are not coprime")
-        modulus = modulus * p
-
-    n = field.n
-    d = m * n
-    cols = []
-    for j in range(m):
-        for i in range(n):
-            unit = tuple(1 if t == i else 0 for t in range(n))
-            col = []
-            for r in range(m):
-                col.extend(field.mul_coords(rows[r][j].coords, unit))
-            cols.append(col)
-    A = np.array(cols, dtype=np.int64).T
-    G2blk = np.kron(np.eye(m, dtype=np.int64), field.gram2_np)
-    gram2_big = A.T @ G2blk @ A
-
-    radix = np.array([modulus.hnf[i][i] for i in range(n)], dtype=np.int64)
-    strides = np.ones(n, dtype=np.int64)
-    for i in range(1, n):
-        strides[i] = strides[i - 1] * radix[i - 1]
-    slot_count = modulus.norm
-
-    mink_sq = minkowski_bound_sq(field, modulus)
-    bound2 = max(int(math.ceil(2.0 * m * mink_sq * energy_radius_factor ** 2)), 1)
-    out_u = None
-    out_norm = None
-    while True:
-        U, norms2 = short_vectors(gram2_big, bound2, include_zero=True)
-        if U.shape[0] > _BOX_CELL_LIMIT:
-            raise Infeasible(f"representative search scanned {U.shape[0]} points; giving up")
-        V = U.reshape(-1, m, n)
-        combined = np.zeros(U.shape[0], dtype=np.int64)
-        for r in range(m):
-            res = modulus.reduce_batch(V[:, r, :])
-            combined = combined * slot_count + res @ strides
-        keys = [U[:, j] for j in range(d - 1, -1, -1)]
-        keys.append(norms2)
-        order = np.lexsort(keys)
-        uniq, first = np.unique(combined[order], return_index=True)
-        if uniq.shape[0] == count:
-            rows_sel = order[first]
-            out_u = np.zeros((count, d), dtype=np.int64)
-            out_norm = np.zeros(count, dtype=np.int64)
-            out_u[uniq] = U[rows_sel]
-            out_norm[uniq] = norms2[rows_sel]
-            break
-        bound2 *= 2
-
-    Vout = out_u.reshape(-1, m, n)
-    per_prime = []
-    msg_indices = np.zeros(count, dtype=np.int64)
-    for p in primes:
-        pradix = np.array([p.hnf[i][i] for i in range(n)], dtype=np.int64)
-        pstr = np.ones(n, dtype=np.int64)
-        for i in range(1, n):
-            pstr[i] = pstr[i - 1] * pradix[i - 1]
-        a_k = np.zeros(count, dtype=np.int64)
-        for r in range(m):
-            res = p.reduce_batch(Vout[:, r, :])
-            a_k = a_k * p.norm + res @ pstr
-        per_prime.append(a_k)
-        msg_indices = msg_indices * (p.norm ** m) + a_k
-
-    return OkLatticeCode(field, m, tuple(rows), tuple(primes), modulus,
-                         tuple(tuple(int(x) for x in row) for row in A),
-                         gram2_big, out_u, out_norm, msg_indices,
-                         tuple(per_prime))
-
-
-def oklattice_min_distance(code, s, fixed=None):
-    """Exact min squared distance over a finite O_K-lattice subcode."""
-    idx = code.subcode_indices(s, fixed)
-    if idx.shape[0] < 2:
-        raise InvalidArgument("subcode has fewer than two points; distance undefined")
-    X = code.coords_matrix[idx]
-    G = code.gram2_big
-    q = np.einsum("ij,jk,ik->i", X, G, X)
-    XG = X @ G
-    best = None
-    for lo in range(0, X.shape[0], _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, X.shape[0])
-        cross = XG[lo:hi] @ X.T
-        d2 = q[lo:hi, None] + q[None, :] - 2 * cross
-        iu = np.triu_indices(hi - lo, k=1, m=X.shape[0])
-        mask = iu[1] > iu[0] + lo
-        vals = d2[iu[0][mask], iu[1][mask]]
-        if vals.size:
-            v = int(vals.min())
-            best = v if best is None else min(best, v)
-    return Fraction(best, 2)
-
-
-def oklattice_side_info_gain(code, s):
-    """GainReport for an O_K-lattice code; bounds apply only on exact fields."""
-    s = code.check_side_info(s)
-    if not s:
-        raise InvalidArgument("side-information set must be nonempty")
-    val0, _ = shortest_nonzero(code.gram2_big)
-    d0_sq = Fraction(int(val0), 2)
-    vals, _ = shortest_nonzero(code.side_sublattice_gram(s))
-    ds_sq = Fraction(int(vals), 2)
-    r = rate(code, s)
-    gamma_db = 10.0 * math.log10(float(ds_sq / d0_sq)) / r
-    if code.field.is_imaginary_quadratic_pid:
-        lower = upper = SIX_DB
-    else:
-        lower = upper = None
-    return GainReport(
-        s=s,
-        d0_sq=d0_sq,
-        ds_sq=ds_sq,
-        rate_bits=r,
-        gamma_db=gamma_db,
-        lower_bound_db=lower,
-        upper_bound_db=upper,
-        minkowski_upper=_general_minkowski(code.side_sublattice_gram(s)),
-        exact_uniform=code.field.is_imaginary_quadratic_pid,
-    )
+# Former names of the module-code entry points; the code type is one.
+build_oklattice_code = build_index_code
+oklattice_min_distance = min_distance
+oklattice_side_info_gain = side_info_gain

@@ -186,14 +186,6 @@ def _load_spec(args):
     return spec
 
 
-def _code_for(args, spec):
-    if getattr(args, "code", None):
-        return load_code(args.code)
-    if getattr(args, "preset", None) and spec is None:
-        return preset_lib.preset_code(args.preset)
-    return build_from_spec(spec)
-
-
 # ============================================================
 # Subcommands
 # ============================================================
@@ -229,10 +221,7 @@ def _format_row(cells, widths):
 
 
 def cmd_analyze(args):
-    spec = None
-    if not getattr(args, "code", None):
-        spec = _load_spec(args)
-    code = _code_for(args, spec)
+    code = load_code(args.code) if args.code else build_from_spec(_load_spec(args))
     k = len(code.primes)
     if args.sets:
         sets = [tuple(sorted(int(v) for v in s)) for s in _parse_sets(args.sets, k)]

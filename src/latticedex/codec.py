@@ -1,8 +1,12 @@
 """CRT index codes: message tuples over residue fields mapped to minimum-energy
-coset representatives of O_K modulo a product of coprime prime ideals.
+coset representatives of a lattice carved from O_K.
 
-Encoding picks, for the message (w_1, ..., w_K), the representative of
-sum_k e_k * w_k mod I where the e_k are CRT idempotents and I = prod p_k.
+A code lives on m copies of O_K mixed by an invertible generator matrix G~
+over O_K; the default 1x1 identity gives the plain code on O_K itself.  Its
+points are minimum-energy representatives of G~ O_K^m modulo G~ I^m with
+I = prod p_k, and message k is u mod p_k slot by slot, an element of
+(O_K/p_k)^m.  For the plain code, encoding picks for (w_1, ..., w_K) the
+representative of sum_k e_k * w_k mod I where the e_k are CRT idempotents.
 Per-coset representatives minimize the canonical-embedding energy, with ties
 broken lexicographically on exact integer coordinates, so constellations are
 reproducible.  Message components are canonical HNF residues of O_K / p_k;
@@ -11,15 +15,17 @@ finite-field operations are ring operations followed by reduction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import Infeasible, InvalidArgument, InvariantViolation
+from .errors import Infeasible, InvalidArgument, InvariantViolation, Unsupported
 from .numberfield import (
     AlgebraicInt,
     Ideal,
@@ -38,7 +44,8 @@ _BOX_CELL_LIMIT = 3 * 10**8  # hard guard on candidate-box size
 
 @dataclass(frozen=True)
 class Message:
-    """K message symbols, each a canonical residue of O_K mod p_k."""
+    """K message symbols; symbol k is a canonical residue of O_K mod p_k per
+    slot, slot-major (m*n integers)."""
 
     residues: tuple
 
@@ -125,144 +132,216 @@ def crt_idempotents(primes):
     return tuple(out)
 
 
-def _min_energy_representatives(field, modulus, factor, cap):
-    """Minimum-energy representative of every coset of the modulus ideal.
+def _ring_det(rows):
+    """Determinant of a small matrix of ring elements, cofactor expansion."""
+    m = len(rows)
+    if m == 1:
+        return rows[0][0]
+    field = rows[0][0].field
+    total = field.zero
+    for j in range(m):
+        minor = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
+        term = rows[0][j] * _ring_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
-    Enumerates the origin-centered ball of squared radius factor^2 times the
-    Minkowski bound of the modulus (doubling until every coset is covered)
-    and keeps the lowest-energy point per coset, ties broken lexicographically
-    on exact coordinates.  Returns (coords int64 (N, n), normsq2 int64 (N,))
-    ordered by the modulus residue index.
+
+def _generator_lattice(field, gmatrix):
+    """(rows, basis, gram2) of the code lattice G~ O_K^m.
+
+    rows is the validated generator (entries may be given as ring elements or
+    rational integers; None is the 1x1 identity).  basis is the integer
+    matrix of u -> G~ u on slot-major power-basis coordinates and gram2 the
+    doubled Gram matrix of the lattice in the u coordinates.
     """
+    if gmatrix is None:
+        gmatrix = [[field.one]]
+    m = len(gmatrix)
+    if m == 0 or any(len(row) != m for row in gmatrix):
+        raise InvalidArgument("generator matrix must be square and nonempty")
+    rows = tuple(
+        tuple(e if isinstance(e, AlgebraicInt) else field.from_int(int(e)) for e in row)
+        for row in gmatrix)
+    if any(e.field is not field for row in rows for e in row):
+        raise InvalidArgument("generator entries must live in the code's field")
+    if _ring_det(rows).is_zero:
+        raise InvalidArgument("generator matrix is singular")
     n = field.n
-    count = modulus.norm
-    bound2 = max(int(math.ceil(2.0 * minkowski_bound_sq(field, modulus) * factor * factor)), 1)
-    radix = np.array([modulus.hnf[i][i] for i in range(n)], dtype=np.int64)
+    cols = []
+    for j in range(m):
+        for i in range(n):
+            unit = tuple(1 if t == i else 0 for t in range(n))
+            cols.append([v for r in range(m) for v in field.mul_coords(rows[r][j].coords, unit)])
+    basis = np.array(cols, dtype=np.int64).T
+    gram2 = basis.T @ np.kron(np.eye(m, dtype=np.int64), field.gram2_np) @ basis
+    return rows, basis, gram2
+
+
+def _slot_residues(ideal, coords, m):
+    """(residues, index) of rows of slot-major coordinates modulo the ideal.
+
+    residues holds the canonical residue of every slot, index the position
+    in (O_K/ideal)^m with slot 0 the most significant mixed-radix digit.
+    """
+    n = ideal.field.n
+    res = ideal.reduce_batch(coords.reshape(-1, n))
     strides = np.ones(n, dtype=np.int64)
     for i in range(1, n):
-        strides[i] = strides[i - 1] * radix[i - 1]
+        strides[i] = strides[i - 1] * ideal.hnf[i - 1][i - 1]
+    slots = (res @ strides).reshape(-1, m)
+    index = np.zeros(slots.shape[0], dtype=np.int64)
+    for r in range(m):
+        index = index * ideal.norm + slots[:, r]
+    return res.reshape(-1, m * n), index
+
+
+def _min_energy_representatives(field, modulus, gram2, m, factor):
+    """Minimum-energy representative of every coset of the modulus, slot-wise.
+
+    Enumerates the origin-centered ball of squared radius m * factor^2 times
+    the Minkowski bound of the modulus (doubling until every coset of
+    O_K^m / modulus^m is covered) in the lattice with doubled Gram gram2, and
+    keeps the lowest-energy point per coset, ties broken lexicographically on
+    exact coordinates.  Returns int64 coordinates (N, m*n) ordered by the
+    per-slot modulus residue index.
+    """
+    count = modulus.norm ** m
+    bound2 = max(int(math.ceil(2.0 * m * minkowski_bound_sq(field, modulus) * factor * factor)), 1)
     while True:
-        X, norms2 = short_vectors(field.gram2_np, bound2, include_zero=True)
+        X, norms2 = short_vectors(gram2, bound2, include_zero=True)
         if X.shape[0] > _BOX_CELL_LIMIT:
             raise Infeasible(f"representative search scanned {X.shape[0]} points; giving up")
-        res = modulus.reduce_batch(X)
-        ridx = res @ strides
-        keys = tuple(X[:, i] for i in range(n - 1, -1, -1)) + (norms2,)
+        _, ridx = _slot_residues(modulus, X, m)
+        keys = tuple(X[:, i] for i in range(X.shape[1] - 1, -1, -1)) + (norms2,)
         order = np.lexsort(keys)
         uniq, first = np.unique(ridx[order], return_index=True)
         if uniq.shape[0] == count:
-            rows = order[first]
-            out = np.empty((count, n), dtype=np.int64)
-            out_norm = np.empty(count, dtype=np.int64)
-            out[uniq] = X[rows]
-            out_norm[uniq] = norms2[rows]
-            return out, out_norm
+            out = np.empty((count, X.shape[1]), dtype=X.dtype)
+            out[uniq] = X[order[first]]
+            return out
         bound2 *= 2
 
 
 class IndexCode:
-    """Immutable index code over a number field; build with build_index_code."""
+    """Immutable index code on m copies of O_K; build with build_index_code.
 
-    def __init__(self, field, primes, modulus, idempotents, coords, norms2):
+    size is the number of points M, num_messages the number of messages K and
+    dimension the real dimension m*n.  coords_matrix holds the slot-major
+    power-basis coordinates of u, embedded the canonical embedding of the
+    point G~ u, and norms2 the exact doubled energies 2*|Psi(G~ u)|^2.
+    """
+
+    def __init__(self, field, primes, coords, gmatrix=None):
         self.field = field
-        self.primes = primes
-        self.modulus = modulus
-        self.idempotents = idempotents
+        self.primes = tuple(primes)
+        self.gmatrix, self.basis, self.gram2 = _generator_lattice(field, gmatrix)
+        self.m = m = len(self.gmatrix)
+        idempotents = crt_idempotents(self.primes)  # also rejects empty or non-coprime primes
+        self.modulus = functools.reduce(operator.mul, self.primes)
+        self.idempotents = tuple(self.modulus.reduce(e) for e in idempotents)
+        for k, e in enumerate(self.idempotents):
+            for j, p in enumerate(self.primes):
+                want = field.one if j == k else field.zero
+                if p.reduce(e) != p.reduce(want):
+                    raise InvariantViolation(f"idempotent e_{k+1} wrong mod p_{j+1}")
+        self.alphabet_sizes = tuple(p.norm ** m for p in self.primes)
         self.size = coords.shape[0]
-        self.alphabet_sizes = tuple(p.norm for p in primes)
 
         # order points by row-major message index (w_1 slowest)
-        K = len(primes)
-        res_idx = np.empty((self.size, K), dtype=np.int64)
-        res_coords = []
-        for k, p in enumerate(primes):
-            rk = p.reduce_batch(coords)
-            res_coords.append(rk)
-            stride = np.ones(field.n, dtype=np.int64)
-            for i in range(1, field.n):
-                stride[i] = stride[i - 1] * p.hnf[i - 1][i - 1]
-            res_idx[:, k] = rk @ stride
+        labels, res_idx = zip(*(_slot_residues(p, coords, m) for p in self.primes))
+        res_idx = np.stack(res_idx, axis=1)
         msg_index = np.zeros(self.size, dtype=np.int64)
-        for k in range(K):
-            msg_index = msg_index * self.alphabet_sizes[k] + res_idx[:, k]
-        if np.any(np.bincount(msg_index, minlength=self.size) != 1):
+        for k, a in enumerate(self.alphabet_sizes):
+            msg_index = msg_index * a + res_idx[:, k]
+        count = self.modulus.norm ** m
+        if not np.array_equal(np.bincount(msg_index, minlength=count), np.ones(count)):
             raise InvariantViolation("message labels do not biject with cosets")
         order = np.argsort(msg_index)
         self.coords_matrix = coords[order]
-        self.norms2 = norms2[order]
         self.residue_indices = res_idx[order]
-        self._label_coords = [rc[order] for rc in res_coords]
-        self.embedded = self.coords_matrix.astype(np.float64) @ field.embed_matrix.T
+        self._labels = [lab[order] for lab in labels]
+        X = self.coords_matrix
+        self.norms2 = np.einsum("ij,jk,ik->i", X, self.gram2, X)
+        n = field.n
+        points = (X @ self.basis.T).reshape(-1, n).astype(np.float64)
+        self.embedded = (points @ field.embed_matrix.T).reshape(self.size, m * n)
 
         total = int(self.norms2.sum())
         if total <= 0:
             raise InvariantViolation("constellation has no energy")
         self.mean_energy = Fraction(total, 2 * self.size)
         self.gamma = 1.0 / math.sqrt(total / (2.0 * self.size))
-
-        self.points = tuple(
-            CodePoint(
-                i,
-                Message(
-                    tuple(
-                        tuple(int(v) for v in self._label_coords[k][i])
-                        for k in range(K)
-                    )
-                ),
-                tuple(int(v) for v in self.coords_matrix[i]),
-            )
-            for i in range(self.size)
-        )
-
-    # ---- message plumbing ----
+        self._hash = None
 
     @property
     def num_messages(self):
         return len(self.primes)
 
+    @property
+    def dimension(self):
+        return self.m * self.field.n
+
+    @property
+    def is_plain(self):
+        """True for m = 1 with the identity generator: the code on O_K itself."""
+        return self.gmatrix == ((self.field.one,),)
+
+    # ---- message plumbing ----
+
+    def _point(self, i):
+        labels = tuple(tuple(int(v) for v in lab[i]) for lab in self._labels)
+        return CodePoint(i, Message(labels), tuple(int(v) for v in self.coords_matrix[i]))
+
+    @functools.cached_property
+    def points(self):
+        """Every CodePoint in message-index order, built on first use."""
+        return tuple(self._point(i) for i in range(self.size))
+
+    def _residue_index(self, k, res):
+        """Index of w_{k+1} in (O_K/p_k)^m after checking it is canonical."""
+        p, n = self.primes[k], self.field.n
+        if len(res) != self.dimension:
+            raise InvalidArgument(f"w_{k+1} has wrong length")
+        if any(not 0 <= v < p.hnf[i % n][i % n] for i, v in enumerate(res)):
+            raise InvalidArgument(f"w_{k+1} = {res} is not a canonical residue")
+        idx = 0
+        for r in range(0, len(res), n):
+            idx = idx * p.norm + p.residue_index(res[r:r + n])
+        return idx
+
     def check_message(self, msg):
-        if len(msg.residues) != len(self.primes):
-            raise InvalidArgument(f"message needs {len(self.primes)} components")
-        for k, (res, p) in enumerate(zip(msg.residues, self.primes)):
-            if len(res) != self.field.n:
-                raise InvalidArgument(f"w_{k+1} has wrong length")
-            for i, v in enumerate(res):
-                if not 0 <= v < p.hnf[i][i]:
-                    raise InvalidArgument(f"w_{k+1} = {res} is not a canonical residue")
+        self.message_index(msg)
 
     def message_index(self, msg):
-        self.check_message(msg)
+        if len(msg.residues) != len(self.primes):
+            raise InvalidArgument(f"message needs {len(self.primes)} components")
         idx = 0
-        for res, p in zip(msg.residues, self.primes):
-            r = p.residue_index(res)
-            idx = idx * p.norm + r
+        for k, (res, a) in enumerate(zip(msg.residues, self.alphabet_sizes)):
+            idx = idx * a + self._residue_index(k, res)
         return idx
 
     def representative(self, msg):
         """The CodePoint encoding this message."""
-        return self.points[self.message_index(msg)]
+        return self._point(self.message_index(msg))
 
     def message_from_index(self, idx):
-        return self.points[idx].message
+        return self._point(idx).message
 
     def zero_message(self):
-        return Message(tuple((0,) * self.field.n for _ in self.primes))
+        return Message(tuple((0,) * self.dimension for _ in self.primes))
+
+    def _message_op(self, a, b, op):
+        n, el = self.field.n, self.field.element
+        return Message(tuple(
+            tuple(v for r in range(0, len(ra), n)
+                  for v in p.reduce(op(el(ra[r:r + n]), el(rb[r:r + n]))).coords)
+            for ra, rb, p in zip(a.residues, b.residues, self.primes)))
 
     def message_add(self, a, b):
-        return Message(
-            tuple(
-                tuple(p.reduce(self.field.element(ra) + self.field.element(rb)).coords)
-                for ra, rb, p in zip(a.residues, b.residues, self.primes)
-            )
-        )
+        return self._message_op(a, b, operator.add)
 
     def message_mul(self, a, b):
-        return Message(
-            tuple(
-                tuple(p.reduce(self.field.element(ra) * self.field.element(rb)).coords)
-                for ra, rb, p in zip(a.residues, b.residues, self.primes)
-            )
-        )
+        return self._message_op(a, b, operator.mul)
 
     # ---- side information ----
 
@@ -280,22 +359,29 @@ class IndexCode:
             ideal = ideal * self.primes[k - 1]
         return ideal
 
+    def side_sublattice_gram(self, s):
+        """Doubled Gram of the u-sublattice with every slot in prod_{k in S} p_k."""
+        H = np.array(self.side_ideal(s).hnf, dtype=np.int64)
+        T = np.kron(np.eye(self.m, dtype=np.int64), H)
+        return T.T @ self.gram2 @ T
+
     def subcode_indices(self, s, fixed=None):
+        """Points whose messages in S equal those of the Message fixed (default 0)."""
         s = self.check_side_info(s)
+        if fixed is not None and (not isinstance(fixed, Message)
+                                  or len(fixed.residues) != len(self.primes)):
+            raise InvalidArgument(f"fixed must be a Message with {len(self.primes)} components")
         mask = np.ones(self.size, dtype=bool)
         for k in s:
-            p = self.primes[k - 1]
-            if fixed is None:
-                want = 0
-            else:
-                res = fixed.residues[k - 1]
-                if any(not 0 <= v < p.hnf[i][i] for i, v in enumerate(res)):
-                    raise InvalidArgument(f"fixed w_{k} is not a canonical residue")
-                want = p.residue_index(res)
+            want = 0 if fixed is None else self._residue_index(k - 1, fixed.residues[k - 1])
             mask &= self.residue_indices[:, k - 1] == want
         return np.nonzero(mask)[0]
 
+    # ---- code files ----
+
     def to_dict(self):
+        if not self.is_plain:
+            raise Unsupported("code files hold only m = 1 codes with the identity generator")
         return {
             "format": "latticedex-code-v1",
             "field": self.field.to_dict(),
@@ -306,33 +392,41 @@ class IndexCode:
             "gamma": self.gamma,
             "mean_energy": [self.mean_energy.numerator, self.mean_energy.denominator],
             "points": [
-                {
-                    "label": [list(r) for r in pt.message.residues],
-                    "coords": list(pt.coords),
-                    "embedded": [float(v) for v in self.embedded[pt.index]],
-                }
-                for pt in self.points
+                {"label": label, "coords": coords, "embedded": embedded}
+                for label, coords, embedded in zip(
+                    self._label_lists(), self.coords_matrix.tolist(), self.embedded.tolist())
             ],
         }
 
+    def _label_lists(self):
+        """Per point, its K residue labels as a list of lists of ints."""
+        return map(list, zip(*(lab.tolist() for lab in self._labels)))
+
     def content_hash(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """SHA-256 of the canonical code file; computed once, the code is immutable."""
+        if self._hash is None:
+            blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            self._hash = hashlib.sha256(blob.encode()).hexdigest()
+        return self._hash
 
     def __repr__(self):
         sizes = "x".join(str(v) for v in self.alphabet_sizes)
         return f"IndexCode({self.field.name}, {self.size} points, alphabets {sizes})"
 
 
-def build_index_code(field, primes, energy_radius_factor=1.0, enumeration_cap=DEFAULT_ENUMERATION_CAP):
+def build_index_code(field, primes, gmatrix=None, *, energy_radius_factor=1.0,
+                     enumeration_cap=DEFAULT_ENUMERATION_CAP):
     """Build the index code for the given coprime prime ideals.
 
-    energy_radius_factor scales the initial representative-search radius
-    (relative to the Minkowski bound of the modulus); enumeration_cap limits
-    the constellation size N(I).
+    gmatrix is an invertible m x m generator over O_K (ring elements or
+    rational integers; default the 1x1 identity).  energy_radius_factor
+    scales the initial representative-search radius (relative to the
+    Minkowski bound of the modulus); enumeration_cap limits the
+    constellation size N(I)^m.
     """
     if energy_radius_factor <= 0:
         raise InvalidArgument("energy_radius_factor must be positive")
+    gmatrix, _, gram2 = _generator_lattice(field, gmatrix)
     primes = _ensure_prime_tags(field, primes)
     if not primes:
         raise InvalidArgument("need at least one prime ideal")
@@ -340,23 +434,13 @@ def build_index_code(field, primes, energy_radius_factor=1.0, enumeration_cap=DE
         for b in range(a + 1, len(primes)):
             if primes[a] == primes[b]:
                 raise InvalidArgument(f"duplicate prime ideal {primes[a].label()}")
-    idempotents = crt_idempotents(primes)  # also validates pairwise coprimality
-    modulus = primes[0]
-    for p in primes[1:]:
-        modulus = modulus * p
-    count = modulus.norm
+    modulus = functools.reduce(operator.mul, primes)
+    count = modulus.norm ** len(gmatrix)
     if count > enumeration_cap:
-        raise Infeasible(f"product norm {count} exceeds enumeration cap {enumeration_cap}")
-
-    idempotents = tuple(modulus.reduce(e) for e in idempotents)
-    for k, e in enumerate(idempotents):
-        for j, p in enumerate(primes):
-            want = field.one if j == k else field.zero
-            if p.reduce(e) != p.reduce(want):
-                raise InvariantViolation(f"idempotent e_{k+1} wrong mod p_{j+1}")
-
-    coords, norms2 = _min_energy_representatives(field, modulus, energy_radius_factor, enumeration_cap)
-    return IndexCode(field, primes, modulus, idempotents, coords, norms2)
+        raise Infeasible(f"constellation size {count} exceeds enumeration cap {enumeration_cap}")
+    coords = _min_energy_representatives(field, modulus, gram2, len(gmatrix),
+                                         energy_radius_factor)
+    return IndexCode(field, primes, coords, gmatrix)
 
 
 def encode(code, msg):
@@ -374,7 +458,7 @@ def decode_point(code, x):
 
 def subcode_points(code, s, fixed=None):
     """Constellation points consistent with side information w_S (default 0)."""
-    return [code.points[i] for i in code.subcode_indices(s, fixed)]
+    return [code._point(i) for i in code.subcode_indices(s, fixed)]
 
 
 def rate(code, s):
@@ -400,22 +484,14 @@ def code_from_dict(doc):
         raise InvalidArgument("not a latticedex code file")
     field = field_from_dict(doc["field"])
     primes = tuple(ideal_from_dict(field, d) for d in doc["primes"])
-    modulus = primes[0]
-    for p in primes[1:]:
-        modulus = modulus * p
-    if [list(r) for r in modulus.hnf] != doc["modulus_hnf"]:
-        raise InvalidArgument("modulus HNF does not match the primes in the file")
-    idempotents = tuple(
-        AlgebraicInt(field, tuple(int(v) for v in c)) for c in doc["idempotents"]
-    )
     coords = np.array([pt["coords"] for pt in doc["points"]], dtype=np.int64)
-    norms2 = np.array(
-        [field.normsq2_coords(tuple(int(v) for v in row)) for row in coords],
-        dtype=np.int64,
-    )
-    code = IndexCode(field, primes, modulus, idempotents, coords, norms2)
-    for pt, rec in zip(code.points, doc["points"]):
-        if [list(r) for r in pt.message.residues] != rec["label"]:
+    code = IndexCode(field, primes, coords)
+    if [list(r) for r in code.modulus.hnf] != doc["modulus_hnf"]:
+        raise InvalidArgument("modulus HNF does not match the primes in the file")
+    if [list(e.coords) for e in code.idempotents] != doc["idempotents"]:
+        raise InvalidArgument("stored idempotents disagree with the primes")
+    for label, rec in zip(code._label_lists(), doc["points"]):
+        if label != rec["label"]:
             raise InvalidArgument("stored labels disagree with recomputed residues")
     if abs(code.gamma - doc["gamma"]) > 1e-12 * code.gamma:
         raise InvalidArgument("stored gamma disagrees with recomputed normalization")

@@ -8,6 +8,8 @@ extrapolating.
 
 from __future__ import annotations
 
+import math
+
 from .codec import build_index_code
 from .errors import InvalidArgument
 from .numberfield import (cyclotomic_field, maximal_real_field, principal_ideal,
@@ -103,7 +105,8 @@ def preset_snr_grid(name, channel):
 
 
 def preset_summary(name):
-    code = preset_code(name)
-    sizes = "x".join(str(v) for v in code.alphabet_sizes)
-    return (f"{name}: {code.field.describe()}, K={len(code.primes)}, "
-            f"messages {sizes} = {code.size} points")
+    """One-line description; sizes come from the prime norms, nothing is built."""
+    field, primes = preset_field_and_primes(name)
+    norms = [p.norm for p in primes]
+    return (f"{name}: {field.describe()}, K={len(primes)}, "
+            f"messages {'x'.join(str(v) for v in norms)} = {math.prod(norms)} points")

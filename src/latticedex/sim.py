@@ -16,28 +16,15 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, Unsupported
 
 CHUNK = 4096
 _RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # E[h^2] = 1
 _Z95 = 1.959963984540054
-
-
-class SymbolTransform:
-    """Hook around the channel: maps the symbol stream before modulation and
-    back after detection.  The base class is the identity; outer codes plug
-    in here.  Error counting always compares against the pre-transform
-    stream."""
-
-    def before_mapping(self, indices):
-        return indices
-
-    def after_detection(self, indices):
-        return indices
 
 
 @dataclass(frozen=True)
@@ -94,9 +81,10 @@ class SimConfig:
     workers: int | None = None
     fade_per_complex: bool = False
     label: str = "run"
-    outer: SymbolTransform | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
+        if not self.code.is_plain:
+            raise Unsupported("simulation needs an m = 1 code with the identity generator")
         if self.channel not in ("awgn", "rayleigh"):
             raise InvalidArgument(f"unknown channel {self.channel!r}")
         grid = tuple(float(v) for v in self.snr_db)
@@ -201,7 +189,6 @@ def _build_ctx(config):
         "enorm": enorm,
         "pid": pid,
         "groups": groups,
-        "outer": config.outer,
     }
 
 
@@ -230,13 +217,11 @@ def _run_chunk(ctx, point_idx, chunk_idx):
     z = rng.standard_normal((CHUNK, ctx["n"])) * ctx["noise_sigma"]
     h = _draw_fades(ctx, rng) if ctx["channel"] == "rayleigh" else None
 
-    outer = ctx["outer"]
-    msg = np.asarray(outer.before_mapping(raw)) if outer is not None else raw
-    tx = ctx["enorm"][msg]
+    tx = ctx["enorm"][raw]
     y = a * (h * tx if h is not None else tx) + z
 
     det = np.empty(CHUNK, dtype=np.int64)
-    pids = ctx["pid"][msg]
+    pids = ctx["pid"][raw]
     order = np.argsort(pids, kind="stable")
     sorted_pids = pids[order]
     starts = np.flatnonzero(np.r_[True, sorted_pids[1:] != sorted_pids[:-1]])
@@ -253,8 +238,7 @@ def _run_chunk(ctx, point_idx, chunk_idx):
             score = a * a * B - 2.0 * a * A
         det[rows] = g["cand"][np.argmin(score, axis=1)]
 
-    decoded = np.asarray(outer.after_detection(det)) if outer is not None else det
-    errors = int(np.count_nonzero(decoded != raw))
+    errors = int(np.count_nonzero(det != raw))
     return errors, CHUNK
 
 
@@ -333,8 +317,8 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
     ties break toward the lowest message index.  Returns the Message.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (code.field.n,):
-        raise InvalidArgument(f"y must have length {code.field.n}")
+    if y.shape != (code.dimension,):
+        raise InvalidArgument(f"y must have length {code.dimension}")
     cand = code.subcode_indices(s, fixed)
     X = math.sqrt(snr) * code.gamma * code.embedded[cand]
     if h is not None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latticedex import (
+    IndexCode,
     Infeasible,
     InvalidArgument,
     Message,
@@ -246,3 +247,25 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
         bad["points"][4]["label"], bad["points"][3]["label"])
     with pytest.raises(InvalidArgument):
         code_from_dict(bad)
+
+    bad = json.loads(path.read_text())
+    bad["idempotents"][0] = [7, 3]
+    with pytest.raises(InvalidArgument):
+        code_from_dict(bad)
+
+
+def test_content_hash_serialises_once(monkeypatch):
+    field = quadratic_field(-1)
+    code = build_index_code(field, [prime_ideals_above(field, 5)[0]])
+    calls = []
+    to_dict = IndexCode.to_dict
+    monkeypatch.setattr(IndexCode, "to_dict", lambda self: calls.append(1) or to_dict(self))
+    first = code.content_hash()
+    assert code.content_hash() == first
+    assert len(calls) == 1
+
+
+def test_public_names_resolve():
+    import latticedex
+
+    assert [name for name in latticedex.__all__ if not hasattr(latticedex, name)] == []

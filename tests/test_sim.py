@@ -6,7 +6,6 @@ import pytest
 from latticedex import (
     InvalidArgument,
     SimConfig,
-    SymbolTransform,
     confidence_interval,
     curve_filename,
     diversity_slope,
@@ -85,12 +84,6 @@ def test_worker_count_does_not_change_results(ex1_code, tmp_path):
     write_curve_csv(p1, r1)
     write_curve_csv(p3, r3)
     assert p1.read_bytes() == p3.read_bytes()
-
-
-def test_outer_identity_transform_is_invisible(ex1_code):
-    plain = run_sim(_cfg(ex1_code))
-    hooked = run_sim(_cfg(ex1_code, outer=SymbolTransform()))
-    assert plain.points == hooked.points
 
 
 # ---- statistical sanity ----
