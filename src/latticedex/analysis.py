@@ -3,11 +3,14 @@
 Side-information gains are computed from exact squared distances: d_0 is the
 shortest nonzero vector of the code lattice and d_S that of its side
 sublattice, the u with every slot in prod_{k in S} p_k (revealing w_S reduces
-the candidate set to a translate of it), both found by exhaustive
-enumeration with exact integer scoring.  For the plain code on O_K the side
-sublattice is the ideal lattice Psi(prod_{k in S} p_k).  min_distance is the
-finite-subcode brute force over constellation pairs; the two agree on every
-built code and are cross-checked in the tests.
+the candidate set to a translate of it).  Both come from
+numberfield.linalg.shortest_nonzero: LLL reduction of the Gram matrix, then
+Fincke-Pohst enumeration in the reduced basis with exact integer scoring,
+so skewed HNF sublattice bases cost no more than reduced ones.  For the
+plain code on O_K the side sublattice is the ideal lattice
+Psi(prod_{k in S} p_k).  min_distance is the finite-subcode brute force over
+constellation pairs; the two agree on every built code and are cross-checked
+in the tests.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from .numberfield import (
 from .numberfield.linalg import short_vectors, solve_columns
 
 DEFAULT_ENUMERATION_CAP = 10**6
-_BOX_CELL_LIMIT = 3 * 10**8  # hard guard on candidate-box size
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,6 @@ def _min_energy_representatives(field, modulus, gram2, m, factor):
     bound2 = max(int(math.ceil(2.0 * m * minkowski_bound_sq(field, modulus) * factor * factor)), 1)
     while True:
         X, norms2 = short_vectors(gram2, bound2, include_zero=True)
-        if X.shape[0] > _BOX_CELL_LIMIT:
-            raise Infeasible(f"representative search scanned {X.shape[0]} points; giving up")
         _, ridx = _slot_residues(modulus, X, m)
         keys = tuple(X[:, i] for i in range(X.shape[1] - 1, -1, -1)) + (norms2,)
         order = np.lexsort(keys)
@@ -495,4 +492,16 @@ def code_from_dict(doc):
             raise InvalidArgument("stored labels disagree with recomputed residues")
     if abs(code.gamma - doc["gamma"]) > 1e-12 * code.gamma:
         raise InvalidArgument("stored gamma disagrees with recomputed normalization")
+    if doc["mean_energy"] != [code.mean_energy.numerator, code.mean_energy.denominator]:
+        raise InvalidArgument("stored mean energy disagrees with the points")
+    if doc["alphabet_sizes"] != list(code.alphabet_sizes):
+        raise InvalidArgument("stored alphabet sizes disagree with the primes")
+    try:
+        embedded = np.array([pt["embedded"] for pt in doc["points"]], dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise InvalidArgument(f"stored embedding is malformed: {e}") from None
+    scale = max(1.0, float(np.abs(code.embedded).max()))
+    if (embedded.shape != code.embedded.shape
+            or not np.abs(embedded - code.embedded).max() <= 1e-9 * scale):
+        raise InvalidArgument("stored embedding disagrees with recomputed points")
     return code

@@ -1,19 +1,21 @@
 """Exact integer linear algebra for lattice computations.
 
 Column-style Hermite normal form (with optional unimodular transform),
-fraction-free determinants, triangular residue reduction, and bounded
-enumeration of short vectors of an integer Gram matrix.  Everything is
-arbitrary-precision Python int except the enumeration, which generates
-candidates with numpy int64 and keeps scoring exact.
+fraction-free determinants, triangular residue reduction, integral LLL
+reduction of Gram matrices, and enumeration of the short vectors of an
+integer Gram matrix.  Everything is arbitrary-precision Python int except
+the enumeration: it LLL-reduces the basis, lets a float Cholesky factor steer
+a breadth-first Fincke-Pohst search in numpy int64, rescores every candidate
+exactly, and refuses inputs whose exact range bounds leave int64.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
-from ..errors import InvalidArgument
+from ..errors import Infeasible, InvalidArgument, InvariantViolation
 
 # ============================================================
 # Hermite normal form (column style)
@@ -184,75 +186,159 @@ def det_int(rows):
 
 
 # ============================================================
+# LLL reduction (integral Gram-matrix form)
+# ============================================================
+
+
+def lll_gram(gram):
+    """LLL-reduce (delta = 0.99) the lattice with positive-definite Gram gram.
+
+    Integral version of Lenstra-Lenstra-Lovasz working on the Gram matrix
+    alone (Cohen, "A Course in Computational Algebraic Number Theory",
+    Alg. 2.6.7): d[i] is the leading i x i Gram minor and lam[k][j] =
+    d[j+1] * mu_kj, so every step is exact Python-int arithmetic.  Returns
+    (U, R) as lists of lists: U is unimodular, its columns are the reduced
+    basis in the input coordinates, and R = U^T G U.
+    """
+    G = [[int(v) for v in row] for row in gram]
+    n = len(G)
+    H = [[int(i == j) for j in range(n)] for i in range(n)]  # H[k]: coords of b_k
+    d = [1, G[0][0]] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+    if d[1] <= 0:
+        raise InvalidArgument("Gram matrix is not positive definite")
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest integer
+            H[k] = [a - q * b for a, b in zip(H[k], H[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        H[k - 1], H[k] = H[k], H[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:  # Gram-Schmidt of b_k, still the input's k-th vector
+            kmax = k
+            for j in range(k + 1):
+                u = sum(g * h for g, h in zip(G[k], H[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise InvalidArgument("Gram matrix is not positive definite")
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    if abs(det_int(H)) != 1:
+        raise InvariantViolation("LLL transform is not unimodular")
+    Hm = np.array(H, dtype=object)
+    return Hm.T.tolist(), (Hm @ np.array(G, dtype=object) @ Hm.T).tolist()
+
+
+# ============================================================
 # Short-vector enumeration
 # ============================================================
 
-_CHUNK_LIMIT = 1 << 22  # max candidate rows per numpy block
+_ENUM_LIMIT = 1 << 24  # max candidate rows materialised at one enumeration level
+_INT64_MAX = 2**63 - 1
 
 
-def _axis_bounds(gram, bound2):
-    """Per-axis box bound: max |x_i| over the ellipsoid x^T G x <= bound2."""
-    inv = np.linalg.inv(np.asarray(gram, dtype=np.float64))
-    d = np.maximum(np.diag(inv), 0.0)
-    return np.floor(np.sqrt(d * float(bound2)) * (1.0 + 1e-9) + 1e-9).astype(np.int64)
+def _range_bounds(U, R, bound2):
+    """Exact |y_i| bounds on the ellipsoid y^T R y <= bound2, after checking
+    that scoring it with R and mapping it back with U stay inside int64."""
+    n = len(R)
+    det = det_int(R)
+    yb = [math.isqrt(bound2 * det_int([r[:i] + r[i + 1:] for j, r in enumerate(R) if j != i])
+                     // det) for i in range(n)]
+    w = [max(v, 1) for v in yb]
+    score = sum(w[j] * abs(R[j][k]) * w[k] for j in range(n) for k in range(n))
+    image = max(sum(abs(u) * wj for u, wj in zip(row, w)) for row in U)
+    if max(score, image) > _INT64_MAX:
+        raise Infeasible(f"enumeration of radius^2 {bound2} leaves the int64 range")
+    return yb
+
+
+def _enumerate(U, R, bound2, include_zero):
+    """Rows y with y^T R y <= bound2 in the reduced basis, mapped back by U.
+
+    Breadth-first Fincke-Pohst: level i fixes y_i for every surviving prefix
+    (y_{i+1}, ..., y_{n-1}) from the float Cholesky factor of R.  The floats
+    only steer: each interval is widened by a relative 1e-9, clipped to the
+    exact bound of _range_bounds, and every survivor is rescored exactly.
+    """
+    n = len(R)
+    bound2 = math.floor(bound2)
+    if bound2 < 0 or (bound2 == 0 and not include_zero):
+        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    yb = _range_bounds(U, R, bound2)
+    C = np.linalg.cholesky(np.array(R, dtype=np.float64)).T
+    q = np.diag(C) ** 2
+    mu = C / np.diag(C)[:, None]
+    budget = bound2 * (1.0 + 1e-9)
+    Y = np.zeros((1, 0), dtype=np.int64)  # columns: y_{i+1}, ..., y_{n-1}
+    T = np.zeros(1)  # float partial norms of the prefixes
+    for i in range(n - 1, -1, -1):
+        c = -(Y @ mu[i, i + 1:])
+        r = np.sqrt(np.maximum(budget - T, 0.0) / q[i]) * (1.0 + 1e-9) + 1e-9
+        lo = np.maximum(np.ceil(c - r), -yb[i]).astype(np.int64)
+        counts = np.maximum(np.minimum(np.floor(c + r), yb[i]).astype(np.int64) - lo + 1, 0)
+        total = int(counts.sum())
+        if total > _ENUM_LIMIT:
+            raise Infeasible(f"short-vector enumeration would hold {total} candidates "
+                             f"(limit {_ENUM_LIMIT}); giving up")
+        rows = np.repeat(np.arange(counts.shape[0]), counts)
+        yi = lo[rows] + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        T = T[rows] + q[i] * (yi - c[rows]) ** 2
+        Y = np.column_stack([yi, Y[rows]])
+    norms = np.einsum("ij,jk,ik->i", Y, np.array(R, dtype=np.int64), Y)
+    keep = norms <= bound2
+    if not include_zero:
+        keep &= norms > 0
+    return Y[keep] @ np.array(U, dtype=np.int64).T, norms[keep]
 
 
 def short_vectors(gram2, bound2, include_zero=False):
-    """All integer vectors with x^T G2 x <= bound2 (exact int64 scoring).
+    """All integer vectors with x^T G2 x <= bound2, exactly.
 
-    Returns (X, norms2): X is (M, n) int64, norms2 is (M,) int64.  Candidates
-    come from an exact dual-diagonal box around the ellipsoid and are filtered
-    by the exact quadratic form, so no boundary vector is missed.  Signs are
-    not deduplicated; the zero vector is dropped unless include_zero.
+    Returns (X, norms2): X is (M, n) int64, norms2 is (M,) int64, rows in no
+    particular order.  The search runs in an LLL-reduced basis and scores
+    exactly; signs are not deduplicated; the zero vector is dropped unless
+    include_zero.  Raises Infeasible when the search would exceed
+    _ENUM_LIMIT candidate rows at one level or leave the int64 range.
     """
-    G = np.asarray(gram2, dtype=np.int64)
-    n = G.shape[0]
-    if bound2 < 0 or (bound2 == 0 and not include_zero):
-        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    b = _axis_bounds(G, bound2)
-    ranges = [np.arange(-bi, bi + 1, dtype=np.int64) for bi in b]
-    # longest suffix of axes whose full grid fits in one numpy block
-    split = 0
-    tail = 1
-    for i in range(n - 1, -1, -1):
-        if tail * len(ranges[i]) > _CHUNK_LIMIT and i < n - 1:
-            split = i + 1
-            break
-        tail *= len(ranges[i])
-    rest = np.meshgrid(*ranges[split:], indexing="ij")
-    rest = np.stack([g.ravel() for g in rest], axis=1)
-    out_X, out_n = [], []
-
-    def _score(block):
-        norms = np.einsum("ij,jk,ik->i", block, G, block)
-        mask = norms <= bound2
-        if not include_zero:
-            mask &= norms > 0
-        if mask.any():
-            out_X.append(block[mask])
-            out_n.append(norms[mask])
-
-    if split == 0:
-        _score(rest)
-    else:
-        head = np.empty((rest.shape[0], split), dtype=np.int64)
-        for prefix in itertools.product(*(tuple(r) for r in ranges[:split])):
-            head[:] = prefix
-            _score(np.concatenate([head, rest], axis=1))
-    if not out_X:
-        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(out_X), np.concatenate(out_n)
+    U, R = lll_gram(np.asarray(gram2, dtype=np.int64).tolist())
+    return _enumerate(U, R, bound2, include_zero)
 
 
 def shortest_nonzero(gram2):
     """(min positive x^T G2 x, lexicographically smallest minimizer).
 
-    The search radius is the smallest diagonal entry of G2 (the shortest
-    basis vector), which always contains a minimizer.
+    The search radius is the smallest diagonal entry of the LLL-reduced Gram
+    (its shortest basis vector), which always contains a minimizer.
     """
-    G = np.asarray(gram2, dtype=np.int64)
-    bound2 = int(np.diag(G).min())
-    X, norms = short_vectors(G, bound2)
+    U, R = lll_gram(np.asarray(gram2, dtype=np.int64).tolist())
+    X, norms = _enumerate(U, R, min(R[i][i] for i in range(len(R))), False)
     best = int(norms.min())
     cands = X[norms == best]
     order = np.lexsort(tuple(cands[:, i] for i in range(cands.shape[1] - 1, -1, -1)))

@@ -114,6 +114,14 @@ def test_infeasible_design_exits_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_oversized_enumeration_exits_3(monkeypatch, tmp_path, capsys):
+    from latticedex.numberfield import linalg
+
+    monkeypatch.setattr(linalg, "_ENUM_LIMIT", 20)
+    assert main(["design", "--preset", "example1", "--out-dir", str(tmp_path)]) == 3
+    assert "infeasible" in capsys.readouterr().err
+
+
 def test_invariant_violation_exits_2(monkeypatch, capsys):
     import latticedex.cli as cli_mod
 

@@ -186,6 +186,15 @@ def test_build_respects_enumeration_cap():
         build_index_code(field, primes, enumeration_cap=54)
 
 
+def test_build_refuses_oversized_enumeration(monkeypatch):
+    from latticedex.numberfield import linalg
+
+    field = quadratic_field(-1)
+    monkeypatch.setattr(linalg, "_ENUM_LIMIT", 20)
+    with pytest.raises(Infeasible):
+        build_index_code(field, [prime_ideals_above(field, 5)[0], prime_ideals_above(field, 13)[0]])
+
+
 def test_build_rejects_bad_radius_factor():
     field = quadratic_field(5)
     with pytest.raises(InvalidArgument):
@@ -250,6 +259,31 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
 
     bad = json.loads(path.read_text())
     bad["idempotents"][0] = [7, 3]
+    with pytest.raises(InvalidArgument):
+        code_from_dict(bad)
+
+    bad = json.loads(path.read_text())
+    bad["points"][0]["embedded"] = [9, 9]
+    with pytest.raises(InvalidArgument):
+        code_from_dict(bad)
+
+    bad = json.loads(path.read_text())
+    bad["points"][7]["embedded"][1] *= 1 + 1e-6
+    with pytest.raises(InvalidArgument):
+        code_from_dict(bad)
+
+    bad = json.loads(path.read_text())
+    bad["points"][2]["embedded"] = [1.0]
+    with pytest.raises(InvalidArgument):
+        code_from_dict(bad)
+
+    bad = json.loads(path.read_text())
+    bad["mean_energy"] = [1, 1]
+    with pytest.raises(InvalidArgument):
+        code_from_dict(bad)
+
+    bad = json.loads(path.read_text())
+    bad["alphabet_sizes"] = [3, 3]
     with pytest.raises(InvalidArgument):
         code_from_dict(bad)
 

@@ -1,13 +1,20 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from latticedex.errors import InvalidArgument
+from latticedex.errors import Infeasible, InvalidArgument
+from latticedex.numberfield import linalg
 from latticedex.numberfield.linalg import (
     det_int,
     hnf_columns,
     hnf_contains,
+    lll_gram,
     reduce_mod_hnf,
     reduce_mod_hnf_batch,
     short_vectors,
@@ -155,3 +162,120 @@ def test_shortest_nonzero_matches_enumeration():
         val, _ = shortest_nonzero(gram2)
         X, norms2 = short_vectors(gram2, int(val))
         assert int(norms2.min()) == val
+
+
+def test_short_vectors_rejects_non_positive_definite():
+    with pytest.raises(InvalidArgument):
+        short_vectors(np.array([[1, 2], [2, 1]], dtype=np.int64), 5)
+    with pytest.raises(InvalidArgument):
+        shortest_nonzero(np.array([[2, 2], [2, 2]], dtype=np.int64))
+
+
+def test_enumeration_guard_fires_before_allocating(monkeypatch):
+    gram2 = np.array([[2, 0], [0, 2]], dtype=np.int64)
+    assert short_vectors(gram2, 72)[0].shape[0] == 112  # x^2 + y^2 <= 36, zero dropped
+    monkeypatch.setattr(linalg, "_ENUM_LIMIT", 100)
+    # the last level would hold the 113 points of the disc: refused before
+    # they are materialised, while a small search still runs
+    with pytest.raises(Infeasible):
+        short_vectors(gram2, 72)
+    assert short_vectors(gram2, 2)[0].shape[0] == 4
+
+
+def test_int64_range_is_checked_exactly():
+    # x^T G x of (1, 1) is 2**63: it must not wrap to -2**63
+    with pytest.raises(Infeasible):
+        short_vectors(np.diag([2**62, 2**62]).astype(np.int64), 2**62, include_zero=True)
+    with pytest.raises(Infeasible):
+        shortest_nonzero(np.diag([2**62, 2**62]).astype(np.int64))
+    # a large but representable search still runs
+    X, norms2 = short_vectors(np.diag([2**40, 2**40]).astype(np.int64), 2**41)
+    assert sorted(map(tuple, X.tolist())) == [
+        (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+# ---- property tests against a brute-force box ----
+
+
+def _box_bounds(G, bound2):
+    """Exact per-axis bounds floor(sqrt(bound2 * (G^-1)_ii))."""
+    n = len(G)
+    det = det_int(G)
+    return [math.isqrt(bound2 * det_int([r[:i] + r[i + 1:] for j, r in enumerate(G) if j != i])
+                       // det) for i in range(n)]
+
+
+def _brute(G, bound2, include_zero=False):
+    """{x: x^T G x} over the whole box, scored with Python ints."""
+    n = len(G)
+    out = {}
+    for x in itertools.product(*(range(-b, b + 1) for b in _box_bounds(G, bound2))):
+        v = sum(x[i] * G[i][j] * x[j] for i in range(n) for j in range(n))
+        if v <= bound2 and (include_zero or v > 0):
+            out[x] = v
+    return out
+
+
+def _box_size(G, bound2):
+    return math.prod(2 * b + 1 for b in _box_bounds(G, bound2))
+
+
+@st.composite
+def _grams(draw, max_dim=4, span=5):
+    """Doubled Gram matrices 2 B^T B, half of them skewed HNF-shaped bases
+    (upper triangular, 0 <= H[i][j] < H[i][i]) of a random lattice, like
+    side_sublattice_gram."""
+    n = draw(st.integers(1, max_dim))
+    entries = st.integers(-span, span)
+    B = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    assume(det_int(B) != 0)
+    if draw(st.booleans()):
+        diag = [draw(st.integers(1, 9)) for _ in range(n)]
+        H = [[diag[i] if i == j else draw(st.integers(0, diag[i] - 1)) if j > i else 0
+              for j in range(n)] for i in range(n)]
+        B = (np.array(B, dtype=object) @ np.array(H, dtype=object)).tolist()
+    Bm = np.array(B, dtype=object)
+    return (2 * Bm.T @ Bm).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(G=_grams(), frac=st.fractions(0, 3), include_zero=st.booleans())
+def test_short_vectors_equals_brute_box(G, frac, include_zero):
+    bound2 = math.floor(frac * min(G[i][i] for i in range(len(G))))
+    while _box_size(G, bound2) > 20000:
+        bound2 //= 2
+    X, norms2 = short_vectors(np.array(G, dtype=np.int64), bound2, include_zero)
+    got = {tuple(int(v) for v in x): int(q) for x, q in zip(X, norms2)}
+    assert len(got) == X.shape[0]  # no duplicate rows
+    assert got == _brute(G, bound2, include_zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(G=_grams(max_dim=3))
+def test_shortest_nonzero_equals_brute_box(G):
+    bound2 = min(G[i][i] for i in range(len(G)))
+    assume(_box_size(G, bound2) <= 50000)
+    ref = _brute(G, bound2)
+    best = min(ref.values())
+    want = (best, min(x for x, v in ref.items() if v == best))
+    assert shortest_nonzero(np.array(G, dtype=np.int64)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(G=_grams(max_dim=6, span=40))
+def test_lll_transform_is_unimodular_and_exact(G):
+    U, R = lll_gram(G)
+    n = len(G)
+    assert abs(det_int(U)) == 1
+    Um = np.array(U, dtype=object)
+    assert (Um.T @ np.array(G, dtype=object) @ Um).tolist() == R
+    # R is LLL-reduced: size-reduced and the Lovasz condition with delta 0.99
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (R[i][j] - sum(mu[j][k] * mu[i][k] * bstar[k] for k in range(j))) / bstar[j]
+            assert abs(mu[i][j]) <= Fraction(1, 2)
+        bstar[i] = R[i][i] - sum(mu[i][k] ** 2 * bstar[k] for k in range(i))
+        if i:
+            assert bstar[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * bstar[i - 1]
