@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
@@ -134,6 +135,8 @@ def _parse_snr(text):
         if len(parts) != 3:
             raise InvalidArgument("snr range must be start:stop:step")
         start, stop, step = (float(v) for v in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise InvalidArgument("snr range bounds and step must be finite")
         if step <= 0:
             raise InvalidArgument("snr step must be positive")
         grid = []

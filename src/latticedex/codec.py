@@ -481,8 +481,11 @@ def code_from_dict(doc):
         raise InvalidArgument("not a latticedex code file")
     field = field_from_dict(doc["field"])
     primes = tuple(ideal_from_dict(field, d) for d in doc["primes"])
-    coords = np.array([pt["coords"] for pt in doc["points"]], dtype=np.int64)
-    code = IndexCode(field, primes, coords)
+    rows = [pt["coords"] for pt in doc["points"]]
+    if not all(isinstance(row, list) and len(row) == field.n
+               and all(type(v) is int and -2**63 <= v < 2**63 for v in row) for row in rows):
+        raise InvalidArgument(f"point coordinates must be {field.n} integers within int64")
+    code = IndexCode(field, primes, np.array(rows, dtype=np.int64))
     if [list(r) for r in code.modulus.hnf] != doc["modulus_hnf"]:
         raise InvalidArgument("modulus HNF does not match the primes in the file")
     if [list(e.coords) for e in code.idempotents] != doc["idempotents"]:

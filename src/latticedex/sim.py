@@ -6,6 +6,11 @@ unit second moment per real coordinate.  Trials run in fixed chunks of 4096
 with a counter-based generator keyed by (seed, point index, chunk index), so
 results are bit-identical across runs and across worker counts: chunks are
 always consumed in index order and the stop rule is applied in that order.
+
+Detection is brute-force ML over the points that agree with the side
+information.  Each chunk is scored in row tiles of at most _TILE_BYTES of
+float64 scores, so the memory a chunk needs is bounded independently of the
+constellation size; the tiling does not change any score or decision.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from .errors import InvalidArgument, Unsupported
 
 CHUNK = 4096
+_TILE_BYTES = 1 << 20  # a score tile (two on Rayleigh) fits a 2 MiB per-core L2 cache
 _RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # E[h^2] = 1
 _Z95 = 1.959963984540054
 
@@ -90,6 +96,8 @@ class SimConfig:
         grid = tuple(float(v) for v in self.snr_db)
         if not grid:
             raise InvalidArgument("snr grid is empty")
+        if not all(math.isfinite(v) for v in grid):
+            raise InvalidArgument("snr values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidArgument("snr grid must be strictly increasing")
         self.snr_db = grid
@@ -206,38 +214,66 @@ def _draw_fades(ctx, rng):
     return h
 
 
-def _run_chunk(ctx, point_idx, chunk_idx):
-    """(errors, trials) for one fixed-size chunk; pure in its arguments."""
+def _draw_chunk(ctx, point_idx, chunk_idx):
+    """(sent point indices, received y, fades h or None) of one chunk; pure in its arguments."""
     ss = np.random.SeedSequence(ctx["seed"], spawn_key=(point_idx, chunk_idx))
     rng = np.random.Generator(np.random.Philox(ss))
-    M = ctx["num_messages"]
     a = ctx["amps"][point_idx]
 
-    raw = rng.integers(0, M, size=CHUNK)
+    raw = rng.integers(0, ctx["num_messages"], size=CHUNK)
     z = rng.standard_normal((CHUNK, ctx["n"])) * ctx["noise_sigma"]
     h = _draw_fades(ctx, rng) if ctx["channel"] == "rayleigh" else None
 
     tx = ctx["enorm"][raw]
     y = a * (h * tx if h is not None else tx) + z
+    return raw, y, h
 
-    det = np.empty(CHUNK, dtype=np.int64)
-    pids = ctx["pid"][raw]
+
+def _detect(ctx, a, y, h, pids):
+    """ML decision (point index) for every row of y, given its side-information group.
+
+    Trials of one group are scored against the group's candidates in tiles of
+    at most _TILE_BYTES of float64 scores, written into buffers reused across
+    the group's tiles, so memory does not grow with the constellation size.
+    Each score is a*a*|P|^2 - 2a<y, P> (AWGN) or a*a*<h*h, P*P> - 2a<y*h, P>
+    (Rayleigh), and ties go to the first candidate.
+    """
+    det = np.empty(y.shape[0], dtype=np.int64)
     order = np.argsort(pids, kind="stable")
     sorted_pids = pids[order]
-    starts = np.flatnonzero(np.r_[True, sorted_pids[1:] != sorted_pids[:-1]])
-    bounds = np.r_[starts, CHUNK]
-    for b in range(starts.shape[0]):
-        rows = order[bounds[b]:bounds[b + 1]]
-        g = ctx["groups"][sorted_pids[bounds[b]]]
+    bounds = np.flatnonzero(np.r_[True, sorted_pids[1:] != sorted_pids[:-1], True]).tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        g = ctx["groups"][sorted_pids[start]]
+        size = g["cand"].shape[0]
+        tile = min(max(1, _TILE_BYTES // (8 * size)), stop - start)
+        score_buf = np.empty((tile, size))
         if h is None:
-            score = a * a * g["Pnorm"][None, :] - 2.0 * a * (y[rows] @ g["P"].T)
+            energy = a * a * g["Pnorm"]
         else:
-            hr = h[rows]
-            A = (y[rows] * hr) @ g["P"].T
-            B = (hr * hr) @ g["Psq"].T
-            score = a * a * B - 2.0 * a * A
-        det[rows] = g["cand"][np.argmin(score, axis=1)]
+            fade_buf = np.empty((tile, size))
+        for lo in range(start, stop, tile):
+            rows = order[lo:min(lo + tile, stop)]
+            score = score_buf[:rows.shape[0]]
+            if h is None:
+                np.matmul(y[rows], g["P"].T, out=score)
+                np.multiply(2.0 * a, score, out=score)
+                np.subtract(energy, score, out=score)
+            else:
+                hr = h[rows]
+                np.matmul(y[rows] * hr, g["P"].T, out=score)
+                np.multiply(2.0 * a, score, out=score)
+                fade = fade_buf[:rows.shape[0]]
+                np.matmul(hr * hr, g["Psq"].T, out=fade)
+                np.multiply(a * a, fade, out=fade)
+                np.subtract(fade, score, out=score)
+            det[rows] = g["cand"][np.argmin(score, axis=1)]
+    return det
 
+
+def _run_chunk(ctx, point_idx, chunk_idx):
+    """(errors, trials) for one fixed-size chunk; pure in its arguments."""
+    raw, y, h = _draw_chunk(ctx, point_idx, chunk_idx)
+    det = _detect(ctx, ctx["amps"][point_idx], y, h, ctx["pid"][raw])
     errors = int(np.count_nonzero(det != raw))
     return errors, CHUNK
 
@@ -319,10 +355,14 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
     y = np.asarray(y, dtype=float)
     if y.shape != (code.dimension,):
         raise InvalidArgument(f"y must have length {code.dimension}")
+    if h is not None:
+        h = np.asarray(h, dtype=float)
+        if h.shape != (code.dimension,):
+            raise InvalidArgument(f"h must have length {code.dimension}")
     cand = code.subcode_indices(s, fixed)
     X = math.sqrt(snr) * code.gamma * code.embedded[cand]
     if h is not None:
-        X = X * np.asarray(h, dtype=float)[None, :]
+        X = X * h[None, :]
     d2 = ((y[None, :] - X) ** 2).sum(axis=1)
     return code.message_from_index(int(cand[int(np.argmin(d2))]))
 

@@ -70,6 +70,10 @@ def test_parse_snr():
         _parse_snr("10:20")
     with pytest.raises(InvalidArgument):
         _parse_snr("10:20:-2")
+    # "0:inf:1" last: it never returns where the range bounds go unchecked
+    for text in ("10:20:inf", "nan:20:1", "0:inf:1"):
+        with pytest.raises(InvalidArgument):
+            _parse_snr(text)
 
 
 def test_parse_sets():
@@ -143,6 +147,9 @@ def test_bad_simulate_arguments_exit_1(tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 1
     assert main(["simulate", "--preset", "example1", "--snr", "1,2",
                  "--sets", "oops", "--out-dir", str(tmp_path)]) == 1
+    for snr in ("nan", "8,nan,12", "inf"):
+        assert main(["simulate", "--preset", "example1", "--snr", snr,
+                     "--out-dir", str(tmp_path)]) == 1
 
 
 # ---- design ----

@@ -287,6 +287,18 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
     with pytest.raises(InvalidArgument):
         code_from_dict(bad)
 
+    for coord in (2**70, 1.5, True, "1", None):
+        bad = json.loads(path.read_text())
+        bad["points"][5]["coords"][0] = coord
+        with pytest.raises(InvalidArgument):
+            code_from_dict(bad)
+
+    for coords in ([1], [1, 2, 3], 7):
+        bad = json.loads(path.read_text())
+        bad["points"][5]["coords"] = coords
+        with pytest.raises(InvalidArgument):
+            code_from_dict(bad)
+
 
 def test_content_hash_serialises_once(monkeypatch):
     field = quadratic_field(-1)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from latticedex import (
     si_gain_from_curves,
     write_curve_csv,
 )
+from latticedex import sim
 from latticedex.sim import SimPoint, _draw_fades, resolve_workers, side_info_tag
 
 
@@ -44,6 +47,10 @@ def test_config_validation(ex1_code):
         _cfg(ex1_code, workers=0)
     with pytest.raises(InvalidArgument):
         _cfg(ex1_code, side_info=(3,))
+    for grid in ((math.nan,), (math.inf,), (-math.inf,), (8.0, math.nan, 12.0),
+                 (8.0, math.inf)):
+        with pytest.raises(InvalidArgument):
+            _cfg(ex1_code, snr_db=grid)
 
 
 def test_config_digest_tracks_inputs(ex1_code, ex2_code):
@@ -142,6 +149,57 @@ def test_fade_per_complex_changes_results(ex2_code):
     assert plain.points != paired.points
 
 
+# ---- chunk detection kernel ----
+
+def _untiled_detect(code, s, a, raw, y, h):
+    """Reference: one trials x candidates score matrix per side-information group."""
+    enorm = code.gamma * code.embedded
+    res = code.residue_indices[:, [k - 1 for k in s]]
+    det = np.full(raw.shape[0], -1, dtype=np.int64)
+    for key in {tuple(r) for r in res[raw]}:
+        rows = np.flatnonzero((res[raw] == key).all(axis=1))
+        cand = np.flatnonzero((res == key).all(axis=1))
+        P = enorm[cand]
+        if h is None:
+            score = a * a * (P * P).sum(axis=1)[None, :] - 2.0 * a * (y[rows] @ P.T)
+        else:
+            hr = h[rows]
+            score = a * a * ((hr * hr) @ (P * P).T) - 2.0 * a * ((y[rows] * hr) @ P.T)
+        det[rows] = cand[np.argmin(score, axis=1)]
+    return det
+
+
+@pytest.mark.parametrize("tile_bytes", [sim._TILE_BYTES, 4096])
+@pytest.mark.parametrize("fixture", ["ex1_code", "ex2_code", "ex3_code", "maxreal_code"])
+def test_tiled_detection_matches_untiled_reference(request, monkeypatch, fixture, tile_bytes):
+    # 4096 bytes forces several tiles per group, ragged last tiles and one-row tiles
+    monkeypatch.setattr(sim, "_TILE_BYTES", tile_bytes)
+    code = request.getfixturevalue(fixture)
+    k = len(code.primes)
+    sets = [s for r in range(k + 1) for s in itertools.combinations(range(1, k + 1), r)]
+    for channel in ("awgn", "rayleigh"):
+        for s in sets:
+            ctx = sim._build_ctx(_cfg(code, channel=channel, side_info=s, snr_db=(14.0,)))
+            raw, y, h = sim._draw_chunk(ctx, 0, 0)
+            a = ctx["amps"][0]
+            det = sim._detect(ctx, a, y, h, ctx["pid"][raw])
+            assert np.array_equal(det, _untiled_detect(code, s, a, raw, y, h)), (channel, s)
+            if not s:
+                assert np.count_nonzero(det != raw) > 0  # the check sees real decisions
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+def test_chunk_memory_does_not_grow_with_the_code(maxreal_code, channel):
+    ctx = sim._build_ctx(_cfg(maxreal_code, channel=channel, snr_db=(14.0,)))
+    tracemalloc.start()
+    try:
+        sim._run_chunk(ctx, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 # ---- single-shot detection ----
 
 def test_ml_detect_recovers_clean_codewords(ex1_code):
@@ -160,6 +218,10 @@ def test_ml_detect_uses_side_information(ex1_code):
 def test_ml_detect_validates_shape(ex1_code):
     with pytest.raises(InvalidArgument):
         ml_detect(ex1_code, np.zeros(3), ())
+    for h in (np.ones(1), np.ones(3), np.ones((2, 2)), 1.0):
+        with pytest.raises(InvalidArgument):
+            ml_detect(ex1_code, np.zeros(2), (), h=h)
+    assert ml_detect(ex1_code, np.zeros(2), (), h=[1.0, 0.5]) == ex1_code.zero_message()
 
 
 # ---- intervals ----
