@@ -112,18 +112,25 @@ def min_distance(code, s, fixed=None):
     G = code.gram2
     q = np.einsum("ij,jk,ik->i", X, G, X)
     XG = X @ G
-    best = None
-    for lo in range(0, X.shape[0], _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, X.shape[0])
-        cross = XG[lo:hi] @ X.T  # int64 exact
-        d2 = q[lo:hi, None] + q[None, :] - 2 * cross
-        iu = np.triu_indices(hi - lo, k=1, m=X.shape[0])
+    best = []
+    for lo, hi, i, j in _pairs(X.shape[0]):
+        d2 = q[lo:hi, None] + q[None, :] - 2 * (XG[lo:hi] @ X.T)  # int64 exact
+        best.append(int(d2[i, j].min()))
+    return Fraction(min(best), 2)
+
+
+def _pairs(count):
+    """Every pair a < b of count points, _PAIR_CHUNK rows a at a time.
+
+    Yields (lo, hi, i, j) for each chunk with a pair: rows lo..hi-1 pair
+    up as (lo + i, j), so block[i, j] picks them from a rows-by-count block.
+    """
+    for lo in range(0, count, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, count)
+        iu = np.triu_indices(hi - lo, k=1, m=count)
         mask = iu[1] > iu[0] + lo  # strict upper triangle in global indices
-        vals = d2[iu[0][mask], iu[1][mask]]
-        if vals.size:
-            m = int(vals.min())
-            best = m if best is None else min(best, m)
-    return Fraction(best, 2)
+        if mask.any():
+            yield lo, hi, iu[0][mask], iu[1][mask]
 
 
 def minkowski_upper_bound(field, ideal):
@@ -203,15 +210,21 @@ def _general_minkowski(gram2):
     return 2.0 * math.exp((log_covol - log_ball) / d)
 
 
+def side_info_sets(num_messages, k_cap=20):
+    """All 2^K - 1 nonempty side-information sets, in bitmask order.
+
+    Refuses (Infeasible) when K exceeds k_cap, before any set is made.
+    """
+    if num_messages > k_cap:
+        raise Infeasible(f"2^{num_messages} subsets exceed the scan cap K <= {k_cap}; "
+                         "raise the cap or name the sets")
+    return [tuple(k + 1 for k in range(num_messages) if mask >> k & 1)
+            for mask in range(1, 1 << num_messages)]
+
+
 def overall_side_info_gain(code, k_cap=20):
     """(worst-case GainReport, all 2^K - 1 reports) over nonempty S."""
-    K = len(code.primes)
-    if K > k_cap:
-        raise Infeasible(f"2^{K} subsets exceed the scan cap (K <= {k_cap}); raise k_cap")
-    reports = []
-    for mask in range(1, 1 << K):
-        s = tuple(k + 1 for k in range(K) if mask >> k & 1)
-        reports.append(side_info_gain(code, s))
+    reports = [side_info_gain(code, s) for s in side_info_sets(len(code.primes), k_cap)]
     best = min(reports, key=lambda r: r.gamma_db)
     return best, reports
 
@@ -245,29 +258,18 @@ def diversity_and_product_distance(code, s, fixed=None, tol=1e-9):
     if idx.shape[0] < 2:
         raise InvalidArgument("subcode has fewer than two points; diversity undefined")
     E = code.embedded[idx]
-    diversity = None
-    pmin = None
-    for lo in range(0, E.shape[0], _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, E.shape[0])
-        diff = E[lo:hi, None, :] - E[None, :, :]
-        gaps = _coordinate_gaps(code.field, diff)
-        iu = np.triu_indices(hi - lo, k=1, m=E.shape[0])
-        mask = iu[1] > iu[0] + lo
-        g = gaps[iu[0][mask], iu[1][mask]]
-        if not g.size:
-            continue
+    diversity, pmin = [], []
+    for lo, hi, i, j in _pairs(E.shape[0]):
+        g = _coordinate_gaps(code.field, E[lo:hi, None, :] - E[None, :, :])[i, j]
         differing = g > tol
-        counts = differing.sum(axis=1)
-        prods = np.where(differing, g, 1.0).prod(axis=1)
-        dmin = int(counts.min())
-        pm = float(prods.min())
-        diversity = dmin if diversity is None else min(diversity, dmin)
-        pmin = pm if pmin is None else min(pmin, pm)
+        diversity.append(int(differing.sum(axis=1).min()))
+        pmin.append(float(np.where(differing, g, 1.0).prod(axis=1).min()))
     s = code.check_side_info(s)
     floor = None
     if code.is_plain and code.field.is_totally_real:
         floor = float(math.prod(code.primes[k - 1].norm for k in s))
-    return FadingReport(s=s, diversity=diversity, product_distance=pmin, floor=floor)
+    return FadingReport(s=s, diversity=min(diversity), product_distance=min(pmin),
+                        floor=floor)
 
 
 def capacity_rhs(snr):

@@ -17,8 +17,8 @@ import sys
 from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
 
 from . import presets as preset_lib
-from .analysis import (diversity_and_product_distance, min_distance,
-                       overall_side_info_gain, side_info_gain)
+from .analysis import (diversity_and_product_distance, side_info_gain,
+                       side_info_sets)
 from .codec import build_index_code, load_code, save_code
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
@@ -43,7 +43,6 @@ class ExperimentSpec:
     seed: int = 0
     workers: int | None = None
     fade_per_complex: bool = False
-    energy_radius_factor: float = 1.0
     enumeration_cap: int = 10 ** 6
     out_dir: str = "."
 
@@ -111,9 +110,7 @@ def resolve_primes(field, prime_specs):
 def build_from_spec(spec):
     field = field_from_dict(spec.field)
     primes = resolve_primes(field, spec.primes)
-    return build_index_code(field, primes,
-                            energy_radius_factor=spec.energy_radius_factor,
-                            enumeration_cap=spec.enumeration_cap)
+    return build_index_code(field, primes, enumeration_cap=spec.enumeration_cap)
 
 
 # ============================================================
@@ -148,9 +145,9 @@ def _parse_snr(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _parse_sets(text, k):
+def _parse_sets(text, k, k_cap=20):
     if text == "all":
-        return [list(s) for s in _all_subsets(k)]
+        return [list(s) for s in side_info_sets(k, k_cap)]
     try:
         sets = json.loads(text)
     except json.JSONDecodeError as e:
@@ -158,11 +155,6 @@ def _parse_sets(text, k):
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise InvalidArgument("side-info sets must be a list of lists")
     return sets
-
-
-def _all_subsets(k):
-    for mask in range(1, 1 << k):
-        yield tuple(i + 1 for i in range(k) if mask >> i & 1)
 
 
 def _load_spec(args):
@@ -227,13 +219,10 @@ def cmd_analyze(args):
     code = load_code(args.code) if args.code else build_from_spec(_load_spec(args))
     k = len(code.primes)
     if args.sets:
-        sets = [tuple(sorted(int(v) for v in s)) for s in _parse_sets(args.sets, k)]
+        sets = [tuple(sorted(int(v) for v in s)) for s in _parse_sets(args.sets, k, args.k_cap)]
         sets = [s for s in sets if s]
     else:
-        if k > args.k_cap:
-            raise Infeasible(
-                f"2^{k} subsets exceed --k-cap {args.k_cap}; pass explicit --sets")
-        sets = list(_all_subsets(k))
+        sets = side_info_sets(k, args.k_cap)
 
     reports = [side_info_gain(code, s) for s in sets]
     fading = {}

@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +37,10 @@ from .numberfield import (
     prime_ideals_above,
     whole_ring,
 )
-from .numberfield.linalg import short_vectors, solve_columns
+from .numberfield.linalg import det_int, short_vectors, solve_columns
 
 DEFAULT_ENUMERATION_CAP = 10**6
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -131,20 +133,6 @@ def crt_idempotents(primes):
     return tuple(out)
 
 
-def _ring_det(rows):
-    """Determinant of a small matrix of ring elements, cofactor expansion."""
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    field = rows[0][0].field
-    total = field.zero
-    for j in range(m):
-        minor = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _ring_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def _generator_lattice(field, gmatrix):
     """(rows, basis, gram2) of the code lattice G~ O_K^m.
 
@@ -163,17 +151,29 @@ def _generator_lattice(field, gmatrix):
         for row in gmatrix)
     if any(e.field is not field for row in rows for e in row):
         raise InvalidArgument("generator entries must live in the code's field")
-    if _ring_det(rows).is_zero:
-        raise InvalidArgument("generator matrix is singular")
     n = field.n
     cols = []
     for j in range(m):
         for i in range(n):
             unit = tuple(1 if t == i else 0 for t in range(n))
             cols.append([v for r in range(m) for v in field.mul_coords(rows[r][j].coords, unit)])
+    if det_int(cols) == 0:  # det of the integer basis is +-N(det G~)
+        raise InvalidArgument("generator matrix is singular")
     basis = np.array(cols, dtype=np.int64).T
     gram2 = basis.T @ np.kron(np.eye(m, dtype=np.int64), field.gram2_np) @ basis
     return rows, basis, gram2
+
+
+def _mixed_radix(digits, radices):
+    """Mixed-radix index of every row of digits, column 0 the most significant.
+
+    The one place where slot, message and w_S indices are formed; every
+    product of radices it meets is at most the constellation size.
+    """
+    index = np.zeros(digits.shape[0], dtype=np.int64)
+    for column, radix in zip(digits.T, radices):
+        index = index * radix + column
+    return index
 
 
 def _slot_residues(ideal, coords, m):
@@ -184,28 +184,44 @@ def _slot_residues(ideal, coords, m):
     """
     n = ideal.field.n
     res = ideal.reduce_batch(coords.reshape(-1, n))
-    strides = np.ones(n, dtype=np.int64)
-    for i in range(1, n):
-        strides[i] = strides[i - 1] * ideal.hnf[i - 1][i - 1]
-    slots = (res @ strides).reshape(-1, m)
-    index = np.zeros(slots.shape[0], dtype=np.int64)
-    for r in range(m):
-        index = index * ideal.norm + slots[:, r]
+    index = _mixed_radix(ideal.residue_indices(res).reshape(-1, m), (ideal.norm,) * m)
     return res.reshape(-1, m * n), index
 
 
-def _min_energy_representatives(field, modulus, gram2, m, factor):
+def _check_int64_range(coords, gram2, basis, ideals):
+    """Refuse coordinates whose int64 work in IndexCode could wrap.
+
+    An exact a-priori bound from the largest |coordinate| B, in Python ints,
+    covers the energies x^T gram2 x and their sum, the points G~ u, and the
+    reduction of every coordinate row modulo each ideal's HNF (|q| <= b//h + 1
+    per column, its multiples added to the rows above).
+    """
+    B = max(int(coords.max()), -int(coords.min()), 0) if coords.size else 0
+    worst = max(coords.shape[0] * B * B * int(np.abs(gram2).sum()),
+                B * int(np.abs(basis).sum(axis=1).max()))
+    for ideal in ideals:
+        H = ideal.hnf
+        b = [B] * len(H)
+        for i in range(len(H) - 1, -1, -1):
+            q = b[i] // H[i][i] + 1
+            b[:i] = [bj + q * abs(H[j][i]) for j, bj in enumerate(b[:i])]
+            worst = max(worst, b[i] + H[i][i], *b[:i])
+    if worst > _INT64_MAX:
+        raise InvalidArgument("point coordinates are too large for exact int64 arithmetic")
+
+
+def _min_energy_representatives(field, modulus, gram2, m):
     """Minimum-energy representative of every coset of the modulus, slot-wise.
 
-    Enumerates the origin-centered ball of squared radius m * factor^2 times
-    the Minkowski bound of the modulus (doubling until every coset of
+    Enumerates the origin-centered ball of squared radius m times the
+    Minkowski bound of the modulus (doubling until every coset of
     O_K^m / modulus^m is covered) in the lattice with doubled Gram gram2, and
     keeps the lowest-energy point per coset, ties broken lexicographically on
     exact coordinates.  Returns int64 coordinates (N, m*n) ordered by the
     per-slot modulus residue index.
     """
     count = modulus.norm ** m
-    bound2 = max(int(math.ceil(2.0 * m * minkowski_bound_sq(field, modulus) * factor * factor)), 1)
+    bound2 = max(int(math.ceil(2.0 * m * minkowski_bound_sq(field, modulus))), 1)
     while True:
         X, norms2 = short_vectors(gram2, bound2, include_zero=True)
         _, ridx = _slot_residues(modulus, X, m)
@@ -243,15 +259,15 @@ class IndexCode:
                     raise InvariantViolation(f"idempotent e_{k+1} wrong mod p_{j+1}")
         self.alphabet_sizes = tuple(p.norm ** m for p in self.primes)
         self.size = coords.shape[0]
+        if self.size != self.modulus.norm ** m:
+            raise InvariantViolation("message labels do not biject with cosets")
+        _check_int64_range(coords, self.gram2, self.basis, self.primes)
 
         # order points by row-major message index (w_1 slowest)
         labels, res_idx = zip(*(_slot_residues(p, coords, m) for p in self.primes))
         res_idx = np.stack(res_idx, axis=1)
-        msg_index = np.zeros(self.size, dtype=np.int64)
-        for k, a in enumerate(self.alphabet_sizes):
-            msg_index = msg_index * a + res_idx[:, k]
-        count = self.modulus.norm ** m
-        if not np.array_equal(np.bincount(msg_index, minlength=count), np.ones(count)):
+        msg_index = _mixed_radix(res_idx, self.alphabet_sizes)
+        if not np.array_equal(np.bincount(msg_index, minlength=self.size), np.ones(self.size)):
             raise InvariantViolation("message labels do not biject with cosets")
         order = np.argsort(msg_index)
         self.coords_matrix = coords[order]
@@ -299,23 +315,16 @@ class IndexCode:
         p, n = self.primes[k], self.field.n
         if len(res) != self.dimension:
             raise InvalidArgument(f"w_{k+1} has wrong length")
-        if any(not 0 <= v < p.hnf[i % n][i % n] for i, v in enumerate(res)):
+        if any(not (isinstance(v, numbers.Integral) and 0 <= v < p.hnf[i % n][i % n])
+               for i, v in enumerate(res)):
             raise InvalidArgument(f"w_{k+1} = {res} is not a canonical residue")
-        idx = 0
-        for r in range(0, len(res), n):
-            idx = idx * p.norm + p.residue_index(res[r:r + n])
-        return idx
+        return int(_slot_residues(p, np.array(res, dtype=np.int64), self.m)[1][0])
 
     def check_message(self, msg):
         self.message_index(msg)
 
     def message_index(self, msg):
-        if len(msg.residues) != len(self.primes):
-            raise InvalidArgument(f"message needs {len(self.primes)} components")
-        idx = 0
-        for k, (res, a) in enumerate(zip(msg.residues, self.alphabet_sizes)):
-            idx = idx * a + self._residue_index(k, res)
-        return idx
+        return int(self.side_index(range(1, len(self.primes) + 1), msg)[0])
 
     def representative(self, msg):
         """The CodePoint encoding this message."""
@@ -362,17 +371,24 @@ class IndexCode:
         T = np.kron(np.eye(self.m, dtype=np.int64), H)
         return T.T @ self.gram2 @ T
 
+    def side_index(self, s, msg=None):
+        """Index of w_S among the messages on S (w_1 most significant): of
+        every point, or one row for the Message msg, whose components in S
+        are checked."""
+        ks = [k - 1 for k in self.check_side_info(s)]
+        if msg is None:
+            digits = self.residue_indices[:, ks]
+        elif not isinstance(msg, Message) or len(msg.residues) != len(self.primes):
+            raise InvalidArgument(f"need a Message with {len(self.primes)} components")
+        else:
+            digits = np.array([[self._residue_index(k, msg.residues[k]) for k in ks]],
+                              dtype=np.int64)
+        return _mixed_radix(digits, [self.alphabet_sizes[k] for k in ks])
+
     def subcode_indices(self, s, fixed=None):
         """Points whose messages in S equal those of the Message fixed (default 0)."""
-        s = self.check_side_info(s)
-        if fixed is not None and (not isinstance(fixed, Message)
-                                  or len(fixed.residues) != len(self.primes)):
-            raise InvalidArgument(f"fixed must be a Message with {len(self.primes)} components")
-        mask = np.ones(self.size, dtype=bool)
-        for k in s:
-            want = 0 if fixed is None else self._residue_index(k - 1, fixed.residues[k - 1])
-            mask &= self.residue_indices[:, k - 1] == want
-        return np.nonzero(mask)[0]
+        want = 0 if fixed is None else self.side_index(s, fixed)[0]
+        return np.flatnonzero(self.side_index(s) == want)
 
     # ---- code files ----
 
@@ -411,18 +427,14 @@ class IndexCode:
         return f"IndexCode({self.field.name}, {self.size} points, alphabets {sizes})"
 
 
-def build_index_code(field, primes, gmatrix=None, *, energy_radius_factor=1.0,
+def build_index_code(field, primes, gmatrix=None, *,
                      enumeration_cap=DEFAULT_ENUMERATION_CAP):
     """Build the index code for the given coprime prime ideals.
 
     gmatrix is an invertible m x m generator over O_K (ring elements or
-    rational integers; default the 1x1 identity).  energy_radius_factor
-    scales the initial representative-search radius (relative to the
-    Minkowski bound of the modulus); enumeration_cap limits the
-    constellation size N(I)^m.
+    rational integers; default the 1x1 identity).  enumeration_cap limits
+    the constellation size N(I)^m.
     """
-    if energy_radius_factor <= 0:
-        raise InvalidArgument("energy_radius_factor must be positive")
     gmatrix, _, gram2 = _generator_lattice(field, gmatrix)
     primes = _ensure_prime_tags(field, primes)
     if not primes:
@@ -435,8 +447,7 @@ def build_index_code(field, primes, gmatrix=None, *, energy_radius_factor=1.0,
     count = modulus.norm ** len(gmatrix)
     if count > enumeration_cap:
         raise Infeasible(f"constellation size {count} exceeds enumeration cap {enumeration_cap}")
-    coords = _min_energy_representatives(field, modulus, gram2, len(gmatrix),
-                                         energy_radius_factor)
+    coords = _min_energy_representatives(field, modulus, gram2, len(gmatrix))
     return IndexCode(field, primes, coords, gmatrix)
 
 

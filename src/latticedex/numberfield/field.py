@@ -36,15 +36,6 @@ IMAGINARY_PID_DS = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 # ============================================================
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _poly_divmod_exact(num, den):
     """Quotient of num / den when the division is exact over Z."""
     num = list(num)

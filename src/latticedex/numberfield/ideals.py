@@ -84,12 +84,15 @@ class Ideal:
         """All canonical residues (the HNF box), as coordinate tuples."""
         return itertools.product(*(range(self.hnf[i][i]) for i in range(self.field.n)))
 
+    def residue_indices(self, coords):
+        """Mixed-radix index of every row of an (M, n) array of canonical
+        residues, coordinate 0 least significant; inverse of residues() order."""
+        strides = np.cumprod([1] + [self.hnf[i][i] for i in range(self.field.n - 1)])
+        return np.asarray(coords, dtype=np.int64) @ strides
+
     def residue_index(self, coords):
-        """Mixed-radix index of a canonical residue; inverse of residues() order."""
-        idx = 0
-        for i in range(self.field.n - 1, -1, -1):
-            idx = idx * self.hnf[i][i] + coords[i]
-        return idx
+        """residue_indices of one canonical residue."""
+        return int(self.residue_indices([coords])[0])
 
     def _coerce(self, el):
         if isinstance(el, int):

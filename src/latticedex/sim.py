@@ -165,38 +165,30 @@ def confidence_interval(errors, trials):
 # ============================================================
 
 
+def _group(code, cand):
+    """What _detect reads of one side-information group: the candidate point
+    indices and their unit-energy points P, P*P and |P|^2."""
+    P = code.gamma * code.embedded[cand]
+    return {"cand": cand, "P": P, "Psq": P * P, "Pnorm": (P * P).sum(axis=1)}
+
+
 def _build_ctx(config):
     """Read-only arrays shared by every chunk of a sweep."""
     code = config.code
     field = code.field
-    s = config.side_info
-    M = code.size
-    enorm = code.gamma * code.embedded  # unit average energy
-    pid = np.zeros(M, dtype=np.int64)
-    for k in s:
-        pid = pid * code.alphabet_sizes[k - 1] + code.residue_indices[:, k - 1]
-    groups = []
-    for g in range(int(pid.max()) + 1 if s else 1):
-        cand = np.nonzero(pid == g)[0] if s else np.arange(M)
-        P = enorm[cand]
-        groups.append({
-            "cand": cand,
-            "P": P,
-            "Psq": P * P,
-            "Pnorm": (P * P).sum(axis=1),
-        })
+    pid = code.side_index(config.side_info)
     return {
         "channel": config.channel,
         "seed": config.seed,
         "fade_per_complex": config.fade_per_complex,
-        "num_messages": M,
+        "num_messages": code.size,
         "n": field.n,
         "signature": field.signature,
         "noise_sigma": math.sqrt(1.0 / field.n),
         "amps": [math.sqrt(10.0 ** (v / 10.0)) for v in config.snr_db],
-        "enorm": enorm,
+        "enorm": code.gamma * code.embedded,  # unit average energy
         "pid": pid,
-        "groups": groups,
+        "groups": [_group(code, np.flatnonzero(pid == g)) for g in range(int(pid.max()) + 1)],
     }
 
 
@@ -349,8 +341,9 @@ def run_sim(config):
 def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
     """ML decision restricted to codewords consistent with the side info.
 
-    y is compared against sqrt(snr)*(h.x) over subcode_points(code, s, fixed);
-    ties break toward the lowest message index.  Returns the Message.
+    The decision of run_sim for one trial received as y = sqrt(snr)*(h.x) + z
+    over subcode_points(code, s, fixed): _detect on a one-row chunk, ties
+    toward the lowest message index.  Returns the Message.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (code.dimension,):
@@ -359,12 +352,12 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
         h = np.asarray(h, dtype=float)
         if h.shape != (code.dimension,):
             raise InvalidArgument(f"h must have length {code.dimension}")
-    cand = code.subcode_indices(s, fixed)
-    X = math.sqrt(snr) * code.gamma * code.embedded[cand]
-    if h is not None:
-        X = X * h[None, :]
-    d2 = ((y[None, :] - X) ** 2).sum(axis=1)
-    return code.message_from_index(int(cand[int(np.argmin(d2))]))
+        h = h[None, :]
+    if not (math.isfinite(snr) and snr >= 0):
+        raise InvalidArgument("snr must be finite and nonnegative")
+    ctx = {"groups": [_group(code, code.subcode_indices(s, fixed))]}
+    det = _detect(ctx, math.sqrt(snr), y[None, :], h, np.zeros(1, dtype=np.int64))
+    return code.message_from_index(int(det[0]))
 
 
 # ============================================================

@@ -107,6 +107,11 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     assert main(["design", "--config", str(path)]) == 1
     path.write_text(json.dumps({"label": "x", "unknown_key": 1}))
     assert main(["design", "--config", str(path)]) == 1
+    # a removed option is an unknown key like any other
+    doc = spec_from_preset("example1").to_dict()
+    doc["energy_radius_factor"] = 1.0
+    path.write_text(json.dumps(doc))
+    assert main(["design", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
 
 
 def test_infeasible_design_exits_3(tmp_path, capsys):
@@ -215,6 +220,26 @@ def test_analyze_saved_code_file(tmp_path, capsys):
                "--sets", "[[1]]"])
     assert rc == 0
     assert "Gamma(C)" in capsys.readouterr().out
+
+
+def test_analyze_rejects_oversized_code_file(tmp_path, capsys):
+    assert main(["design", "--preset", "example1", "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "example1_code.json"
+    doc = json.loads(path.read_text())
+    # moved within its coset by 2^31 modulus columns: coordinates fit int64, energies do not
+    column = [row[0] for row in doc["modulus_hnf"]]
+    doc["points"][5]["coords"] = [c + 2**31 * v
+                                  for c, v in zip(doc["points"][5]["coords"], column)]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["analyze", "--code", str(path)]) == 1
+    assert "int64" in capsys.readouterr().err
+
+
+def test_analyze_k_cap_exits_3(capsys):
+    assert main(["analyze", "--preset", "example1", "--k-cap", "1"]) == 3
+    assert main(["analyze", "--preset", "example1", "--k-cap", "1", "--sets", "all"]) == 3
+    assert main(["analyze", "--preset", "example1", "--k-cap", "1", "--sets", "[[1]]"]) == 0
 
 
 def test_analyze_explicit_sets(capsys):

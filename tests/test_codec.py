@@ -118,9 +118,6 @@ def test_build_is_deterministic(ex1_code):
     again = build_index_code(field, primes)
     assert np.array_equal(again.coords_matrix, ex1_code.coords_matrix)
     assert again.content_hash() == ex1_code.content_hash()
-    # a smaller initial search radius only changes how many doublings happen
-    small = build_index_code(field, primes, energy_radius_factor=0.3)
-    assert np.array_equal(small.coords_matrix, ex1_code.coords_matrix)
 
 
 def test_side_ideal_and_subcode_sizes(ex1_code):
@@ -160,6 +157,8 @@ def test_message_validation(ex1_code):
     with pytest.raises(InvalidArgument):
         ex1_code.check_message(bad)
     with pytest.raises(InvalidArgument):
+        ex1_code.check_message(Message(((1.5, 0), (0, 0))))  # not an integer
+    with pytest.raises(InvalidArgument):
         ex1_code.check_side_info((3,))
     with pytest.raises(InvalidArgument):
         ex1_code.check_side_info((0,))
@@ -193,13 +192,6 @@ def test_build_refuses_oversized_enumeration(monkeypatch):
     monkeypatch.setattr(linalg, "_ENUM_LIMIT", 20)
     with pytest.raises(Infeasible):
         build_index_code(field, [prime_ideals_above(field, 5)[0], prime_ideals_above(field, 13)[0]])
-
-
-def test_build_rejects_bad_radius_factor():
-    field = quadratic_field(5)
-    with pytest.raises(InvalidArgument):
-        build_index_code(field, [principal_ideal(field.element((-1, 2)))],
-                         energy_radius_factor=0.0)
 
 
 def test_single_message_code():
@@ -298,6 +290,14 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
         bad["points"][5]["coords"] = coords
         with pytest.raises(InvalidArgument):
             code_from_dict(bad)
+
+    # same coset and inside int64, but the int64 energies would wrap
+    bad = json.loads(path.read_text())
+    column = [row[0] for row in bad["modulus_hnf"]]
+    bad["points"][5]["coords"] = [c + 2**31 * v
+                                  for c, v in zip(bad["points"][5]["coords"], column)]
+    with pytest.raises(InvalidArgument):
+        code_from_dict(bad)
 
 
 def test_content_hash_serialises_once(monkeypatch):

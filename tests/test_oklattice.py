@@ -157,9 +157,6 @@ def test_generator_validation(zi_primes):
     with pytest.raises(InvalidArgument):
         build_oklattice_code(field, primes[:1],
                              [[quadratic_field(5).one, 0], [0, 1]])  # wrong field
-    with pytest.raises(InvalidArgument):
-        build_oklattice_code(field, primes[:1], [[1, 0], [0, 1]],
-                             energy_radius_factor=-1.0)
     with pytest.raises(Infeasible):
         build_oklattice_code(field, primes[:1], [[1, 0], [0, 1]],
                              enumeration_cap=24)

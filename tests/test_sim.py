@@ -222,6 +222,31 @@ def test_ml_detect_validates_shape(ex1_code):
         with pytest.raises(InvalidArgument):
             ml_detect(ex1_code, np.zeros(2), (), h=h)
     assert ml_detect(ex1_code, np.zeros(2), (), h=[1.0, 0.5]) == ex1_code.zero_message()
+    for snr in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgument):
+            ml_detect(ex1_code, np.zeros(2), (), snr=snr)
+
+
+@pytest.mark.parametrize("fixture", ["ex1_code", "ex2_code", "ex3_code", "maxreal_code"])
+def test_ml_detect_matches_untiled_reference(request, fixture):
+    # each trial's own sent message is the fixed side information, so w_S is mostly nonzero
+    code = request.getfixturevalue(fixture)
+    k = len(code.primes)
+    snr = 10.0 ** (14.0 / 10.0)
+    trials = 96
+    for channel in ("awgn", "rayleigh"):
+        for s in [s for r in range(k + 1) for s in itertools.combinations(range(1, k + 1), r)]:
+            ctx = sim._build_ctx(_cfg(code, channel=channel, side_info=s, snr_db=(14.0,)))
+            raw, y, h = sim._draw_chunk(ctx, 0, 0)
+            raw, y = raw[:trials], y[:trials]
+            h = None if h is None else h[:trials]
+            want = _untiled_detect(code, s, math.sqrt(snr), raw, y, h)
+            got = [code.message_index(ml_detect(code, y[t], s, fixed=code.message_from_index(raw[t]),
+                                                snr=snr, h=None if h is None else h[t]))
+                   for t in range(trials)]
+            assert got == want.tolist(), (channel, s)
+            if not s:
+                assert np.count_nonzero(want != raw) > 0  # the check sees real decisions
 
 
 # ---- intervals ----
