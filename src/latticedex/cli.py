@@ -193,18 +193,16 @@ def cmd_design(args):
     code_path = os.path.join(spec.out_dir, f"{spec.label}_code.json")
     points_path = os.path.join(spec.out_dir, f"{spec.label}_points.csv")
     save_code(code, code_path)
-    n = code.field.n
+    k, n = code.labels.shape[1:]
+    # index, label "(w_1)|...|(w_K)", coordinates, embedding (repr of floats)
+    row = ("%d," + "|".join(["(" + " ".join(["%d"] * n) + ")"] * k)
+           + ",%d" * n + ",%r" * n + "\n")
     with open(points_path, "w") as fh:
-        cols = (["index", "label"]
-                + [f"c{i}" for i in range(n)] + [f"x{i}" for i in range(n)])
-        fh.write(",".join(cols) + "\n")
-        for pt in code.points:
-            label = "|".join(
-                "(" + " ".join(str(v) for v in res) + ")" for res in pt.message.residues)
-            row = ([str(pt.index), label]
-                   + [str(v) for v in pt.coords]
-                   + [repr(float(v)) for v in code.embedded[pt.index]])
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(["index", "label"] + [f"c{i}" for i in range(n)]
+                          + [f"x{i}" for i in range(n)]) + "\n")
+        fh.writelines(row % (i, *w, *c, *x) for i, (w, c, x) in enumerate(zip(
+            code.labels.reshape(code.size, k * n).tolist(), code.coords_matrix.tolist(),
+            code.embedded.tolist())))
     print(f"{code.field.describe()}; K={len(code.primes)}; {code.size} points")
     print(f"wrote {code_path}")
     print(f"wrote {points_path}")

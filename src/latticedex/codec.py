@@ -11,6 +11,11 @@ Per-coset representatives minimize the canonical-embedding energy, with ties
 broken lexicographically on exact integer coordinates, so constellations are
 reproducible.  Message components are canonical HNF residues of O_K / p_k;
 finite-field operations are ring operations followed by reduction.
+
+A plain code's file is the JSON of to_dict() with sorted keys: save_code
+writes it with indent=1, and content_hash is the SHA-256 of its compact form.
+Both stream the text from one emitter; code_from_dict checks a loaded file
+against what the math requires.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .numberfield import (
     AlgebraicInt,
     Ideal,
     field_from_dict,
-    ideal_from_dict,
     ideal_to_dict,
     is_coprime,
     prime_ideals_above,
@@ -41,6 +45,9 @@ from .numberfield.linalg import det_int, short_vectors, solve_columns
 
 DEFAULT_ENUMERATION_CAP = 10**6
 _INT64_MAX = 2**63 - 1
+_POINT_BLOCK = 1024  # points per chunk of the canonical JSON
+_FILE_KEYS = ("field", "primes", "modulus_hnf", "idempotents", "alphabet_sizes", "gamma",
+              "mean_energy", "points")  # read by code_from_dict besides "format"
 
 
 @dataclass(frozen=True)
@@ -241,7 +248,8 @@ class IndexCode:
     size is the number of points M, num_messages the number of messages K and
     dimension the real dimension m*n.  coords_matrix holds the slot-major
     power-basis coordinates of u, embedded the canonical embedding of the
-    point G~ u, and norms2 the exact doubled energies 2*|Psi(G~ u)|^2.
+    point G~ u, norms2 the exact doubled energies 2*|Psi(G~ u)|^2 and labels
+    the messages, (M, K, m*n) canonical residues of u modulo each p_k.
     """
 
     def __init__(self, field, primes, coords, gmatrix=None):
@@ -272,7 +280,7 @@ class IndexCode:
         order = np.argsort(msg_index)
         self.coords_matrix = coords[order]
         self.residue_indices = res_idx[order]
-        self._labels = [lab[order] for lab in labels]
+        self.labels = np.stack(labels, axis=1)[order]
         X = self.coords_matrix
         self.norms2 = np.einsum("ij,jk,ik->i", X, self.gram2, X)
         n = field.n
@@ -302,8 +310,8 @@ class IndexCode:
     # ---- message plumbing ----
 
     def _point(self, i):
-        labels = tuple(tuple(int(v) for v in lab[i]) for lab in self._labels)
-        return CodePoint(i, Message(labels), tuple(int(v) for v in self.coords_matrix[i]))
+        labels = tuple(map(tuple, self.labels[i].tolist()))
+        return CodePoint(i, Message(labels), tuple(self.coords_matrix[i].tolist()))
 
     @functools.cached_property
     def points(self):
@@ -392,7 +400,8 @@ class IndexCode:
 
     # ---- code files ----
 
-    def to_dict(self):
+    def _file_header(self):
+        """Everything a code file holds but its points."""
         if not self.is_plain:
             raise Unsupported("code files hold only m = 1 codes with the identity generator")
         return {
@@ -404,22 +413,22 @@ class IndexCode:
             "alphabet_sizes": list(self.alphabet_sizes),
             "gamma": self.gamma,
             "mean_energy": [self.mean_energy.numerator, self.mean_energy.denominator],
-            "points": [
-                {"label": label, "coords": coords, "embedded": embedded}
-                for label, coords, embedded in zip(
-                    self._label_lists(), self.coords_matrix.tolist(), self.embedded.tolist())
-            ],
         }
 
-    def _label_lists(self):
-        """Per point, its K residue labels as a list of lists of ints."""
-        return map(list, zip(*(lab.tolist() for lab in self._labels)))
+    def to_dict(self):
+        """The code file as a dict: what save_code writes and content_hash hashes."""
+        return {**self._file_header(), "points": [
+            _point_dict(*row) for row in zip(
+                self.coords_matrix.tolist(), self.embedded.tolist(), self.labels.tolist())]}
 
     def content_hash(self):
-        """SHA-256 of the canonical code file; computed once, the code is immutable."""
+        """SHA-256 of the compact, sorted-key JSON of the code file; computed
+        once, the code is immutable."""
         if self._hash is None:
-            blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-            self._hash = hashlib.sha256(blob.encode()).hexdigest()
+            digest = hashlib.sha256()
+            for chunk in _canonical_json(self):
+                digest.update(chunk.encode())
+            self._hash = digest.hexdigest()
         return self._hash
 
     def __repr__(self):
@@ -475,9 +484,48 @@ def rate(code, s):
     return sum(math.log2(code.primes[k - 1].norm) for k in s) / code.field.n
 
 
+def _point_dict(coords, embedded, label):
+    """One point of a code file."""
+    return {"coords": coords, "embedded": embedded, "label": label}
+
+
+def _canonical_json(code, indent=None):
+    """The canonical JSON of a plain code's file, in chunks.
+
+    The text equals json.dumps(code.to_dict(), sort_keys=True) with
+    separators (",", ":") (indent=None, what content_hash hashes) or with
+    indent=1 (the file layout), but no file-sized dict or string is built.
+    The header goes through json; the points are spliced in where "points"
+    sorts, a block of rows at a time, each point from one %-template
+    made by json from a point of placeholders: %d prints an int and %r a
+    finite float as json does.
+    """
+    seps = (",", ": ") if indent else (",", ":")
+    dumps = functools.partial(json.dumps, sort_keys=True, indent=indent, separators=seps)
+    key = dumps("points") + seps[1]
+    head, tail = dumps({**code._file_header(), "points": 0}).split(key + "0")
+    k, d = code.labels.shape[1:]
+    point = dumps(_point_dict(["%d"] * d, ["%r"] * d, [["%d"] * d] * k))
+    point = point.replace('"%d"', "%d").replace('"%r"', "%r")
+    if indent:
+        point = point.replace("\n", "\n  ")
+        start, sep, end = "[\n  ", ",\n  ", "\n ]"
+    else:
+        start, sep, end = "[", ",", "]"
+    yield head + key
+    labels = code.labels.reshape(code.size, k * d)
+    for i in range(0, code.size, _POINT_BLOCK):
+        rows = zip(code.coords_matrix[i:i + _POINT_BLOCK].tolist(),
+                   code.embedded[i:i + _POINT_BLOCK].tolist(),
+                   labels[i:i + _POINT_BLOCK].tolist())
+        yield (sep if i else start) + sep.join([point % (*c, *e, *w) for c, e, w in rows])
+    yield end + tail
+
+
 def save_code(code, path):
+    """Write the code file: the indent=1, sorted-key JSON of to_dict()."""
     with open(path, "w") as fh:
-        json.dump(code.to_dict(), fh, indent=1, sort_keys=True)
+        fh.writelines(_canonical_json(code, indent=1))
         fh.write("\n")
 
 
@@ -487,35 +535,83 @@ def load_code(path):
     return code_from_dict(doc)
 
 
+def _stored_prime(field, d, above):
+    """The prime ideal that a code file stores as d: exactly what
+    ideal_to_dict writes for one of the prime ideals above its p.  above
+    caches prime_ideals_above by p."""
+    p = d.get("p") if isinstance(d, dict) else None
+    if type(p) is not int:
+        raise InvalidArgument("stored primes must be objects with an integer p")
+    if p not in above:
+        try:
+            above[p] = prime_ideals_above(field, p)
+        except Unsupported as e:
+            raise InvalidArgument(str(e)) from None
+    match = next((q for q in above[p] if ideal_to_dict(q) == d), None)
+    if match is None:
+        raise InvalidArgument(f"stored ideal above {p} is not a prime ideal of {field.name}")
+    return match
+
+
 def code_from_dict(doc):
-    if doc.get("format") != "latticedex-code-v1":
+    """The code stored in a code file's dict, checked against what the math
+    requires; anything malformed or inconsistent raises InvalidArgument."""
+    if not isinstance(doc, dict) or doc.get("format") != "latticedex-code-v1":
         raise InvalidArgument("not a latticedex code file")
-    field = field_from_dict(doc["field"])
-    primes = tuple(ideal_from_dict(field, d) for d in doc["primes"])
-    rows = [pt["coords"] for pt in doc["points"]]
+    missing = [key for key in _FILE_KEYS if key not in doc]
+    if missing:
+        raise InvalidArgument(f"code file lacks {', '.join(missing)}")
+    points = doc["points"] if isinstance(doc["points"], list) else None
+    try:
+        rows, embedded, labels = ([pt[key] for pt in points]
+                                  for key in ("coords", "embedded", "label"))
+    except (KeyError, TypeError):
+        raise InvalidArgument("points must be a list of objects with "
+                              "coords, embedded and label") from None
+    if type(doc["gamma"]) is not float:
+        raise InvalidArgument("gamma must be a number")
+    spec = doc["field"]
+    if not (isinstance(spec, dict) and isinstance(spec.get("family"), str)
+            and type(spec.get("param")) is int):
+        raise InvalidArgument("field must be an object with a family name and an integer param")
+    field = field_from_dict(spec)
+    if not (isinstance(doc["primes"], list) and doc["primes"]):
+        raise InvalidArgument("primes must be a nonempty list")
+    above = {}
+    primes = tuple(_stored_prime(field, d, above) for d in doc["primes"])
     if not all(isinstance(row, list) and len(row) == field.n
                and all(type(v) is int and -2**63 <= v < 2**63 for v in row) for row in rows):
         raise InvalidArgument(f"point coordinates must be {field.n} integers within int64")
-    code = IndexCode(field, primes, np.array(rows, dtype=np.int64))
+    # one point per coset of I, checked here: the constructor takes a
+    # failure of these for a bug of the build
+    modulus = functools.reduce(operator.mul, primes)
+    if len(rows) != modulus.norm:
+        raise InvalidArgument(f"{len(rows)} points for the {modulus.norm} cosets of I")
+    coords = np.array(rows, dtype=np.int64)
+    _, basis, gram2 = _generator_lattice(field, None)
+    _check_int64_range(coords, gram2, basis, (modulus,))
+    if np.bincount(_slot_residues(modulus, coords, 1)[1], minlength=len(rows)).max() > 1:
+        raise InvalidArgument("two points lie in the same coset of I")
+    code = IndexCode(field, primes, coords)
     if [list(r) for r in code.modulus.hnf] != doc["modulus_hnf"]:
         raise InvalidArgument("modulus HNF does not match the primes in the file")
     if [list(e.coords) for e in code.idempotents] != doc["idempotents"]:
         raise InvalidArgument("stored idempotents disagree with the primes")
-    for label, rec in zip(code._label_lists(), doc["points"]):
-        if label != rec["label"]:
-            raise InvalidArgument("stored labels disagree with recomputed residues")
-    if abs(code.gamma - doc["gamma"]) > 1e-12 * code.gamma:
+    if any(code.labels[i:i + _POINT_BLOCK].tolist() != labels[i:i + _POINT_BLOCK]
+           for i in range(0, code.size, _POINT_BLOCK)):
+        raise InvalidArgument("stored labels disagree with recomputed residues")
+    if not abs(code.gamma - doc["gamma"]) <= 1e-12 * code.gamma:
         raise InvalidArgument("stored gamma disagrees with recomputed normalization")
     if doc["mean_energy"] != [code.mean_energy.numerator, code.mean_energy.denominator]:
         raise InvalidArgument("stored mean energy disagrees with the points")
     if doc["alphabet_sizes"] != list(code.alphabet_sizes):
         raise InvalidArgument("stored alphabet sizes disagree with the primes")
     try:
-        embedded = np.array([pt["embedded"] for pt in doc["points"]], dtype=np.float64)
+        embedded = np.array(embedded)
     except (TypeError, ValueError) as e:
         raise InvalidArgument(f"stored embedding is malformed: {e}") from None
     scale = max(1.0, float(np.abs(code.embedded).max()))
-    if (embedded.shape != code.embedded.shape
+    if (embedded.dtype.kind != "f" or embedded.shape != code.embedded.shape
             or not np.abs(embedded - code.embedded).max() <= 1e-9 * scale):
         raise InvalidArgument("stored embedding disagrees with recomputed points")
     return code

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import latticedex
 from latticedex import InvariantViolation, load_code
 from latticedex.cli import (
     ExperimentSpec,
@@ -234,6 +238,41 @@ def test_analyze_rejects_oversized_code_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", "--code", str(path)]) == 1
     assert "int64" in capsys.readouterr().err
+
+
+def test_analyze_rejects_malformed_code_files(tmp_path, capsys):
+    assert main(["design", "--preset", "example1", "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "example1_code.json"
+    good = path.read_text()
+
+    def tampered(edit):
+        doc = json.loads(good)
+        return edit(doc) or doc
+
+    cases = [
+        lambda d: d["points"].pop(5) and None,  # a point deleted
+        lambda d: d["points"].__setitem__(5, d["points"][6]),  # two points in one coset
+        lambda d: d.__setitem__("points", {}),
+        lambda d: [d],  # a list at the top level
+        lambda d: d.pop("field") and None,
+        lambda d: d["points"][0].pop("coords") and None,
+        lambda d: d.__setitem__("gamma", "x"),
+    ]
+    for i, edit in enumerate(cases):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(tampered(edit)))
+        capsys.readouterr()
+        assert main(["analyze", "--code", str(bad)]) == 1, i
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (i, err)
+
+    # the same through a fresh interpreter: exit 1, one error line, no traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(latticedex.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "latticedex.cli", "analyze", "--code",
+                           str(tmp_path / "bad0.json")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_analyze_k_cap_exits_3(capsys):

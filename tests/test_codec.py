@@ -1,12 +1,14 @@
+import hashlib
 import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticedex import (
-    IndexCode,
     Infeasible,
     InvalidArgument,
     Message,
@@ -22,6 +24,7 @@ from latticedex import (
     subcode_points,
     whole_ring,
 )
+from latticedex import codec
 from latticedex.codec import code_from_dict
 
 
@@ -269,6 +272,12 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
     with pytest.raises(InvalidArgument):
         code_from_dict(bad)
 
+    for embedded in (["0.0", "0.0"], [None, 0.0]):  # point 0 is the origin
+        bad = json.loads(path.read_text())
+        bad["points"][0]["embedded"] = embedded
+        with pytest.raises(InvalidArgument):
+            code_from_dict(bad)
+
     bad = json.loads(path.read_text())
     bad["mean_energy"] = [1, 1]
     with pytest.raises(InvalidArgument):
@@ -299,16 +308,117 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
     with pytest.raises(InvalidArgument):
         code_from_dict(bad)
 
+    # a point deleted, two points in one coset, points not a list
+    bad = json.loads(path.read_text())
+    del bad["points"][5]
+    with pytest.raises(InvalidArgument, match="cosets"):
+        code_from_dict(bad)
+    bad = json.loads(path.read_text())
+    bad["points"][5] = bad["points"][6]
+    with pytest.raises(InvalidArgument, match="same coset"):
+        code_from_dict(bad)
+    for points in ({}, [], [[0, 0]], None):
+        bad = json.loads(path.read_text())
+        bad["points"] = points
+        with pytest.raises(InvalidArgument):
+            code_from_dict(bad)
+
+    # not an object, keys missing or mistyped
+    with pytest.raises(InvalidArgument):
+        code_from_dict([doc])
+    for key in ("field", "primes", "gamma", "points"):
+        bad = json.loads(path.read_text())
+        del bad[key]
+        with pytest.raises(InvalidArgument, match=key):
+            code_from_dict(bad)
+    for key in ("coords", "embedded", "label"):
+        bad = json.loads(path.read_text())
+        del bad["points"][0][key]
+        with pytest.raises(InvalidArgument):
+            code_from_dict(bad)
+    for gamma in ("x", None, [1.0], float("nan")):
+        bad = json.loads(path.read_text())
+        bad["gamma"] = gamma
+        with pytest.raises(InvalidArgument):
+            code_from_dict(bad)
+    for key, value in (("field", {}), ("field", [5]), ("field", {"family": "quadratic"}),
+                       ("primes", []), ("primes", 5), ("primes", [{"p": 5}]),
+                       ("primes", [{"hnf": 5}])):
+        bad = json.loads(path.read_text())
+        bad[key] = value
+        with pytest.raises(InvalidArgument):
+            code_from_dict(bad)
+
+    # stored primes must be exactly the prime ideals above their p
+    for key, value in (("hnf", [[5]]), ("hnf", [[5, 1], [0, 1]]), ("p", 7), ("p", "5"),
+                       ("two_gen", 5)):
+        bad = json.loads(path.read_text())
+        bad["primes"][0][key] = value
+        with pytest.raises(InvalidArgument):
+            code_from_dict(bad)
+
 
 def test_content_hash_serialises_once(monkeypatch):
     field = quadratic_field(-1)
     code = build_index_code(field, [prime_ideals_above(field, 5)[0]])
     calls = []
-    to_dict = IndexCode.to_dict
-    monkeypatch.setattr(IndexCode, "to_dict", lambda self: calls.append(1) or to_dict(self))
+    emit = codec._canonical_json
+    monkeypatch.setattr(codec, "_canonical_json",
+                        lambda *args, **kw: calls.append(1) or emit(*args, **kw))
     first = code.content_hash()
     assert code.content_hash() == first
     assert len(calls) == 1
+
+
+# (content hash, SHA-256 of the save_code bytes) of every preset: the format is
+# the contract, so neither may move
+_PINNED = {
+    "ex1_code": ("18dc0d16808aaf2b5d168d82bbcb6fc59eb6e842f5de5ab6389da1e82c307538",
+                 "5b877a828bf638076502d5fa31c668f8133abecab898bfaf9de01b32d79cfda1"),
+    "ex2_code": ("fb710def5ffe09ebe72a6833384f44c50009b4b2a4f3008c54a428605fd170d8",
+                 "56e2ebe0971cc9a94d3eafca6dc7956a3455406b8f2b9547228edd3824dfa5bf"),
+    "ex3_code": ("2c69cbac53e523def401b66d4a3330a92b784b94ea1ff9ac6457f2d5800cafec",
+                 "3235cdf2627700f563740f85e87313d7b5635ecd3a9cf294c51489903e9f70fa"),
+    "cyclo_code": ("6c749ace6c4b635ce7a5cef983f1a300c8706b185e68ad745cc0d4a696248fe8",
+                   "43ac9b205d8b49302212cb1f695a1cf6863a841c0496383216d413f3503db77b"),
+    "maxreal_code": ("64a45e6e5b2b292466b11ebde6b6776908a16ca9a83a665444031e61155f3220",
+                     "83293ba9872d9d63ce7bc4e2b1574c94da99cf6b4867b12475246466863c0162"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_PINNED))
+def test_preset_code_files_are_pinned(fixture, request, tmp_path):
+    code = request.getfixturevalue(fixture)
+    content_hash, file_hash = _PINNED[fixture]
+    assert code.content_hash() == content_hash
+    path = tmp_path / "code.json"
+    save_code(code, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_hash
+
+
+@st.composite
+def _small_quadratic_codes(draw):
+    """Codes on 1-2 split primes of a small quadratic field, at most 200 points."""
+    field = quadratic_field(draw(st.sampled_from((-11, -7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 13))))
+    split = [q for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+             for q in prime_ideals_above(field, p) if q.norm == p and q.ramification == 1]
+    primes = draw(st.lists(st.sampled_from(split), min_size=1, max_size=2, unique=True)
+                  .filter(lambda ps: math.prod(q.norm for q in ps) <= 200))
+    return build_index_code(field, primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=_small_quadratic_codes())
+def test_code_file_is_the_canonical_json(code, tmp_path_factory):
+    doc = code.to_dict()
+    path = tmp_path_factory.mktemp("code") / "code.json"
+    save_code(code, path)
+    assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    compact = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert code.content_hash() == hashlib.sha256(compact.encode()).hexdigest()
+    again = load_code(path)
+    assert again.content_hash() == code.content_hash()
+    assert again.to_dict() == doc
 
 
 def test_public_names_resolve():
