@@ -14,7 +14,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
+import typing
+from dataclasses import asdict, dataclass, field as dc_field
 
 from . import presets as preset_lib
 from .analysis import (diversity_and_product_distance, side_info_gain,
@@ -22,8 +23,8 @@ from .analysis import (diversity_and_product_distance, side_info_gain,
 from .codec import build_index_code, load_code, save_code
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
-from .numberfield import (classify_prime, field_from_dict, principal_ideal,
-                          prime_ideals_above)
+from .numberfield import field_from_dict
+from .presets import resolve_primes
 from .sim import (SimConfig, curve_filename, run_sim, si_gain_from_curves,
                   write_curve_csv)
 
@@ -51,60 +52,26 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name for f in dc_fields(cls)}
-        unknown = set(data) - known
+        """The spec of a config object, each key checked against its declared
+        type (a bool is no int)."""
+        if not isinstance(data, dict):
+            raise InvalidArgument("an experiment config must be a JSON object")
+        types = typing.get_type_hints(cls)
+        unknown = set(data) - set(types)
         if unknown:
             raise InvalidArgument(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            allowed = typing.get_args(types[key]) or (types[key],)
+            if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise InvalidArgument(f"config key {key!r} must be {names}, got {value!r}")
         return cls(**data)
 
 
 def spec_from_preset(name, channel="awgn"):
-    field, primes = preset_lib.preset_field_and_primes(name)
-    k = len(primes)
-    return ExperimentSpec(
-        label=name,
-        field=field.to_dict(),
-        primes=[dict(sel) for sel in preset_lib.PRESET_PRIME_SELECTORS[name]],
-        side_info_sets=[[]] + [[i + 1] for i in range(k)],
-        channel=channel,
-        snr_db=list(preset_lib.preset_snr_grid(name, channel)),
-    )
-
-
-def resolve_primes(field, prime_specs):
-    """Ideal list from config selectors: explicit generators, the i-th ideal
-    above p, or every ideal above a completely split p."""
-    out = []
-    for ps in prime_specs:
-        if not isinstance(ps, dict):
-            raise InvalidArgument(f"prime selector must be an object, got {ps!r}")
-        if "split_completely" in ps:
-            p = int(ps["split_completely"])
-            ideals = prime_ideals_above(field, p)
-            if len(ideals) != field.n:
-                info = classify_prime(field, p)
-                raise InvalidArgument(
-                    f"{p} does not split completely in {field.name}: it is "
-                    f"{info.kind} with e={info.e}, f={info.f}, h={info.h}")
-            out.extend(ideals)
-        elif "above" in ps:
-            p = int(ps["above"])
-            ideals = prime_ideals_above(field, p)
-            i = int(ps.get("index", 0))
-            if not 0 <= i < len(ideals):
-                info = classify_prime(field, p)
-                raise InvalidArgument(
-                    f"no ideal with index {i} above {p} in {field.name}: "
-                    f"{p} is {info.kind} with h={info.h} prime ideal(s) "
-                    f"(e={info.e}, f={info.f})")
-            out.append(ideals[i])
-        elif "generator" in ps:
-            coords = tuple(int(v) for v in ps["generator"])
-            out.append(principal_ideal(field.element(coords)))
-        else:
-            raise InvalidArgument(
-                f"prime selector needs one of split_completely/above/generator: {ps}")
-    return out
+    """The config a preset stands for, with its SNR grid for the channel."""
+    return ExperimentSpec(label=name, **preset_lib.preset_config(name), channel=channel,
+                          snr_db=list(preset_lib.preset_snr_grid(name, channel)))
 
 
 def build_from_spec(spec):
@@ -152,6 +119,10 @@ def _parse_sets(text, k, k_cap=20):
         sets = json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidArgument(f"side-info sets must be JSON like [[1],[2]]: {e}")
+    return _check_sets(sets)
+
+
+def _check_sets(sets):
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise InvalidArgument("side-info sets must be a list of lists")
     return sets
@@ -217,8 +188,9 @@ def cmd_analyze(args):
     code = load_code(args.code) if args.code else build_from_spec(_load_spec(args))
     k = len(code.primes)
     if args.sets:
-        sets = [tuple(sorted(int(v) for v in s)) for s in _parse_sets(args.sets, k, args.k_cap)]
-        sets = [s for s in sets if s]
+        sets = [s for s in map(code.check_side_info, _parse_sets(args.sets, k, args.k_cap)) if s]
+        if not sets:
+            raise InvalidArgument("--sets names no nonempty side-information set")
     else:
         sets = side_info_sets(k, args.k_cap)
 
@@ -228,11 +200,10 @@ def cmd_analyze(args):
         if code.subcode_indices(s).shape[0] >= 2:
             fading[s] = diversity_and_product_distance(code, s)
 
-    d0 = reports[0].d0_sq if reports else None
+    d0 = reports[0].d0_sq
     print(f"{code.field.describe()}; K={k}; {code.size} points; "
           f"alphabet {'x'.join(str(v) for v in code.alphabet_sizes)}")
-    if d0 is not None:
-        print(f"d0^2 = {d0}")
+    print(f"d0^2 = {d0}")
     header = ["S", "R_S", "dS^2", "Gamma_dB", "lower", "upper", "mink_d", "D", "d_pmin"]
     rows = []
     for r in reports:
@@ -260,7 +231,7 @@ def cmd_analyze(args):
         payload = {
             "field": code.field.to_dict(),
             "code_hash": code.content_hash(),
-            "d0_sq": [d0.numerator, d0.denominator] if d0 is not None else None,
+            "d0_sq": [d0.numerator, d0.denominator],
             "reports": [r.to_dict() for r in reports],
             "fading": [f.to_dict() for f in fading.values()],
             "overall_gamma_db": worst.gamma_db,
@@ -290,9 +261,10 @@ def cmd_simulate(args):
     if args.sets:
         sets = _parse_sets(args.sets, k)
     elif spec.side_info_sets is not None:
-        sets = spec.side_info_sets
+        sets = _check_sets(spec.side_info_sets)
     else:
         sets = [[]] + [[i + 1] for i in range(k)]
+    sets = [code.check_side_info(s) for s in sets]  # all of them before any sweep
     if not spec.snr_db:
         raise InvalidArgument("no snr grid: set snr_db in the config or pass --snr")
 
@@ -300,7 +272,7 @@ def cmd_simulate(args):
     results = {}
     for s in sets:
         cfg = SimConfig(code=code, channel=spec.channel, snr_db=tuple(spec.snr_db),
-                        side_info=tuple(s), min_errors=spec.min_errors,
+                        side_info=s, min_errors=spec.min_errors,
                         max_trials=spec.max_trials, seed=spec.seed,
                         workers=spec.workers, fade_per_complex=spec.fade_per_complex,
                         label=spec.label)
@@ -396,19 +368,13 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.func(args) or 0
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except InvalidArgument as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 2
     except (Infeasible, Unsupported) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
-    except LatticedexError as e:
+    except (OSError, json.JSONDecodeError, LatticedexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -41,10 +41,9 @@ from .numberfield import (
     prime_ideals_above,
     whole_ring,
 )
-from .numberfield.linalg import det_int, short_vectors, solve_columns
+from .numberfield.linalg import INT64_MAX, det_int, short_vectors, solve_columns
 
 DEFAULT_ENUMERATION_CAP = 10**6
-_INT64_MAX = 2**63 - 1
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
 _FILE_KEYS = ("field", "primes", "modulus_hnf", "idempotents", "alphabet_sizes", "gamma",
               "mean_energy", "points")  # read by code_from_dict besides "format"
@@ -83,9 +82,8 @@ def minkowski_bound_sq(field, ideal):
 
 def _ensure_prime_tags(field, primes):
     """Adopt (p, e, f) tags on explicitly supplied ideals by matching them
-    against the factorization of their residue characteristic."""
-    import sympy
-
+    against the prime ideals above p, where the HNF corner hnf[0][0]
+    generates the ideal's intersection with Z, which is pZ for a prime."""
     tagged = []
     for ideal in primes:
         if not isinstance(ideal, Ideal) or ideal.field != field:
@@ -93,11 +91,11 @@ def _ensure_prime_tags(field, primes):
         if ideal.is_prime_tagged:
             tagged.append(ideal)
             continue
-        fac = sympy.factorint(ideal.norm)
-        if len(fac) != 1:
-            raise InvalidArgument(f"ideal of norm {ideal.norm} is not prime")
-        (p, f), = fac.items()
-        match = next((q for q in prime_ideals_above(field, p) if q == ideal), None)
+        try:
+            above = prime_ideals_above(field, int(ideal.hnf[0][0]))
+        except InvalidArgument:  # hnf[0][0] is not a prime
+            above = ()
+        match = next((q for q in above if q == ideal), None)
         if match is None:
             raise InvalidArgument(f"ideal of norm {ideal.norm} is not a prime ideal")
         tagged.append(match)
@@ -213,7 +211,7 @@ def _check_int64_range(coords, gram2, basis, ideals):
             q = b[i] // H[i][i] + 1
             b[:i] = [bj + q * abs(H[j][i]) for j, bj in enumerate(b[:i])]
             worst = max(worst, b[i] + H[i][i], *b[:i])
-    if worst > _INT64_MAX:
+    if worst > INT64_MAX:
         raise InvalidArgument("point coordinates are too large for exact int64 arithmetic")
 
 
@@ -268,7 +266,8 @@ class IndexCode:
         self.alphabet_sizes = tuple(p.norm ** m for p in self.primes)
         self.size = coords.shape[0]
         if self.size != self.modulus.norm ** m:
-            raise InvariantViolation("message labels do not biject with cosets")
+            raise InvariantViolation(
+                f"{self.size} points for the {self.modulus.norm ** m} cosets of I")
         _check_int64_range(coords, self.gram2, self.basis, self.primes)
 
         # order points by row-major message index (w_1 slowest)
@@ -276,7 +275,7 @@ class IndexCode:
         res_idx = np.stack(res_idx, axis=1)
         msg_index = _mixed_radix(res_idx, self.alphabet_sizes)
         if not np.array_equal(np.bincount(msg_index, minlength=self.size), np.ones(self.size)):
-            raise InvariantViolation("message labels do not biject with cosets")
+            raise InvariantViolation("two points lie in the same coset of I")
         order = np.argsort(msg_index)
         self.coords_matrix = coords[order]
         self.residue_indices = res_idx[order]
@@ -360,6 +359,10 @@ class IndexCode:
     # ---- side information ----
 
     def check_side_info(self, s):
+        s = tuple(s)
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in s):
+            raise InvalidArgument(f"side-information set {list(s)} must hold integer "
+                                  "message indices")
         s = tuple(sorted(set(int(k) for k in s)))
         if s and (s[0] < 1 or s[-1] > len(self.primes)):
             raise InvalidArgument(f"side-information set {s} not within 1..{len(self.primes)}")
@@ -555,7 +558,11 @@ def _stored_prime(field, d, above):
 
 def code_from_dict(doc):
     """The code stored in a code file's dict, checked against what the math
-    requires; anything malformed or inconsistent raises InvalidArgument."""
+    requires; anything malformed or inconsistent raises InvalidArgument.
+
+    Types and shapes are checked here.  IndexCode checks the points (one per
+    coset of I, coordinates safe for int64 work), and the stored values
+    are compared with what it recomputes from the points."""
     if not isinstance(doc, dict) or doc.get("format") != "latticedex-code-v1":
         raise InvalidArgument("not a latticedex code file")
     missing = [key for key in _FILE_KEYS if key not in doc]
@@ -570,11 +577,7 @@ def code_from_dict(doc):
                               "coords, embedded and label") from None
     if type(doc["gamma"]) is not float:
         raise InvalidArgument("gamma must be a number")
-    spec = doc["field"]
-    if not (isinstance(spec, dict) and isinstance(spec.get("family"), str)
-            and type(spec.get("param")) is int):
-        raise InvalidArgument("field must be an object with a family name and an integer param")
-    field = field_from_dict(spec)
+    field = field_from_dict(doc["field"])
     if not (isinstance(doc["primes"], list) and doc["primes"]):
         raise InvalidArgument("primes must be a nonempty list")
     above = {}
@@ -582,17 +585,10 @@ def code_from_dict(doc):
     if not all(isinstance(row, list) and len(row) == field.n
                and all(type(v) is int and -2**63 <= v < 2**63 for v in row) for row in rows):
         raise InvalidArgument(f"point coordinates must be {field.n} integers within int64")
-    # one point per coset of I, checked here: the constructor takes a
-    # failure of these for a bug of the build
-    modulus = functools.reduce(operator.mul, primes)
-    if len(rows) != modulus.norm:
-        raise InvalidArgument(f"{len(rows)} points for the {modulus.norm} cosets of I")
-    coords = np.array(rows, dtype=np.int64)
-    _, basis, gram2 = _generator_lattice(field, None)
-    _check_int64_range(coords, gram2, basis, (modulus,))
-    if np.bincount(_slot_residues(modulus, coords, 1)[1], minlength=len(rows)).max() > 1:
-        raise InvalidArgument("two points lie in the same coset of I")
-    code = IndexCode(field, primes, coords)
+    try:  # in a file, a point set IndexCode refuses is bad input, not a bug
+        code = IndexCode(field, primes, np.array(rows, dtype=np.int64))
+    except InvariantViolation as e:
+        raise InvalidArgument(str(e)) from None
     if [list(r) for r in code.modulus.hnf] != doc["modulus_hnf"]:
         raise InvalidArgument("modulus HNF does not match the primes in the file")
     if [list(e.coords) for e in code.idempotents] != doc["idempotents"]:

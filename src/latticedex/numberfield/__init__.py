@@ -16,7 +16,6 @@ from .ideals import (
     PrimeClass,
     classify_prime,
     factor_minpoly_mod_p,
-    ideal_from_dict,
     ideal_from_generators,
     ideal_to_dict,
     is_coprime,
@@ -39,7 +38,6 @@ __all__ = [
     "PrimeClass",
     "classify_prime",
     "factor_minpoly_mod_p",
-    "ideal_from_dict",
     "ideal_from_generators",
     "ideal_to_dict",
     "is_coprime",

@@ -26,10 +26,13 @@ from functools import lru_cache
 import numpy as np
 import sympy
 
-from ..errors import InvalidArgument
-from .linalg import det_int
+from ..errors import Infeasible, InvalidArgument
+from .linalg import INT64_MAX, det_int
 
 IMAGINARY_PID_DS = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
+# Largest degree a field may have.  Building one costs about n^3 and every
+# lattice search on it grows exponentially in n; the presets stop at 6.
+MAX_DEGREE = 32
 
 # ============================================================
 # Integer polynomial helpers (coefficient lists, low to high)
@@ -164,6 +167,10 @@ class NumberField:
             m = int(param)
             if m < 3 or m % 4 == 2:
                 raise InvalidArgument("need m >= 3 with m != 2 (mod 4)")
+            # phi(m) >= sqrt(m/2): a larger m is refused without factoring it
+            if m > 2 * MAX_DEGREE**2 or sympy.totient(m) > MAX_DEGREE:
+                raise Infeasible(f"Q(zeta{m}) has degree phi({m}) > {MAX_DEGREE}, "
+                                 "the largest accepted")
             self.min_poly = cyclotomic_poly(m)
             n = len(self.min_poly) - 1
             disc = m**n
@@ -178,6 +185,9 @@ class NumberField:
             m = int(param)
             if m < 5 or not sympy.isprime(m):
                 raise InvalidArgument("need a prime m >= 5")
+            if (m - 1) // 2 > MAX_DEGREE:
+                raise Infeasible(f"Q(zeta{m}+) has degree "
+                                 f"{(m - 1) // 2} > {MAX_DEGREE}, the largest accepted")
             self.min_poly = _maxreal_poly(m)
             n = (m - 1) // 2
             self.discriminant = m ** ((m - 3) // 2)
@@ -225,6 +235,8 @@ class NumberField:
                     g2[k][l] = self.trace_coords(
                         self.mul_coords(self._pow[k], self._conj_pow[l])
                     )
+        if max(abs(v) for r in g2 for v in r) > INT64_MAX:
+            raise Infeasible(f"the trace form of {self.name} leaves the int64 range")
         self.gram2 = tuple(tuple(r) for r in g2)
         self.gram2_np = np.array(g2, dtype=np.int64)
 
@@ -407,6 +419,11 @@ def maximal_real_field(m):
 
 
 def field_from_dict(d):
+    """The field that a code file or experiment config names as
+    {"family": ..., "param": <int>}."""
+    if not (isinstance(d, dict) and isinstance(d.get("family"), str)
+            and type(d.get("param")) is int):
+        raise InvalidArgument("field must be an object with a family name and an integer param")
     return NumberField(d["family"], d["param"])
 
 

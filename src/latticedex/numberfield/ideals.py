@@ -279,19 +279,3 @@ def ideal_to_dict(ideal):
     if ideal.two_gen is not None:
         d["two_gen"] = [ideal.two_gen[0], list(ideal.two_gen[1].coords)]
     return d
-
-
-def ideal_from_dict(field, d):
-    hnf = tuple(tuple(int(v) for v in r) for r in d["hnf"])
-    two_gen = None
-    if d.get("two_gen") is not None:
-        p, coords = d["two_gen"]
-        two_gen = (int(p), AlgebraicInt(field, tuple(int(v) for v in coords)))
-    return Ideal(
-        field,
-        hnf,
-        residue_char=d.get("p"),
-        ramification=d.get("e"),
-        inertia=d.get("f"),
-        two_gen=two_gen,
-    )

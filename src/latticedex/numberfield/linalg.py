@@ -261,7 +261,7 @@ def lll_gram(gram):
 # ============================================================
 
 _ENUM_LIMIT = 1 << 24  # max candidate rows materialised at one enumeration level
-_INT64_MAX = 2**63 - 1
+INT64_MAX = 2**63 - 1
 
 
 def _range_bounds(U, R, bound2):
@@ -274,7 +274,7 @@ def _range_bounds(U, R, bound2):
     w = [max(v, 1) for v in yb]
     score = sum(w[j] * abs(R[j][k]) * w[k] for j in range(n) for k in range(n))
     image = max(sum(abs(u) * wj for u, wj in zip(row, w)) for row in U)
-    if max(score, image) > _INT64_MAX:
+    if max(score, image) > INT64_MAX:
         raise Infeasible(f"enumeration of radius^2 {bound2} leaves the int64 range")
     return yb
 

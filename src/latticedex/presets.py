@@ -1,97 +1,105 @@
-"""Built-in code designs, reconstructed deterministically on every call.
+"""Built-in code designs, kept as config data and rebuilt on every call.
 
-Each preset pins a field, an ordered list of message ideals, and default
-side-information sets and SNR grids for the two channels.  The grids bracket
-SER 1e-4 so measured gaps at that target interpolate instead of
-extrapolating.
+A preset is exactly the experiment config that holds its field and prime
+selectors, plus an SNR grid per channel.  resolve_primes is the one way
+from a selector to an ideal, for presets and config files alike.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 from .codec import build_index_code
 from .errors import InvalidArgument
-from .numberfield import (cyclotomic_field, maximal_real_field, principal_ideal,
-                          prime_ideals_above, quadratic_field)
+# quadratic_field, cyclotomic_field and maximal_real_field are not called
+# here; they stay importable because bench/probe.py patches these names
+from .numberfield import (classify_prime, cyclotomic_field, field_from_dict,  # noqa: F401
+                          maximal_real_field, prime_ideals_above, principal_ideal,
+                          quadratic_field)
 
-PRESETS = ("example1", "example2", "example3", "cyclo-K4", "maxreal-K3")
-
-# Default sweep windows per (preset, channel), bracketing SER 1e-4 for the
-# base curve and every single-message reveal.  Calibrated empirically.
-PRESET_SNR = {
-    ("example1", "awgn"): tuple(float(v) for v in range(10, 29, 2)),
-    ("example1", "rayleigh"): tuple(float(v) for v in range(12, 61, 4)),
-    ("example2", "awgn"): tuple(float(v) for v in range(8, 31, 2)),
-    ("example2", "rayleigh"): tuple(float(v) for v in range(12, 75, 4)),
-    ("example3", "awgn"): tuple(float(v) for v in range(8, 29, 2)),
-    ("example3", "rayleigh"): tuple(float(v) for v in range(12, 61, 4)),
-    ("cyclo-K4", "awgn"): tuple(float(v) for v in range(10, 33, 2)),
-    ("cyclo-K4", "rayleigh"): tuple(float(v) for v in range(12, 61, 4)),
-    ("maxreal-K3", "awgn"): tuple(float(v) for v in range(10, 33, 2)),
-    ("maxreal-K3", "rayleigh"): tuple(float(v) for v in range(12, 61, 4)),
+# Each preset: the field and prime selectors of its config, and its default
+# sweep window per channel as range(start, stop, step) in dB.  The windows
+# bracket SER 1e-4 for the base curve and every single-message reveal, so
+# gaps at that target interpolate; they were set empirically.
+PRESETS = {
+    # generators 2t-1 (the ramified prime of norm 5) and 3+2t (a split prime of norm 11)
+    "example1": {"field": {"family": "quadratic", "param": 5},
+                 "primes": [{"generator": [-1, 2]}, {"generator": [3, 2]}],
+                 "snr": {"awgn": (10, 29, 2), "rayleigh": (12, 61, 4)}},
+    "example2": {"field": {"family": "quadratic", "param": -5},
+                 "primes": [{"above": 7, "index": 0}, {"above": 7, "index": 1}],
+                 "snr": {"awgn": (8, 31, 2), "rayleigh": (12, 75, 4)}},
+    # primes of norm 7 and 11
+    "example3": {"field": {"family": "quadratic", "param": -7},
+                 "primes": [{"generator": [-1, 2]}, {"generator": [1, 2]}],
+                 "snr": {"awgn": (8, 29, 2), "rayleigh": (12, 61, 4)}},
+    "cyclo-K4": {"field": {"family": "cyclotomic", "param": 5},
+                 "primes": [{"split_completely": 11}],
+                 "snr": {"awgn": (10, 33, 2), "rayleigh": (12, 61, 4)}},
+    "maxreal-K3": {"field": {"family": "maximal_real", "param": 7},
+                   "primes": [{"split_completely": 13}],
+                   "snr": {"awgn": (10, 33, 2), "rayleigh": (12, 61, 4)}},
 }
 
 
-def _spec_example1():
-    field = quadratic_field(5)
-    # ramified prime of norm 5 and a split prime of norm 11
-    return field, [principal_ideal(field.element((-1, 2))),   # 2t-1, norm -5
-                   principal_ideal(field.element((3, 2)))]    # 3+2t, norm 11
-
-
-def _spec_example2():
-    field = quadratic_field(-5)
-    return field, list(prime_ideals_above(field, 7))
-
-
-def _spec_example3():
-    field = quadratic_field(-7)
-    return field, [principal_ideal(field.element((-1, 2))),   # norm 7
-                   principal_ideal(field.element((1, 2)))]    # norm 11
-
-
-def _spec_cyclo_k4():
-    field = cyclotomic_field(5)
-    return field, list(prime_ideals_above(field, 11))
-
-
-def _spec_maxreal_k3():
-    field = maximal_real_field(7)
-    return field, list(prime_ideals_above(field, 13))
-
-
-_BUILDERS = {
-    "example1": _spec_example1,
-    "example2": _spec_example2,
-    "example3": _spec_example3,
-    "cyclo-K4": _spec_cyclo_k4,
-    "maxreal-K3": _spec_maxreal_k3,
-}
-
-# Config-file form of each preset's prime list.  resolve_primes on these
-# selectors reproduces preset_field_and_primes exactly (same ideals, same
-# order), so configs and presets regenerate identical code files.
-PRESET_PRIME_SELECTORS = {
-    "example1": [{"generator": [-1, 2]}, {"generator": [3, 2]}],
-    "example2": [{"above": 7, "index": 0}, {"above": 7, "index": 1}],
-    "example3": [{"generator": [-1, 2]}, {"generator": [1, 2]}],
-    "cyclo-K4": [{"split_completely": 11}],
-    "maxreal-K3": [{"split_completely": 13}],
-}
+def resolve_primes(field, prime_specs):
+    """Ideal list from config selectors: explicit generators, the i-th ideal
+    above p, or every ideal above a completely split p."""
+    out = []
+    for ps in prime_specs:
+        if not isinstance(ps, dict):
+            raise InvalidArgument(f"prime selector must be an object, got {ps!r}")
+        gen = ps.get("generator", [])
+        values = [v for k, v in ps.items() if k != "generator"] + (
+            gen if isinstance(gen, list) else [None])
+        if not all(type(v) is int for v in values):
+            raise InvalidArgument(f"prime selector {ps} must hold integers (a list for generator)")
+        if "split_completely" in ps:
+            p = ps["split_completely"]
+            ideals = prime_ideals_above(field, p)
+            if len(ideals) != field.n:
+                info = classify_prime(field, p)
+                raise InvalidArgument(
+                    f"{p} does not split completely in {field.name}: it is "
+                    f"{info.kind} with e={info.e}, f={info.f}, h={info.h}")
+            out.extend(ideals)
+        elif "above" in ps:
+            p = ps["above"]
+            ideals = prime_ideals_above(field, p)
+            i = ps.get("index", 0)
+            if not 0 <= i < len(ideals):
+                info = classify_prime(field, p)
+                raise InvalidArgument(
+                    f"no ideal with index {i} above {p} in {field.name}: "
+                    f"{p} is {info.kind} with h={info.h} prime ideal(s) "
+                    f"(e={info.e}, f={info.f})")
+            out.append(ideals[i])
+        elif "generator" in ps:
+            out.append(principal_ideal(field.element(ps["generator"])))
+        else:
+            raise InvalidArgument(
+                f"prime selector needs one of split_completely/above/generator: {ps}")
+    return out
 
 
 def preset_names():
-    return PRESETS
+    return tuple(PRESETS)
 
 
-def preset_field_and_primes(name):
+def preset_config(name):
+    """A fresh copy of the preset's {"field", "primes"} config data."""
     try:
-        builder = _BUILDERS[name]
+        return {key: copy.deepcopy(PRESETS[name][key]) for key in ("field", "primes")}
     except KeyError:
         raise InvalidArgument(
             f"unknown preset {name!r}; available: {', '.join(PRESETS)}") from None
-    return builder()
+
+
+def preset_field_and_primes(name):
+    config = preset_config(name)
+    field = field_from_dict(config["field"])
+    return field, resolve_primes(field, config["primes"])
 
 
 def preset_code(name):
@@ -101,7 +109,7 @@ def preset_code(name):
 
 
 def preset_snr_grid(name, channel):
-    return PRESET_SNR[(name, channel)]
+    return tuple(float(v) for v in range(*PRESETS[name]["snr"][channel]))
 
 
 def preset_summary(name):

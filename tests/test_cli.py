@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import latticedex
-from latticedex import InvariantViolation, load_code
+from latticedex import InvariantViolation, build_index_code, load_code, quadratic_field
 from latticedex.cli import (
     ExperimentSpec,
     _parse_sets,
@@ -17,11 +17,7 @@ from latticedex.cli import (
     spec_from_preset,
 )
 from latticedex.errors import InvalidArgument
-from latticedex.presets import (
-    PRESET_PRIME_SELECTORS,
-    preset_field_and_primes,
-    preset_names,
-)
+from latticedex.presets import PRESETS, preset_field_and_primes, preset_names
 
 
 # ---- spec plumbing ----
@@ -37,13 +33,26 @@ def test_experiment_spec_rejects_unknown_keys():
         ExperimentSpec.from_dict({"label": "x", "snr": [10]})
 
 
-def test_preset_selectors_reproduce_preset_primes():
+def test_experiment_spec_checks_types():
+    # a string snr grid was read one character at a time, "19" as 1 and 9 dB
+    good = spec_from_preset("example1").to_dict()
+    for key, value in (("snr_db", "19"), ("min_errors", "10"), ("seed", "x"),
+                       ("seed", True), ("workers", 1.5), ("field", 5), ("primes", {}),
+                       ("side_info_sets", "[[1]]"), ("fade_per_complex", 1),
+                       ("label", None), ("enumeration_cap", 1e6)):
+        with pytest.raises(InvalidArgument, match=key):
+            ExperimentSpec.from_dict({**good, key: value})
+    with pytest.raises(InvalidArgument):
+        ExperimentSpec.from_dict([good])
+    assert ExperimentSpec.from_dict({**good, "workers": None}).workers is None
+
+
+def test_preset_is_its_config():
     for name in preset_names():
-        field, primes = preset_field_and_primes(name)
-        resolved = resolve_primes(field, PRESET_PRIME_SELECTORS[name])
-        assert len(resolved) == len(primes)
-        for a, b in zip(resolved, primes):
-            assert a == b
+        spec = spec_from_preset(name)
+        assert spec.field == PRESETS[name]["field"] and spec.primes == PRESETS[name]["primes"]
+        spec.primes[0]["extra"] = 1  # a spec owns its copy of the preset data
+        assert "extra" not in PRESETS[name]["primes"][0]
 
 
 def test_build_from_spec_matches_preset(ex3_code):
@@ -64,6 +73,17 @@ def test_resolve_primes_errors():
         resolve_primes(field, [{"nonsense": 3}])
     with pytest.raises(InvalidArgument):
         resolve_primes(field, ["7"])
+    for selector in ({"above": "7"}, {"above": 7, "index": 1.0}, {"split_completely": None},
+                     {"generator": [1]}, {"generator": [1, "2"]}, {"generator": 7}):
+        with pytest.raises(InvalidArgument):
+            resolve_primes(field, [selector])
+
+
+def test_split_completely_combines_with_other_selectors():
+    field = quadratic_field(5)
+    primes = resolve_primes(field, [{"split_completely": 11}, {"above": 19}])
+    code = build_index_code(field, primes)
+    assert len(code.primes) == 3 and code.size == 11 * 11 * 19
 
 
 def test_parse_snr():
@@ -281,6 +301,15 @@ def test_analyze_k_cap_exits_3(capsys):
     assert main(["analyze", "--preset", "example1", "--k-cap", "1", "--sets", "[[1]]"]) == 0
 
 
+def test_analyze_rejects_bad_sets(capsys):
+    # [[1.5],[2.9]] was truncated to {1} and {2}; the others ended in tracebacks
+    for sets in ("[[1.5],[2.9]]", "[]", "[[]]", '[["a"]]', "[[null]]", "[[true]]", "[[3]]"):
+        capsys.readouterr()
+        assert main(["analyze", "--preset", "example1", "--sets", sets]) == 1, sets
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (sets, err)
+
+
 def test_analyze_explicit_sets(capsys):
     rc = main(["analyze", "--preset", "example1", "--sets", "[[2],[1,2]]"])
     assert rc == 0
@@ -317,6 +346,54 @@ def test_simulate_respects_config_sets(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 0
     assert (tmp_path / "example1_awgn_S1.csv").exists()
     assert not (tmp_path / "example1_awgn_Snone.csv").exists()
+
+
+def test_simulate_rejects_bad_config_sets(tmp_path, capsys):
+    spec = spec_from_preset("example1")
+    spec.snr_db, spec.max_trials, spec.out_dir = [6.0], 1000, str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    for sets in ([[1], [1.5]], [1], [["1"]]):
+        spec.side_info_sets = sets
+        cfg.write_text(json.dumps(spec.to_dict()))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 1, sets
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*.csv"))  # every set is checked before any sweep
+
+
+def test_mistyped_config_exits_1(tmp_path, capsys):
+    doc = spec_from_preset("example1").to_dict()
+    path = tmp_path / "cfg.json"
+    for key, value in (("snr_db", "19"), ("min_errors", "10"), ("workers", 1.5),
+                       ("field", 5), ("field", {"family": "quadratic"})):
+        path.write_text(json.dumps({**doc, key: value, "out_dir": str(tmp_path)}))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path), "--trials", "100"]) == 1, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (key, err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_oversized_field_exits_3(tmp_path, capsys):
+    doc = spec_from_preset("example1").to_dict()
+    path = tmp_path / "cfg.json"
+    for field in ({"family": "maximal_real", "param": 67},
+                  {"family": "cyclotomic", "param": 1009}):
+        path.write_text(json.dumps({**doc, "field": field}))
+        capsys.readouterr()
+        assert main(["design", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert "infeasible" in capsys.readouterr().err
+
+
+def test_readme_config_designs_example1(ex1_code):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Experiment files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    spec = ExperimentSpec.from_dict(json.loads(block))
+    assert spec.field == PRESETS["example1"]["field"]
+    assert spec.primes == PRESETS["example1"]["primes"]
+    assert build_from_spec(spec).content_hash() == ex1_code.content_hash()
 
 
 def test_simulate_worker_flag_keeps_bytes(tmp_path):

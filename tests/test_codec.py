@@ -165,6 +165,11 @@ def test_message_validation(ex1_code):
         ex1_code.check_side_info((3,))
     with pytest.raises(InvalidArgument):
         ex1_code.check_side_info((0,))
+    # no truncation of 1.5 to 1, no bool taken for 1, no TypeError from None
+    for s in ((1.5,), (2.9,), (True,), (None,), ("a",), (1, 2.0)):
+        with pytest.raises(InvalidArgument, match="integer"):
+            ex1_code.check_side_info(s)
+    assert ex1_code.check_side_info((np.int64(2), 1, 2)) == (1, 2)
 
 
 def test_build_rejects_duplicates_and_nonprimes():
@@ -176,6 +181,8 @@ def test_build_rejects_duplicates_and_nonprimes():
     with pytest.raises(InvalidArgument):
         # norm 4 element: (1 + theta) * conj = 4, not a prime ideal
         build_index_code(f7, [principal_ideal(f7.element((1, 1)))])
+    with pytest.raises(InvalidArgument, match="not a prime ideal"):
+        build_index_code(field, [principal_ideal(field.element((6, 0)))])  # (6), norm 36
     with pytest.raises(InvalidArgument):
         build_index_code(field, [])
 

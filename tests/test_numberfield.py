@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import sympy
 
-from latticedex.errors import InvalidArgument
+from latticedex.errors import Infeasible, InvalidArgument
+from latticedex.numberfield import field as field_mod
 from latticedex.numberfield import (
     AlgebraicInt,
     NumberField,
@@ -108,6 +109,29 @@ def test_imaginary_quadratic_pid_flag():
     for field in (quadratic_field(-5), quadratic_field(-6), quadratic_field(5),
                   cyclotomic_field(5)):
         assert not field.is_imaginary_quadratic_pid
+
+
+def test_oversized_fields_refused_before_any_table():
+    # degree 33..50 and 210..1008: refused at once, not built (or overflowed)
+    for family, m in (("maximal_real", 67), ("maximal_real", 101), ("cyclotomic", 211),
+                      ("cyclotomic", 1009), ("cyclotomic", 10**40)):
+        with pytest.raises(Infeasible, match="degree"):
+            NumberField(family, m)
+    assert maximal_real_field(61).n == 30 and cyclotomic_field(64).n == 32
+
+
+def test_trace_form_outside_int64_refused(monkeypatch):
+    monkeypatch.setattr(field_mod, "MAX_DEGREE", 60)
+    with pytest.raises(Infeasible, match="int64"):
+        maximal_real_field(67)
+
+
+def test_field_from_dict_checks_shape():
+    for d in (5, [5], {}, {"family": "quadratic"}, {"family": 5, "param": 5},
+              {"family": "quadratic", "param": "5"}, {"family": "quadratic", "param": True},
+              {"family": "quadratic", "param": 5.0}):
+        with pytest.raises(InvalidArgument, match="field must be"):
+            field_from_dict(d)
 
 
 def test_field_round_trip_and_identity():
