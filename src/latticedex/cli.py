@@ -265,6 +265,8 @@ def cmd_simulate(args):
     else:
         sets = [[]] + [[i + 1] for i in range(k)]
     sets = [code.check_side_info(s) for s in sets]  # all of them before any sweep
+    if not sets:
+        raise InvalidArgument("the side-information set list is empty; [[]] simulates S = {}")
     if not spec.snr_db:
         raise InvalidArgument("no snr grid: set snr_db in the config or pass --snr")
 

@@ -24,10 +24,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
 from ..errors import Infeasible, InvalidArgument
 from .linalg import INT64_MAX, det_int
+from .modp import is_prime, is_squarefree, prime_factors
 
 IMAGINARY_PID_DS = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 # Largest degree a field may have.  Building one costs about n^3 and every
@@ -152,7 +152,10 @@ class NumberField:
             d = int(param)
             if d in (0, 1):
                 raise InvalidArgument("d must be a squarefree integer other than 0, 1")
-            if any(e >= 2 for e in sympy.factorint(abs(d)).values()):
+            # the trace form holds |d|, so a d outside int64 is refused before any factoring
+            if abs(d) > INT64_MAX:
+                raise Infeasible(f"d = {d} leaves the int64 range of the trace form")
+            if not is_squarefree(abs(d)):
                 raise InvalidArgument(f"d = {d} is not squarefree")
             if d % 4 == 1:
                 self.min_poly = ((1 - d) // 4, -1, 1)
@@ -168,13 +171,19 @@ class NumberField:
             if m < 3 or m % 4 == 2:
                 raise InvalidArgument("need m >= 3 with m != 2 (mod 4)")
             # phi(m) >= sqrt(m/2): a larger m is refused without factoring it
-            if m > 2 * MAX_DEGREE**2 or sympy.totient(m) > MAX_DEGREE:
+            if m > 2 * MAX_DEGREE**2:
                 raise Infeasible(f"Q(zeta{m}) has degree phi({m}) > {MAX_DEGREE}, "
                                  "the largest accepted")
+            primes = prime_factors(m)
+            n = m
+            for p in primes:
+                n = n // p * (p - 1)
+            if n > MAX_DEGREE:
+                raise Infeasible(f"Q(zeta{m}) has degree phi({m}) = {n} > {MAX_DEGREE}, "
+                                 "the largest accepted")
             self.min_poly = cyclotomic_poly(m)
-            n = len(self.min_poly) - 1
             disc = m**n
-            for p in sympy.factorint(m):
+            for p in primes:
                 disc //= p ** (n // (p - 1))
             if (n // 2) % 2:
                 disc = -disc
@@ -183,7 +192,7 @@ class NumberField:
             self.r1, self.r2 = 0, n // 2
         elif family == "maximal_real":
             m = int(param)
-            if m < 5 or not sympy.isprime(m):
+            if m < 5 or not is_prime(m):
                 raise InvalidArgument("need a prime m >= 5")
             if (m - 1) // 2 > MAX_DEGREE:
                 raise Infeasible(f"Q(zeta{m}+) has degree "

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from ..errors import InvalidArgument, InvariantViolation, Unsupported
 from .field import AlgebraicInt, NumberField, kronecker_symbol
@@ -24,6 +23,7 @@ from .linalg import (
     reduce_mod_hnf,
     reduce_mod_hnf_batch,
 )
+from .modp import factor_mod_p, is_prime
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def is_coprime(i1, i2):
 
 
 def _check_prime(p):
-    if not isinstance(p, int) or not sympy.isprime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise InvalidArgument(f"p = {p!r} is not a prime")
 
 
@@ -227,15 +227,8 @@ def factor_minpoly_mod_p(field, p):
     Returns a deterministically sorted list of (coeffs_low_to_high, mult)
     with coefficients lifted to [0, p).
     """
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(field.min_poly)), x, modulus=p)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
-        out.append((tuple(coeffs), int(mult)))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out
+    _check_prime(p)
+    return factor_mod_p(field.min_poly, p)
 
 
 def prime_ideals_above(field, p):
@@ -250,7 +243,7 @@ def prime_ideals_above(field, p):
             f"p = {p} ramifies in {field.name} (divides m = {field.param}); not offered"
         )
     ideals = []
-    for coeffs, mult in factor_minpoly_mod_p(field, p):
+    for coeffs, mult in factor_mod_p(field.min_poly, p):
         coords = [0] * field.n
         for j, c in enumerate(coeffs):
             if c:

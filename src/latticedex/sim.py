@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -93,6 +94,9 @@ class SimConfig:
             raise Unsupported("simulation needs an m = 1 code with the identity generator")
         if self.channel not in ("awgn", "rayleigh"):
             raise InvalidArgument(f"unknown channel {self.channel!r}")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in self.snr_db):
+            raise InvalidArgument(f"snr values must be numbers, got {list(self.snr_db)!r}")
         grid = tuple(float(v) for v in self.snr_db)
         if not grid:
             raise InvalidArgument("snr grid is empty")

@@ -334,6 +334,30 @@ def test_simulate_writes_curves_and_gaps(tmp_path, capsys):
     assert len(base.read_text().splitlines()) == 5
 
 
+def test_simulate_refuses_an_empty_set_list(tmp_path, capsys):
+    assert main(["simulate", "--preset", "example1", "--sets", "[]", "--snr", "10",
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+    # one empty set is S = {}
+    assert main(["simulate", "--preset", "example1", "--sets", "[[]]", "--snr", "10",
+                 "--trials", "4096", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "example1_awgn_Snone.csv").exists()
+
+
+def test_simulate_refuses_non_numeric_snr(tmp_path, capsys):
+    doc = spec_from_preset("example1").to_dict()
+    path = tmp_path / "cfg.json"
+    for grid in (["a"], [True, 2], [None], [10, "12"]):
+        path.write_text(json.dumps({**doc, "snr_db": grid, "out_dir": str(tmp_path)}))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path), "--trials", "100"]) == 1, grid
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (grid, err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_respects_config_sets(tmp_path):
     spec = spec_from_preset("example1")
     spec.side_info_sets = [[1]]
@@ -417,6 +441,18 @@ def test_simulate_label_override(tmp_path):
 
 
 # ---- presets ----
+
+def test_commands_run_without_sympy():
+    # numpy is the only runtime dependency; sympy serves the tests as an oracle
+    script = ("import sys, latticedex.cli as c; "
+              "assert c.main(['presets']) == 0; "
+              "assert c.main(['analyze', '--preset', 'example1']) == 0; "
+              "assert 'sympy' not in sys.modules, 'sympy was imported'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(latticedex.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_presets_lists_all(capsys):
     assert main(["presets"]) == 0

@@ -126,6 +126,18 @@ def test_trace_form_outside_int64_refused(monkeypatch):
         maximal_real_field(67)
 
 
+def test_huge_quadratic_d_refused_before_factoring(monkeypatch):
+    # a 130-bit semiprime used to be factored (8 s) before the int64 guard refused it
+    def boom(n):
+        raise AssertionError(f"squarefree test called on {n}")
+
+    monkeypatch.setattr(field_mod, "is_squarefree", boom)
+    semiprime = int(sympy.nextprime(2**64)) * int(sympy.nextprime(2**65))
+    for d in (semiprime, -semiprime, 2**63, -(2**63) - 3):
+        with pytest.raises(Infeasible, match="int64"):
+            quadratic_field(d)
+
+
 def test_field_from_dict_checks_shape():
     for d in (5, [5], {}, {"family": "quadratic"}, {"family": 5, "param": 5},
               {"family": "quadratic", "param": "5"}, {"family": "quadratic", "param": True},

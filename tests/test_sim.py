@@ -51,6 +51,11 @@ def test_config_validation(ex1_code):
                  (8.0, math.inf)):
         with pytest.raises(InvalidArgument):
             _cfg(ex1_code, snr_db=grid)
+    # ["a"] raised a bare ValueError and [True, 2] ran at 1 and 2 dB
+    for grid in (("a",), (True, 2), (None,), ("10",), (8.0, [9.0])):
+        with pytest.raises(InvalidArgument, match="snr values must be numbers"):
+            _cfg(ex1_code, snr_db=grid)
+    assert _cfg(ex1_code, snr_db=(8, np.float32(9.5), np.int64(11))).snr_db == (8.0, 9.5, 11.0)
 
 
 def test_config_digest_tracks_inputs(ex1_code, ex2_code):
