@@ -92,13 +92,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _snr_value(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidArgument(f"snr value {text!r} is not a number") from None
+
+
 def _parse_snr(text):
     """Either 'a,b,c' or 'start:stop:step' (stop inclusive)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidArgument("snr range must be start:stop:step")
-        start, stop, step = (float(v) for v in parts)
+        start, stop, step = (_snr_value(v) for v in parts)
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise InvalidArgument("snr range bounds and step must be finite")
         if step <= 0:
@@ -109,7 +116,7 @@ def _parse_snr(text):
             grid.append(round(v, 9))
             v += step
         return grid
-    return [float(v) for v in text.split(",") if v.strip()]
+    return [_snr_value(v) for v in text.split(",") if v.strip()]
 
 
 def _parse_sets(text, k, k_cap=20):

@@ -98,6 +98,10 @@ def test_parse_snr():
     for text in ("10:20:inf", "nan:20:1", "0:inf:1"):
         with pytest.raises(InvalidArgument):
             _parse_snr(text)
+    # these ended in a ValueError traceback
+    for text in ("a", "10,x", "1:a:2"):
+        with pytest.raises(InvalidArgument, match="not a number"):
+            _parse_snr(text)
 
 
 def test_parse_sets():
