@@ -446,11 +446,15 @@ def test_simulate_label_override(tmp_path):
 
 # ---- presets ----
 
-def test_commands_run_without_sympy():
+def test_commands_run_without_sympy(tmp_path):
     # numpy is the only runtime dependency; sympy serves the tests as an oracle
+    out = str(tmp_path)
     script = ("import sys, latticedex.cli as c; "
               "assert c.main(['presets']) == 0; "
               "assert c.main(['analyze', '--preset', 'example1']) == 0; "
+              f"assert c.main(['design', '--preset', 'maxreal-K3', '--out-dir', {out!r}]) == 0; "
+              "assert c.main(['simulate', '--preset', 'example1', '--snr', '10', '--trials', "
+              f"'4096', '--workers', '1', '--out-dir', {out!r}]) == 0; "
               "assert 'sympy' not in sys.modules, 'sympy was imported'")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(latticedex.__file__)), os.environ.get("PYTHONPATH", "")]))
