@@ -24,7 +24,7 @@ import numpy as np
 from .codec import build_index_code, minkowski_bound_sq, rate
 from .errors import Infeasible, InvalidArgument, InvariantViolation
 # bench/workloads.py traces enumeration through analysis.short_vectors too
-from .numberfield.linalg import short_vectors, shortest_nonzero  # noqa: F401
+from .numberfield.linalg import short_vectors, shortest_nonzero, sublattice_gram  # noqa: F401
 
 SIX_DB = 20.0 * math.log10(2.0)  # exact gain of PID constructions, ~6.0206
 _PAIR_CHUNK = 512
@@ -92,9 +92,8 @@ class FadingReport:
 
 def ideal_lambda1_sq(ideal):
     """Exact squared length of the shortest nonzero vector of Psi(ideal)."""
-    B = np.array(ideal.basis_columns(), dtype=np.int64).T
-    gram2 = B.T @ ideal.field.gram2_np @ B
-    val, _ = shortest_nonzero(gram2)
+    # the HNF's columns are a Z-basis of the ideal
+    val, _ = shortest_nonzero(sublattice_gram(ideal.hnf, ideal.field.gram2))
     return Fraction(int(val), 2)
 
 

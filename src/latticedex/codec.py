@@ -5,8 +5,10 @@ A code lives on m copies of O_K mixed by an invertible generator matrix G~
 over O_K; the default 1x1 identity gives the plain code on O_K itself.  Its
 points are minimum-energy representatives of G~ O_K^m modulo G~ I^m with
 I = prod p_k, and message k is u mod p_k slot by slot, an element of
-(O_K/p_k)^m.  For the plain code, encoding picks for (w_1, ..., w_K) the
-representative of sum_k e_k * w_k mod I where the e_k are CRT idempotents.
+(O_K/p_k)^m.  The p_k are distinct prime ideals, so each O_K/p_k is a finite
+field and the p_k are pairwise coprime; IndexCode alone checks this.  For
+the plain code, encoding picks for (w_1, ..., w_K) the representative of
+sum_k e_k * w_k mod I where the e_k are CRT idempotents.
 Per-coset representatives minimize the canonical-embedding energy, with ties
 broken lexicographically on exact integer coordinates, so constellations are
 reproducible.  Message components are canonical HNF residues of O_K / p_k;
@@ -15,7 +17,7 @@ finite-field operations are ring operations followed by reduction.
 A plain code's file is the JSON of to_dict() with sorted keys: save_code
 writes it with indent=1, and content_hash is the SHA-256 of its compact form.
 Both stream the text from one emitter; code_from_dict checks a loaded file
-against what the math requires.
+against what the math requires, reading each prime from its HNF alone.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from .numberfield import (
     Ideal,
     field_from_dict,
     ideal_to_dict,
-    is_coprime,
     prime_ideals_above,
     whole_ring,
 )
-from .numberfield.linalg import INT64_MAX, det_int, short_vectors, solve_columns
+from .numberfield.linalg import (INT64_MAX, det_int, short_vectors, solve_columns,
+                                 sublattice_gram)
 
 DEFAULT_ENUMERATION_CAP = 10**6
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
@@ -80,43 +82,43 @@ def minkowski_bound_sq(field, ideal):
     )
 
 
-def _ensure_prime_tags(field, primes):
-    """Adopt (p, e, f) tags on explicitly supplied ideals by matching them
-    against the prime ideals above p, where the HNF corner hnf[0][0]
-    generates the ideal's intersection with Z, which is pZ for a prime."""
-    tagged = []
+def _code_primes(field, primes):
+    """The primes of a code, checked: one or more distinct prime ideals of field.
+
+    Each ideal is replaced by its match among the prime ideals above p, where
+    the HNF corner hnf[0][0] generates the ideal's intersection with Z (pZ
+    for a prime), so untagged ideals come back with their (p, e, f) tags; p
+    is factored once per call.  Distinct primes are coprime, all the CRT asks.
+    """
+    above, out = {}, []
     for ideal in primes:
         if not isinstance(ideal, Ideal) or ideal.field != field:
             raise InvalidArgument("primes must be ideals of the code's field")
-        if ideal.is_prime_tagged:
-            tagged.append(ideal)
-            continue
-        try:
-            above = prime_ideals_above(field, int(ideal.hnf[0][0]))
-        except InvalidArgument:  # hnf[0][0] is not a prime
-            above = ()
-        match = next((q for q in above if q == ideal), None)
+        p = int(ideal.hnf[0][0])
+        if p not in above:
+            try:
+                above[p] = prime_ideals_above(field, p)
+            except InvalidArgument:  # hnf[0][0] is not a prime
+                above[p] = ()
+        match = next((q for q in above[p] if q == ideal), None)
         if match is None:
             raise InvalidArgument(f"ideal of norm {ideal.norm} is not a prime ideal")
-        tagged.append(match)
-    return tuple(tagged)
+        if match in out:
+            raise InvalidArgument(f"duplicate prime ideal {match.label()}")
+        out.append(match)
+    if not out:
+        raise InvalidArgument("need at least one prime ideal")
+    return tuple(out)
 
 
 def crt_idempotents(primes):
-    """Elements e_k with e_k = 1 mod p_k and e_k = 0 mod p_j (j != k).
+    """Elements e_k with e_k = 1 mod p_k and e_k = 0 mod p_j (j != k) for
+    distinct prime ideals, as _code_primes returns them.
 
     Solves u + v = 1 with u in p_k and v in prod_{j != k} p_j over the
     concatenated Z-bases (HNF-based integer solve), which works in non-PIDs.
     """
-    if not primes:
-        raise InvalidArgument("need at least one prime ideal")
     field = primes[0].field
-    for a in range(len(primes)):
-        for b in range(a + 1, len(primes)):
-            if not is_coprime(primes[a], primes[b]):
-                raise InvalidArgument(
-                    f"ideals {primes[a].label()} and {primes[b].label()} are not coprime"
-                )
     one = (1,) + (0,) * (field.n - 1)
     out = []
     for k, pk in enumerate(primes):
@@ -126,8 +128,8 @@ def crt_idempotents(primes):
                 rest = rest * pj
         cols = pk.basis_columns() + rest.basis_columns()
         z = solve_columns(cols, one)
-        if z is None:
-            raise InvalidArgument("ideals are not coprime")
+        if z is None:  # distinct primes are coprime
+            raise InvariantViolation(f"no CRT idempotent for {pk.label()}")
         qcols = rest.basis_columns()
         coords = [0] * field.n
         for j, zj in enumerate(z[field.n :]):
@@ -164,9 +166,11 @@ def _generator_lattice(field, gmatrix):
             cols.append([v for r in range(m) for v in field.mul_coords(rows[r][j].coords, unit)])
     if det_int(cols) == 0:  # det of the integer basis is +-N(det G~)
         raise InvalidArgument("generator matrix is singular")
-    basis = np.array(cols, dtype=np.int64).T
-    gram2 = basis.T @ np.kron(np.eye(m, dtype=np.int64), field.gram2_np) @ basis
-    return rows, basis, gram2
+    basis = np.array(cols, dtype=object).T
+    gram2 = sublattice_gram(basis, np.kron(np.eye(m, dtype=np.int64), field.gram2_np))
+    if max(abs(v) for v in (*basis.flat, *gram2.flat)) > INT64_MAX:
+        raise Infeasible("the code lattice leaves the int64 range")
+    return rows, basis.astype(np.int64), gram2.astype(np.int64)
 
 
 def _mixed_radix(digits, radices):
@@ -243,6 +247,10 @@ def _min_energy_representatives(field, modulus, gram2, m):
 class IndexCode:
     """Immutable index code on m copies of O_K; build with build_index_code.
 
+    The constructor takes the field, the primes and one point per coset of
+    I^m, and is the one place that checks the primes (_code_primes): built,
+    loaded or made directly, a code holds tagged, distinct prime ideals.
+
     size is the number of points M, num_messages the number of messages K and
     dimension the real dimension m*n.  coords_matrix holds the slot-major
     power-basis coordinates of u, embedded the canonical embedding of the
@@ -252,10 +260,10 @@ class IndexCode:
 
     def __init__(self, field, primes, coords, gmatrix=None):
         self.field = field
-        self.primes = tuple(primes)
         self.gmatrix, self.basis, self.gram2 = _generator_lattice(field, gmatrix)
+        self.primes = _code_primes(field, primes)
         self.m = m = len(self.gmatrix)
-        idempotents = crt_idempotents(self.primes)  # also rejects empty or non-coprime primes
+        idempotents = crt_idempotents(self.primes)
         self.modulus = functools.reduce(operator.mul, self.primes)
         self.idempotents = tuple(self.modulus.reduce(e) for e in idempotents)
         for k, e in enumerate(self.idempotents):
@@ -377,10 +385,10 @@ class IndexCode:
         return ideal
 
     def side_sublattice_gram(self, s):
-        """Doubled Gram of the u-sublattice with every slot in prod_{k in S} p_k."""
-        H = np.array(self.side_ideal(s).hnf, dtype=np.int64)
-        T = np.kron(np.eye(self.m, dtype=np.int64), H)
-        return T.T @ self.gram2 @ T
+        """Doubled Gram of the u-sublattice with every slot in prod_{k in S} p_k,
+        exact (an object array of Python ints)."""
+        H = np.array(self.side_ideal(s).hnf, dtype=object)
+        return sublattice_gram(np.kron(np.eye(self.m, dtype=object), H), self.gram2)
 
     def side_index(self, s, msg=None):
         """Index of w_S among the messages on S (w_1 most significant): of
@@ -441,20 +449,14 @@ class IndexCode:
 
 def build_index_code(field, primes, gmatrix=None, *,
                      enumeration_cap=DEFAULT_ENUMERATION_CAP):
-    """Build the index code for the given coprime prime ideals.
+    """Build the index code for the given distinct prime ideals.
 
     gmatrix is an invertible m x m generator over O_K (ring elements or
     rational integers; default the 1x1 identity).  enumeration_cap limits
     the constellation size N(I)^m.
     """
     gmatrix, _, gram2 = _generator_lattice(field, gmatrix)
-    primes = _ensure_prime_tags(field, primes)
-    if not primes:
-        raise InvalidArgument("need at least one prime ideal")
-    for a in range(len(primes)):
-        for b in range(a + 1, len(primes)):
-            if primes[a] == primes[b]:
-                raise InvalidArgument(f"duplicate prime ideal {primes[a].label()}")
+    primes = _code_primes(field, primes)
     modulus = functools.reduce(operator.mul, primes)
     count = modulus.norm ** len(gmatrix)
     if count > enumeration_cap:
@@ -538,31 +540,22 @@ def load_code(path):
     return code_from_dict(doc)
 
 
-def _stored_prime(field, d, above):
-    """The prime ideal that a code file stores as d: exactly what
-    ideal_to_dict writes for one of the prime ideals above its p.  above
-    caches prime_ideals_above by p."""
-    p = d.get("p") if isinstance(d, dict) else None
-    if type(p) is not int:
-        raise InvalidArgument("stored primes must be objects with an integer p")
-    if p not in above:
-        try:
-            above[p] = prime_ideals_above(field, p)
-        except Unsupported as e:
-            raise InvalidArgument(str(e)) from None
-    match = next((q for q in above[p] if ideal_to_dict(q) == d), None)
-    if match is None:
-        raise InvalidArgument(f"stored ideal above {p} is not a prime ideal of {field.name}")
-    return match
+def _int64_rows(rows, width):
+    """True for a list of lists of width Python ints within int64."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and len(row) == width
+        and all(type(v) is int and -2**63 <= v < 2**63 for v in row) for row in rows)
 
 
 def code_from_dict(doc):
     """The code stored in a code file's dict, checked against what the math
     requires; anything malformed or inconsistent raises InvalidArgument.
 
-    Types and shapes are checked here.  IndexCode checks the points (one per
-    coset of I, coordinates safe for int64 work), and the stored values
-    are compared with what it recomputes from the points."""
+    Types and shapes are checked here.  Each stored prime becomes an
+    untagged ideal from its HNF alone; IndexCode checks the primes (prime,
+    distinct, tagged) and the points (one per coset of I, coordinates safe
+    for int64 work), and the stored values are compared with what it
+    recomputes."""
     if not isinstance(doc, dict) or doc.get("format") != "latticedex-code-v1":
         raise InvalidArgument("not a latticedex code file")
     missing = [key for key in _FILE_KEYS if key not in doc]
@@ -578,30 +571,27 @@ def code_from_dict(doc):
     if type(doc["gamma"]) is not float:
         raise InvalidArgument("gamma must be a number")
     field = field_from_dict(doc["field"])
-    if not (isinstance(doc["primes"], list) and doc["primes"]):
-        raise InvalidArgument("primes must be a nonempty list")
-    above = {}
-    primes = tuple(_stored_prime(field, d, above) for d in doc["primes"])
-    if not all(isinstance(row, list) and len(row) == field.n
-               and all(type(v) is int and -2**63 <= v < 2**63 for v in row) for row in rows):
-        raise InvalidArgument(f"point coordinates must be {field.n} integers within int64")
-    try:  # in a file, a point set IndexCode refuses is bad input, not a bug
-        code = IndexCode(field, primes, np.array(rows, dtype=np.int64))
-    except InvariantViolation as e:
+    n = field.n
+    stored = doc["primes"] if isinstance(doc["primes"], list) else [None]
+    hnfs = [d.get("hnf") if isinstance(d, dict) else None for d in stored]
+    if not all(_int64_rows(h, n) and len(h) == n for h in hnfs):
+        raise InvalidArgument(f"primes must be a list of objects with an {n}x{n} integer hnf")
+    if not _int64_rows(rows, n):
+        raise InvalidArgument(f"point coordinates must be {n} integers within int64")
+    try:  # in a file, a code IndexCode refuses is bad input, not a bug
+        code = IndexCode(field, [Ideal(field, tuple(map(tuple, h))) for h in hnfs],
+                         np.array(rows, dtype=np.int64))
+    except (InvariantViolation, Unsupported) as e:
         raise InvalidArgument(str(e)) from None
-    if [list(r) for r in code.modulus.hnf] != doc["modulus_hnf"]:
-        raise InvalidArgument("modulus HNF does not match the primes in the file")
-    if [list(e.coords) for e in code.idempotents] != doc["idempotents"]:
-        raise InvalidArgument("stored idempotents disagree with the primes")
+    header = code._file_header()
+    for key in ("primes", "modulus_hnf", "idempotents", "alphabet_sizes", "mean_energy"):
+        if json.dumps(doc[key], sort_keys=True) != json.dumps(header[key], sort_keys=True):
+            raise InvalidArgument(f"stored {key} disagrees with the primes and points")
     if any(code.labels[i:i + _POINT_BLOCK].tolist() != labels[i:i + _POINT_BLOCK]
            for i in range(0, code.size, _POINT_BLOCK)):
         raise InvalidArgument("stored labels disagree with recomputed residues")
     if not abs(code.gamma - doc["gamma"]) <= 1e-12 * code.gamma:
         raise InvalidArgument("stored gamma disagrees with recomputed normalization")
-    if doc["mean_energy"] != [code.mean_energy.numerator, code.mean_energy.denominator]:
-        raise InvalidArgument("stored mean energy disagrees with the points")
-    if doc["alphabet_sizes"] != list(code.alphabet_sizes):
-        raise InvalidArgument("stored alphabet sizes disagree with the primes")
     try:
         embedded = np.array(embedded)
     except (TypeError, ValueError) as e:

@@ -155,6 +155,13 @@ def reduce_mod_hnf_batch(vecs, hnf):
     return V
 
 
+def sublattice_gram(basis, gram):
+    """B^T G B exactly: the Gram matrix under gram of the lattice spanned by
+    the columns of basis, as an object array of Python ints."""
+    B = np.array(basis, dtype=object)
+    return B.T @ np.array(gram, dtype=object) @ B
+
+
 # ============================================================
 # Determinant (Bareiss, fraction free)
 # ============================================================
@@ -319,7 +326,8 @@ def _enumerate(U, R, bound2, include_zero):
 
 
 def short_vectors(gram2, bound2, include_zero=False):
-    """All integer vectors with x^T G2 x <= bound2, exactly.
+    """All integer vectors with x^T G2 x <= bound2, exactly (G2 in int64 or
+    Python ints).
 
     Returns (X, norms2): X is (M, n) int64, norms2 is (M,) int64, rows in no
     particular order.  The search runs in an LLL-reduced basis and scores
@@ -327,17 +335,18 @@ def short_vectors(gram2, bound2, include_zero=False):
     include_zero.  Raises Infeasible when the search would exceed
     _ENUM_LIMIT candidate rows at one level or leave the int64 range.
     """
-    U, R = lll_gram(np.asarray(gram2, dtype=np.int64).tolist())
+    U, R = lll_gram(gram2)
     return _enumerate(U, R, bound2, include_zero)
 
 
 def shortest_nonzero(gram2):
-    """(min positive x^T G2 x, lexicographically smallest minimizer).
+    """(min positive x^T G2 x, lexicographically smallest minimizer); G2 in
+    int64 or Python ints.
 
     The search radius is the smallest diagonal entry of the LLL-reduced Gram
     (its shortest basis vector), which always contains a minimizer.
     """
-    U, R = lll_gram(np.asarray(gram2, dtype=np.int64).tolist())
+    U, R = lll_gram(gram2)
     X, norms = _enumerate(U, R, min(R[i][i] for i in range(len(R))), False)
     best = int(norms.min())
     cands = X[norms == best]

@@ -43,16 +43,6 @@ class SimPoint:
     ci_low: float
     ci_high: float
 
-    def to_dict(self):
-        return {
-            "snr_db": self.snr_db,
-            "errors": self.errors,
-            "trials": self.trials,
-            "ser": self.ser,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -63,17 +53,6 @@ class SimResult:
     code_hash: str
     config_digest: str
     points: tuple
-
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "channel": self.channel,
-            "side_info": list(self.side_info),
-            "seed": self.seed,
-            "code_hash": self.code_hash,
-            "config_digest": self.config_digest,
-            "points": [p.to_dict() for p in self.points],
-        }
 
 
 @dataclass

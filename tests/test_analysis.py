@@ -1,7 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from latticedex import (
     Infeasible,
@@ -11,6 +13,7 @@ from latticedex import (
     diversity_and_product_distance,
     gain_bounds,
     ideal_lambda1_sq,
+    maximal_real_field,
     min_distance,
     minkowski_upper_bound,
     overall_side_info_gain,
@@ -20,6 +23,30 @@ from latticedex import (
     whole_ring,
 )
 from latticedex.analysis import SIX_DB
+from latticedex.numberfield.linalg import lll_gram
+
+
+def test_lambda1_exact_where_int64_gram_products_wrap():
+    # N(I) = 3,916,788,343 in Q(zeta7+): the int64 product H^T G H wrapped and
+    # the LLL refused the result as "not positive definite"
+    field = maximal_real_field(7)
+    ideal = whole_ring(field)
+    for p in (13, 29, 41, 43, 71, 83):
+        ideal = ideal * prime_ideals_above(field, p)[0]
+    assert ideal.norm == 3_916_788_343
+    got = ideal_lambda1_sq(ideal)
+    # independent check in Python ints: the Gram from sympy, an LLL basis
+    # checked to span the same lattice, then every point of the exact box
+    # |y_i|^2 <= bound * (R^-1)_ii around the origin
+    H = sympy.Matrix(ideal.hnf)
+    G = H.T * sympy.Matrix(field.gram2) * H
+    U, R = (sympy.Matrix(M) for M in lll_gram(G.tolist()))
+    assert abs(U.det()) == 1 and U.T * G * U == R
+    bound = min(R[i, i] for i in range(field.n))
+    box = [math.isqrt(int(sympy.floor(bound * R.inv()[i, i]))) for i in range(field.n)]
+    best = min(int((sympy.Matrix([y]) * R * sympy.Matrix(y))[0])
+               for y in itertools.product(*(range(-b, b + 1) for b in box)) if any(y))
+    assert got == Fraction(best, 2)
 
 
 def test_lambda1_oracles_example1(ex1_code):

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+import operator
 import random
 
 import numpy as np
@@ -25,7 +27,8 @@ from latticedex import (
     whole_ring,
 )
 from latticedex import codec
-from latticedex.codec import code_from_dict
+from latticedex.codec import IndexCode, code_from_dict
+from latticedex.numberfield import Ideal
 
 
 def test_example1_shape(ex1_code):
@@ -185,6 +188,69 @@ def test_build_rejects_duplicates_and_nonprimes():
         build_index_code(field, [principal_ideal(field.element((6, 0)))])  # (6), norm 36
     with pytest.raises(InvalidArgument):
         build_index_code(field, [])
+
+
+def test_index_code_checks_its_primes(ex1_code):
+    # the constructor is the one gate: untagged primes come out tagged exactly
+    # as build_index_code has them, so the direct code hashes like the built
+    # one and its file loads
+    field, coords = ex1_code.field, ex1_code.coords_matrix
+    a, b = (principal_ideal(field.element(g)) for g in ((-1, 2), (3, 2)))
+    assert not a.is_prime_tagged
+    direct = IndexCode(field, [a, b], coords[::-1])
+    assert direct.content_hash() == ex1_code.content_hash()
+    assert code_from_dict(direct.to_dict()).content_hash() == ex1_code.content_hash()
+    # wrong tags on the right HNF are replaced by the true ones
+    fake = Ideal(field, b.hnf, residue_char=11, ramification=2, inertia=1)
+    assert IndexCode(field, [a, fake], coords).content_hash() == ex1_code.content_hash()
+    # (2t-1)(3+2t) has norm 55: one "message" whose alphabet is not a field
+    with pytest.raises(InvalidArgument, match="not a prime ideal"):
+        IndexCode(field, [a * b], coords)
+    with pytest.raises(InvalidArgument, match="duplicate"):
+        IndexCode(field, [b, b], coords)
+    with pytest.raises(InvalidArgument, match="at least one"):
+        IndexCode(field, [], coords)
+    with pytest.raises(InvalidArgument, match="field"):
+        IndexCode(field, [prime_ideals_above(quadratic_field(-1), 5)[0]], coords)
+
+
+_SQUAREFREE_D = [d for d in range(-30, 31)
+                 if d not in (0, 1) and all(d % (q * q) for q in (2, 3, 5))]
+
+
+@st.composite
+def _quadratic_primes(draw):
+    """A quadratic field and 1-3 distinct primes above p < 30, split, inert or
+    ramified, of norm product at most 300."""
+    field = quadratic_field(draw(st.sampled_from(_SQUAREFREE_D)))
+    above = [q for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+             for q in prime_ideals_above(field, p)]
+    primes = []
+    for _ in range(draw(st.integers(1, 3))):
+        room = 300 // math.prod(q.norm for q in primes)
+        options = [q for q in above if q.norm <= room and q not in primes]
+        if options:
+            primes.append(draw(st.sampled_from(options)))
+    return field, primes
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_quadratic_primes())
+def test_crt_idempotents_and_the_prime_gate(case, tmp_path_factory):
+    field, primes = case
+    idempotents = codec.crt_idempotents(primes)
+    for k, e in enumerate(idempotents):
+        for j, p in enumerate(primes):
+            assert p.reduce(e) == p.reduce(field.one if j == k else field.zero)
+    modulus = functools.reduce(operator.mul, primes)
+    assert modulus.reduce(functools.reduce(operator.add, idempotents)) == modulus.reduce(1)
+    # untagged copies of the primes give the built code, and it survives its file
+    code = build_index_code(field, primes)
+    direct = IndexCode(field, [Ideal(field, q.hnf) for q in primes], code.coords_matrix[::-1])
+    assert direct.content_hash() == code.content_hash()
+    path = tmp_path_factory.mktemp("code") / "code.json"
+    save_code(direct, path)
+    assert load_code(path).content_hash() == code.content_hash()
 
 
 def test_build_respects_enumeration_cap():

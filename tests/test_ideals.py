@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from latticedex.codec import _stored_prime
+from latticedex.codec import build_index_code, code_from_dict
 from latticedex.errors import InvalidArgument, Unsupported
 from latticedex.numberfield import (
     classify_prime,
@@ -173,10 +173,13 @@ def test_ideal_equality_independent_of_generators():
 
 
 def test_ideal_dict_round_trip():
-    # code files read a stored prime back by matching it among the primes above p
+    # a code file stores each prime as ideal_to_dict writes it and reads it back
+    # from its HNF alone: the code's prime check restores the tags
     field = quadratic_field(-5)
     for q in prime_ideals_above(field, 7):
-        again = _stored_prime(field, ideal_to_dict(q), {})
+        doc = build_index_code(field, [q]).to_dict()
+        assert doc["primes"] == [ideal_to_dict(q)]
+        again = code_from_dict(doc).primes[0]
         assert again == q
         assert again.residue_char == q.residue_char
         assert again.ramification == q.ramification
