@@ -42,8 +42,8 @@ from .numberfield import (
     prime_ideals_above,
     whole_ring,
 )
-from .numberfield.linalg import (INT64_MAX, det_int, short_vectors, solve_columns,
-                                 sublattice_gram)
+from .numberfield.linalg import (INT64_MAX, det_int, mixed_radix, short_vectors,
+                                 solve_columns, sublattice_gram)
 
 DEFAULT_ENUMERATION_CAP = 10**6
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
@@ -153,17 +153,14 @@ def _generator_lattice(field, gmatrix):
     m = len(gmatrix)
     if m == 0 or any(len(row) != m for row in gmatrix):
         raise InvalidArgument("generator matrix must be square and nonempty")
-    rows = tuple(
-        tuple(e if isinstance(e, AlgebraicInt) else field.from_int(int(e)) for e in row)
-        for row in gmatrix)
+    rows = tuple(tuple(e if isinstance(e, AlgebraicInt) else field.from_int(e) for e in row)
+                 for row in gmatrix)
     if any(e.field is not field for row in rows for e in row):
         raise InvalidArgument("generator entries must live in the code's field")
-    n = field.n
     cols = []
     for j in range(m):
-        for i in range(n):
-            unit = tuple(1 if t == i else 0 for t in range(n))
-            cols.append([v for r in range(m) for v in field.mul_coords(rows[r][j].coords, unit)])
+        blocks = [field.mul_columns(rows[r][j].coords) for r in range(m)]
+        cols.extend([v for block in blocks for v in block[i]] for i in range(field.n))
     if det_int(cols) == 0:  # det of the integer basis is +-N(det G~)
         raise InvalidArgument("generator matrix is singular")
     basis = np.array(cols, dtype=object).T
@@ -171,18 +168,6 @@ def _generator_lattice(field, gmatrix):
     if max(abs(v) for v in (*basis.flat, *gram2.flat)) > INT64_MAX:
         raise Infeasible("the code lattice leaves the int64 range")
     return rows, basis.astype(np.int64), gram2.astype(np.int64)
-
-
-def _mixed_radix(digits, radices):
-    """Mixed-radix index of every row of digits, column 0 the most significant.
-
-    The one place where slot, message and w_S indices are formed; every
-    product of radices it meets is at most the constellation size.
-    """
-    index = np.zeros(digits.shape[0], dtype=np.int64)
-    for column, radix in zip(digits.T, radices):
-        index = index * radix + column
-    return index
 
 
 def _slot_residues(ideal, coords, m):
@@ -193,7 +178,7 @@ def _slot_residues(ideal, coords, m):
     """
     n = ideal.field.n
     res = ideal.reduce_batch(coords.reshape(-1, n))
-    index = _mixed_radix(ideal.residue_indices(res).reshape(-1, m), (ideal.norm,) * m)
+    index = mixed_radix(ideal.residue_indices(res).reshape(-1, m), (ideal.norm,) * m)
     return res.reshape(-1, m * n), index
 
 
@@ -281,7 +266,7 @@ class IndexCode:
         # order points by row-major message index (w_1 slowest)
         labels, res_idx = zip(*(_slot_residues(p, coords, m) for p in self.primes))
         res_idx = np.stack(res_idx, axis=1)
-        msg_index = _mixed_radix(res_idx, self.alphabet_sizes)
+        msg_index = mixed_radix(res_idx, self.alphabet_sizes)
         if not np.array_equal(np.bincount(msg_index, minlength=self.size), np.ones(self.size)):
             raise InvariantViolation("two points lie in the same coset of I")
         order = np.argsort(msg_index)
@@ -402,7 +387,7 @@ class IndexCode:
         else:
             digits = np.array([[self._residue_index(k, msg.residues[k]) for k in ks]],
                               dtype=np.int64)
-        return _mixed_radix(digits, [self.alphabet_sizes[k] for k in ks])
+        return mixed_radix(digits, [self.alphabet_sizes[k] for k in ks])
 
     def subcode_indices(self, s, fixed=None):
         """Points whose messages in S equal those of the Message fixed (default 0)."""
@@ -579,7 +564,7 @@ def code_from_dict(doc):
     if not _int64_rows(rows, n):
         raise InvalidArgument(f"point coordinates must be {n} integers within int64")
     try:  # in a file, a code IndexCode refuses is bad input, not a bug
-        code = IndexCode(field, [Ideal(field, tuple(map(tuple, h))) for h in hnfs],
+        code = IndexCode(field, [Ideal(field, h) for h in hnfs],
                          np.array(rows, dtype=np.int64))
     except (InvariantViolation, Unsupported) as e:
         raise InvalidArgument(str(e)) from None

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -360,44 +361,30 @@ class NumberField:
     def trace_coords(self, c):
         return sum(cj * self._trace_pow[j] for j, cj in enumerate(c) if cj)
 
-    def norm_coords(self, c):
-        n = self.n
-        a = self.min_poly
-        cols = [list(c)]
+    def mul_columns(self, c):
+        """Columns c * theta^j, j < n: the matrix of multiplication by c."""
+        n, a = self.n, self.min_poly
+        cols = [tuple(c)]
         for _ in range(n - 1):
             prev = cols[-1]
             top = prev[n - 1]
-            cols.append([(prev[r - 1] if r else 0) - top * a[r] for r in range(n)])
-        return det_int([[cols[j][r] for j in range(n)] for r in range(n)])
-
-    def normsq2_coords(self, c):
-        g = self.gram2
-        return sum(ci * sum(gi[j] * c[j] for j in range(self.n)) for ci, gi in zip(c, g))
-
-    def conj_coords(self, c):
-        if self.r2 == 0:
-            return tuple(c)
-        out = [0] * self.n
-        for j, cj in enumerate(c):
-            if cj:
-                pw = self._conj_pow[j]
-                for r in range(self.n):
-                    out[r] += cj * pw[r]
-        return tuple(out)
-
-    def embed_coords(self, c):
-        return self.embed_matrix @ np.asarray(c, dtype=np.float64)
+            cols.append(tuple((prev[r - 1] if r else 0) - top * a[r] for r in range(n)))
+        return cols
 
     # ---- element constructors ----
 
     def element(self, coords):
-        coords = tuple(int(v) for v in coords)
+        """The element with these integer coordinates; anything else (floats,
+        strings, bools) is refused rather than truncated."""
+        coords = tuple(coords)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in coords):
+            raise InvalidArgument(f"coordinates {coords} must be integers")
         if len(coords) != self.n:
             raise InvalidArgument(f"expected {self.n} coordinates, got {len(coords)}")
-        return AlgebraicInt(self, coords)
+        return AlgebraicInt(self, tuple(map(int, coords)))
 
     def from_int(self, k):
-        return self.element((int(k),) + (0,) * (self.n - 1))
+        return self.element((k,) + (0,) * (self.n - 1))
 
     @property
     def zero(self):
@@ -499,20 +486,27 @@ class AlgebraicInt:
         return not any(self.coords)
 
     def norm(self):
-        return self.field.norm_coords(self.coords)
+        return det_int(self.field.mul_columns(self.coords))
 
     def trace(self):
         return self.field.trace_coords(self.coords)
 
     def normsq2(self):
         """2 * ||Psi(x)||^2 as an exact integer."""
-        return self.field.normsq2_coords(self.coords)
+        c = self.coords
+        return sum(ci * sum(g * cj for g, cj in zip(row, c))
+                   for ci, row in zip(c, self.field.gram2))
 
     def embed(self):
-        return self.field.embed_coords(self.coords)
+        return self.field.embed_matrix @ np.asarray(self.coords, dtype=np.float64)
 
     def conj(self):
-        return AlgebraicInt(self.field, self.field.conj_coords(self.coords))
+        """Complex conjugate; the element itself in a totally real field."""
+        f = self.field
+        if f.r2 == 0:
+            return self
+        return AlgebraicInt(f, tuple(sum(cj * pw[r] for cj, pw in zip(self.coords, f._conj_pow))
+                                     for r in range(f.n)))
 
     def __str__(self):
         terms = []

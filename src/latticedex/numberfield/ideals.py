@@ -17,12 +17,7 @@ import numpy as np
 
 from ..errors import InvalidArgument, InvariantViolation, Unsupported
 from .field import AlgebraicInt, NumberField, kronecker_symbol
-from .linalg import (
-    hnf_columns,
-    hnf_contains,
-    reduce_mod_hnf,
-    reduce_mod_hnf_batch,
-)
+from .linalg import hnf_columns, mixed_radix, reduce_mod_hnf, reduce_mod_hnf_batch
 from .modp import factor_mod_p, is_prime
 
 
@@ -37,13 +32,16 @@ class PrimeClass:
 
 
 class Ideal:
-    """A nonzero integral ideal in HNF; prime ideals carry (p, e, f) tags."""
+    """A nonzero integral ideal in HNF; prime ideals carry (p, e, f) tags.
+
+    The HNF is kept as a tuple of tuples of ints, however it is given, so
+    equal ideals compare and hash equal."""
 
     __slots__ = ("field", "hnf", "residue_char", "ramification", "inertia", "two_gen")
 
     def __init__(self, field, hnf, residue_char=None, ramification=None, inertia=None, two_gen=None):
         self.field = field
-        self.hnf = hnf
+        self.hnf = tuple(tuple(int(v) for v in row) for row in hnf)
         self.residue_char = residue_char
         self.ramification = ramification
         self.inertia = inertia
@@ -68,8 +66,7 @@ class Ideal:
         return [AlgebraicInt(self.field, c) for c in self.basis_columns()]
 
     def contains(self, el):
-        el = self._coerce(el)
-        return hnf_contains(self.hnf, el.coords)
+        return self.reduce(el).is_zero
 
     def reduce(self, el):
         """Canonical residue of el modulo this ideal."""
@@ -87,8 +84,8 @@ class Ideal:
     def residue_indices(self, coords):
         """Mixed-radix index of every row of an (M, n) array of canonical
         residues, coordinate 0 least significant; inverse of residues() order."""
-        strides = np.cumprod([1] + [self.hnf[i][i] for i in range(self.field.n - 1)])
-        return np.asarray(coords, dtype=np.int64) @ strides
+        digits = np.asarray(coords, dtype=np.int64)[:, ::-1]
+        return mixed_radix(digits, [self.hnf[i][i] for i in range(self.field.n - 1, -1, -1)])
 
     def residue_index(self, coords):
         """residue_indices of one canonical residue."""
@@ -148,8 +145,7 @@ def ideal_from_generators(field, gens):
             g = field.from_int(g)
         if not isinstance(g, AlgebraicInt) or g.field != field:
             raise InvalidArgument("generators must be elements of the field")
-        for j in range(field.n):
-            cols.append(field.mul_coords(g.coords, field._pow[j]))
+        cols.extend(field.mul_columns(g.coords))
     if not cols or not any(any(c) for c in cols):
         raise InvalidArgument("need at least one nonzero generator")
     return Ideal(field, hnf_columns(cols))
@@ -244,13 +240,9 @@ def prime_ideals_above(field, p):
         )
     ideals = []
     for coeffs, mult in factor_mod_p(field.min_poly, p):
-        coords = [0] * field.n
-        for j, c in enumerate(coeffs):
-            if c:
-                pw = field._pow[j]
-                for r in range(field.n):
-                    coords[r] += c * pw[r]
-        g = AlgebraicInt(field, tuple(coords))
+        g = field.zero
+        for c in reversed(coeffs):  # g(theta) by Horner's rule
+            g = g * field.theta + c
         ideal = ideal_from_generators(field, [field.from_int(p), g])
         f = len(coeffs) - 1
         if ideal.norm != p**f:

@@ -1,7 +1,8 @@
 """Exact integer linear algebra for lattice computations.
 
 Column-style Hermite normal form (with optional unimodular transform),
-fraction-free determinants, triangular residue reduction, integral LLL
+fraction-free determinants, triangular residue reduction, the one
+mixed-radix index of digit rows (mixed_radix), integral LLL
 reduction of Gram matrices, and enumeration of the short vectors of an
 integer Gram matrix.  Everything is arbitrary-precision Python int except
 the enumeration: it LLL-reduces the basis, lets a float Cholesky factor steer
@@ -131,17 +132,9 @@ def reduce_mod_hnf(coords, hnf):
 
 
 def hnf_contains(hnf, coords):
-    """Exact membership test of an integer vector in the HNF column lattice."""
-    v = list(coords)
-    n = len(v)
-    for i in range(n - 1, -1, -1):
-        if v[i] % hnf[i][i]:
-            return False
-        q = v[i] // hnf[i][i]
-        if q:
-            for r in range(i + 1):
-                v[r] -= q * hnf[r][i]
-    return True
+    """Exact membership test of an integer vector in the HNF column lattice:
+    its canonical residue is zero."""
+    return not any(reduce_mod_hnf(coords, hnf))
 
 
 def reduce_mod_hnf_batch(vecs, hnf):
@@ -153,6 +146,19 @@ def reduce_mod_hnf_batch(vecs, hnf):
         q = V[:, i] // H[i, i]
         V[:, : i + 1] -= q[:, None] * H[: i + 1, i]
     return V
+
+
+def mixed_radix(digits, radices):
+    """Mixed-radix index of every row of an (M, k) int64 array of digits,
+    column 0 the most significant.
+
+    The one place where residue, slot, message and w_S indices are formed;
+    every product of radices it meets is at most the constellation size.
+    """
+    index = np.zeros(digits.shape[0], dtype=np.int64)
+    for column, radix in zip(digits.T, radices):
+        index = index * radix + column
+    return index
 
 
 def sublattice_gram(basis, gram):

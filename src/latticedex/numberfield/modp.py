@@ -16,14 +16,14 @@ plain Python integers:
   "A Course in Computational Algebraic Number Theory", section 3.4).
 
 Polynomials are coefficient lists, low to high, with coefficients in
-[0, p) and no trailing zeros; the zero polynomial is [].
+[0, p) and no trailing zeros; the zero polynomial is [].  All arithmetic,
+the quotient ring F_p[x]/(f) included, works on these lists directly.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from operator import mul
 
 from ..errors import Infeasible, InvalidArgument
 from .linalg import INT64_MAX
@@ -133,11 +133,9 @@ def _sub(a, b, p):
 
 
 def _divmod(a, b, p):
-    """Quotient and remainder of a by nonzero b."""
+    """Quotient and remainder of a by nonzero b; a may hold any integers."""
     a = list(a)
     db = len(b) - 1
-    if len(a) <= db:
-        return [], a
     inv = pow(b[-1], -1, p)
     q = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
@@ -145,8 +143,8 @@ def _divmod(a, b, p):
         if c:
             q[i - db] = c
             for j in range(db):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return q, _trim(a[:db])
+                a[i - db + j] -= c * b[j]
+    return q, _trim([c % p for c in a[:db]])
 
 
 def _monic(a, p):
@@ -167,57 +165,26 @@ def _gcd(a, b, p):
 
 
 class _Ring:
-    """F_p[x]/(f) for a monic f of degree n >= 1.
+    """F_p[x]/(f) for a monic f of degree n >= 1, on coefficient lists.
 
-    Products are taken by Kronecker substitution: a polynomial is packed into
-    one integer with w bytes per coefficient, so Python's big-integer
-    multiplication does the convolution.  The degrees n..2n-2 are folded back
-    with the packed rows x^j mod f, and the Frobenius map a -> a^p is the
-    matrix of rows x^(p*j) mod f applied the same way."""
+    A product is the schoolbook convolution reduced modulo f with _divmod.
+    The Frobenius map a -> a^p is linear in the coefficients of a: it is
+    applied as the combination of the rows x^(p*j) mod f, j < n."""
 
     def __init__(self, f, p, xp=None):
         self.f, self.p, self.n = f, p, len(f) - 1
-        n = self.n
-        # a slot holds up to 2n products of two residues without carrying
-        self.w = (2 * p.bit_length() + (2 * n).bit_length() + 7) // 8
-        self._low = (1 << (8 * self.w * n)) - 1
-        rows = []
-        cur = [0] * (n - 1) + [1]
-        for _ in range(n - 1):  # x^j mod f for j = n, ..., 2n-2
-            cur = self._times_x(cur)
-            rows.append(self._pack(cur))
-        self._fold = rows
         self._xp = xp
         self._frob_rows = None
-
-    def _times_x(self, a):
-        """x * a mod f, for a of degree < n."""
-        a = a + [0] * (self.n - len(a))
-        top = a[-1]
-        return _trim([((a[k - 1] if k else 0) - top * fk) % self.p
-                      for k, fk in enumerate(self.f[:-1])])
-
-    def _pack(self, a):
-        w = self.w
-        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
-
-    def _unpack(self, v, count):
-        w, p = self.w, self.p
-        buf = v.to_bytes(w * count, "little")
-        return [int.from_bytes(buf[i:i + w], "little") % p for i in range(0, w * count, w)]
 
     def mul(self, a, b):
         if not a or not b:
             return []
-        n, w = self.n, self.w
-        prod = self._pack(a) * self._pack(b)
-        size = len(a) + len(b) - 1
-        if size <= n:
-            return _trim(self._unpack(prod, size))
-        acc = prod & self._low
-        high = self._unpack(prod >> (8 * w * n), size - n)
-        acc += sum(map(mul, high, self._fold))
-        return _trim(self._unpack(acc, n))
+        conv = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] += ai * bj
+        return _divmod(conv, self.f, self.p)[1]
 
     def pow(self, a, e):
         """a^e for e >= 1, left to right."""
@@ -232,23 +199,22 @@ class _Ring:
     def xp(self):
         """x^p mod f."""
         if self._xp is None:
-            r = self._times_x([1])
-            for bit in bin(self.p)[3:]:
-                r = self.mul(r, r)
-                if bit == "1":
-                    r = self._times_x(r)
-            self._xp = r
+            self._xp = self.pow([0, 1], self.p)
         return self._xp
 
     def frob(self, a):
-        """a^p mod f, linear in the coefficients of a."""
+        """a^p mod f, for a of degree < n."""
         if self._frob_rows is None:
-            rows, cur = [1], [1]
+            rows = [[1]]
             for _ in range(self.n - 1):
-                cur = self.mul(cur, self.xp)
-                rows.append(self._pack(cur))
+                rows.append(self.mul(rows[-1], self.xp))
             self._frob_rows = rows
-        return _trim(self._unpack(sum(map(mul, a, self._frob_rows)), self.n))
+        out = [0] * self.n
+        for aj, row in zip(a, self._frob_rows):
+            if aj:
+                for r, v in enumerate(row):
+                    out[r] += aj * v
+        return _trim([v % self.p for v in out])
 
 
 # ============================================================

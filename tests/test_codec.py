@@ -214,6 +214,37 @@ def test_index_code_checks_its_primes(ex1_code):
         IndexCode(field, [prime_ideals_above(quadratic_field(-1), 5)[0]], coords)
 
 
+def test_ideal_hnf_is_normalised():
+    # a list-of-lists or numpy HNF, as a hand-made matrix has it, is the same
+    # ideal as the tuple HNF of the prime: equal, equally hashed, accepted
+    field = quadratic_field(5)
+    prime = prime_ideals_above(field, 11)[0]
+    built = build_index_code(field, [prime])
+    for copy in (Ideal(field, [list(row) for row in prime.hnf]), Ideal(field, np.array(prime.hnf))):
+        assert copy == prime and hash(copy) == hash(prime)
+        assert all(type(v) is int for row in copy.hnf for v in row)
+        direct = IndexCode(field, [copy], built.coords_matrix)
+        assert direct.content_hash() == built.content_hash()
+
+
+def test_integer_coordinates_are_never_truncated(ex1_code):
+    field = quadratic_field(-7)
+    for bad in ((2.9999, 1), ("3", "1"), (True, 0), (np.float64(2.0), 1)):
+        with pytest.raises(InvalidArgument, match="integers"):
+            field.element(bad)
+    for bad in (1.5, "1", False):
+        with pytest.raises(InvalidArgument, match="integers"):
+            field.from_int(bad)
+    el = field.element((np.int64(2), np.int32(1)))
+    assert el.coords == (2, 1) and all(type(v) is int for v in el.coords)
+    with pytest.raises(InvalidArgument, match="integers"):
+        decode_point(ex1_code, (0.5, 1.7))
+    with pytest.raises(InvalidArgument, match="integers"):
+        build_index_code(ex1_code.field, ex1_code.primes[:1], [[1.5]])
+    one = build_index_code(ex1_code.field, ex1_code.primes[:1], [[np.int64(1)]])
+    assert one.content_hash() == build_index_code(ex1_code.field, ex1_code.primes[:1]).content_hash()
+
+
 _SQUAREFREE_D = [d for d in range(-30, 31)
                  if d not in (0, 1) and all(d % (q * q) for q in (2, 3, 5))]
 

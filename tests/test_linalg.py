@@ -61,6 +61,44 @@ def test_hnf_preserves_lattice():
         assert d_in == d_h
 
 
+@st.composite
+def _full_rank_columns(draw, max_dim=4, span=9):
+    """n <= max_dim rows and n to n + 2 integer columns, the first n independent."""
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(n, n + 2))
+    cols = [tuple(draw(st.integers(-span, span)) for _ in range(n)) for _ in range(m)]
+    assume(det_int([[cols[j][i] for j in range(n)] for i in range(n)]) != 0)
+    return cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(cols=_full_rank_columns(), data=st.data())
+def test_hnf_is_invariant_under_permutations_and_unimodular_mixes(cols, data):
+    H = hnf_columns(cols)
+    assert hnf_columns(data.draw(st.permutations(cols))) == H
+    m = len(cols)
+    ops = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                                       st.integers(-3, 3)), max_size=8))
+    mixed = [list(c) for c in cols]
+    for j, k, q in ops:  # negate column j, or add q times column k to it
+        mixed[j] = [-v for v in mixed[j]] if j == k else [
+            a + q * b for a, b in zip(mixed[j], mixed[k])]
+    assert hnf_columns(mixed) == H
+
+
+@settings(max_examples=150, deadline=None)
+@given(cols=_full_rank_columns(), data=st.data())
+def test_hnf_contains_agrees_with_solve_columns(cols, data):
+    n = len(cols[0])
+    z = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    member = [sum(zj * c[i] for zj, c in zip(z, cols)) for i in range(n)]
+    H = hnf_columns(cols)
+    assert hnf_contains(H, member)
+    v = [a + b for a, b in zip(member, shift)]
+    assert hnf_contains(H, v) == (solve_columns(cols, v) is not None)
+
+
 def test_hnf_rejects_rank_deficient_input():
     with pytest.raises(InvalidArgument):
         hnf_columns([(1, 0)])  # fewer columns than rows
