@@ -11,6 +11,14 @@ plain code on O_K the side sublattice is the ideal lattice
 Psi(prod_{k in S} p_k).  min_distance is the finite-subcode brute force over
 constellation pairs; the two agree on every built code and are cross-checked
 in the tests.
+
+The fading figures of a plain code (m = 1, identity generator) are exact and
+need no pair: every difference of a subcode is a nonzero d in
+J = prod_{k in S} p_k, so the diversity is r1 + r2 and the product distance
+follows from the least |N(d)| that the subcode realises, found by a search of
+the J-lattice in order of |N(d)|.  Codes with m > 1 scan every pair of the
+subcode in floats, with a tolerance on the gaps; that scan is also the tests'
+oracle for the search.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ import numpy as np
 
 from .codec import build_index_code, minkowski_bound_sq, rate
 from .errors import Infeasible, InvalidArgument, InvariantViolation
-# bench/workloads.py traces enumeration through analysis.short_vectors too
-from .numberfield.linalg import short_vectors, shortest_nonzero, sublattice_gram  # noqa: F401
+from .numberfield.linalg import INT64_MAX, short_vectors, shortest_nonzero, sublattice_gram
 
 SIX_DB = 20.0 * math.log10(2.0)  # exact gain of PID constructions, ~6.0206
 _PAIR_CHUNK = 512
+_SEARCH_ROWS = 1 << 18  # sums x + d tested at once by the fading search
 
 
 @dataclass(frozen=True)
@@ -247,28 +255,135 @@ def _coordinate_gaps(field, diff_embedded):
     return np.concatenate(cols, axis=-1)
 
 
-def diversity_and_product_distance(code, s, fixed=None, tol=1e-9):
-    """Brute-force diversity order and min product distance of a subcode.
+def _pair_scan(code, idx, tol):
+    """(diversity, min product distance) of the subcode idx over every pair.
 
+    Each difference is embedded from the exact difference of the integer
+    points G~ u, so no cancellation between large embeddings enters the gaps.
     Counts embedded coordinates (complex pairs count once) whose gap exceeds
     tol; the product runs over the differing coordinates of each pair.
+    """
+    field = code.field
+    # integer points, exact in float64 like the embedding built from them
+    P = (code.coords_matrix[idx] @ code.basis.T).astype(np.float64)
+    embed = np.kron(np.eye(code.m), field.embed_matrix).T  # slot by slot
+    diversity, pmin = [], []
+    for lo, hi, i, j in _pairs(P.shape[0]):
+        g = _coordinate_gaps(field, (P[lo:hi, None, :] - P[None, :, :]) @ embed)[i, j]
+        differing = g > tol
+        diversity.append(int(differing.sum(axis=1).min()))
+        pmin.append(float(np.where(differing, g, 1.0).prod(axis=1).min()))
+    return min(diversity), min(pmin)
+
+
+def _row_keys(rows):
+    """One exactly comparable key per row of an int64 array: its bytes, so
+    forming a key does no arithmetic that could wrap."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+def _first_realised(D, X, keys):
+    """Position of the first row d of D with x + d a row of X for some row x
+    of X, or None; keys are the sorted _row_keys of X.  Tries 1, 2, 4, ...
+    rows of D at a time, with at most _SEARCH_ROWS sums x + d in memory."""
+    most = max(1, _SEARCH_ROWS // X.shape[0])
+    start, step = 0, 1
+    while start < D.shape[0]:
+        chunk = D[start:start + step]
+        sums = _row_keys((X[None, :, :] + chunk[:, None, :]).reshape(-1, X.shape[1]))
+        pos = np.minimum(np.searchsorted(keys, sums), keys.shape[0] - 1)
+        hit = (keys[pos] == sums).reshape(chunk.shape[0], -1).any(axis=1)
+        if hit.any():
+            return start + int(hit.argmax())
+        start += step
+        step = min(2 * step, most)
+    return None
+
+
+def _abs_norms(field, emb):
+    """|N(d)| of every row of canonical embeddings, in floats."""
+    r1 = field.r1
+    pairs = emb[:, r1::2] ** 2 + emb[:, r1 + 1::2] ** 2
+    return np.abs(emb[:, :r1]).prod(axis=1) * pairs.prod(axis=1)
+
+
+def _smallest_realised_norm(code, s, idx):
+    """Exact min |N(d)| over the differences d of the plain subcode idx.
+
+    Two points of the subcode differ by a nonzero d in J = prod_{k in S} p_k,
+    and N(J) divides N(d).  Candidates are the short_vectors of the J-lattice
+    within a doubled radius, tried in order of |N(d)| and then length; the
+    first d with x and x + d both in the subcode for some x wins.  The float
+    norms from the embeddings only set that order (exact integers are at
+    least 1 apart); the winner's norm is then checked exactly.  The search
+    stops when the winner reaches N(J) or the radius covers every difference,
+    4 times the largest doubled energy; until then the radius doubles from
+    twice the least doubled energy an element of norm N(J) can have.
+    """
+    field, ideal = code.field, code.side_ideal(s)
+    H = np.array(ideal.hnf, dtype=np.int64)
+    gram = sublattice_gram(ideal.hnf, field.gram2)
+    X = code.coords_matrix[idx]
+    span = X.max(axis=0) - X.min(axis=0)
+    keys = np.sort(_row_keys(X))
+    full = 4 * int(code.norms2[idx].max())
+    # AM-GM: 2|Psi(d)|^2 >= c * n * |N(d)|^(2/n), c = 2 totally real, 1 totally complex
+    least = (2 if field.is_totally_real else 1) * field.n * ideal.norm ** (2 / field.n)
+    bound2 = min(full, math.ceil(2 * least))
+    while True:
+        Y, len2 = short_vectors(gram, bound2)
+        ymax = np.abs(Y).max(axis=0, initial=0).tolist()
+        if max(sum(abs(h) * y for h, y in zip(row, ymax)) for row in ideal.hnf) > INT64_MAX:
+            raise Infeasible("side-ideal differences leave the int64 range")
+        D = Y @ H.T
+        # d and -d are realised together; a realised d fits the subcode's box
+        sign = D[np.arange(D.shape[0]), (D != 0).argmax(axis=1)]
+        keep = (sign > 0) & (np.abs(D) <= span).all(axis=1)
+        D, len2 = D[keep], len2[keep]
+        norms = np.rint(_abs_norms(field, D.astype(np.float64) @ field.embed_matrix.T))
+        order = np.lexsort((len2, norms))
+        D, norms = D[order], norms[order]
+        hit = _first_realised(D, X, keys)
+        if hit is not None and (norms[hit] == ideal.norm or bound2 == full):
+            break
+        if bound2 == full:
+            raise InvariantViolation("no difference of the subcode lies in its side ideal")
+        bound2 = min(2 * bound2, full)
+    d = D[hit].tolist()
+    norm = abs(field.element(d).norm())
+    if norm != norms[hit]:
+        raise InvariantViolation(f"float norm {norms[hit]} of {d} is not its exact norm {norm}")
+    return norm
+
+
+def diversity_and_product_distance(code, s, fixed=None, tol=1e-9):
+    """Diversity order and min product distance of a subcode.
+
+    Plain codes (m = 1, identity generator) are exact: a nonzero algebraic
+    integer has no zero embedding, so the diversity is r1 + r2, and the
+    product distance is |N(d)| (totally real) or sqrt(|N(d)|) (totally
+    complex) for the realised difference d of least |N(d)|, found by a
+    norm-ordered search of the side ideal.  Other codes scan every pair of
+    the subcode, counting the embedded coordinates (complex pairs once)
+    whose gap exceeds tol; tol applies to them only.
     """
     idx = code.subcode_indices(s, fixed)
     if idx.shape[0] < 2:
         raise InvalidArgument("subcode has fewer than two points; diversity undefined")
-    E = code.embedded[idx]
-    diversity, pmin = [], []
-    for lo, hi, i, j in _pairs(E.shape[0]):
-        g = _coordinate_gaps(code.field, E[lo:hi, None, :] - E[None, :, :])[i, j]
-        differing = g > tol
-        diversity.append(int(differing.sum(axis=1).min()))
-        pmin.append(float(np.where(differing, g, 1.0).prod(axis=1).min()))
     s = code.check_side_info(s)
+    field = code.field
+    if code.is_plain:
+        diversity = field.r1 + field.r2
+        norm = _smallest_realised_norm(code, s, idx)
+        # every supported field is totally real or totally complex
+        pmin = float(norm) if field.is_totally_real else math.sqrt(norm)
+    else:
+        diversity, pmin = _pair_scan(code, idx, tol)
     floor = None
-    if code.is_plain and code.field.is_totally_real:
+    if code.is_plain and field.is_totally_real:
         floor = float(math.prod(code.primes[k - 1].norm for k in s))
-    return FadingReport(s=s, diversity=min(diversity), product_distance=min(pmin),
-                        floor=floor)
+    return FadingReport(s=s, diversity=diversity, product_distance=pmin, floor=floor)
 
 
 def capacity_rhs(snr):

@@ -136,6 +136,11 @@ def kronecker_symbol(a, n):
     return res if n == 1 else 0
 
 
+def _is_integer(v):
+    """A rational integer: a Python or numpy int, not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 # ============================================================
 # Fields
 # ============================================================
@@ -377,7 +382,7 @@ class NumberField:
         """The element with these integer coordinates; anything else (floats,
         strings, bools) is refused rather than truncated."""
         coords = tuple(coords)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in coords):
+        if not all(_is_integer(v) for v in coords):
             raise InvalidArgument(f"coordinates {coords} must be integers")
         if len(coords) != self.n:
             raise InvalidArgument(f"expected {self.n} coordinates, got {len(coords)}")
@@ -438,7 +443,7 @@ class AlgebraicInt:
         self.coords = coords
 
     def _check(self, other):
-        if isinstance(other, int):
+        if _is_integer(other):
             return self.field.from_int(other)
         if not isinstance(other, AlgebraicInt) or other.field != self.field:
             raise InvalidArgument("elements belong to different fields")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidArgument, InvariantViolation, Unsupported
-from .field import AlgebraicInt, NumberField, kronecker_symbol
+from .field import AlgebraicInt, NumberField, _is_integer, kronecker_symbol
 from .linalg import hnf_columns, mixed_radix, reduce_mod_hnf, reduce_mod_hnf_batch
 from .modp import factor_mod_p, is_prime
 
@@ -35,12 +35,16 @@ class Ideal:
     """A nonzero integral ideal in HNF; prime ideals carry (p, e, f) tags.
 
     The HNF is kept as a tuple of tuples of ints, however it is given, so
-    equal ideals compare and hash equal."""
+    equal ideals compare and hash equal; entries that are not integers
+    (floats, strings, bools) are refused rather than truncated."""
 
     __slots__ = ("field", "hnf", "residue_char", "ramification", "inertia", "two_gen")
 
     def __init__(self, field, hnf, residue_char=None, ramification=None, inertia=None, two_gen=None):
         self.field = field
+        hnf = tuple(tuple(row) for row in hnf)
+        if not all(_is_integer(v) for row in hnf for v in row):
+            raise InvalidArgument(f"HNF entries {hnf} must be integers")
         self.hnf = tuple(tuple(int(v) for v in row) for row in hnf)
         self.residue_char = residue_char
         self.ramification = ramification
@@ -92,7 +96,7 @@ class Ideal:
         return int(self.residue_indices([coords])[0])
 
     def _coerce(self, el):
-        if isinstance(el, int):
+        if _is_integer(el):
             el = self.field.from_int(el)
         if not isinstance(el, AlgebraicInt) or el.field != self.field:
             raise InvalidArgument("element does not belong to this ideal's field")
@@ -141,7 +145,7 @@ def ideal_from_generators(field, gens):
     """The O_K-ideal generated by the given elements (or rational integers)."""
     cols = []
     for g in gens:
-        if isinstance(g, int):
+        if _is_integer(g):
             g = field.from_int(g)
         if not isinstance(g, AlgebraicInt) or g.field != field:
             raise InvalidArgument("generators must be elements of the field")

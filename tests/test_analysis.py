@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticedex import (
     Infeasible,
     InvalidArgument,
     build_index_code,
     capacity_rhs,
+    cyclotomic_field,
     diversity_and_product_distance,
     gain_bounds,
     ideal_lambda1_sq,
@@ -22,7 +25,7 @@ from latticedex import (
     side_info_gain,
     whole_ring,
 )
-from latticedex.analysis import SIX_DB
+from latticedex.analysis import SIX_DB, _pair_scan
 from latticedex.numberfield.linalg import lll_gram
 
 
@@ -215,6 +218,68 @@ def test_diversity_complex_field(ex3_code):
     assert r.diversity == 1  # one complex coordinate pair
     assert math.isclose(r.product_distance, 1.0, rel_tol=1e-9)
     assert r.floor is None
+
+
+def _assert_norm_search_matches_pair_scan(code, s, fixed=None):
+    rep = diversity_and_product_distance(code, s, fixed)
+    diversity, pmin = _pair_scan(code, code.subcode_indices(s, fixed), 1e-9)
+    assert rep.diversity == diversity == sum(code.field.signature), (code, s)
+    assert math.isclose(rep.product_distance, pmin, rel_tol=1e-12), (code, s, pmin)
+
+
+def test_norm_search_matches_pair_scan_on_presets(ex1_code, ex2_code, ex3_code,
+                                                  cyclo_code, maxreal_code):
+    # cyclo-K4 at S = {} is pinned in test_exact_product_distances: its pair
+    # scan takes about 17 s
+    for code in (ex1_code, ex2_code, ex3_code, cyclo_code, maxreal_code):
+        k = len(code.primes)
+        for r in range(k + 1):
+            for s in itertools.combinations(range(1, k + 1), r):
+                if code.subcode_indices(s).shape[0] >= 2 and (s or code is not cyclo_code):
+                    _assert_norm_search_matches_pair_scan(code, s)
+
+
+def test_exact_product_distances(ex2_code, maxreal_code, cyclo_code):
+    # the primes above 7 in Q(sqrt(-5)) are not principal: the least |N(d)| in
+    # p_1 is 14, not N(p_1) = 7, and only the full search radius reaches it
+    rep = diversity_and_product_distance(ex2_code, (1,))
+    assert (rep.diversity, rep.product_distance) == (1, math.sqrt(14))
+    # the pair scan over embeddings reported 0.9999999999987852 here
+    rep = diversity_and_product_distance(maxreal_code, ())
+    assert (rep.diversity, rep.product_distance) == (3, 1.0)
+    rep = diversity_and_product_distance(cyclo_code, ())
+    assert (rep.diversity, rep.product_distance) == (2, 1.0)
+
+
+_FADING_FIELDS = [quadratic_field(d) for d in range(-30, 31)
+                  if d not in (0, 1) and all(d % (q * q) for q in (2, 3, 5))]
+_FADING_FIELDS += [cyclotomic_field(m) for m in (5, 8, 12)]
+
+
+@st.composite
+def _small_plain_codes(draw):
+    """A plain code on 1-2 unramified-in-conductor primes above p < 30 of a
+    quadratic or cyclotomic field, at most 200 points."""
+    field = draw(st.sampled_from(_FADING_FIELDS))
+    above = [q for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+             if field.family == "quadratic" or field.param % p
+             for q in prime_ideals_above(field, p) if q.norm <= 200]
+    primes = draw(st.lists(st.sampled_from(above), min_size=1, max_size=2, unique=True)
+                  .filter(lambda ps: math.prod(q.norm for q in ps) <= 200))
+    return build_index_code(field, primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=_small_plain_codes())
+def test_norm_search_matches_pair_scan(code):
+    # the last message is nonzero in every component: a translate of the subcode
+    translate = code.message_from_index(code.size - 1)
+    k = len(code.primes)
+    for r in range(k + 1):
+        for s in itertools.combinations(range(1, k + 1), r):
+            for fixed in (None, translate):
+                if code.subcode_indices(s, fixed).shape[0] >= 2:
+                    _assert_norm_search_matches_pair_scan(code, s, fixed)
 
 
 def test_capacity_rhs():

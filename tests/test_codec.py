@@ -28,7 +28,7 @@ from latticedex import (
 )
 from latticedex import codec
 from latticedex.codec import IndexCode, code_from_dict
-from latticedex.numberfield import Ideal
+from latticedex.numberfield import Ideal, ideal_from_generators
 
 
 def test_example1_shape(ex1_code):
@@ -243,6 +243,37 @@ def test_integer_coordinates_are_never_truncated(ex1_code):
         build_index_code(ex1_code.field, ex1_code.primes[:1], [[1.5]])
     one = build_index_code(ex1_code.field, ex1_code.primes[:1], [[np.int64(1)]])
     assert one.content_hash() == build_index_code(ex1_code.field, ex1_code.primes[:1]).content_hash()
+
+
+def test_ideal_hnf_entries_are_never_truncated():
+    # int(v) made [[11.9, 7.2], [0, 1.0]] the prime ((11, 7), (0, 1)) above 11
+    field = quadratic_field(5)
+    prime = Ideal(field, [[11, 7], [0, 1]])
+    assert prime in prime_ideals_above(field, 11)
+    for bad in ([[11.9, 7.2], [0, 1.0]], [[11.0, 7], [0, 1]], np.array([[11.5, 7], [0, 1]]),
+                [["11", 7], [0, 1]], [[11, 7], [False, True]]):
+        with pytest.raises(InvalidArgument, match="integers"):
+            Ideal(field, bad)
+    assert Ideal(field, np.array(prime.hnf, dtype=np.int32)) == prime
+
+
+def test_numpy_integers_are_rational_integers():
+    # a + np.int64(1) was refused as "elements belong to different fields"
+    field = quadratic_field(5)
+    a = field.element((2, 3))
+    prime = prime_ideals_above(field, 11)[0]
+    for k in (np.int64(1), np.int32(2), np.int64(11), np.uint8(3)):
+        assert a + k == a + int(k) == k + a
+        assert a - k == a - int(k)
+        assert a * k == a * int(k) == k * a
+        assert prime.contains(k) is prime.contains(int(k))
+    assert prime.contains(np.int64(11)) and not prime.contains(np.int64(3))
+    assert ideal_from_generators(field, [np.int64(11)]) == ideal_from_generators(field, [11])
+    for bad in (True, np.bool_(True), 1.0):
+        with pytest.raises(InvalidArgument):
+            a + bad
+        with pytest.raises(InvalidArgument):
+            prime.contains(bad)
 
 
 _SQUAREFREE_D = [d for d in range(-30, 31)
