@@ -17,8 +17,8 @@ need no pair: every difference of a subcode is a nonzero d in
 J = prod_{k in S} p_k, so the diversity is r1 + r2 and the product distance
 follows from the least |N(d)| that the subcode realises, found by a search of
 the J-lattice in order of |N(d)|.  Codes with m > 1 scan every pair of the
-subcode in floats, with a tolerance on the gaps; that scan is also the tests'
-oracle for the search.
+subcode, a coordinate differing where its slot of the exact integer
+difference is nonzero; that scan is also the tests' oracle for the search.
 """
 
 from __future__ import annotations
@@ -255,22 +255,26 @@ def _coordinate_gaps(field, diff_embedded):
     return np.concatenate(cols, axis=-1)
 
 
-def _pair_scan(code, idx, tol):
+def _pair_scan(code, idx):
     """(diversity, min product distance) of the subcode idx over every pair.
 
     Each difference is embedded from the exact difference of the integer
     points G~ u, so no cancellation between large embeddings enters the gaps.
-    Counts embedded coordinates (complex pairs count once) whose gap exceeds
-    tol; the product runs over the differing coordinates of each pair.
+    A nonzero algebraic integer has no zero embedding, so every embedded
+    coordinate (complex pairs count once) of a slot where that exact
+    difference is nonzero differs, and none of a zero slot; the product runs
+    over the differing coordinates of each pair.
     """
     field = code.field
     # integer points, exact in float64 like the embedding built from them
     P = (code.coords_matrix[idx] @ code.basis.T).astype(np.float64)
     embed = np.kron(np.eye(code.m), field.embed_matrix).T  # slot by slot
     diversity, pmin = [], []
-    for lo, hi, i, j in _pairs(P.shape[0]):
-        g = _coordinate_gaps(field, (P[lo:hi, None, :] - P[None, :, :]) @ embed)[i, j]
-        differing = g > tol
+    for lo, _, i, j in _pairs(P.shape[0]):
+        diff = P[lo + i] - P[j]
+        g = _coordinate_gaps(field, diff @ embed)
+        slots = diff.reshape(-1, code.m, field.n).any(axis=2)
+        differing = np.repeat(slots, field.r1 + field.r2, axis=1)
         diversity.append(int(differing.sum(axis=1).min()))
         pmin.append(float(np.where(differing, g, 1.0).prod(axis=1).min()))
     return min(diversity), min(pmin)
@@ -357,7 +361,7 @@ def _smallest_realised_norm(code, s, idx):
     return norm
 
 
-def diversity_and_product_distance(code, s, fixed=None, tol=1e-9):
+def diversity_and_product_distance(code, s, fixed=None):
     """Diversity order and min product distance of a subcode.
 
     Plain codes (m = 1, identity generator) are exact: a nonzero algebraic
@@ -365,8 +369,8 @@ def diversity_and_product_distance(code, s, fixed=None, tol=1e-9):
     product distance is |N(d)| (totally real) or sqrt(|N(d)|) (totally
     complex) for the realised difference d of least |N(d)|, found by a
     norm-ordered search of the side ideal.  Other codes scan every pair of
-    the subcode, counting the embedded coordinates (complex pairs once)
-    whose gap exceeds tol; tol applies to them only.
+    the subcode, counting the embedded coordinates (complex pairs once) of
+    the slots where the pair's exact integer difference is nonzero.
     """
     idx = code.subcode_indices(s, fixed)
     if idx.shape[0] < 2:
@@ -379,7 +383,7 @@ def diversity_and_product_distance(code, s, fixed=None, tol=1e-9):
         # every supported field is totally real or totally complex
         pmin = float(norm) if field.is_totally_real else math.sqrt(norm)
     else:
-        diversity, pmin = _pair_scan(code, idx, tol)
+        diversity, pmin = _pair_scan(code, idx)
     floor = None
     if code.is_plain and field.is_totally_real:
         floor = float(math.prod(code.primes[k - 1].norm for k in s))

@@ -6,9 +6,12 @@ over O_K; the default 1x1 identity gives the plain code on O_K itself.  Its
 points are minimum-energy representatives of G~ O_K^m modulo G~ I^m with
 I = prod p_k, and message k is u mod p_k slot by slot, an element of
 (O_K/p_k)^m.  The p_k are distinct prime ideals, so each O_K/p_k is a finite
-field and the p_k are pairwise coprime; IndexCode alone checks this.  For
-the plain code, encoding picks for (w_1, ..., w_K) the representative of
-sum_k e_k * w_k mod I where the e_k are CRT idempotents.
+field and the p_k are pairwise coprime; IndexCode alone checks this.  The
+encoder is the CRT isomorphism O_K/I = prod_k O_K/p_k, which needs no
+principal ideals: for the plain code, (w_1, ..., w_K) maps to the
+representative of sum_k e_k * w_k mod I, where the CRT idempotent e_k is
+read off the constellation as the point whose message is 1 on p_k and 0 on
+the other primes.
 Per-coset representatives minimize the canonical-embedding energy, with ties
 broken lexicographically on exact integer coordinates, so constellations are
 reproducible.  Message components are canonical HNF residues of O_K / p_k;
@@ -42,8 +45,7 @@ from .numberfield import (
     prime_ideals_above,
     whole_ring,
 )
-from .numberfield.linalg import (INT64_MAX, det_int, mixed_radix, short_vectors,
-                                 solve_columns, sublattice_gram)
+from .numberfield.linalg import INT64_MAX, det_int, mixed_radix, short_vectors, sublattice_gram
 
 DEFAULT_ENUMERATION_CAP = 10**6
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
@@ -108,35 +110,6 @@ def _code_primes(field, primes):
         out.append(match)
     if not out:
         raise InvalidArgument("need at least one prime ideal")
-    return tuple(out)
-
-
-def crt_idempotents(primes):
-    """Elements e_k with e_k = 1 mod p_k and e_k = 0 mod p_j (j != k) for
-    distinct prime ideals, as _code_primes returns them.
-
-    Solves u + v = 1 with u in p_k and v in prod_{j != k} p_j over the
-    concatenated Z-bases (HNF-based integer solve), which works in non-PIDs.
-    """
-    field = primes[0].field
-    one = (1,) + (0,) * (field.n - 1)
-    out = []
-    for k, pk in enumerate(primes):
-        rest = whole_ring(field)
-        for j, pj in enumerate(primes):
-            if j != k:
-                rest = rest * pj
-        cols = pk.basis_columns() + rest.basis_columns()
-        z = solve_columns(cols, one)
-        if z is None:  # distinct primes are coprime
-            raise InvariantViolation(f"no CRT idempotent for {pk.label()}")
-        qcols = rest.basis_columns()
-        coords = [0] * field.n
-        for j, zj in enumerate(z[field.n :]):
-            if zj:
-                for r in range(field.n):
-                    coords[r] += zj * qcols[j][r]
-        out.append(AlgebraicInt(field, tuple(coords)))
     return tuple(out)
 
 
@@ -240,7 +213,10 @@ class IndexCode:
     dimension the real dimension m*n.  coords_matrix holds the slot-major
     power-basis coordinates of u, embedded the canonical embedding of the
     point G~ u, norms2 the exact doubled energies 2*|Psi(G~ u)|^2 and labels
-    the messages, (M, K, m*n) canonical residues of u modulo each p_k.
+    the messages, (M, K, m*n) canonical residues of u modulo each p_k.  The
+    points biject with the cosets of I^m (checked), so idempotents holds e_k
+    as the residue mod I of slot 0 of the point labelled 1 on p_k and 0 on
+    every other prime.
     """
 
     def __init__(self, field, primes, coords, gmatrix=None):
@@ -248,14 +224,7 @@ class IndexCode:
         self.gmatrix, self.basis, self.gram2 = _generator_lattice(field, gmatrix)
         self.primes = _code_primes(field, primes)
         self.m = m = len(self.gmatrix)
-        idempotents = crt_idempotents(self.primes)
         self.modulus = functools.reduce(operator.mul, self.primes)
-        self.idempotents = tuple(self.modulus.reduce(e) for e in idempotents)
-        for k, e in enumerate(self.idempotents):
-            for j, p in enumerate(self.primes):
-                want = field.one if j == k else field.zero
-                if p.reduce(e) != p.reduce(want):
-                    raise InvariantViolation(f"idempotent e_{k+1} wrong mod p_{j+1}")
         self.alphabet_sizes = tuple(p.norm ** m for p in self.primes)
         self.size = coords.shape[0]
         if self.size != self.modulus.norm ** m:
@@ -278,6 +247,14 @@ class IndexCode:
         n = field.n
         points = (X @ self.basis.T).reshape(-1, n).astype(np.float64)
         self.embedded = (points @ field.embed_matrix.T).reshape(self.size, m * n)
+        # e_k is 1 mod p_k and 0 mod the other primes: slot 0 of the point whose
+        # message is 1 on p_k and 0 on the others, as its residue mod I
+        one, zero = field.one.coords * m, (0,) * self.dimension
+        units = [Message(tuple(one if j == k else zero for j in range(len(self.primes))))
+                 for k in range(len(self.primes))]
+        self.idempotents = tuple(
+            self.modulus.reduce(field.element(self.coords_matrix[self.message_index(w)][:n]))
+            for w in units)
 
         total = int(self.norms2.sum())
         if total <= 0:

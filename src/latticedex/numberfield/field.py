@@ -161,6 +161,14 @@ class NumberField:
             # the trace form holds |d|, so a d outside int64 is refused before any factoring
             if abs(d) > INT64_MAX:
                 raise Infeasible(f"d = {d} leaves the int64 range of the trace form")
+            # and so is a d whose trace form's largest entry leaves int64 (the
+            # check in _init_tables, in closed form): size guards come first
+            if d % 4 == 1:
+                top = d + 1 if d > 0 else (1 - d) // 2
+            else:
+                top = 4 * d if d > 0 else -2 * d
+            if top > INT64_MAX:
+                raise Infeasible(f"the trace form of Q(sqrt({d})) leaves the int64 range")
             if not is_squarefree(abs(d)):
                 raise InvalidArgument(f"d = {d} is not squarefree")
             if d % 4 == 1:
@@ -472,9 +480,9 @@ class AlgebraicInt:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if not _is_integer(k) or k < 0:
             raise InvalidArgument("exponent must be a nonnegative integer")
-        return AlgebraicInt(self.field, self.field._element_pow_coords(self.coords, k))
+        return AlgebraicInt(self.field, self.field._element_pow_coords(self.coords, int(k)))
 
     def __eq__(self, other):
         return (

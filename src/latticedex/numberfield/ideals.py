@@ -171,8 +171,11 @@ def is_coprime(i1, i2):
 
 
 def _check_prime(p):
-    if not isinstance(p, int) or not is_prime(p):
+    """p as a Python int, after checking it is a rational prime (a Python or
+    numpy int, not a bool)."""
+    if not _is_integer(p) or not is_prime(int(p)):
         raise InvalidArgument(f"p = {p!r} is not a prime")
+    return int(p)
 
 
 def _mult_order(p, m, allow_sign=False):
@@ -188,7 +191,7 @@ def _mult_order(p, m, allow_sign=False):
 def classify_prime(field, p):
     """Decomposition type of p in the field, from quadratic-residue or
     multiplicative-order arithmetic (no factorization involved)."""
-    _check_prime(p)
+    p = _check_prime(p)
     n = field.n
     if field.family == "quadratic":
         k = kronecker_symbol(field.discriminant, p)
@@ -227,7 +230,7 @@ def factor_minpoly_mod_p(field, p):
     Returns a deterministically sorted list of (coeffs_low_to_high, mult)
     with coefficients lifted to [0, p).
     """
-    _check_prime(p)
+    p = _check_prime(p)
     return factor_mod_p(field.min_poly, p)
 
 
@@ -237,7 +240,7 @@ def prime_ideals_above(field, p):
     Ramified primes of cyclotomic / maximal-real fields (p dividing the
     conductor) are rejected: the toolkit never selects them automatically.
     """
-    _check_prime(p)
+    p = _check_prime(p)
     if field.family in ("cyclotomic", "maximal_real") and field.param % p == 0:
         raise Unsupported(
             f"p = {p} ramifies in {field.name} (divides m = {field.param}); not offered"

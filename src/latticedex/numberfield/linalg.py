@@ -1,6 +1,6 @@
 """Exact integer linear algebra for lattice computations.
 
-Column-style Hermite normal form (with optional unimodular transform),
+Column-style Hermite normal form and exact lattice membership,
 fraction-free determinants, triangular residue reduction, the one
 mixed-radix index of digit rows (mixed_radix), integral LLL
 reduction of Gram matrices, and enumeration of the short vectors of an
@@ -28,31 +28,14 @@ from ..errors import Infeasible, InvalidArgument, InvariantViolation
 # tuples so it can be hashed and compared directly.
 
 
-def _negate(A, U, j):
-    A[j] = [-v for v in A[j]]
-    if U is not None:
-        U[j] = [-v for v in U[j]]
+def hnf_columns(cols):
+    """HNF of the lattice spanned by integer columns; row-major tuple.
 
-
-def _axpy(A, U, j, k, q):
-    """col_j += q * col_k."""
-    cj, ck = A[j], A[k]
-    for r in range(len(cj)):
-        cj[r] += q * ck[r]
-    if U is not None:
-        cj, ck = U[j], U[k]
-        for r in range(len(cj)):
-            cj[r] += q * ck[r]
-
-
-def _swap(A, U, j, k):
-    A[j], A[k] = A[k], A[j]
-    if U is not None:
-        U[j], U[k] = U[k], U[j]
-
-
-def _hnf_core(A, U):
-    """Reduce column list A in place; pivots end up in the last n columns."""
+    Row by row from the bottom, repeated division steps leave one pivot
+    column per row, moved into the last n columns; then each column's
+    above-diagonal entries are reduced modulo the pivots.
+    """
+    A = [list(c) for c in cols]
     n = len(A[0])
     m = len(A)
     if m < n:
@@ -66,57 +49,23 @@ def _hnf_core(A, U):
                 raise InvalidArgument("columns do not span a full-rank lattice")
             jp = min(nz, key=lambda j: (abs(A[j][i]), j))
             if A[jp][i] < 0:
-                _negate(A, U, jp)
+                A[jp] = [-v for v in A[jp]]
             if len(nz) == 1:
                 break
             for j in nz:
-                if j != jp:
-                    q = A[j][i] // A[jp][i]
-                    if q:
-                        _axpy(A, U, j, jp, -q)
-        if jp != pc:
-            _swap(A, U, jp, pc)
-    base = m - n
+                q = A[j][i] // A[jp][i]
+                if j != jp and q:
+                    A[j] = [a - q * b for a, b in zip(A[j], A[jp])]
+        A[jp], A[pc] = A[pc], A[jp]
+    H = A[m - n:]
     # normalize above-diagonal entries; descending i so later steps do not
     # disturb rows already reduced
     for j in range(1, n):
-        cj = base + j
         for i in range(j - 1, -1, -1):
-            piv = A[base + i][i]
-            q = A[cj][i] // piv
+            q = H[j][i] // H[i][i]
             if q:
-                _axpy(A, U, cj, base + i, -q)
-    return base
-
-
-def hnf_columns(cols):
-    """HNF of the lattice spanned by integer columns; row-major tuple."""
-    A = [list(c) for c in cols]
-    n = len(A[0])
-    base = _hnf_core(A, None)
-    return tuple(tuple(A[base + j][i] for j in range(n)) for i in range(n))
-
-
-def solve_columns(cols, target):
-    """Integer solution z of sum_j z_j * col_j = target, or None.
-
-    Used for CRT idempotents: membership of `target` in the column span
-    with an explicit witness.
-    """
-    A = [list(c) for c in cols]
-    n = len(A[0])
-    m = len(A)
-    U = [[1 if r == j else 0 for r in range(m)] for j in range(m)]
-    base = _hnf_core(A, U)
-    y = [0] * n
-    t = list(target)
-    for i in range(n - 1, -1, -1):
-        r = t[i] - sum(A[base + j][i] * y[j] for j in range(i + 1, n))
-        piv = A[base + i][i]
-        if r % piv:
-            return None
-        y[i] = r // piv
-    return [sum(U[base + j][r] * y[j] for j in range(n)) for r in range(m)]
+                H[j] = [a - q * b for a, b in zip(H[j], H[i])]
+    return tuple(tuple(H[j][i] for j in range(n)) for i in range(n))
 
 
 def reduce_mod_hnf(coords, hnf):

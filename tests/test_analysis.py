@@ -222,7 +222,7 @@ def test_diversity_complex_field(ex3_code):
 
 def _assert_norm_search_matches_pair_scan(code, s, fixed=None):
     rep = diversity_and_product_distance(code, s, fixed)
-    diversity, pmin = _pair_scan(code, code.subcode_indices(s, fixed), 1e-9)
+    diversity, pmin = _pair_scan(code, code.subcode_indices(s, fixed))
     assert rep.diversity == diversity == sum(code.field.signature), (code, s)
     assert math.isclose(rep.product_distance, pmin, rel_tol=1e-12), (code, s, pmin)
 

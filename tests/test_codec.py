@@ -28,7 +28,8 @@ from latticedex import (
 )
 from latticedex import codec
 from latticedex.codec import IndexCode, code_from_dict
-from latticedex.numberfield import Ideal, ideal_from_generators
+from latticedex.numberfield import (Ideal, classify_prime, factor_minpoly_mod_p,
+                                   field_from_dict, ideal_from_generators)
 
 
 def test_example1_shape(ex1_code):
@@ -40,13 +41,20 @@ def test_example1_shape(ex1_code):
     assert ex1_code.embedded.shape == (55, 2)
 
 
-def test_idempotents_are_crt_units(ex1_code, ex2_code, ex3_code):
-    for code in (ex1_code, ex2_code, ex3_code):
-        field = code.field
-        for k, e in enumerate(code.idempotents):
-            for j, p in enumerate(code.primes):
-                want = field.one if j == k else field.zero
-                assert p.reduce(e) == p.reduce(want)
+def _assert_crt_idempotents(code):
+    """e_k = delta_kj mod p_j and sum_k e_k = 1 mod I, each e_k its canonical
+    residue mod I."""
+    field, modulus = code.field, code.modulus
+    for k, e in enumerate(code.idempotents):
+        assert modulus.reduce(e) == e
+        for j, p in enumerate(code.primes):
+            assert p.reduce(e) == p.reduce(field.one if j == k else field.zero)
+    assert modulus.reduce(functools.reduce(operator.add, code.idempotents)) == modulus.reduce(1)
+
+
+def test_idempotents_are_crt_units(ex1_code, ex2_code, ex3_code, cyclo_code, maxreal_code):
+    for code in (ex1_code, ex2_code, ex3_code, cyclo_code, maxreal_code):
+        _assert_crt_idempotents(code)
 
 
 def test_zero_message_maps_to_origin(ex1_code, ex2_code, ex3_code):
@@ -276,6 +284,28 @@ def test_numpy_integers_are_rational_integers():
             prime.contains(bad)
 
 
+def test_numpy_integers_as_exponents_and_primes():
+    # a ** np.int64(2) and prime_ideals_above(field, np.int64(11)) were refused
+    field = quadratic_field(5)
+    a = field.element((2, 3))
+    for k in (np.int64(2), np.int32(3), np.uint8(0)):
+        assert a ** k == a ** int(k)
+    for p in (np.int64(11), np.int32(2), np.uint16(5)):
+        above = prime_ideals_above(field, p)
+        assert above == prime_ideals_above(field, int(p))
+        assert all(type(q.residue_char) is int and type(q.two_gen[0]) is int for q in above)
+        assert classify_prime(field, p) == classify_prime(field, int(p))
+        assert factor_minpoly_mod_p(field, p) == factor_minpoly_mod_p(field, int(p))
+    code = build_index_code(field, [prime_ideals_above(field, np.int64(11))[0]])
+    assert code.content_hash() == build_index_code(
+        field, [prime_ideals_above(field, 11)[0]]).content_hash()
+    for bad in (True, np.bool_(True), 2.0):
+        with pytest.raises(InvalidArgument):
+            a ** bad
+        with pytest.raises(InvalidArgument):
+            prime_ideals_above(field, bad)
+
+
 _SQUAREFREE_D = [d for d in range(-30, 31)
                  if d not in (0, 1) and all(d % (q * q) for q in (2, 3, 5))]
 
@@ -300,18 +330,53 @@ def _quadratic_primes(draw):
 @given(case=_quadratic_primes())
 def test_crt_idempotents_and_the_prime_gate(case, tmp_path_factory):
     field, primes = case
-    idempotents = codec.crt_idempotents(primes)
-    for k, e in enumerate(idempotents):
-        for j, p in enumerate(primes):
-            assert p.reduce(e) == p.reduce(field.one if j == k else field.zero)
-    modulus = functools.reduce(operator.mul, primes)
-    assert modulus.reduce(functools.reduce(operator.add, idempotents)) == modulus.reduce(1)
-    # untagged copies of the primes give the built code, and it survives its file
     code = build_index_code(field, primes)
+    _assert_crt_idempotents(code)
+    # untagged copies of the primes give the built code, and it survives its file
     direct = IndexCode(field, [Ideal(field, q.hnf) for q in primes], code.coords_matrix[::-1])
     assert direct.content_hash() == code.content_hash()
     path = tmp_path_factory.mktemp("code") / "code.json"
     save_code(direct, path)
+    assert load_code(path).content_hash() == code.content_hash()
+
+
+@functools.cache
+def _unramified_primes(family, m):
+    """The field and its unramified primes above p < 40 of norm at most 400."""
+    field = field_from_dict({"family": family, "param": m})
+    return field, [q for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) if m % p
+                   for q in prime_ideals_above(field, p) if q.norm <= 400]
+
+
+@st.composite
+def _crt_codes(draw):
+    """A code on 1-2 distinct unramified primes above p < 40 of Q(zeta5),
+    Q(zeta8), Q(zeta12), Q(zeta7+) or Q(zeta11+), with N(I) <= 400."""
+    field, above = _unramified_primes(*draw(st.sampled_from(
+        [("cyclotomic", 5), ("cyclotomic", 8), ("cyclotomic", 12),
+         ("maximal_real", 7), ("maximal_real", 11)])))
+    primes = [draw(st.sampled_from(above))]
+    room = [q for q in above if q not in primes and q.norm * primes[0].norm <= 400]
+    if room and draw(st.booleans()):
+        primes.append(draw(st.sampled_from(room)))
+    return build_index_code(field, primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=_crt_codes(), data=st.data())
+def test_crt_ring_isomorphism_beyond_quadratic_fields(code, data, tmp_path_factory):
+    _assert_crt_idempotents(code)
+    field, modulus = code.field, code.modulus
+    index = st.integers(0, code.size - 1)
+    for _ in range(4):
+        a = code.message_from_index(data.draw(index))
+        b = code.message_from_index(data.draw(index))
+        x, y = (field.element(code.representative(w).coords) for w in (a, b))
+        for op, got in ((operator.add, code.message_add(a, b)),
+                        (operator.mul, code.message_mul(a, b))):
+            assert modulus.contains(op(x, y) - field.element(code.representative(got).coords))
+    path = tmp_path_factory.mktemp("code") / "code.json"
+    save_code(code, path)
     assert load_code(path).content_hash() == code.content_hash()
 
 

@@ -19,7 +19,6 @@ from latticedex.numberfield.linalg import (
     reduce_mod_hnf_batch,
     short_vectors,
     shortest_nonzero,
-    solve_columns,
 )
 
 
@@ -88,7 +87,8 @@ def test_hnf_is_invariant_under_permutations_and_unimodular_mixes(cols, data):
 
 @settings(max_examples=150, deadline=None)
 @given(cols=_full_rank_columns(), data=st.data())
-def test_hnf_contains_agrees_with_solve_columns(cols, data):
+def test_hnf_contains_agrees_with_the_hnf_of_the_extended_lattice(cols, data):
+    # v lies in the lattice exactly when adding it as a column leaves the HNF as it is
     n = len(cols[0])
     z = data.draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
     shift = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
@@ -96,7 +96,7 @@ def test_hnf_contains_agrees_with_solve_columns(cols, data):
     H = hnf_columns(cols)
     assert hnf_contains(H, member)
     v = [a + b for a, b in zip(member, shift)]
-    assert hnf_contains(H, v) == (solve_columns(cols, v) is not None)
+    assert hnf_contains(H, v) == (hnf_columns(cols + [v]) == H)
 
 
 def test_hnf_rejects_rank_deficient_input():
@@ -104,25 +104,6 @@ def test_hnf_rejects_rank_deficient_input():
         hnf_columns([(1, 0)])  # fewer columns than rows
     with pytest.raises(InvalidArgument):
         hnf_columns([(1, 2), (2, 4)])  # rank 1 in dimension 2
-
-
-def test_solve_columns_round_trip():
-    rng = random.Random(11)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        cols = _random_cols(rng, n, n + rng.randint(0, 2))
-        z = [rng.randint(-4, 4) for _ in cols]
-        target = tuple(sum(zj * cols[j][i] for j, zj in enumerate(z)) for i in range(n))
-        sol = solve_columns(cols, target)
-        assert sol is not None
-        got = tuple(sum(sj * cols[j][i] for j, sj in enumerate(sol)) for i in range(n))
-        assert got == target
-
-
-def test_solve_columns_outside_lattice():
-    # columns span 2Z^2; odd targets are unreachable
-    assert solve_columns([(2, 0), (0, 2)], (1, 0)) is None
-    assert solve_columns([(2, 0), (0, 2)], (3, 5)) is None
 
 
 def test_reduce_mod_hnf_canonical_box():

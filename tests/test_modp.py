@@ -14,6 +14,7 @@ from latticedex.numberfield import (
     prime_ideals_above,
     quadratic_field,
 )
+from latticedex.numberfield import field as field_module
 from latticedex.numberfield.linalg import INT64_MAX
 from latticedex.numberfield.modp import (
     MR_EXACT_BOUND,
@@ -146,6 +147,7 @@ def test_cyclotomic_degree_from_trial_division():
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(2**5, 2**21), r=st.integers(1, 2**21))
 @example(k=2**31, r=1)
+@example(k=2**21, r=2**21)  # d = q^2 (q - 1) near 2^63: its trace form leaves int64
 def test_squarefree_finds_a_large_planted_square(k, r):
     q = int(sympy.prevprime(k))
     r = min(r, q - 1, INT64_MAX // (q * q))  # q > r makes q > the cube root of q^2 r
@@ -153,8 +155,33 @@ def test_squarefree_finds_a_large_planted_square(k, r):
     assert q**3 > d
     assert not is_squarefree(d)
     for sign in (1, -1):
-        with pytest.raises(InvalidArgument, match="squarefree"):
+        # a too-large trace form is refused first, squarefree or not
+        top = max(map(max, _quadratic_trace_form(sign * d)))
+        with (pytest.raises(Infeasible, match="trace form") if top > INT64_MAX
+              else pytest.raises(InvalidArgument, match="squarefree")):
             quadratic_field(sign * d)
+
+
+def _quadratic_trace_form(d):
+    """The doubled trace form of Q(sqrt(d)) on the power basis 1, theta."""
+    if d % 4 == 1:  # theta = (1 + sqrt(d))/2: Tr(theta) = 1, N(theta) = (1 - d)/4
+        return ((4, 2), (2, d + 1)) if d > 0 else ((2, 1), (1, (1 - d) // 2))
+    return ((4, 0), (0, 4 * d)) if d > 0 else ((2, 0), (0, -2 * d))  # theta = sqrt(d)
+
+
+def test_quadratic_trace_form_is_checked_before_the_squarefree_test(monkeypatch):
+    for d in (-15, -7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 13, 14):
+        assert quadratic_field(d).gram2 == _quadratic_trace_form(d), d
+
+    def refuse(n):
+        raise AssertionError(f"is_squarefree({n}) was called")
+
+    monkeypatch.setattr(field_module, "is_squarefree", refuse)
+    # 4d, 4d and 2|d| leave int64; |d| does not
+    for d in (2**63 - 25, 2**62 + 3, -(2**62 + 1)):
+        assert abs(d) <= INT64_MAX
+        with pytest.raises(Infeasible, match="trace form"):
+            quadratic_field(d)
 
 
 @settings(max_examples=200, deadline=None)
