@@ -12,13 +12,14 @@ Psi(prod_{k in S} p_k).  min_distance is the finite-subcode brute force over
 constellation pairs; the two agree on every built code and are cross-checked
 in the tests.
 
-The fading figures of a plain code (m = 1, identity generator) are exact and
-need no pair: every difference of a subcode is a nonzero d in
-J = prod_{k in S} p_k, so the diversity is r1 + r2 and the product distance
-follows from the least |N(d)| that the subcode realises, found by a search of
-the J-lattice in order of |N(d)|.  Codes with m > 1 scan every pair of the
-subcode, a coordinate differing where its slot of the exact integer
-difference is nonzero; that scan is also the tests' oracle for the search.
+Fading figures run over the places of K (field.places, field.place_sizes).
+Those of a plain code (m = 1, identity generator) are exact and need no
+pair: every difference of a subcode is a nonzero d in J = prod_{k in S} p_k,
+so the diversity is r1 + r2 and the product distance follows from the least
+|N(d)| that the subcode realises, found by a search of the J-lattice in
+order of |N(d)|.  Other codes scan every pair of the subcode, every place of
+a slot differing where that slot's exact integer difference is nonzero; that
+scan is also the tests' oracle for the search.
 """
 
 from __future__ import annotations
@@ -241,42 +242,26 @@ def overall_side_info_gain(code, k_cap=20):
 # ============================================================
 
 
-def _coordinate_gaps(field, diff_embedded):
-    """Per-coordinate magnitudes, slot by slot, complex pairs collapsed to one
-    column."""
-    r1, r2 = field.signature
-    cols = []
-    for slot in range(0, diff_embedded.shape[-1], field.n):
-        d = diff_embedded[..., slot:slot + field.n]
-        if r1:
-            cols.append(np.abs(d[..., :r1]))
-        for j in range(r2):
-            cols.append(np.hypot(d[..., r1 + 2 * j], d[..., r1 + 2 * j + 1])[..., None])
-    return np.concatenate(cols, axis=-1)
-
-
 def _pair_scan(code, idx):
     """(diversity, min product distance) of the subcode idx over every pair.
 
     Each difference is embedded from the exact difference of the integer
-    points G~ u, so no cancellation between large embeddings enters the gaps.
-    A nonzero algebraic integer has no zero embedding, so every embedded
-    coordinate (complex pairs count once) of a slot where that exact
+    points G~ u, slot by slot, so no cancellation between large embeddings
+    enters its place sizes (field.place_sizes).  A nonzero algebraic integer
+    has no zero embedding, so every place of a slot where that exact
     difference is nonzero differs, and none of a zero slot; the product runs
-    over the differing coordinates of each pair.
+    over the differing places of each pair.
     """
     field = code.field
     # integer points, exact in float64 like the embedding built from them
     P = (code.coords_matrix[idx] @ code.basis.T).astype(np.float64)
-    embed = np.kron(np.eye(code.m), field.embed_matrix).T  # slot by slot
     diversity, pmin = [], []
     for lo, _, i, j in _pairs(P.shape[0]):
-        diff = P[lo + i] - P[j]
-        g = _coordinate_gaps(field, diff @ embed)
-        slots = diff.reshape(-1, code.m, field.n).any(axis=2)
-        differing = np.repeat(slots, field.r1 + field.r2, axis=1)
-        diversity.append(int(differing.sum(axis=1).min()))
-        pmin.append(float(np.where(differing, g, 1.0).prod(axis=1).min()))
+        diff = (P[lo + i] - P[j]).reshape(-1, field.n)  # one row per slot of each pair
+        slots = diff.any(axis=1).reshape(-1, code.m)
+        g = field.place_sizes(diff @ field.embed_matrix.T).reshape(*slots.shape, -1)
+        diversity.append(int(slots.sum(axis=1).min()) * g.shape[2])
+        pmin.append(float(np.where(slots[:, :, None], g, 1.0).prod(axis=(1, 2)).min()))
     return min(diversity), min(pmin)
 
 
@@ -303,13 +288,6 @@ def _first_realised(D, X, keys):
         start += step
         step = min(2 * step, most)
     return None
-
-
-def _abs_norms(field, emb):
-    """|N(d)| of every row of canonical embeddings, in floats."""
-    r1 = field.r1
-    pairs = emb[:, r1::2] ** 2 + emb[:, r1 + 1::2] ** 2
-    return np.abs(emb[:, :r1]).prod(axis=1) * pairs.prod(axis=1)
 
 
 def _smallest_realised_norm(code, s, idx):
@@ -345,7 +323,8 @@ def _smallest_realised_norm(code, s, idx):
         sign = D[np.arange(D.shape[0]), (D != 0).argmax(axis=1)]
         keep = (sign > 0) & (np.abs(D) <= span).all(axis=1)
         D, len2 = D[keep], len2[keep]
-        norms = np.rint(_abs_norms(field, D.astype(np.float64) @ field.embed_matrix.T))
+        sizes = field.place_sizes(D.astype(np.float64) @ field.embed_matrix.T)
+        norms = np.rint((sizes ** np.bincount(field.places)).prod(axis=1))
         order = np.lexsort((len2, norms))
         D, norms = D[order], norms[order]
         hit = _first_realised(D, X, keys)
@@ -369,8 +348,8 @@ def diversity_and_product_distance(code, s, fixed=None):
     product distance is |N(d)| (totally real) or sqrt(|N(d)|) (totally
     complex) for the realised difference d of least |N(d)|, found by a
     norm-ordered search of the side ideal.  Other codes scan every pair of
-    the subcode, counting the embedded coordinates (complex pairs once) of
-    the slots where the pair's exact integer difference is nonzero.
+    the subcode, counting the places of the slots where the pair's exact
+    integer difference is nonzero.
     """
     idx = code.subcode_indices(s, fixed)
     if idx.shape[0] < 2:

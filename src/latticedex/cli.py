@@ -359,7 +359,7 @@ def build_parser():
     s.add_argument("--workers", type=int)
     s.add_argument("--fade-per-complex", dest="fade_per_complex",
                    action="store_true", default=False,
-                   help="one Rayleigh fade per complex coordinate instead of per real one")
+                   help="one Rayleigh fade per place of the field instead of per coordinate")
     s.add_argument("--gap-at", dest="gap_at", type=float,
                    help="print horizontal curve gaps at this SER")
     s.set_defaults(func=cmd_simulate)

@@ -14,7 +14,9 @@ ascending order of their defining exponent, then one (Re, Im) pair per
 conjugate pair of complex embeddings, ascending.  Complex coordinates are
 counted once in squared norms, so the doubled trace form
 G2[k][l] = Tr(theta^k * conj(theta^l)) is an integer matrix with
-x^T G2 x = 2 * ||Psi(x)||^2 exactly.
+x^T G2 x = 2 * ||Psi(x)||^2 exactly.  Column j lies at place places[j]
+([0, 0, 1, 1] on Q(zeta5), [0, 1, 2] on Q(zeta7+)), and place_sizes gives
+|sigma(x)| at each of the r1 + r2 places.
 """
 
 from __future__ import annotations
@@ -85,24 +87,6 @@ def _maxreal_poly(m):
             nxt[i] -= c
         p_prev, p_cur = p_cur, nxt
     return tuple(out)
-
-
-def _power_traces(min_poly, upto):
-    """Tr(theta^j) for j = 0..upto via Newton's identities (exact ints)."""
-    n = len(min_poly) - 1
-    a = min_poly
-    p = [n]
-    for k in range(1, upto + 1):
-        if k <= n:
-            s = -k * a[n - k]
-            for i in range(1, k):
-                s -= a[n - i] * p[k - i]
-        else:
-            s = 0
-            for i in range(1, n + 1):
-                s -= a[n - i] * p[k - i]
-        p.append(s)
-    return p
 
 
 def kronecker_symbol(a, n):
@@ -227,15 +211,14 @@ class NumberField:
 
     def _init_tables(self):
         n, a = self.n, self.min_poly
-        pows = [[0] * n for _ in range(2 * n - 1)]
-        for j in range(min(n, 2 * n - 1)):
-            pows[j][j] = 1
-        for j in range(n, 2 * n - 1):
-            prev = pows[j - 1]
-            top = prev[n - 1]
-            pows[j] = [(prev[r - 1] if r else 0) - top * a[r] for r in range(n)]
-        self._pow = tuple(tuple(p) for p in pows)
-        self._trace_pow = _power_traces(a, 2 * n - 2)
+        # theta^j for j <= 3n - 3: products reach j = 2n - 2, and Tr(theta^j),
+        # the trace of multiplication by theta^j, is sum_i (theta^(i+j))_i
+        pows = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        for _ in range(n, 3 * n - 2):
+            prev = pows[-1]
+            pows.append(tuple((prev[r - 1] if r else 0) - prev[n - 1] * a[r] for r in range(n)))
+        self._pow = tuple(pows)
+        self._trace_pow = [sum(pows[i + j][i] for i in range(n)) for j in range(2 * n - 1)]
 
         if self.r2 == 0:
             self._conj_pow = self._pow[:n]
@@ -287,15 +270,20 @@ class NumberField:
             m = self.param
             embs = [("r", 2 * math.cos(2 * math.pi * j / m)) for j in range(1, self.n + 1)]
         self.embeddings = tuple(embs)
-        rows = []
-        for kind, z in embs:
-            if kind == "r":
-                rows.append([z**k for k in range(n)])
-            else:
-                zp = [z**k for k in range(n)]
-                rows.append([w.real for w in zp])
-                rows.append([w.imag for w in zp])
+        rows, places = [], []
+        for place, (kind, z) in enumerate(embs):
+            zp = [z**k for k in range(n)]
+            parts = [zp] if kind == "r" else [[w.real for w in zp], [w.imag for w in zp]]
+            rows += parts
+            places += [place] * len(parts)
         self.embed_matrix = np.array(rows, dtype=np.float64)
+        self.places = np.array(places)
+        self._place_starts = np.searchsorted(self.places, np.arange(len(embs)))
+
+    def place_sizes(self, emb):
+        """|sigma(x)| at each of the r1 + r2 places, for rows (..., n) of
+        canonical embeddings; a real column's sqrt(x*x) is exactly |x|."""
+        return np.sqrt(np.add.reduceat(emb * emb, self._place_starts, axis=-1))
 
     # ---- identity ----
 

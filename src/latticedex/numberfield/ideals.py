@@ -82,8 +82,10 @@ class Ideal:
         return reduce_mod_hnf_batch(vecs, self.hnf)
 
     def residues(self):
-        """All canonical residues (the HNF box), as coordinate tuples."""
-        return itertools.product(*(range(self.hnf[i][i]) for i in range(self.field.n)))
+        """All canonical residues (the HNF box), as coordinate tuples, in
+        residue_indices order: coordinate 0 varies fastest."""
+        box = (range(self.hnf[i][i]) for i in range(self.field.n - 1, -1, -1))
+        return (r[::-1] for r in itertools.product(*box))
 
     def residue_indices(self, coords):
         """Mixed-radix index of every row of an (M, n) array of canonical

@@ -2,10 +2,11 @@
 
 Channel model: y = sqrt(snr) * h.x + z with unit-average-energy codewords,
 noise variance 1/n per real dimension, and (optionally) Rayleigh fades of
-unit second moment per real coordinate.  Trials run in fixed chunks of 4096
-with a counter-based generator keyed by (seed, point index, chunk index), so
-results are bit-identical across runs and across worker counts: chunks are
-always consumed in index order and the stop rule is applied in that order.
+unit second moment per real coordinate, or per place of K (fade_per_complex).
+Trials run in fixed chunks of 4096 with a counter-based generator keyed by
+(seed, point index, chunk index), so results are bit-identical across runs
+and across worker counts: chunks are always consumed in index order and the
+stop rule is applied in that order.
 
 Detection is brute-force ML over the points that agree with the side
 information.  Each chunk is scored in row tiles of at most _TILE_BYTES of
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, Unsupported
+from .numberfield.field import _is_integer
 
 CHUNK = 4096
 _TILE_BYTES = 1 << 20  # a score tile (two on Rayleigh) fits a 2 MiB per-core L2 cache
@@ -91,6 +93,9 @@ class SimConfig:
             raise InvalidArgument("max_trials must be at least 1")
         if self.workers is not None and self.workers < 1:
             raise InvalidArgument("workers must be at least 1 (or None for auto)")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise InvalidArgument(f"seed must be a nonnegative integer, got {self.seed!r}")
+        self.seed = int(self.seed)
 
     def digest(self):
         blob = json.dumps(
@@ -114,12 +119,11 @@ class SimConfig:
 def resolve_workers(requested):
     """Worker count after the LATTICEDEX_THREADS cap (None = auto-detect)."""
     cap = os.environ.get("LATTICEDEX_THREADS")
-    cap = int(cap) if cap else None
-    if cap is not None and cap < 1:
+    if cap and not (cap.strip().isdecimal() and int(cap) >= 1):
         raise InvalidArgument("LATTICEDEX_THREADS must be a positive integer")
     n = requested if requested is not None else (os.cpu_count() or 1)
-    if cap is not None:
-        n = min(n, cap)
+    if cap:
+        n = min(n, int(cap))
     return max(n, 1)
 
 
@@ -163,10 +167,9 @@ def _build_ctx(config):
     return {
         "channel": config.channel,
         "seed": config.seed,
-        "fade_per_complex": config.fade_per_complex,
-        "num_messages": code.size,
+        "fade_columns": field.places if config.fade_per_complex else np.arange(field.n),
+        "size": code.size,
         "n": field.n,
-        "signature": field.signature,
         "noise_sigma": math.sqrt(1.0 / field.n),
         "amps": [math.sqrt(10.0 ** (v / 10.0)) for v in config.snr_db],
         "enorm": code.gamma * code.embedded,  # unit average energy
@@ -176,17 +179,10 @@ def _build_ctx(config):
 
 
 def _draw_fades(ctx, rng):
-    n = ctx["n"]
-    if not ctx["fade_per_complex"]:
-        return rng.rayleigh(scale=_RAYLEIGH_SCALE, size=(CHUNK, n))
-    r1, r2 = ctx["signature"]
-    draws = rng.rayleigh(scale=_RAYLEIGH_SCALE, size=(CHUNK, r1 + r2))
-    h = np.empty((CHUNK, n))
-    h[:, :r1] = draws[:, :r1]
-    for j in range(r2):
-        h[:, r1 + 2 * j] = draws[:, r1 + j]
-        h[:, r1 + 2 * j + 1] = draws[:, r1 + j]
-    return h
+    """(CHUNK, n) Rayleigh fades, coordinate j taking draw fade_columns[j]; no copy if 1:1."""
+    cols = ctx["fade_columns"]
+    draws = rng.rayleigh(scale=_RAYLEIGH_SCALE, size=(CHUNK, int(cols[-1]) + 1))
+    return draws if draws.shape[1] == cols.shape[0] else draws[:, cols]
 
 
 def _draw_chunk(ctx, point_idx, chunk_idx):
@@ -195,7 +191,7 @@ def _draw_chunk(ctx, point_idx, chunk_idx):
     rng = np.random.Generator(np.random.Philox(ss))
     a = ctx["amps"][point_idx]
 
-    raw = rng.integers(0, ctx["num_messages"], size=CHUNK)
+    raw = rng.integers(0, ctx["size"], size=CHUNK)
     z = rng.standard_normal((CHUNK, ctx["n"])) * ctx["noise_sigma"]
     h = _draw_fades(ctx, rng) if ctx["channel"] == "rayleigh" else None
 

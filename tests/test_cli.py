@@ -185,6 +185,26 @@ def test_bad_simulate_arguments_exit_1(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 1
 
 
+def test_bad_seed_and_thread_cap_exit_1(tmp_path, capsys, monkeypatch):
+    # both ended in a numpy or int() ValueError traceback after the build
+    run = ["simulate", "--preset", "example1", "--snr", "10", "--trials", "4096",
+           "--workers", "1", "--out-dir", str(tmp_path)]
+    spec = spec_from_preset("example1").to_dict()
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({**spec, "seed": -1, "snr_db": [10.0]}))
+    for argv in (run + ["--seed", "-1"], ["simulate", "--config", str(config), "--trials",
+                                          "4096", "--out-dir", str(tmp_path)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err, err
+    for cap in ("abc", "1.5"):
+        monkeypatch.setenv("LATTICEDEX_THREADS", cap)
+        assert main(run) == 1
+        assert "LATTICEDEX_THREADS" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # ---- design ----
 
 def test_design_writes_code_and_points(tmp_path, capsys, ex1_code):

@@ -142,6 +142,19 @@ def test_residues_enumeration_and_index():
             assert sorted(seen) == list(range(q.norm))
 
 
+def test_residues_come_in_index_order():
+    # an inert prime and a composite ideal have several nontrivial HNF
+    # diagonal entries, so a wrong digit order shows
+    zi = quadratic_field(-1)
+    (inert,) = prime_ideals_above(zi, 3)
+    composite = prime_ideals_above(zi, 5)[0] * inert
+    q19 = prime_ideals_above(cyclotomic_field(5), 19)[0]  # residue degree 2
+    for ideal in (inert, composite, q19, ideal_from_generators(cyclotomic_field(5), [6])):
+        assert sum(h > 1 for h in np.diag(ideal.hnf)) > 1
+        rows = list(ideal.residues())
+        assert ideal.residue_indices(rows).tolist() == list(range(ideal.norm))
+
+
 def test_reduce_is_canonical_and_lattice_compatible():
     rng = random.Random(59)
     field = quadratic_field(-7)

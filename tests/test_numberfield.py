@@ -219,6 +219,39 @@ def test_normsq2_matches_embedding_norm():
             assert abs(a.normsq2() - 2.0 * float(emb @ emb)) < 1e-7 * max(1, a.normsq2())
 
 
+def test_trace_of_powers_matches_embeddings():
+    # Tr(theta^j), j <= 2n - 2, is read off the multiplication matrix of theta^j
+    for field in TEST_FIELDS:
+        for j in range(2 * field.n - 1):
+            total = sum((2 * z**j).real if kind == "c" else z**j for kind, z in field.embeddings)
+            assert field.trace_coords(field._pow[j]) == round(total), (field, j)
+
+
+def test_places_and_place_sizes():
+    assert cyclotomic_field(5).places.tolist() == [0, 0, 1, 1]
+    assert maximal_real_field(7).places.tolist() == [0, 1, 2]
+    assert quadratic_field(5).places.tolist() == [0, 1]
+    assert quadratic_field(-1).places.tolist() == [0, 0]
+    rng = random.Random(47)
+    for field in TEST_FIELDS:
+        r1, r2 = field.signature
+        assert np.bincount(field.places).tolist() == [1] * r1 + [2] * r2
+        els = [_rand_el(rng, field) for _ in range(6)]
+        emb = np.array([a.embed() for a in els])
+        sizes = field.place_sizes(emb)
+        assert sizes.shape == (6, r1 + r2)
+        # any leading shape; a real place is exactly |x|
+        assert np.array_equal(field.place_sizes(emb.reshape(2, 3, field.n)),
+                              sizes.reshape(2, 3, -1))
+        assert np.array_equal(sizes[:, :r1], np.abs(emb[:, :r1]))
+        for a, row in zip(els, sizes):
+            want = [abs(sum(c * z**k for k, c in enumerate(a.coords)))
+                    for _, z in field.embeddings]
+            assert np.allclose(row, want, rtol=1e-9, atol=1e-9), (field, a)
+            norm = float(np.prod(row ** np.bincount(field.places)))
+            assert math.isclose(norm, abs(a.norm()), rel_tol=1e-8, abs_tol=1e-8), (field, a)
+
+
 def test_gram_matrix_is_symmetric_positive_definite():
     for field in TEST_FIELDS:
         G = field.gram2_np

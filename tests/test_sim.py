@@ -56,6 +56,11 @@ def test_config_validation(ex1_code):
         with pytest.raises(InvalidArgument, match="snr values must be numbers"):
             _cfg(ex1_code, snr_db=grid)
     assert _cfg(ex1_code, snr_db=(8, np.float32(9.5), np.int64(11))).snr_db == (8.0, 9.5, 11.0)
+    # a negative seed failed in numpy's generator, after the code was built
+    for seed in (-1, True, 1.5, "3", None):
+        with pytest.raises(InvalidArgument, match="seed"):
+            _cfg(ex1_code, seed=seed)
+    assert type(_cfg(ex1_code, seed=np.int64(3)).seed) is int
 
 
 def test_config_digest_tracks_inputs(ex1_code, ex2_code):
@@ -75,9 +80,10 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(8) == 2
     assert resolve_workers(1) == 1
     assert resolve_workers(None) <= 2
-    monkeypatch.setenv("LATTICEDEX_THREADS", "0")
-    with pytest.raises(InvalidArgument):
-        resolve_workers(4)
+    for cap in ("0", "-2", "abc", "1.5"):
+        monkeypatch.setenv("LATTICEDEX_THREADS", cap)
+        with pytest.raises(InvalidArgument, match="LATTICEDEX_THREADS"):
+            resolve_workers(4)
 
 
 # ---- determinism ----
@@ -134,17 +140,22 @@ def test_rayleigh_runs_and_is_deterministic(ex1_code):
     assert a.points[0].errors >= 300
 
 
-def test_fade_draws_unit_power_and_pairing():
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
-    ctx = {"n": 2, "fade_per_complex": False, "signature": (2, 0)}
-    h = _draw_fades(ctx, rng)
-    assert h.shape[1] == 2
-    assert abs((h * h).mean() - 1.0) < 0.05
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2)))
-    ctx = {"n": 2, "fade_per_complex": True, "signature": (0, 1)}
-    h = _draw_fades(ctx, rng)
-    assert np.array_equal(h[:, 0], h[:, 1])  # one draw shared by (Re, Im)
-    assert abs((h[:, 0] ** 2).mean() - 1.0) < 0.05
+def test_fade_draws_unit_power_and_pairing(ex1_code, ex2_code, cyclo_code, maxreal_code):
+    # the place of each coordinate on Q(sqrt5), Q(sqrt-5), Q(zeta5) and Q(zeta7+)
+    for code, places in ((ex1_code, [0, 1]), (ex2_code, [0, 0]), (cyclo_code, [0, 0, 1, 1]),
+                         (maxreal_code, [0, 1, 2])):
+        n = code.field.n
+        for seed, per_complex in ((1, False), (2, True)):
+            ctx = sim._build_ctx(_cfg(code, channel="rayleigh", fade_per_complex=per_complex))
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            h = _draw_fades(ctx, rng)
+            assert h.shape == (sim.CHUNK, n)
+            assert abs((h * h).mean() - 1.0) < 0.05
+            # per coordinate no two columns share a draw; per complex place
+            # the (Re, Im) columns of a place do, and only they
+            for i, j in itertools.combinations(range(n), 2):
+                shared = per_complex and places[i] == places[j]
+                assert np.array_equal(h[:, i], h[:, j]) == shared, (code.field, per_complex, i, j)
 
 
 def test_fade_per_complex_changes_results(ex2_code):
@@ -152,6 +163,15 @@ def test_fade_per_complex_changes_results(ex2_code):
     paired = run_sim(_cfg(ex2_code, channel="rayleigh", snr_db=(20.0,),
                           min_errors=300, fade_per_complex=True))
     assert plain.points != paired.points
+
+
+@pytest.mark.parametrize("fixture, errors", [("ex2_code", (2255, 1510)),
+                                             ("cyclo_code", (3573, 2703))])
+def test_fade_per_complex_results_are_pinned(request, fixture, errors):
+    # one fade per complex place, at a fixed seed: a wrong place map moves these counts
+    res = run_sim(_cfg(request.getfixturevalue(fixture), channel="rayleigh", snr_db=(14.0, 18.0),
+                       min_errors=50, max_trials=8192, seed=3, fade_per_complex=True))
+    assert [(p.errors, p.trials) for p in res.points] == [(e, 4096) for e in errors]
 
 
 # ---- chunk detection kernel ----
