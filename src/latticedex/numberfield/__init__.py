@@ -7,7 +7,6 @@ from .field import (
     cyclotomic_field,
     cyclotomic_poly,
     field_from_dict,
-    kronecker_symbol,
     maximal_real_field,
     quadratic_field,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "cyclotomic_field",
     "cyclotomic_poly",
     "field_from_dict",
-    "kronecker_symbol",
     "maximal_real_field",
     "quadratic_field",
     "Ideal",

@@ -16,7 +16,8 @@ counted once in squared norms, so the doubled trace form
 G2[k][l] = Tr(theta^k * conj(theta^l)) is an integer matrix with
 x^T G2 x = 2 * ||Psi(x)||^2 exactly.  Column j lies at place places[j]
 ([0, 0, 1, 1] on Q(zeta5), [0, 1, 2] on Q(zeta7+)), and place_sizes gives
-|sigma(x)| at each of the r1 + r2 places.
+|sigma(x)| at each of the r1 + r2 places.  Since O_K = Z[theta], the
+discriminant is det Tr(theta^(i+j)), read off the same trace table.
 """
 
 from __future__ import annotations
@@ -89,37 +90,6 @@ def _maxreal_poly(m):
     return tuple(out)
 
 
-def kronecker_symbol(a, n):
-    """Kronecker symbol (a / n) for integers a, n."""
-    if n == 0:
-        return 1 if abs(a) == 1 else 0
-    res = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            res = -res
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            res = -res
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                res = -res
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            res = -res
-        a %= n
-    return res if n == 1 else 0
-
-
 def _is_integer(v):
     """A rational integer: a Python or numpy int, not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -138,8 +108,11 @@ class NumberField:
     """
 
     def __init__(self, family, param):
+        if not _is_integer(param):
+            raise InvalidArgument(f"the field parameter must be an integer, not {param!r}")
+        param = int(param)
         if family == "quadratic":
-            d = int(param)
+            d = param
             if d in (0, 1):
                 raise InvalidArgument("d must be a squarefree integer other than 0, 1")
             # the trace form holds |d|, so a d outside int64 is refused before any factoring
@@ -157,15 +130,13 @@ class NumberField:
                 raise InvalidArgument(f"d = {d} is not squarefree")
             if d % 4 == 1:
                 self.min_poly = ((1 - d) // 4, -1, 1)
-                self.discriminant = d
                 self.theta_name = f"(1+sqrt({d}))/2"
             else:
                 self.min_poly = (-d, 0, 1)
-                self.discriminant = 4 * d
                 self.theta_name = f"sqrt({d})"
             self.r1, self.r2 = (2, 0) if d > 0 else (0, 1)
         elif family == "cyclotomic":
-            m = int(param)
+            m = param
             if m < 3 or m % 4 == 2:
                 raise InvalidArgument("need m >= 3 with m != 2 (mod 4)")
             # phi(m) >= sqrt(m/2): a larger m is refused without factoring it
@@ -180,30 +151,22 @@ class NumberField:
                 raise Infeasible(f"Q(zeta{m}) has degree phi({m}) = {n} > {MAX_DEGREE}, "
                                  "the largest accepted")
             self.min_poly = cyclotomic_poly(m)
-            disc = m**n
-            for p in primes:
-                disc //= p ** (n // (p - 1))
-            if (n // 2) % 2:
-                disc = -disc
-            self.discriminant = disc
             self.theta_name = f"zeta_{m}"
             self.r1, self.r2 = 0, n // 2
         elif family == "maximal_real":
-            m = int(param)
+            m = param
             if m < 5 or not is_prime(m):
                 raise InvalidArgument("need a prime m >= 5")
             if (m - 1) // 2 > MAX_DEGREE:
                 raise Infeasible(f"Q(zeta{m}+) has degree "
                                  f"{(m - 1) // 2} > {MAX_DEGREE}, the largest accepted")
             self.min_poly = _maxreal_poly(m)
-            n = (m - 1) // 2
-            self.discriminant = m ** ((m - 3) // 2)
             self.theta_name = f"2*cos(2*pi/{m})"
-            self.r1, self.r2 = n, 0
+            self.r1, self.r2 = (m - 1) // 2, 0
         else:
             raise InvalidArgument(f"unknown field family {family!r}")
         self.family = family
-        self.param = int(param)
+        self.param = param
         self.n = len(self.min_poly) - 1
         self._init_tables()
 
@@ -219,6 +182,8 @@ class NumberField:
             pows.append(tuple((prev[r - 1] if r else 0) - prev[n - 1] * a[r] for r in range(n)))
         self._pow = tuple(pows)
         self._trace_pow = [sum(pows[i + j][i] for i in range(n)) for j in range(2 * n - 1)]
+        # O_K = Z[theta], so disc(O_K) = det Tr(theta^(i+j))
+        self.discriminant = det_int([self._trace_pow[i:i + n] for i in range(n)])
 
         if self.r2 == 0:
             self._conj_pow = self._pow[:n]

@@ -5,7 +5,8 @@ over the power basis of the field.  Since every supported field is monogenic
 (O_K = Z[theta]), Dedekind's factorization criterion applies at every
 rational prime: the primes above p correspond to the irreducible factors of
 the minimal polynomial mod p, with the ideal (p, g_i(theta)) having residue
-degree deg g_i and ramification index the factor multiplicity.
+degree deg g_i and ramification index the factor multiplicity.  That one
+factorization gives both the prime ideals above p and p's splitting type.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidArgument, InvariantViolation, Unsupported
-from .field import AlgebraicInt, NumberField, _is_integer, kronecker_symbol
+from .field import AlgebraicInt, _is_integer
 from .linalg import hnf_columns, mixed_radix, reduce_mod_hnf, reduce_mod_hnf_batch
 from .modp import factor_mod_p, is_prime
 
@@ -180,50 +181,20 @@ def _check_prime(p):
     return int(p)
 
 
-def _mult_order(p, m, allow_sign=False):
-    """Multiplicative order of p mod m, or its order in (Z/m)^* / {+-1}."""
-    t = p % m
-    k = 1
-    while t != 1 and not (allow_sign and t == m - 1):
-        t = (t * p) % m
-        k += 1
-    return k
-
-
 def classify_prime(field, p):
-    """Decomposition type of p in the field, from quadratic-residue or
-    multiplicative-order arithmetic (no factorization involved)."""
-    p = _check_prime(p)
-    n = field.n
-    if field.family == "quadratic":
-        k = kronecker_symbol(field.discriminant, p)
-        if k == 0:
-            return PrimeClass("ramified", 2, 1, 1)
-        if k == 1:
-            return PrimeClass("split", 1, 1, 2)
-        return PrimeClass("inert", 1, 2, 1)
-    m = field.param
-    if field.family == "cyclotomic":
-        if m % p == 0:
-            mp, a = m, 0
-            while mp % p == 0:
-                mp //= p
-                a += 1
-            e = (p - 1) * p ** (a - 1)
-            f = _mult_order(p, mp) if mp > 1 else 1
-            h = n // (e * f)
-            return PrimeClass("ramified", e, f, h)
-        f = _mult_order(p, m)
-    else:  # maximal_real
-        if p == m:
-            return PrimeClass("ramified", n, 1, 1)
-        f = _mult_order(p, m, allow_sign=True)
-    h = n // f
-    if f == 1:
-        return PrimeClass("split", 1, 1, h)
-    if h == 1:
-        return PrimeClass("inert", 1, f, 1)
-    return PrimeClass("partial", 1, f, h)
+    """Decomposition type of p in the field, read off the factors of the
+    minimal polynomial mod p (Dedekind: h factors, each of multiplicity e
+    and degree f).  Unlike prime_ideals_above, it accepts the ramified p of
+    every family."""
+    factors = factor_minpoly_mod_p(field, p)
+    es = {mult for _, mult in factors}
+    fs = {len(coeffs) - 1 for coeffs, _ in factors}
+    if len(es) != 1 or len(fs) != 1:
+        raise InvariantViolation(f"primes above {p} in the Galois field {field.name} "
+                                 f"differ in e or f: {factors}")
+    (e,), (f,), h = es, fs, len(factors)
+    kind = "ramified" if e > 1 else "split" if f == 1 else "inert" if h == 1 else "partial"
+    return PrimeClass(kind, e, f, h)
 
 
 def factor_minpoly_mod_p(field, p):

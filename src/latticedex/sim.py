@@ -87,12 +87,13 @@ class SimConfig:
             raise InvalidArgument("snr grid must be strictly increasing")
         self.snr_db = grid
         self.side_info = self.code.check_side_info(self.side_info)
-        if self.min_errors < 1:
-            raise InvalidArgument("min_errors must be at least 1")
-        if self.max_trials < 1:
-            raise InvalidArgument("max_trials must be at least 1")
-        if self.workers is not None and self.workers < 1:
-            raise InvalidArgument("workers must be at least 1 (or None for auto)")
+        for name in ("min_errors", "max_trials", "workers"):
+            v = getattr(self, name)
+            if name == "workers" and v is None:  # auto
+                continue
+            if not _is_integer(v) or v < 1:
+                raise InvalidArgument(f"{name} must be an integer of at least 1, got {v!r}")
+            setattr(self, name, int(v))
         if not _is_integer(self.seed) or self.seed < 0:
             raise InvalidArgument(f"seed must be a nonnegative integer, got {self.seed!r}")
         self.seed = int(self.seed)

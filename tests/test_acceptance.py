@@ -34,7 +34,7 @@ from latticedex import (
 )
 from latticedex.analysis import SIX_DB
 from latticedex.numberfield.linalg import reduce_mod_hnf_batch
-from test_numberfield import _brute_cyclotomic, _brute_maxreal, _brute_quadratic
+from test_numberfield import BRUTE_ORACLES
 
 
 def _record(num, ok, detail):
@@ -357,29 +357,30 @@ def test_criterion_6_rayleigh_diversity_and_gaps(ex1_code, ex2_code):
 def test_criterion_7_splitting_matches_brute_oracle(ex1_code, ex2_code, ex3_code,
                                                     cyclo_code, maxreal_code):
     t0 = time.perf_counter()
-    oracles = {"quadratic": _brute_quadratic, "cyclotomic": _brute_cyclotomic,
-               "maximal_real": _brute_maxreal}
     fields = [c.field for c in (ex1_code, ex2_code, ex3_code, cyclo_code,
                                 maxreal_code)]
     checked = 0
     for field in fields:
-        brute = oracles[field.family]
+        brute = BRUTE_ORACLES[field.family]
         conductor = field.param if field.family != "quadratic" else None
         for p in sympy.primerange(2, 200):
             p = int(p)
             info = classify_prime(field, p)
-            assert (info.kind, info.e, info.f, info.h) == brute(field, p), \
-                (field.name, p)
+            want = brute(field, p)
+            assert (info.kind, info.e, info.f, info.h) == want, (field.name, p)
             assert info.e * info.f * info.h == field.n, (field.name, p)
             if conductor is None or conductor % p:
                 ideals = prime_ideals_above(field, p)
                 assert sum(q.ramification * q.inertia for q in ideals) == field.n
                 assert all(q.norm == p ** q.inertia for q in ideals)
+                assert all((q.ramification, q.inertia, len(ideals)) == want[1:]
+                           for q in ideals), (field.name, p)
             checked += 1
     elapsed = time.perf_counter() - t0
     _record(7, elapsed < 5.0,
             f"splitting type of every prime below 200 in all 5 preset fields "
-            f"matches the residue/order oracle; sum(e_i*f_i) = n throughout "
+            f"matches the residue/order oracle, as do the prime ideals above it; "
+            f"sum(e_i*f_i) = n throughout "
             f"({checked} primes, {elapsed:.1f}s)")
 
 

@@ -7,7 +7,6 @@ import sympy
 from latticedex.codec import build_index_code, code_from_dict
 from latticedex.errors import InvalidArgument, Unsupported
 from latticedex.numberfield import (
-    classify_prime,
     cyclotomic_field,
     ideal_from_generators,
     ideal_to_dict,
@@ -18,6 +17,7 @@ from latticedex.numberfield import (
     quadratic_field,
     whole_ring,
 )
+from test_numberfield import BRUTE_ORACLES
 
 FIELDS = [
     quadratic_field(5),
@@ -38,16 +38,17 @@ def test_whole_ring_properties():
 
 
 def test_prime_ideals_sum_ef_equals_degree():
-    for field in FIELDS:
+    for field in FIELDS + [cyclotomic_field(12), cyclotomic_field(15), cyclotomic_field(20)]:
         for p in sympy.primerange(2, 200):
             p = int(p)
             if field.family in ("cyclotomic", "maximal_real") and field.param % p == 0:
                 continue
             ideals = prime_ideals_above(field, p)
             assert sum(q.ramification * q.inertia for q in ideals) == field.n
-            info = classify_prime(field, p)
-            assert len(ideals) == info.h
+            _, e, f, h = BRUTE_ORACLES[field.family](field, p)
+            assert len(ideals) == h, (field, p)
             for q in ideals:
+                assert (q.ramification, q.inertia) == (e, f), (field, p)
                 assert q.norm == p**q.inertia
                 assert q.residue_char == p
                 assert q.contains(field.from_int(p))

@@ -14,7 +14,6 @@ from latticedex.numberfield import (
     cyclotomic_field,
     cyclotomic_poly,
     field_from_dict,
-    kronecker_symbol,
     maximal_real_field,
     quadratic_field,
 )
@@ -30,6 +29,8 @@ TEST_FIELDS = [
     maximal_real_field(7),
     maximal_real_field(11),
 ]
+# plus cyclotomic fields where a ramified p has f > 1 or h > 1
+ORACLE_FIELDS = TEST_FIELDS + [cyclotomic_field(12), cyclotomic_field(15), cyclotomic_field(20)]
 
 
 def _rand_el(rng, field, span=5):
@@ -38,22 +39,38 @@ def _rand_el(rng, field, span=5):
 
 # ---- construction and validation ----
 
+# a parameter that is not an integer used to be truncated: 5.5 gave Q(sqrt(5))
+NOT_INTEGERS = (True, False, None, "8")
+
+
 def test_quadratic_field_rejects_bad_d():
     for d in (0, 1, 4, 12, -4, 18):
         with pytest.raises(InvalidArgument):
             quadratic_field(d)
+    for d in (5.5, 5.0, -1.0) + NOT_INTEGERS:
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            quadratic_field(d)
+    assert quadratic_field(np.int64(-5)) == quadratic_field(-5)
 
 
 def test_cyclotomic_field_rejects_bad_m():
     for m in (2, 6, 10, 1):
         with pytest.raises(InvalidArgument):
             cyclotomic_field(m)
+    for m in (5.9, 8.0) + NOT_INTEGERS:
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            cyclotomic_field(m)
+    assert type(cyclotomic_field(np.int32(8)).param) is int
 
 
 def test_maximal_real_field_rejects_bad_m():
     for m in (4, 6, 9, 15):
         with pytest.raises(InvalidArgument):
             maximal_real_field(m)
+    for m in (7.2, 7.0) + NOT_INTEGERS:
+        with pytest.raises(InvalidArgument, match="must be an integer"):
+            maximal_real_field(m)
+    assert maximal_real_field(np.uint8(7)) == maximal_real_field(7)
 
 
 def test_unknown_family_rejected():
@@ -88,7 +105,7 @@ def test_discriminant_matches_minpoly_discriminant():
     # all supported families are monogenic, so the field discriminant equals
     # the discriminant of the defining polynomial
     x = sympy.Symbol("x")
-    for field in TEST_FIELDS:
+    for field in ORACLE_FIELDS:
         poly = sympy.Poly(list(reversed(field.min_poly)), x)
         assert field.discriminant == int(sympy.discriminant(poly))
 
@@ -313,29 +330,6 @@ def test_str_forms():
     assert str(F.element((0, 2))) == "2*t"
 
 
-# ---- kronecker symbol ----
-
-def test_kronecker_against_sympy_jacobi():
-    rng = random.Random(47)
-    for _ in range(200):
-        a = rng.randint(-60, 60)
-        n = rng.randrange(1, 60, 2)  # odd positive: jacobi domain
-        assert kronecker_symbol(a, n) == int(sympy.jacobi_symbol(a, n))
-
-
-def test_kronecker_special_cases():
-    assert kronecker_symbol(5, 0) == 0
-    assert kronecker_symbol(1, 0) == 1
-    assert kronecker_symbol(-1, 0) == 1
-    # (a/2) = 0 for even a, +1 for a = +-1 mod 8, -1 for a = +-3 mod 8
-    assert kronecker_symbol(6, 2) == 0
-    assert kronecker_symbol(7, 2) == 1
-    assert kronecker_symbol(3, 2) == -1
-    # negative n: sign from the sign of a
-    assert kronecker_symbol(-3, -1) == -1
-    assert kronecker_symbol(3, -1) == 1
-
-
 # ---- prime classification vs brute-force oracles ----
 
 def _brute_quadratic(field, p):
@@ -387,15 +381,19 @@ def _brute_maxreal(field, p):
     return ("split" if k == 1 else "inert" if h == 1 else "partial"), 1, k, h
 
 
+BRUTE_ORACLES = {"quadratic": _brute_quadratic, "cyclotomic": _brute_cyclotomic,
+                 "maximal_real": _brute_maxreal}
+
+
 def test_classify_prime_against_brute_oracle():
-    oracles = {"quadratic": _brute_quadratic, "cyclotomic": _brute_cyclotomic,
-               "maximal_real": _brute_maxreal}
-    for field in TEST_FIELDS:
-        brute = oracles[field.family]
+    for field in ORACLE_FIELDS:
+        brute = BRUTE_ORACLES[field.family]
         for p in sympy.primerange(2, 200):
             info = classify_prime(field, int(p))
             assert (info.kind, info.e, info.f, info.h) == brute(field, int(p)), (
                 field.name, p)
+    for m, p, efh in ((12, 2, (2, 2, 1)), (15, 3, (2, 4, 1)), (20, 5, (4, 1, 2))):
+        assert _brute_cyclotomic(cyclotomic_field(m), p) == ("ramified",) + efh
 
 
 def test_classify_prime_rejects_composites():

@@ -61,6 +61,17 @@ def test_config_validation(ex1_code):
         with pytest.raises(InvalidArgument, match="seed"):
             _cfg(ex1_code, seed=seed)
     assert type(_cfg(ex1_code, seed=np.int64(3)).seed) is int
+    # workers=1.5 failed in run_sim, workers=True ran as 1 worker, min_errors="5"
+    # failed on "<"; min_errors=True and max_trials=2.5 were accepted
+    for key, bad in (("workers", 1.5), ("workers", 2.0), ("workers", True), ("workers", "2"),
+                     ("min_errors", True), ("min_errors", "5"), ("min_errors", 5.0),
+                     ("max_trials", 2.5), ("max_trials", None), ("max_trials", False)):
+        with pytest.raises(InvalidArgument, match=key):
+            _cfg(ex1_code, **{key: bad})
+    cfg = _cfg(ex1_code, workers=np.int64(2), min_errors=np.int32(5), max_trials=np.uint16(9))
+    assert (cfg.workers, cfg.min_errors, cfg.max_trials) == (2, 5, 9)
+    assert all(type(v) is int for v in (cfg.workers, cfg.min_errors, cfg.max_trials))
+    assert _cfg(ex1_code, workers=None).workers is None
 
 
 def test_config_digest_tracks_inputs(ex1_code, ex2_code):
