@@ -45,7 +45,8 @@ from .numberfield import (
     prime_ideals_above,
     whole_ring,
 )
-from .numberfield.linalg import INT64_MAX, det_int, mixed_radix, short_vectors, sublattice_gram
+from .numberfield.linalg import (INT64_MAX, det_int, hnf_reduction_bound, mixed_radix,
+                                 short_vectors, sublattice_gram)
 
 DEFAULT_ENUMERATION_CAP = 10**6
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
@@ -160,19 +161,12 @@ def _check_int64_range(coords, gram2, basis, ideals):
 
     An exact a-priori bound from the largest |coordinate| B, in Python ints,
     covers the energies x^T gram2 x and their sum, the points G~ u, and the
-    reduction of every coordinate row modulo each ideal's HNF (|q| <= b//h + 1
-    per column, its multiples added to the rows above).
+    reduction of every coordinate row modulo each ideal's HNF.
     """
     B = max(int(coords.max()), -int(coords.min()), 0) if coords.size else 0
     worst = max(coords.shape[0] * B * B * int(np.abs(gram2).sum()),
-                B * int(np.abs(basis).sum(axis=1).max()))
-    for ideal in ideals:
-        H = ideal.hnf
-        b = [B] * len(H)
-        for i in range(len(H) - 1, -1, -1):
-            q = b[i] // H[i][i] + 1
-            b[:i] = [bj + q * abs(H[j][i]) for j, bj in enumerate(b[:i])]
-            worst = max(worst, b[i] + H[i][i], *b[:i])
+                B * int(np.abs(basis).sum(axis=1).max()),
+                *(hnf_reduction_bound(B, ideal.hnf) for ideal in ideals))
     if worst > INT64_MAX:
         raise InvalidArgument("point coordinates are too large for exact int64 arithmetic")
 

@@ -7,7 +7,8 @@ reduction of Gram matrices, and enumeration of the short vectors of an
 integer Gram matrix.  Everything is arbitrary-precision Python int except
 the enumeration: it LLL-reduces the basis, lets a float Cholesky factor steer
 a breadth-first Fincke-Pohst search in numpy int64, rescores every candidate
-exactly, and refuses inputs whose exact range bounds leave int64.
+exactly, and refuses inputs whose exact range bounds leave int64.  Its level
+step (fp_level, fp_expand) is also the simulator's sphere decoder's.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 import numpy as np
 
 from ..errors import Infeasible, InvalidArgument, InvariantViolation
+
+INT64_MAX = 2**63 - 1
 
 # ============================================================
 # Hermite normal form (column style)
@@ -86,9 +89,29 @@ def hnf_contains(hnf, coords):
     return not any(reduce_mod_hnf(coords, hnf))
 
 
+def hnf_reduction_bound(B, hnf):
+    """Exact bound, in Python ints, on every |value| that reducing rows with
+    entries of size at most B modulo the HNF meets: per column from the last,
+    |q| <= b//h + 1, and q times the column is added to the entries above."""
+    b = [B] * len(hnf)
+    worst = B
+    for i in range(len(hnf) - 1, -1, -1):
+        q = b[i] // hnf[i][i] + 1
+        b[:i] = [bj + q * abs(hnf[j][i]) for j, bj in enumerate(b[:i])]
+        worst = max(worst, b[i] + hnf[i][i], *b[:i])
+    return worst
+
+
 def reduce_mod_hnf_batch(vecs, hnf):
-    """Vectorized reduce_mod_hnf: vecs is (M, n) int64, returns same shape."""
+    """Vectorized reduce_mod_hnf: vecs is (M, n) int64, returns same shape.
+
+    Raises Infeasible when hnf_reduction_bound leaves int64, where the
+    reduction could wrap.
+    """
     V = np.array(vecs, dtype=np.int64, copy=True)
+    B = max(int(V.max()), -int(V.min()), 0) if V.size else 0
+    if hnf_reduction_bound(B, [[int(v) for v in row] for row in hnf]) > INT64_MAX:
+        raise Infeasible("reduction modulo the HNF leaves the int64 range")
     n = V.shape[1]
     H = np.asarray(hnf, dtype=np.int64)
     for i in range(n - 1, -1, -1):
@@ -223,7 +246,6 @@ def lll_gram(gram):
 # ============================================================
 
 _ENUM_LIMIT = 1 << 24  # max candidate rows materialised at one enumeration level
-INT64_MAX = 2**63 - 1
 
 
 def _range_bounds(U, R, bound2):
@@ -239,6 +261,29 @@ def _range_bounds(U, R, bound2):
     if max(score, image) > INT64_MAX:
         raise Infeasible(f"enumeration of radius^2 {bound2} leaves the int64 range")
     return yb
+
+
+def fp_level(c, room, bound):
+    """One breadth-first Fincke-Pohst level: for every row, the integers y
+    with (y - c)^2 <= room, as (first, counts).
+
+    The float interval only steers: it is widened by a relative 1e-9 and an
+    absolute 1e-9, then clipped to |y| <= bound, an exact bound the caller
+    proves for every point it must not miss.  Clipping before the cast keeps
+    infinite centers and rooms inside int64; rows with a NaN are the caller's
+    to discard.
+    """
+    r = np.sqrt(np.maximum(room, 0.0)) * (1.0 + 1e-9) + 1e-9
+    first = np.clip(np.ceil(c - r), -bound, bound + 1).astype(np.int64)
+    last = np.clip(np.floor(c + r), -bound - 1, bound).astype(np.int64)
+    return first, np.maximum(last - first + 1, 0)
+
+
+def fp_expand(first, counts):
+    """(parent row, value) of every integer fp_level admitted, rows in order."""
+    rows = np.repeat(np.arange(counts.shape[0]), counts)
+    offsets = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, first[rows] + offsets
 
 
 def _enumerate(U, R, bound2, include_zero):
@@ -262,15 +307,12 @@ def _enumerate(U, R, bound2, include_zero):
     T = np.zeros(1)  # float partial norms of the prefixes
     for i in range(n - 1, -1, -1):
         c = -(Y @ mu[i, i + 1:])
-        r = np.sqrt(np.maximum(budget - T, 0.0) / q[i]) * (1.0 + 1e-9) + 1e-9
-        lo = np.maximum(np.ceil(c - r), -yb[i]).astype(np.int64)
-        counts = np.maximum(np.minimum(np.floor(c + r), yb[i]).astype(np.int64) - lo + 1, 0)
+        first, counts = fp_level(c, (budget - T) / q[i], yb[i])
         total = int(counts.sum())
         if total > _ENUM_LIMIT:
             raise Infeasible(f"short-vector enumeration would hold {total} candidates "
                              f"(limit {_ENUM_LIMIT}); giving up")
-        rows = np.repeat(np.arange(counts.shape[0]), counts)
-        yi = lo[rows] + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows, yi = fp_expand(first, counts)
         T = T[rows] + q[i] * (yi - c[rows]) ** 2
         Y = np.column_stack([yi, Y[rows]])
     norms = np.einsum("ij,jk,ik->i", Y, np.array(R, dtype=np.int64), Y)

@@ -129,6 +129,18 @@ def test_reduce_mod_hnf_batch_matches_scalar():
         assert tuple(int(x) for x in r) == reduce_mod_hnf(tuple(int(x) for x in v), H)
 
 
+def test_reduce_mod_hnf_batch_refuses_int64_wrap():
+    # q = 2**40 // 3 times the column (2**40, 3) wrapped int64 and returned [[5, 1]]
+    H = ((7, 2**40), (0, 3))
+    assert reduce_mod_hnf((5, 2**40), H) == (2, 1)
+    with pytest.raises(Infeasible, match="int64"):
+        reduce_mod_hnf_batch([[5, 2**40]], H)
+    # the bound is exact, not a blanket size limit: the same column reduces at 2**20
+    assert reduce_mod_hnf_batch([[5, 2**20]], ((7, 2**20), (0, 3))).tolist() == [
+        list(reduce_mod_hnf((5, 2**20), ((7, 2**20), (0, 3))))]
+    assert linalg.hnf_reduction_bound(2**20, ((7, 2**20), (0, 3))) < linalg.INT64_MAX
+
+
 def test_det_int_against_numpy():
     rng = random.Random(13)
     for _ in range(50):

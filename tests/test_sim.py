@@ -8,16 +8,20 @@ import pytest
 from latticedex import (
     InvalidArgument,
     SimConfig,
+    build_oklattice_code,
     confidence_interval,
     curve_filename,
     diversity_slope,
     ml_detect,
+    prime_ideals_above,
+    quadratic_field,
     read_curve_csv,
     run_sim,
     si_gain_from_curves,
     write_curve_csv,
 )
 from latticedex import sim
+from latticedex.presets import preset_snr_grid
 from latticedex.sim import SimPoint, _draw_fades, resolve_workers, side_info_tag
 
 
@@ -205,35 +209,89 @@ def _untiled_detect(code, s, a, raw, y, h):
     return det
 
 
+def _sets(code):
+    k = len(code.primes)
+    return [s for r in range(k + 1) for s in itertools.combinations(range(1, k + 1), r)]
+
+
+_PRESETS = {"ex1_code": "example1", "ex2_code": "example2", "ex3_code": "example3",
+            "maxreal_code": "maxreal-K3", "cyclo_code": "cyclo-K4"}
+
+
 @pytest.mark.parametrize("tile_bytes", [sim._TILE_BYTES, 4096])
-@pytest.mark.parametrize("fixture", ["ex1_code", "ex2_code", "ex3_code", "maxreal_code"])
+@pytest.mark.parametrize("fixture", list(_PRESETS))
 def test_tiled_detection_matches_untiled_reference(request, monkeypatch, fixture, tile_bytes):
-    # 4096 bytes forces several tiles per group, ragged last tiles and one-row tiles
+    # 4096 bytes forces several tiles per group, ragged last tiles and one-row tiles.  Each
+    # chunk is decided twice: searching the groups from the crossover up (brute force below
+    # it and for the trials the search leaves), and searching every group.  On cyclo-K4 the
+    # first 512 trials are checked: the untiled reference holds trials x 14641 scores.
     monkeypatch.setattr(sim, "_TILE_BYTES", tile_bytes)
     code = request.getfixturevalue(fixture)
-    k = len(code.primes)
-    sets = [s for r in range(k + 1) for s in itertools.combinations(range(1, k + 1), r)]
+    keep = 512 if code.size > 4096 else sim.CHUNK
+    for channel, per_complex in (("awgn", False), ("rayleigh", False), ("rayleigh", True)):
+        grid = preset_snr_grid(_PRESETS[fixture], channel)
+        for s in _sets(code):
+            ctx = sim._build_ctx(_cfg(code, channel=channel, side_info=s,
+                                      snr_db=(grid[0], grid[-1]), fade_per_complex=per_complex))
+            with monkeypatch.context() as m:
+                m.setattr(sim, "_SEARCH_MIN", 1)
+                searched = dict(ctx, lattice=sim._search_lattice(code, s, ctx["groups"]))
+            for point in (0, 1):
+                raw, y, h = sim._draw_chunk(ctx, point, 0)
+                a = ctx["amps"][point]
+                want = _untiled_detect(code, s, a, raw[:keep], y[:keep],
+                                       None if h is None else h[:keep])
+                for c in (ctx, searched):
+                    det = sim._detect(c, a, y, h, ctx["pid"][raw])[:keep]
+                    assert np.array_equal(det, want), (channel, per_complex, s, point)
+                if not s and point == 0:
+                    assert np.count_nonzero(want != raw[:keep]) > 0  # real decisions
+
+
+def test_unsettled_trials_fall_back_to_brute_force(maxreal_code, monkeypatch):
+    # the search leaves a trial to brute force when y lies so far past the shaping region
+    # that no stored point is inside its Babai radius, when its tile passes the row cap, and
+    # when a zero fade makes its basis singular
+    brute, ran = sim._brute, []
+
+    def recorded(ctx, a, y, h, pids):
+        ran.append(y.copy())
+        return brute(ctx, a, y, h, pids)
+
+    monkeypatch.setattr(sim, "_brute", recorded)
     for channel in ("awgn", "rayleigh"):
-        for s in sets:
-            ctx = sim._build_ctx(_cfg(code, channel=channel, side_info=s, snr_db=(14.0,)))
-            raw, y, h = sim._draw_chunk(ctx, 0, 0)
-            a = ctx["amps"][0]
-            det = sim._detect(ctx, a, y, h, ctx["pid"][raw])
-            assert np.array_equal(det, _untiled_detect(code, s, a, raw, y, h)), (channel, s)
-            if not s:
-                assert np.count_nonzero(det != raw) > 0  # the check sees real decisions
+        ctx = sim._build_ctx(_cfg(maxreal_code, channel=channel, snr_db=(20.0,)))
+        assert ctx["lattice"] is not None  # 2197 points: above the crossover
+        raw, y, h = sim._draw_chunk(ctx, 0, 0)
+        a = ctx["amps"][0]
+        # (y, h, row cap, trials the search must leave); unforced, it leaves 168 and 397
+        cases = [(3.0 * y, h, sim._SEARCH_ROWS, sim.CHUNK // 2), (y, h, 64, sim.CHUNK // 2)]
+        if h is not None:
+            dead = h.copy()
+            dead[:64, 0] = 0.0
+            cases.append((y, dead, sim._SEARCH_ROWS, 64))
+        for yy, hh, rows, forced in cases:
+            monkeypatch.setattr(sim, "_SEARCH_ROWS", rows)
+            ran.clear()
+            det = sim._detect(ctx, a, yy, hh, ctx["pid"][raw])
+            assert np.array_equal(det, _untiled_detect(maxreal_code, (), a, raw, yy, hh))
+            brute_rows = np.concatenate(ran)
+            assert forced <= brute_rows.shape[0] < sim.CHUNK, (channel, rows, brute_rows.shape)
+            if hh is not h:  # every trial with a zero fade
+                assert {tuple(r) for r in yy[:64]} <= {tuple(r) for r in brute_rows}
 
 
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
-def test_chunk_memory_does_not_grow_with_the_code(maxreal_code, channel):
-    ctx = sim._build_ctx(_cfg(maxreal_code, channel=channel, snr_db=(14.0,)))
-    tracemalloc.start()
-    try:
-        sim._run_chunk(ctx, 0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
+def test_chunk_memory_does_not_grow_with_the_code(maxreal_code, cyclo_code, channel):
+    for code in (maxreal_code, cyclo_code):
+        ctx = sim._build_ctx(_cfg(code, channel=channel, snr_db=(14.0,)))
+        tracemalloc.start()
+        try:
+            sim._run_chunk(ctx, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (code, peak)
 
 
 # ---- single-shot detection ----
@@ -267,11 +325,10 @@ def test_ml_detect_validates_shape(ex1_code):
 def test_ml_detect_matches_untiled_reference(request, fixture):
     # each trial's own sent message is the fixed side information, so w_S is mostly nonzero
     code = request.getfixturevalue(fixture)
-    k = len(code.primes)
     snr = 10.0 ** (14.0 / 10.0)
     trials = 96
     for channel in ("awgn", "rayleigh"):
-        for s in [s for r in range(k + 1) for s in itertools.combinations(range(1, k + 1), r)]:
+        for s in _sets(code):
             ctx = sim._build_ctx(_cfg(code, channel=channel, side_info=s, snr_db=(14.0,)))
             raw, y, h = sim._draw_chunk(ctx, 0, 0)
             raw, y = raw[:trials], y[:trials]
@@ -283,6 +340,33 @@ def test_ml_detect_matches_untiled_reference(request, fixture):
             assert got == want.tolist(), (channel, s)
             if not s:
                 assert np.count_nonzero(want != raw) > 0  # the check sees real decisions
+
+
+def test_ml_detect_matches_untiled_reference_on_module_codes():
+    # the search reads a plain code's coordinates and embedding, so a module code over Z[i]
+    # (m = 2, 65^2 points) and an m = 1 code with a non-identity generator (5*13*17 points)
+    # are decided by brute force however large their groups are
+    field = quadratic_field(-1)
+    p5, p13, p17 = (prime_ideals_above(field, p)[0] for p in (5, 13, 17))
+    codes = [build_oklattice_code(field, [p5, p13], [[1, 0], [0, 1]]),
+             build_oklattice_code(field, [p5, p13, p17], [[field.element((1, 1))]])]
+    rng = np.random.default_rng(7)
+    trials = 64
+    for code in codes:
+        assert code.size >= sim._SEARCH_MIN and not code.is_plain
+        dim = code.embedded.shape[1]
+        raw = rng.integers(code.size, size=trials)
+        tx = code.gamma * code.embedded[raw]
+        for snr_db, h in ((14.0, None), (20.0, rng.rayleigh(1.0 / math.sqrt(2.0), (trials, dim)))):
+            a = 10.0 ** (snr_db / 20.0)
+            z = rng.standard_normal((trials, dim)) / math.sqrt(dim)
+            y = a * (tx if h is None else h * tx) + z
+            want = _untiled_detect(code, (), a, raw, y, h)
+            got = [code.message_index(ml_detect(code, y[t], (), snr=a * a,
+                                                h=None if h is None else h[t]))
+                   for t in range(trials)]
+            assert got == want.tolist(), (code.size, snr_db)
+            assert np.count_nonzero(want != raw) > 0  # the check sees real decisions
 
 
 # ---- intervals ----
