@@ -8,16 +8,16 @@ numberfield.linalg.shortest_nonzero: LLL reduction of the Gram matrix, then
 Fincke-Pohst enumeration in the reduced basis with exact integer scoring,
 so skewed HNF sublattice bases cost no more than reduced ones.  For the
 plain code on O_K the side sublattice is the ideal lattice
-Psi(prod_{k in S} p_k).  min_distance is the finite-subcode brute force over
-constellation pairs; the two agree on every built code and are cross-checked
-in the tests.
+Psi(prod_{k in S} p_k).  min_distance, over the finite subcode, scans no
+pair: every difference of a subcode is a nonzero d of the side sublattice
+(each slot in J = prod_{k in S} p_k), and the shortest d it realises comes
+first in a length-ordered search of those d (_smallest_realised).
 
 Fading figures run over the places of K (field.places, field.place_sizes).
 Those of a plain code (m = 1, identity generator) are exact and need no
-pair: every difference of a subcode is a nonzero d in J = prod_{k in S} p_k,
-so the diversity is r1 + r2 and the product distance follows from the least
-|N(d)| that the subcode realises, found by a search of the J-lattice in
-order of |N(d)|.  Other codes scan every pair of the subcode, every place of
+pair either: the diversity is r1 + r2 and the product distance follows from
+the least |N(d)| realised, found by the same search in order of |N(d)|.
+Other codes scan every pair of the subcode, every place of
 a slot differing where that slot's exact integer difference is nonzero; that
 scan is also the tests' oracle for the search.
 """
@@ -109,36 +109,14 @@ def ideal_lambda1_sq(ideal):
 def min_distance(code, s, fixed=None):
     """Exact min squared distance over the finite subcode (un-normalized).
 
-    Brute force over pairs of subcode_points(code, s, fixed); w_S defaults
-    to zero.  Raises on singleton subcodes, where the pairwise minimum is
-    undefined; ideal_lambda1_sq covers that case.
+    The shortest difference that subcode_points(code, s, fixed) realises, w_S
+    defaulting to zero.  Raises on singleton subcodes, where the pairwise
+    minimum is undefined; ideal_lambda1_sq covers that case.
     """
     idx = code.subcode_indices(s, fixed)
     if idx.shape[0] < 2:
         raise InvalidArgument("subcode has fewer than two points; distance undefined")
-    X = code.coords_matrix[idx]
-    G = code.gram2
-    q = np.einsum("ij,jk,ik->i", X, G, X)
-    XG = X @ G
-    best = []
-    for lo, hi, i, j in _pairs(X.shape[0]):
-        d2 = q[lo:hi, None] + q[None, :] - 2 * (XG[lo:hi] @ X.T)  # int64 exact
-        best.append(int(d2[i, j].min()))
-    return Fraction(min(best), 2)
-
-
-def _pairs(count):
-    """Every pair a < b of count points, _PAIR_CHUNK rows a at a time.
-
-    Yields (lo, hi, i, j) for each chunk with a pair: rows lo..hi-1 pair
-    up as (lo + i, j), so block[i, j] picks them from a rows-by-count block.
-    """
-    for lo in range(0, count, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, count)
-        iu = np.triu_indices(hi - lo, k=1, m=count)
-        mask = iu[1] > iu[0] + lo  # strict upper triangle in global indices
-        if mask.any():
-            yield lo, hi, iu[0][mask], iu[1][mask]
+    return Fraction(_smallest_realised(code, s, idx), 2)
 
 
 def minkowski_upper_bound(field, ideal):
@@ -242,6 +220,20 @@ def overall_side_info_gain(code, k_cap=20):
 # ============================================================
 
 
+def _pairs(count):
+    """Every pair a < b of count points, _PAIR_CHUNK rows a at a time.
+
+    Yields (lo, hi, i, j) for each chunk with a pair: rows lo..hi-1 pair
+    up as (lo + i, j), so block[i, j] picks them from a rows-by-count block.
+    """
+    for lo in range(0, count, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, count)
+        iu = np.triu_indices(hi - lo, k=1, m=count)
+        mask = iu[1] > iu[0] + lo  # strict upper triangle in global indices
+        if mask.any():
+            yield lo, hi, iu[0][mask], iu[1][mask]
+
+
 def _pair_scan(code, idx):
     """(diversity, min product distance) of the subcode idx over every pair.
 
@@ -265,50 +257,43 @@ def _pair_scan(code, idx):
     return min(diversity), min(pmin)
 
 
-def _row_keys(rows):
-    """One exactly comparable key per row of an int64 array: its bytes, so
-    forming a key does no arithmetic that could wrap."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
-
-
-def _first_realised(D, X, keys):
-    """Position of the first row d of D with x + d a row of X for some row x
-    of X, or None; keys are the sorted _row_keys of X.  Tries 1, 2, 4, ...
-    rows of D at a time, with at most _SEARCH_ROWS sums x + d in memory."""
+def _first_realised(code, D, X):
+    """Position of the first row d of D with x + d a stored point for some row
+    x of X, or None.  Tries 1, 2, 4, ... rows of D at a time, with at most
+    _SEARCH_ROWS sums x + d in memory."""
     most = max(1, _SEARCH_ROWS // X.shape[0])
     start, step = 0, 1
     while start < D.shape[0]:
         chunk = D[start:start + step]
-        sums = _row_keys((X[None, :, :] + chunk[:, None, :]).reshape(-1, X.shape[1]))
-        pos = np.minimum(np.searchsorted(keys, sums), keys.shape[0] - 1)
-        hit = (keys[pos] == sums).reshape(chunk.shape[0], -1).any(axis=1)
+        sums = (X[None, :, :] + chunk[:, None, :]).reshape(-1, X.shape[1])
+        hit = (code.point_index(sums) >= 0).reshape(chunk.shape[0], -1).any(axis=1)
         if hit.any():
             return start + int(hit.argmax())
-        start += step
-        step = min(2 * step, most)
+        start, step = start + step, min(2 * step, most)
     return None
 
 
-def _smallest_realised_norm(code, s, idx):
-    """Exact min |N(d)| over the differences d of the plain subcode idx.
+def _smallest_realised(code, s, idx, by_norm=False):
+    """Least doubled length, or by_norm (plain codes) exact least |N(d)|,
+    over the differences d of the subcode idx.
 
-    Two points of the subcode differ by a nonzero d in J = prod_{k in S} p_k,
-    and N(J) divides N(d).  Candidates are the short_vectors of the J-lattice
-    within a doubled radius, tried in order of |N(d)| and then length; the
-    first d with x and x + d both in the subcode for some x wins.  The float
-    norms from the embeddings only set that order (exact integers are at
-    least 1 apart); the winner's norm is then checked exactly.  The search
-    stops when the winner reaches N(J) or the radius covers every difference,
-    4 times the largest doubled energy; until then the radius doubles from
-    twice the least doubled energy an element of norm N(J) can have.
+    Two points of the subcode differ by a nonzero d with every slot in
+    J = prod_{k in S} p_k, and x + d is then in the subcode exactly when it
+    is a stored point (IndexCode.point_index).  Candidates are the
+    short_vectors of that side sublattice within a doubled radius, in order
+    of length, or of |N(d)| and then length; the first d realised wins, and
+    in length order it is the shortest.  Float norms from the embeddings only
+    set the order (exact integers are at least 1 apart) and the winner's is
+    checked exactly; a norm search stops when the winner reaches N(J) or the
+    radius covers every difference, 4 times the largest doubled energy.  The
+    radius doubles from twice the least doubled energy of an element of norm
+    N(J): G~ d has a nonzero slot in J.
     """
     field, ideal = code.field, code.side_ideal(s)
-    H = np.array(ideal.hnf, dtype=np.int64)
-    gram = sublattice_gram(ideal.hnf, field.gram2)
+    H = np.kron(np.eye(code.m, dtype=np.int64), np.array(ideal.hnf, dtype=np.int64))
+    gram = sublattice_gram(H, code.gram2)  # code.side_sublattice_gram(s), J built once
     X = code.coords_matrix[idx]
     span = X.max(axis=0) - X.min(axis=0)
-    keys = np.sort(_row_keys(X))
     full = 4 * int(code.norms2[idx].max())
     # AM-GM: 2|Psi(d)|^2 >= c * n * |N(d)|^(2/n), c = 2 totally real, 1 totally complex
     least = (2 if field.is_totally_real else 1) * field.n * ideal.norm ** (2 / field.n)
@@ -316,27 +301,30 @@ def _smallest_realised_norm(code, s, idx):
     while True:
         Y, len2 = short_vectors(gram, bound2)
         ymax = np.abs(Y).max(axis=0, initial=0).tolist()
-        if max(sum(abs(h) * y for h, y in zip(row, ymax)) for row in ideal.hnf) > INT64_MAX:
+        if max(sum(abs(h) * y for h, y in zip(row, ymax)) for row in H.tolist()) > INT64_MAX:
             raise Infeasible("side-ideal differences leave the int64 range")
         D = Y @ H.T
         # d and -d are realised together; a realised d fits the subcode's box
         sign = D[np.arange(D.shape[0]), (D != 0).argmax(axis=1)]
         keep = (sign > 0) & (np.abs(D) <= span).all(axis=1)
-        D, len2 = D[keep], len2[keep]
-        sizes = field.place_sizes(D.astype(np.float64) @ field.embed_matrix.T)
-        norms = np.rint((sizes ** np.bincount(field.places)).prod(axis=1))
-        order = np.lexsort((len2, norms))
-        D, norms = D[order], norms[order]
-        hit = _first_realised(D, X, keys)
-        if hit is not None and (norms[hit] == ideal.norm or bound2 == full):
+        D, keys = D[keep], [len2[keep]]
+        if by_norm:
+            sizes = field.place_sizes(D.astype(np.float64) @ field.embed_matrix.T)
+            keys.append(np.rint((sizes ** np.bincount(field.places)).prod(axis=1)))
+        order = np.lexsort(keys)
+        D, keys = D[order], [k[order] for k in keys]
+        hit = _first_realised(code, D, X)
+        if hit is not None and (not by_norm or keys[1][hit] == ideal.norm or bound2 == full):
             break
         if bound2 == full:
             raise InvariantViolation("no difference of the subcode lies in its side ideal")
         bound2 = min(2 * bound2, full)
+    if not by_norm:
+        return int(keys[0][hit])
     d = D[hit].tolist()
     norm = abs(field.element(d).norm())
-    if norm != norms[hit]:
-        raise InvariantViolation(f"float norm {norms[hit]} of {d} is not its exact norm {norm}")
+    if norm != keys[1][hit]:
+        raise InvariantViolation(f"float norm {keys[1][hit]} of {d} is not its exact norm {norm}")
     return norm
 
 
@@ -358,7 +346,7 @@ def diversity_and_product_distance(code, s, fixed=None):
     field = code.field
     if code.is_plain:
         diversity = field.r1 + field.r2
-        norm = _smallest_realised_norm(code, s, idx)
+        norm = _smallest_realised(code, s, idx, by_norm=True)
         # every supported field is totally real or totally complex
         pmin = float(norm) if field.is_totally_real else math.sqrt(norm)
     else:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -365,6 +366,17 @@ class IndexCode:
         want = 0 if fixed is None else self.side_index(s, fixed)[0]
         return np.flatnonzero(self.side_index(s) == want)
 
+    @functools.cached_property
+    def _coset_points(self):
+        """Point index of each coset of I^m by its index in (O_K/I)^m: an inverse permutation."""
+        return np.argsort(_slot_residues(self.modulus, self.coords_matrix, self.m)[1])
+
+    def point_index(self, u):
+        """Point index of every row of an (N, m*n) int64 coordinate array, or -1
+        where the point stored for the row's coset of I^m is not the row."""
+        idx = self._coset_points[_slot_residues(self.modulus, u, self.m)[1]]
+        return np.where((self.coords_matrix[idx] == u).all(axis=1), idx, -1)
+
     # ---- code files ----
 
     def _file_header(self):
@@ -496,11 +508,21 @@ def load_code(path):
     return code_from_dict(doc)
 
 
-def _int64_rows(rows, width):
-    """True for a list of lists of width Python ints within int64."""
-    return isinstance(rows, list) and all(
-        isinstance(row, list) and len(row) == width
-        and all(type(v) is int and -2**63 <= v < 2**63 for v in row) for row in rows)
+def _leaves(rows, shape, kind):
+    """rows as an array of the given shape, or None unless rows is nested lists
+    of exactly that shape whose values all have type kind, int (within int64)
+    or float.  Types are compared, not values: True == 1 and 0 == 0.0."""
+    values = [rows]
+    for size in shape:
+        if set(map(type, values)) != {list} or set(map(len, values)) != {size}:
+            return None
+        values = list(itertools.chain.from_iterable(values))
+    if set(map(type, values)) != {kind}:
+        return None
+    try:
+        return np.array(values, dtype=np.int64 if kind is int else np.float64).reshape(shape)
+    except OverflowError:
+        return None
 
 
 def code_from_dict(doc):
@@ -530,30 +552,25 @@ def code_from_dict(doc):
     n = field.n
     stored = doc["primes"] if isinstance(doc["primes"], list) else [None]
     hnfs = [d.get("hnf") if isinstance(d, dict) else None for d in stored]
-    if not all(_int64_rows(h, n) and len(h) == n for h in hnfs):
+    if any(_leaves(h, (n, n), int) is None for h in hnfs):
         raise InvalidArgument(f"primes must be a list of objects with an {n}x{n} integer hnf")
-    if not _int64_rows(rows, n):
+    coords = _leaves(rows, (len(rows), n), int)
+    if coords is None:
         raise InvalidArgument(f"point coordinates must be {n} integers within int64")
     try:  # in a file, a code IndexCode refuses is bad input, not a bug
-        code = IndexCode(field, [Ideal(field, h) for h in hnfs],
-                         np.array(rows, dtype=np.int64))
+        code = IndexCode(field, [Ideal(field, h) for h in hnfs], coords)
     except (InvariantViolation, Unsupported) as e:
         raise InvalidArgument(str(e)) from None
     header = code._file_header()
     for key in ("primes", "modulus_hnf", "idempotents", "alphabet_sizes", "mean_energy"):
         if json.dumps(doc[key], sort_keys=True) != json.dumps(header[key], sort_keys=True):
             raise InvalidArgument(f"stored {key} disagrees with the primes and points")
-    if any(code.labels[i:i + _POINT_BLOCK].tolist() != labels[i:i + _POINT_BLOCK]
-           for i in range(0, code.size, _POINT_BLOCK)):
+    if not np.array_equal(_leaves(labels, code.labels.shape, int), code.labels):
         raise InvalidArgument("stored labels disagree with recomputed residues")
     if not abs(code.gamma - doc["gamma"]) <= 1e-12 * code.gamma:
         raise InvalidArgument("stored gamma disagrees with recomputed normalization")
-    try:
-        embedded = np.array(embedded)
-    except (TypeError, ValueError) as e:
-        raise InvalidArgument(f"stored embedding is malformed: {e}") from None
+    values = _leaves(embedded, code.embedded.shape, float)
     scale = max(1.0, float(np.abs(code.embedded).max()))
-    if (embedded.dtype.kind != "f" or embedded.shape != code.embedded.shape
-            or not np.abs(embedded - code.embedded).max() <= 1e-9 * scale):
+    if values is None or not np.abs(values - code.embedded).max() <= 1e-9 * scale:
         raise InvalidArgument("stored embedding disagrees with recomputed points")
     return code

@@ -11,9 +11,10 @@ stop rule is applied in that order.
 Detection is exact ML over the points that agree with the side information,
 a coset x_g + Psi(I_S) of the constellation.  Groups of at least _SEARCH_MIN
 points are decided by a batched sphere search (_search) around each trial's
-Babai point, in the reduced basis of I_S with the trial's fade folded in; the
-trials it cannot settle, and all trials of smaller groups, by brute force
-(_brute), which is also the oracle of the tests.  The search holds at most
+Babai point, in the reduced basis of I_S with the trial's fade folded in and
+IndexCode.point_index telling which lattice points the code stores; the trials
+it cannot settle, and all trials of smaller groups, by brute force (_brute),
+which is also the oracle of the tests.  The search holds at most
 _SEARCH_ROWS rows per level for a tile of _SEARCH_TILE trials, and brute force
 scores in row tiles of at most _TILE_BYTES of float64 scores, so the memory a
 chunk needs is bounded independently of the constellation size.  Both paths
@@ -181,28 +182,20 @@ def _search_lattice(code, s, groups):
     basis holds an LLL-reduced basis of I_S as integer columns and ebasis its
     unit-energy embedding.  Two points of the constellation differ by at most
     span in each coordinate, so bound caps |v_i| for every point of a group
-    written as its first point plus basis @ v.  slot maps the residue index
-    of a point modulo I to its index: by the CRT the residue mod I names the
-    same point as the mixed radix of its residues mod the primes, for one
-    HNF reduction instead of one per prime.
+    written as its first point plus basis @ v.
     """
     if not code.is_plain or groups[0]["cand"].shape[0] < _SEARCH_MIN:
         return None
     ideal = code.side_ideal(s)
     U, _ = lll_gram(code.side_sublattice_gram(s))
     basis = (np.array(ideal.hnf, dtype=object) @ np.array(U, dtype=object)).astype(np.int64)
-    X = code.coords_matrix
-    span = (X.max(axis=0) - X.min(axis=0)).astype(np.float64)
-    slot = np.empty(code.size, dtype=np.int64)
-    slot[code.modulus.residue_indices(code.modulus.reduce_batch(X))] = np.arange(code.size)
+    span = np.ptp(code.coords_matrix, axis=0).astype(np.float64)
     return {
         "basis": basis,
         "ebasis": code.gamma * (code.field.embed_matrix @ basis),
         "bound": np.floor(np.abs(np.linalg.inv(basis)) @ span * (1.0 + 1e-9)) + 1.0,
         "first": np.array([g["cand"][0] for g in groups]),
-        "coords": X,
-        "modulus": code.modulus,
-        "slot": slot,
+        "code": code,
     }
 
 
@@ -300,8 +293,8 @@ def _search(lat, enorm, a, y, h, pids):
     Each trial's fade is folded into the basis (a*h*Psi(basis) = Q R), and
     its radius is the distance from y to its Babai (nearest-plane) point.  A
     breadth-first Fincke-Pohst search enumerates every lattice point of the
-    coset inside that radius; a point is a candidate when the constellation
-    stores exactly it, and candidates are scored with _brute's formula.  The
+    coset inside that radius; a point is a candidate when the code stores it
+    (IndexCode.point_index), and candidates are scored with _brute's formula.  The
     nearest stored point is within the radius whenever any stored point is,
     so the decision is exact ML.  A trial is left unsettled (-1) when no
     stored point lies inside its radius (y beyond the shaping region), when
@@ -342,10 +335,9 @@ def _search(lat, enorm, a, y, h, pids):
         T = T[rows] + (d[rows] * (c[rows] - vi)) ** 2
         w = w[rows, :i] - R[tr, :i, i] * vi[:, None]
         V = np.column_stack([vi, V[rows]])
-    u = lat["coords"][first[tr]] + V @ lat["basis"].T
-    idx = lat["slot"][lat["modulus"].residue_indices(lat["modulus"].reduce_batch(u))]
-    hit = (lat["coords"][idx] == u).all(axis=1)
-    tr, idx = tr[hit], idx[hit]
+    code = lat["code"]
+    idx = code.point_index(code.coords_matrix[first[tr]] + V @ lat["basis"].T)
+    tr, idx = tr[idx >= 0], idx[idx >= 0]
     det = np.full(t, -1, dtype=np.int64)
     if tr.shape[0]:
         P = enorm[idx]
@@ -475,6 +467,8 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
         if h.shape != (code.dimension,):
             raise InvalidArgument(f"h must have length {code.dimension}")
         h = h[None, :]
+    if not (np.isfinite(y).all() and (h is None or np.isfinite(h).all())):
+        raise InvalidArgument("y and h must be finite")
     if not (math.isfinite(snr) and snr >= 0):
         raise InvalidArgument("snr must be finite and nonnegative")
     groups = [_group(code, code.subcode_indices(s, fixed))]

@@ -96,12 +96,14 @@ def test_criterion_1_pid_codes_hit_six_db_exactly(ex3_code):
     gains = 0
     for code in codes:
         d0 = min_distance(code, ())
+        assert d0 == conftest.pair_scan_min_distance(code, ()), code.field.name
         for s in ((1,), (2,), (1, 2)):
             rep = side_info_gain(code, s)       # exact lattice path
             assert rep.d0_sq == d0, (code.field.name, s)
             if len(s) < len(code.primes):
                 # full reveal pins the subcode to one point, nothing to brute force
-                assert rep.ds_sq == min_distance(code, s), (code.field.name, s)
+                assert (rep.ds_sq == min_distance(code, s)
+                        == conftest.pair_scan_min_distance(code, s)), (code.field.name, s)
             gamma = 10.0 * math.log10(rep.ds_sq / d0) / rep.rate_bits
             worst = max(worst, abs(gamma - SIX_DB), abs(rep.gamma_db - SIX_DB))
             gains += 1
@@ -412,12 +414,16 @@ def test_criterion_8_module_codes_hit_six_db():
             worst = max(worst, abs(rep.gamma_db - SIX_DB))
             gains += 1
     # finite cross-checks where the constellation is small enough
+    oracle = conftest.pair_scan_min_distance
     ok1 = cases[0][1]
-    assert oklattice_min_distance(ok1, ()) == oklattice_side_info_gain(ok1, (1,)).d0_sq
+    assert (oklattice_min_distance(ok1, ()) == oklattice_side_info_gain(ok1, (1,)).d0_sq
+            == oracle(ok1, ()))
     for s in ((1,), (2,)):
-        assert oklattice_min_distance(ok1, s) == oklattice_side_info_gain(ok1, s).ds_sq
+        assert (oklattice_min_distance(ok1, s) == oklattice_side_info_gain(ok1, s).ds_sq
+                == oracle(ok1, s))
     for _, okc in cases[2:4]:
-        assert oklattice_min_distance(okc, ()) == oklattice_side_info_gain(okc, (1,)).d0_sq
+        assert (oklattice_min_distance(okc, ()) == oklattice_side_info_gain(okc, (1,)).d0_sq
+                == oracle(okc, ()))
     elapsed = time.perf_counter() - t0
     _record(8, worst < 1e-9,
             f"{gains} gains across Z[i] module codes (m=1 and m=2, mixed and "

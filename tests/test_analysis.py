@@ -25,6 +25,7 @@ from latticedex import (
     side_info_gain,
     whole_ring,
 )
+from conftest import pair_scan_min_distance
 from latticedex.analysis import SIX_DB, _pair_scan
 from latticedex.numberfield.linalg import lll_gram
 
@@ -142,7 +143,7 @@ def test_finite_min_distance_matches_lattice(ex1_code, ex2_code, ex3_code):
         for s in ((), (1,), (2,)):
             finite = min_distance(code, s)
             lam = ideal_lambda1_sq(code.side_ideal(s))
-            assert finite == lam, (code.field.name, s)
+            assert finite == lam == pair_scan_min_distance(code, s), (code.field.name, s)
 
 
 def test_min_distance_invariant_under_fixed_value(ex1_code):
@@ -220,23 +221,25 @@ def test_diversity_complex_field(ex3_code):
     assert r.floor is None
 
 
-def _assert_norm_search_matches_pair_scan(code, s, fixed=None):
+def _assert_searches_match_pair_scans(code, s, fixed=None):
     rep = diversity_and_product_distance(code, s, fixed)
     diversity, pmin = _pair_scan(code, code.subcode_indices(s, fixed))
     assert rep.diversity == diversity == sum(code.field.signature), (code, s)
     assert math.isclose(rep.product_distance, pmin, rel_tol=1e-12), (code, s, pmin)
+    assert min_distance(code, s, fixed) == pair_scan_min_distance(code, s, fixed), (code, s)
 
 
 def test_norm_search_matches_pair_scan_on_presets(ex1_code, ex2_code, ex3_code,
                                                   cyclo_code, maxreal_code):
-    # cyclo-K4 at S = {} is pinned in test_exact_product_distances: its pair
-    # scan takes about 17 s
+    # cyclo-K4 at S = {} is pinned here and in test_exact_product_distances: its
+    # pair scans are too slow for tier-1
     for code in (ex1_code, ex2_code, ex3_code, cyclo_code, maxreal_code):
         k = len(code.primes)
         for r in range(k + 1):
             for s in itertools.combinations(range(1, k + 1), r):
                 if code.subcode_indices(s).shape[0] >= 2 and (s or code is not cyclo_code):
-                    _assert_norm_search_matches_pair_scan(code, s)
+                    _assert_searches_match_pair_scans(code, s)
+    assert min_distance(cyclo_code, ()) == 2
 
 
 def test_exact_product_distances(ex2_code, maxreal_code, cyclo_code):
@@ -279,7 +282,7 @@ def test_norm_search_matches_pair_scan(code):
         for s in itertools.combinations(range(1, k + 1), r):
             for fixed in (None, translate):
                 if code.subcode_indices(s, fixed).shape[0] >= 2:
-                    _assert_norm_search_matches_pair_scan(code, s, fixed)
+                    _assert_searches_match_pair_scans(code, s, fixed)
 
 
 def test_capacity_rhs():

@@ -558,6 +558,29 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
             code_from_dict(bad)
 
 
+def test_load_refuses_a_bool_in_a_label(tmp_path, ex1_code):
+    # True == 1 in Python, so a label compared by value alone takes it
+    path = tmp_path / "code.json"
+    save_code(ex1_code, path)
+    bad = json.loads(path.read_text())
+    label = bad["points"][1]["label"]
+    k, i = next((k, i) for k, w in enumerate(label) for i, v in enumerate(w) if v == 1)
+    label[k][i] = True
+    with pytest.raises(InvalidArgument, match="labels"):
+        code_from_dict(bad)
+
+
+def test_load_refuses_an_integer_in_an_embedding(tmp_path, ex1_code):
+    # 0 == 0.0, and numpy turns [0, 0.0] into a float array, so only its type tells
+    path = tmp_path / "code.json"
+    save_code(ex1_code, path)
+    bad = json.loads(path.read_text())
+    assert bad["points"][0]["embedded"] == [0.0, 0.0]  # point 0 is the origin
+    bad["points"][0]["embedded"][0] = 0
+    with pytest.raises(InvalidArgument, match="embedding"):
+        code_from_dict(bad)
+
+
 def test_content_hash_serialises_once(monkeypatch):
     field = quadratic_field(-1)
     code = build_index_code(field, [prime_ideals_above(field, 5)[0]])

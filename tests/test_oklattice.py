@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from latticedex import (
     prime_ideals_above,
     quadratic_field,
 )
+from conftest import pair_scan_min_distance
 from latticedex.numberfield.linalg import shortest_nonzero
 
 
@@ -104,11 +106,19 @@ def test_m2_subcode_and_fixed(zi_m2, zi_m2k2):
         zi_m2.check_side_info((0,))
 
 
-def test_m2_finite_distance_matches_lattice(zi_m2, zi_m2k2):
+def test_m2_finite_distance_matches_lattice(zi_m2, zi_m2k2, module_codes):
     val0, _ = shortest_nonzero(zi_m2.gram2)
-    assert oklattice_min_distance(zi_m2, ()) == Fraction(int(val0), 2)
+    assert (oklattice_min_distance(zi_m2, ()) == Fraction(int(val0), 2)
+            == pair_scan_min_distance(zi_m2, ()))
     vals, _ = shortest_nonzero(zi_m2k2.side_sublattice_gram((1,)))
-    assert oklattice_min_distance(zi_m2k2, (1,)) == Fraction(int(vals), 2)
+    assert (oklattice_min_distance(zi_m2k2, (1,)) == Fraction(int(vals), 2)
+            == pair_scan_min_distance(zi_m2k2, (1,)))
+    for label, code in module_codes.items():
+        k = len(code.primes)
+        for s in (s for r in range(k + 1) for s in combinations(range(1, k + 1), r)):
+            if code.subcode_indices(s).shape[0] >= 2:
+                assert (oklattice_min_distance(code, s)
+                        == pair_scan_min_distance(code, s)), (label, s)
 
 
 def test_m2_min_distance_rejects_singleton(zi_m2):

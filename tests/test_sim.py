@@ -218,9 +218,17 @@ _PRESETS = {"ex1_code": "example1", "ex2_code": "example2", "ex3_code": "example
             "maxreal_code": "maxreal-K3", "cyclo_code": "cyclo-K4"}
 
 
+@pytest.fixture(scope="module")
+def untiled_decisions():
+    """_untiled_detect of each (preset, channel, fade layout, S, SNR point), computed once
+    for both tile sizes of test_tiled_detection_matches_untiled_reference."""
+    return {}
+
+
 @pytest.mark.parametrize("tile_bytes", [sim._TILE_BYTES, 4096])
 @pytest.mark.parametrize("fixture", list(_PRESETS))
-def test_tiled_detection_matches_untiled_reference(request, monkeypatch, fixture, tile_bytes):
+def test_tiled_detection_matches_untiled_reference(request, monkeypatch, untiled_decisions,
+                                                    fixture, tile_bytes):
     # 4096 bytes forces several tiles per group, ragged last tiles and one-row tiles.  Each
     # chunk is decided twice: searching the groups from the crossover up (brute force below
     # it and for the trials the search leaves), and searching every group.  On cyclo-K4 the
@@ -239,8 +247,11 @@ def test_tiled_detection_matches_untiled_reference(request, monkeypatch, fixture
             for point in (0, 1):
                 raw, y, h = sim._draw_chunk(ctx, point, 0)
                 a = ctx["amps"][point]
-                want = _untiled_detect(code, s, a, raw[:keep], y[:keep],
-                                       None if h is None else h[:keep])
+                key = (fixture, channel, per_complex, s, point)
+                if key not in untiled_decisions:
+                    untiled_decisions[key] = _untiled_detect(code, s, a, raw[:keep], y[:keep],
+                                                             None if h is None else h[:keep])
+                want = untiled_decisions[key]
                 for c in (ctx, searched):
                     det = sim._detect(c, a, y, h, ctx["pid"][raw])[:keep]
                     assert np.array_equal(det, want), (channel, per_complex, s, point)
@@ -319,6 +330,13 @@ def test_ml_detect_validates_shape(ex1_code):
     for snr in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidArgument):
             ml_detect(ex1_code, np.zeros(2), (), snr=snr)
+
+
+def test_ml_detect_refuses_non_finite_input(ex1_code):
+    # scored as they are, a NaN y decodes to message 0 and an infinite y or h to a warning
+    for y, h in (((math.nan, 0.0), None), ((math.inf, 0.0), None), ((0.0, 0.0), (math.inf, 1.0))):
+        with pytest.raises(InvalidArgument, match="finite"):
+            ml_detect(ex1_code, y, (), h=h)
 
 
 @pytest.mark.parametrize("fixture", ["ex1_code", "ex2_code", "ex3_code", "maxreal_code"])
