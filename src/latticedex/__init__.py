@@ -8,8 +8,8 @@ rates over AWGN and Rayleigh channels with reproducible Monte Carlo.
 from .analysis import (FadingReport, GainReport, build_oklattice_code,
                        capacity_rhs, diversity_and_product_distance, gain_bounds,
                        ideal_lambda1_sq, min_distance, minkowski_upper_bound,
-                       oklattice_min_distance, oklattice_side_info_gain,
-                       overall_side_info_gain, side_info_gain)
+                       oklattice_side_info_gain, overall_side_info_gain,
+                       side_info_gain)
 from .codec import (CodePoint, IndexCode, Message, build_index_code, code_from_dict,
                     decode_point, encode, load_code, rate, save_code,
                     subcode_points)
@@ -37,8 +37,8 @@ __all__ = [
     "diversity_and_product_distance", "diversity_slope", "encode",
     "field_from_dict", "gain_bounds", "ideal_from_generators",
     "ideal_lambda1_sq", "load_code", "maximal_real_field", "min_distance",
-    "minkowski_upper_bound", "ml_detect", "oklattice_min_distance",
-    "oklattice_side_info_gain", "overall_side_info_gain", "preset_code",
+    "minkowski_upper_bound", "ml_detect", "oklattice_side_info_gain",
+    "overall_side_info_gain", "preset_code",
     "preset_names", "preset_summary", "prime_ideals_above", "principal_ideal",
     "quadratic_field", "rate", "read_curve_csv", "run_sim", "save_code",
     "si_gain_from_curves", "side_info_gain", "subcode_points", "whole_ring",

@@ -8,18 +8,17 @@ numberfield.linalg.shortest_nonzero: LLL reduction of the Gram matrix, then
 Fincke-Pohst enumeration in the reduced basis with exact integer scoring,
 so skewed HNF sublattice bases cost no more than reduced ones.  For the
 plain code on O_K the side sublattice is the ideal lattice
-Psi(prod_{k in S} p_k).  min_distance, over the finite subcode, scans no
-pair: every difference of a subcode is a nonzero d of the side sublattice
-(each slot in J = prod_{k in S} p_k), and the shortest d it realises comes
-first in a length-ordered search of those d (_smallest_realised).
+Psi(prod_{k in S} p_k).
 
-Fading figures run over the places of K (field.places, field.place_sizes).
-Those of a plain code (m = 1, identity generator) are exact and need no
-pair either: the diversity is r1 + r2 and the product distance follows from
-the least |N(d)| realised, found by the same search in order of |N(d)|.
-Other codes scan every pair of the subcode, every place of
-a slot differing where that slot's exact integer difference is nonzero; that
-scan is also the tests' oracle for the search.
+The finite subcode's figures scan no pair of points: every difference of a
+subcode is a nonzero d of the side sublattice (each slot in
+J = prod_{k in S} p_k), and one search of those d (_smallest_realised) finds
+the ones it realises.  In order of length the first realised d gives
+min_distance; in order of the product of |N(e_i)| over the nonzero slots of
+e = G~ d it gives the fading figures of every code, over the places of K
+(field.places, field.place_sizes): a nonzero algebraic integer has no zero
+embedding, so every place of a nonzero slot differs.  The tests check the
+search against a scan of every pair.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .errors import Infeasible, InvalidArgument, InvariantViolation
 from .numberfield.linalg import INT64_MAX, short_vectors, shortest_nonzero, sublattice_gram
 
 SIX_DB = 20.0 * math.log10(2.0)  # exact gain of PID constructions, ~6.0206
-_PAIR_CHUNK = 512
 _SEARCH_ROWS = 1 << 18  # sums x + d tested at once by the fading search
 
 
@@ -220,74 +218,48 @@ def overall_side_info_gain(code, k_cap=20):
 # ============================================================
 
 
-def _pairs(count):
-    """Every pair a < b of count points, _PAIR_CHUNK rows a at a time.
-
-    Yields (lo, hi, i, j) for each chunk with a pair: rows lo..hi-1 pair
-    up as (lo + i, j), so block[i, j] picks them from a rows-by-count block.
-    """
-    for lo in range(0, count, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, count)
-        iu = np.triu_indices(hi - lo, k=1, m=count)
-        mask = iu[1] > iu[0] + lo  # strict upper triangle in global indices
-        if mask.any():
-            yield lo, hi, iu[0][mask], iu[1][mask]
+def _int64_product(Y, H):
+    """Y @ H.T, refused (Infeasible) unless an exact bound in Python ints keeps
+    every entry in the int64 range."""
+    ymax = np.abs(Y).max(axis=0, initial=0).tolist()
+    if max(sum(abs(h) * y for h, y in zip(row, ymax)) for row in H.tolist()) > INT64_MAX:
+        raise Infeasible("side-ideal differences leave the int64 range")
+    return Y @ H.T
 
 
-def _pair_scan(code, idx):
-    """(diversity, min product distance) of the subcode idx over every pair.
-
-    Each difference is embedded from the exact difference of the integer
-    points G~ u, slot by slot, so no cancellation between large embeddings
-    enters its place sizes (field.place_sizes).  A nonzero algebraic integer
-    has no zero embedding, so every place of a slot where that exact
-    difference is nonzero differs, and none of a zero slot; the product runs
-    over the differing places of each pair.
-    """
-    field = code.field
-    # integer points, exact in float64 like the embedding built from them
-    P = (code.coords_matrix[idx] @ code.basis.T).astype(np.float64)
-    diversity, pmin = [], []
-    for lo, _, i, j in _pairs(P.shape[0]):
-        diff = (P[lo + i] - P[j]).reshape(-1, field.n)  # one row per slot of each pair
-        slots = diff.any(axis=1).reshape(-1, code.m)
-        g = field.place_sizes(diff @ field.embed_matrix.T).reshape(*slots.shape, -1)
-        diversity.append(int(slots.sum(axis=1).min()) * g.shape[2])
-        pmin.append(float(np.where(slots[:, :, None], g, 1.0).prod(axis=(1, 2)).min()))
-    return min(diversity), min(pmin)
-
-
-def _first_realised(code, D, X):
-    """Position of the first row d of D with x + d a stored point for some row
-    x of X, or None.  Tries 1, 2, 4, ... rows of D at a time, with at most
-    _SEARCH_ROWS sums x + d in memory."""
+def _first_realised(code, X, D, *keys):
+    """The first row d of D in np.lexsort(keys) order (the last key leads)
+    with x + d a stored point for some row x of X, or None.  Tries 1, 2, 4,
+    ... rows of D at a time, with at most _SEARCH_ROWS sums x + d in memory."""
+    order = np.lexsort(keys)
     most = max(1, _SEARCH_ROWS // X.shape[0])
     start, step = 0, 1
-    while start < D.shape[0]:
-        chunk = D[start:start + step]
-        sums = (X[None, :, :] + chunk[:, None, :]).reshape(-1, X.shape[1])
-        hit = (code.point_index(sums) >= 0).reshape(chunk.shape[0], -1).any(axis=1)
+    while start < order.shape[0]:
+        rows = order[start:start + step]
+        sums = (X[None, :, :] + D[rows][:, None, :]).reshape(-1, X.shape[1])
+        hit = (code.point_index(sums) >= 0).reshape(rows.shape[0], -1).any(axis=1)
         if hit.any():
-            return start + int(hit.argmax())
+            return int(rows[hit.argmax()])
         start, step = start + step, min(2 * step, most)
     return None
 
 
 def _smallest_realised(code, s, idx, by_norm=False):
-    """Least doubled length, or by_norm (plain codes) exact least |N(d)|,
-    over the differences d of the subcode idx.
+    """Least doubled length over the differences d of the subcode idx, or
+    by_norm (fewest nonzero slots, least key) over them, the key of d being
+    the exact product of |N(e_i)| over the nonzero slots e_i of G~ d.
 
     Two points of the subcode differ by a nonzero d with every slot in
     J = prod_{k in S} p_k, and x + d is then in the subcode exactly when it
     is a stored point (IndexCode.point_index).  Candidates are the
-    short_vectors of that side sublattice within a doubled radius, in order
-    of length, or of |N(d)| and then length; the first d realised wins, and
-    in length order it is the shortest.  Float norms from the embeddings only
-    set the order (exact integers are at least 1 apart) and the winner's is
-    checked exactly; a norm search stops when the winner reaches N(J) or the
-    radius covers every difference, 4 times the largest doubled energy.  The
-    radius doubles from twice the least doubled energy of an element of norm
-    N(J): G~ d has a nonzero slot in J.
+    short_vectors of that side sublattice within a doubled radius, and the
+    first realised in order of length, or of key (of slots, unless the key
+    winner has one) then length, wins.  Float norms only set the order (exact
+    integers are at least 1 apart); the winner's key is checked exactly.
+    G~ has entries in O_K, so every slot of G~ d lies in J: a norm search
+    stops at key N(J) with one slot, or when the radius covers every
+    difference, 4 times the largest doubled energy.  The radius doubles from
+    twice the least doubled energy of a nonzero element of J.
     """
     field, ideal = code.field, code.side_ideal(s)
     H = np.kron(np.eye(code.m, dtype=np.int64), np.array(ideal.hnf, dtype=np.int64))
@@ -300,61 +272,56 @@ def _smallest_realised(code, s, idx, by_norm=False):
     bound2 = min(full, math.ceil(2 * least))
     while True:
         Y, len2 = short_vectors(gram, bound2)
-        ymax = np.abs(Y).max(axis=0, initial=0).tolist()
-        if max(sum(abs(h) * y for h, y in zip(row, ymax)) for row in H.tolist()) > INT64_MAX:
-            raise Infeasible("side-ideal differences leave the int64 range")
-        D = Y @ H.T
+        D = _int64_product(Y, H)
         # d and -d are realised together; a realised d fits the subcode's box
         sign = D[np.arange(D.shape[0]), (D != 0).argmax(axis=1)]
         keep = (sign > 0) & (np.abs(D) <= span).all(axis=1)
-        D, keys = D[keep], [len2[keep]]
-        if by_norm:
-            sizes = field.place_sizes(D.astype(np.float64) @ field.embed_matrix.T)
-            keys.append(np.rint((sizes ** np.bincount(field.places)).prod(axis=1)))
-        order = np.lexsort(keys)
-        D, keys = D[order], [k[order] for k in keys]
-        hit = _first_realised(code, D, X)
-        if hit is not None and (not by_norm or keys[1][hit] == ideal.norm or bound2 == full):
-            break
+        D, len2 = D[keep], len2[keep]
+        if not by_norm:
+            hit = _first_realised(code, X, D, len2)
+            if hit is not None:
+                return int(len2[hit])
+        else:
+            E = _int64_product(D, code.basis).reshape(D.shape[0], code.m, field.n)
+            nonzero = E.any(axis=2)
+            sizes = field.place_sizes(E.astype(np.float64) @ field.embed_matrix.T)
+            norms = np.rint((sizes ** np.bincount(field.places)).prod(axis=2))
+            keys, slots = np.where(nonzero, norms, 1.0).prod(axis=1), nonzero.sum(axis=1)
+            hit = _first_realised(code, X, D, len2, keys)
+            if hit is not None:
+                fewest = hit if slots[hit] == 1 else _first_realised(code, X, D, len2, slots)
+                if (keys[hit] == ideal.norm and slots[fewest] == 1) or bound2 == full:
+                    break
         if bound2 == full:
             raise InvariantViolation("no difference of the subcode lies in its side ideal")
         bound2 = min(2 * bound2, full)
-    if not by_norm:
-        return int(keys[0][hit])
-    d = D[hit].tolist()
-    norm = abs(field.element(d).norm())
-    if norm != keys[1][hit]:
-        raise InvariantViolation(f"float norm {keys[1][hit]} of {d} is not its exact norm {norm}")
-    return norm
+    key = math.prod(abs(field.element(e).norm()) for e in E[hit].tolist() if any(e))
+    if key != keys[hit]:
+        raise InvariantViolation(
+            f"float key {keys[hit]} of {D[hit].tolist()} is not its exact key {key}")
+    return int(slots[fewest]), key
 
 
 def diversity_and_product_distance(code, s, fixed=None):
-    """Diversity order and min product distance of a subcode.
+    """Diversity order and min product distance of a subcode, exact on every code.
 
-    Plain codes (m = 1, identity generator) are exact: a nonzero algebraic
-    integer has no zero embedding, so the diversity is r1 + r2, and the
-    product distance is |N(d)| (totally real) or sqrt(|N(d)|) (totally
-    complex) for the realised difference d of least |N(d)|, found by a
-    norm-ordered search of the side ideal.  Other codes scan every pair of
-    the subcode, counting the places of the slots where the pair's exact
-    integer difference is nonzero.
+    A nonzero algebraic integer has no zero embedding, so a difference d
+    differs at every place of each nonzero slot of G~ d.  The diversity is
+    r1 + r2 times the fewest nonzero slots of a realised d, and the product
+    distance the least product of |N(e_i)| over the nonzero slots e_i of a
+    realised G~ d (totally real) or its square root (totally complex).
     """
     idx = code.subcode_indices(s, fixed)
     if idx.shape[0] < 2:
         raise InvalidArgument("subcode has fewer than two points; diversity undefined")
-    s = code.check_side_info(s)
-    field = code.field
-    if code.is_plain:
-        diversity = field.r1 + field.r2
-        norm = _smallest_realised(code, s, idx, by_norm=True)
-        # every supported field is totally real or totally complex
-        pmin = float(norm) if field.is_totally_real else math.sqrt(norm)
-    else:
-        diversity, pmin = _pair_scan(code, idx)
-    floor = None
-    if code.is_plain and field.is_totally_real:
-        floor = float(math.prod(code.primes[k - 1].norm for k in s))
-    return FadingReport(s=s, diversity=diversity, product_distance=pmin, floor=floor)
+    s, field = code.check_side_info(s), code.field
+    slots, key = _smallest_realised(code, s, idx, by_norm=True)
+    # every supported field is totally real or totally complex
+    pmin = float(key) if field.is_totally_real else math.sqrt(key)
+    floor = (float(math.prod(code.primes[k - 1].norm for k in s))
+             if code.is_plain and field.is_totally_real else None)
+    return FadingReport(s=s, diversity=slots * (field.r1 + field.r2), product_distance=pmin,
+                        floor=floor)
 
 
 def capacity_rhs(snr):
@@ -366,5 +333,4 @@ def capacity_rhs(snr):
 
 # Former names of the module-code entry points; the code type is one.
 build_oklattice_code = build_index_code
-oklattice_min_distance = min_distance
 oklattice_side_info_gain = side_info_gain

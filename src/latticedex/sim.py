@@ -9,9 +9,10 @@ and across worker counts: chunks are always consumed in index order and the
 stop rule is applied in that order.
 
 Detection is exact ML over the points that agree with the side information,
-a coset x_g + Psi(I_S) of the constellation.  Groups of at least _SEARCH_MIN
-points are decided by a batched sphere search (_search) around each trial's
-Babai point, in the reduced basis of I_S with the trial's fade folded in and
+a coset x_g + Psi(G~ I_S^m) of the constellation, on every code (any m and
+generator G~).  Groups of at least _SEARCH_MIN points are decided by a
+batched sphere search (_search) around each trial's Babai point, in a reduced
+basis of that side sublattice with the trial's fade folded in and
 IndexCode.point_index telling which lattice points the code stores; the trials
 it cannot settle, and all trials of smaller groups, by brute force (_brute),
 which is also the oracle of the tests.  The search holds at most
@@ -174,25 +175,26 @@ def _group(code, cand):
 
 
 def _search_lattice(code, s, groups):
-    """What _search reads of Psi(I_S), or None when brute force decides every
-    group of S: the code is not plain (m = 1, identity generator), whose
-    points alone the coordinates and embedding below describe, or its groups
-    are below _SEARCH_MIN points.
+    """What _search reads of the side sublattice, or None when its groups are
+    below _SEARCH_MIN points and brute force decides every group of S.
 
-    basis holds an LLL-reduced basis of I_S as integer columns and ebasis its
-    unit-energy embedding.  Two points of the constellation differ by at most
-    span in each coordinate, so bound caps |v_i| for every point of a group
-    written as its first point plus basis @ v.
+    basis holds an LLL-reduced basis of the u with every slot in I_S, as
+    integer columns in the coordinates of u, and ebasis the unit-energy
+    embedding of the points G~ u they give.  Two points of the constellation
+    differ by at most span in each coordinate, so bound caps |v_i| for every
+    point of a group written as its first point plus basis @ v.
     """
-    if not code.is_plain or groups[0]["cand"].shape[0] < _SEARCH_MIN:
+    if groups[0]["cand"].shape[0] < _SEARCH_MIN:
         return None
-    ideal = code.side_ideal(s)
     U, _ = lll_gram(code.side_sublattice_gram(s))
-    basis = (np.array(ideal.hnf, dtype=object) @ np.array(U, dtype=object)).astype(np.int64)
+    H = np.kron(np.eye(code.m, dtype=object), np.array(code.side_ideal(s).hnf, dtype=object))
+    basis = H @ np.array(U, dtype=object)
+    points = (code.basis.astype(object) @ basis).astype(np.float64)  # G~ basis, exact ints
+    basis = basis.astype(np.int64)
     span = np.ptp(code.coords_matrix, axis=0).astype(np.float64)
     return {
         "basis": basis,
-        "ebasis": code.gamma * (code.field.embed_matrix @ basis),
+        "ebasis": code.gamma * (np.kron(np.eye(code.m), code.field.embed_matrix) @ points),
         "bound": np.floor(np.abs(np.linalg.inv(basis)) @ span * (1.0 + 1e-9)) + 1.0,
         "first": np.array([g["cand"][0] for g in groups]),
         "code": code,
@@ -289,7 +291,7 @@ def _search(lat, enorm, a, y, h, pids):
     """ML decision (point index) for every row of y, or -1 where the sphere
     search cannot settle it; one tile of at most _SEARCH_TILE trials.
 
-    The group of a trial is the coset x_g + Psi(I_S), x_g its first point.
+    The group of a trial is the coset x_g + Psi(G~ I_S^m), x_g its first point.
     Each trial's fade is folded into the basis (a*h*Psi(basis) = Q R), and
     its radius is the distance from y to its Babai (nearest-plane) point.  A
     breadth-first Fincke-Pohst search enumerates every lattice point of the
@@ -459,16 +461,13 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
     sphere search from _SEARCH_MIN points up and brute force below, ties
     toward the lowest message index.  Returns the Message.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (code.dimension,):
-        raise InvalidArgument(f"y must have length {code.dimension}")
+    y = _real_vector("y", y, code.dimension)
     if h is not None:
-        h = np.asarray(h, dtype=float)
-        if h.shape != (code.dimension,):
-            raise InvalidArgument(f"h must have length {code.dimension}")
-        h = h[None, :]
+        h = _real_vector("h", h, code.dimension)[None, :]
     if not (np.isfinite(y).all() and (h is None or np.isfinite(h).all())):
         raise InvalidArgument("y and h must be finite")
+    if not isinstance(snr, numbers.Real) or isinstance(snr, bool):
+        raise InvalidArgument(f"snr must be a real number, got {snr!r}")
     if not (math.isfinite(snr) and snr >= 0):
         raise InvalidArgument("snr must be finite and nonnegative")
     groups = [_group(code, code.subcode_indices(s, fixed))]
@@ -476,6 +475,19 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
            "lattice": _search_lattice(code, s, groups)}
     det = _detect(ctx, math.sqrt(snr), y[None, :], h, np.zeros(1, dtype=np.int64))
     return code.message_from_index(int(det[0]))
+
+
+def _real_vector(name, v, length):
+    """v as a float64 vector of the given length, refused unless it holds
+    real numbers: no bools, strings, complex numbers or ragged nesting."""
+    try:
+        arr = np.asarray(v)
+        ok = arr.dtype.kind in "iuf" and arr.shape == (length,)
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise InvalidArgument(f"{name} must be {length} real numbers, got {v!r}")
+    return arr.astype(np.float64)
 
 
 # ============================================================

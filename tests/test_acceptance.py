@@ -21,7 +21,6 @@ from latticedex import (
     build_oklattice_code,
     classify_prime,
     min_distance,
-    oklattice_min_distance,
     oklattice_side_info_gain,
     prime_ideals_above,
     quadratic_field,
@@ -416,13 +415,13 @@ def test_criterion_8_module_codes_hit_six_db():
     # finite cross-checks where the constellation is small enough
     oracle = conftest.pair_scan_min_distance
     ok1 = cases[0][1]
-    assert (oklattice_min_distance(ok1, ()) == oklattice_side_info_gain(ok1, (1,)).d0_sq
+    assert (min_distance(ok1, ()) == oklattice_side_info_gain(ok1, (1,)).d0_sq
             == oracle(ok1, ()))
     for s in ((1,), (2,)):
-        assert (oklattice_min_distance(ok1, s) == oklattice_side_info_gain(ok1, s).ds_sq
+        assert (min_distance(ok1, s) == oklattice_side_info_gain(ok1, s).ds_sq
                 == oracle(ok1, s))
     for _, okc in cases[2:4]:
-        assert (oklattice_min_distance(okc, ()) == oklattice_side_info_gain(okc, (1,)).d0_sq
+        assert (min_distance(okc, ()) == oklattice_side_info_gain(okc, (1,)).d0_sq
                 == oracle(okc, ()))
     elapsed = time.perf_counter() - t0
     _record(8, worst < 1e-9,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latticedex import (
@@ -25,8 +25,8 @@ from latticedex import (
     side_info_gain,
     whole_ring,
 )
-from conftest import pair_scan_min_distance
-from latticedex.analysis import SIX_DB, _pair_scan
+from conftest import _pair_scan, pair_scan_min_distance
+from latticedex.analysis import SIX_DB
 from latticedex.numberfield.linalg import lll_gram
 
 
@@ -224,7 +224,9 @@ def test_diversity_complex_field(ex3_code):
 def _assert_searches_match_pair_scans(code, s, fixed=None):
     rep = diversity_and_product_distance(code, s, fixed)
     diversity, pmin = _pair_scan(code, code.subcode_indices(s, fixed))
-    assert rep.diversity == diversity == sum(code.field.signature), (code, s)
+    assert rep.diversity == diversity, (code, s)
+    if code.is_plain:
+        assert diversity == sum(code.field.signature), (code, s)
     assert math.isclose(rep.product_distance, pmin, rel_tol=1e-12), (code, s, pmin)
     assert min_distance(code, s, fixed) == pair_scan_min_distance(code, s, fixed), (code, s)
 
@@ -252,6 +254,20 @@ def test_exact_product_distances(ex2_code, maxreal_code, cyclo_code):
     assert (rep.diversity, rep.product_distance) == (3, 1.0)
     rep = diversity_and_product_distance(cyclo_code, ())
     assert (rep.diversity, rep.product_distance) == (2, 1.0)
+    # two-slot minima of m = 2 codes: every realised G~ d has both slots nonzero
+    field = quadratic_field(-5)
+    one, theta = field.one, field.theta
+    code = build_index_code(field, prime_ideals_above(field, 3)[:1],
+                            [[-one + theta, -theta], [one - theta, -one - theta]])
+    rep = diversity_and_product_distance(code, ())
+    assert (rep.diversity, rep.product_distance) == (2, math.sqrt(20))
+    # the pair scan over embeddings reports 1.9999999999999996 here
+    field = quadratic_field(3)
+    one, theta = field.one, field.theta
+    code = build_index_code(field, prime_ideals_above(field, 2)[:1],
+                            [[one, one - theta], [one - theta, -one]])
+    rep = diversity_and_product_distance(code, ())
+    assert (rep.diversity, rep.product_distance) == (4, 2.0)
 
 
 _FADING_FIELDS = [quadratic_field(d) for d in range(-30, 31)
@@ -259,21 +275,42 @@ _FADING_FIELDS = [quadratic_field(d) for d in range(-30, 31)
 _FADING_FIELDS += [cyclotomic_field(m) for m in (5, 8, 12)]
 
 
-@st.composite
-def _small_plain_codes(draw):
-    """A plain code on 1-2 unramified-in-conductor primes above p < 30 of a
-    quadratic or cyclotomic field, at most 200 points."""
-    field = draw(st.sampled_from(_FADING_FIELDS))
+def _primes(draw, field, cap):
+    """1-2 primes above p < 30, p prime to a cyclotomic field's conductor,
+    with a product of norms of at most cap."""
     above = [q for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
              if field.family == "quadratic" or field.param % p
-             for q in prime_ideals_above(field, p) if q.norm <= 200]
-    primes = draw(st.lists(st.sampled_from(above), min_size=1, max_size=2, unique=True)
-                  .filter(lambda ps: math.prod(q.norm for q in ps) <= 200))
-    return build_index_code(field, primes)
+             for q in prime_ideals_above(field, p) if q.norm <= cap]
+    return draw(st.lists(st.sampled_from(above), min_size=1, max_size=2, unique=True)
+                .filter(lambda ps: math.prod(q.norm for q in ps) <= cap))
 
 
-@settings(max_examples=40, deadline=None)
-@given(code=_small_plain_codes())
+@st.composite
+def _small_plain_codes(draw):
+    """A plain code of a quadratic or cyclotomic field, at most 200 points."""
+    field = draw(st.sampled_from(_FADING_FIELDS))
+    return build_index_code(field, _primes(draw, field, 200))
+
+
+@st.composite
+def _small_module_codes(draw):
+    """A code on m = 1 or 2 copies of a quadratic or cyclotomic field, with a
+    nonsingular generator whose entries have coordinates in {-1, 0, 1}: at
+    most 700 points, 400 in dimension 4 and 169 in dimension 8, where a
+    search that runs to its full radius enumerates the most."""
+    field = draw(st.sampled_from(_FADING_FIELDS))
+    m = draw(st.sampled_from((1, 2)))
+    primes = _primes(draw, field, 700 if m == 1 else 20 if field.n == 2 else 13)
+    entry = st.tuples(*[st.sampled_from((-1, 0, 1))] * field.n).map(field.element)
+    gmatrix = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    try:
+        return build_index_code(field, primes, gmatrix)
+    except InvalidArgument:  # a singular generator
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(code=st.one_of(_small_plain_codes(), _small_module_codes()))
 def test_norm_search_matches_pair_scan(code):
     # the last message is nonzero in every component: a translate of the subcode
     translate = code.message_from_index(code.size - 1)

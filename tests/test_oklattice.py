@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,45 +13,13 @@ from latticedex import (
     build_index_code,
     build_oklattice_code,
     diversity_and_product_distance,
-    oklattice_min_distance,
+    min_distance,
     oklattice_side_info_gain,
     prime_ideals_above,
     quadratic_field,
 )
-from conftest import pair_scan_min_distance
+from conftest import _pair_scan, pair_scan_min_distance
 from latticedex.numberfield.linalg import shortest_nonzero
-
-
-@pytest.fixture(scope="module")
-def zi_primes():
-    field = quadratic_field(-1)
-    return field, [prime_ideals_above(field, 5)[0], prime_ideals_above(field, 13)[0]]
-
-
-@pytest.fixture(scope="module")
-def zi_m2(zi_primes):
-    field, primes = zi_primes
-    return build_oklattice_code(field, primes[:1], [[1, 0], [0, 1]])
-
-
-@pytest.fixture(scope="module")
-def zi_m2k2(zi_primes):
-    field, primes = zi_primes
-    return build_oklattice_code(field, primes, [[1, 0], [0, 1]])
-
-
-@pytest.fixture(scope="module")
-def module_codes(zi_primes, zi_m2, zi_m2k2):
-    """The Z[i] module codes of acceptance criterion 8, by label."""
-    field, (p5, p13) = zi_primes
-    one, shear = field.one, field.element((1, 1))
-    return {
-        "m=1 identity": build_oklattice_code(field, [p5, p13], [[one]]),
-        "m=1 scaled": build_oklattice_code(field, [p5, p13], [[shear]]),
-        "m=2 identity": zi_m2,
-        "m=2 shear": build_oklattice_code(field, [p5], [[one, shear], [field.zero, one]]),
-        "m=2 two primes": zi_m2k2,
-    }
 
 
 def test_m1_identity_matches_plain_code(zi_primes):
@@ -108,23 +77,23 @@ def test_m2_subcode_and_fixed(zi_m2, zi_m2k2):
 
 def test_m2_finite_distance_matches_lattice(zi_m2, zi_m2k2, module_codes):
     val0, _ = shortest_nonzero(zi_m2.gram2)
-    assert (oklattice_min_distance(zi_m2, ()) == Fraction(int(val0), 2)
+    assert (min_distance(zi_m2, ()) == Fraction(int(val0), 2)
             == pair_scan_min_distance(zi_m2, ()))
     vals, _ = shortest_nonzero(zi_m2k2.side_sublattice_gram((1,)))
-    assert (oklattice_min_distance(zi_m2k2, (1,)) == Fraction(int(vals), 2)
+    assert (min_distance(zi_m2k2, (1,)) == Fraction(int(vals), 2)
             == pair_scan_min_distance(zi_m2k2, (1,)))
     for label, code in module_codes.items():
         k = len(code.primes)
         for s in (s for r in range(k + 1) for s in combinations(range(1, k + 1), r)):
             if code.subcode_indices(s).shape[0] >= 2:
-                assert (oklattice_min_distance(code, s)
+                assert (min_distance(code, s)
                         == pair_scan_min_distance(code, s)), (label, s)
 
 
 def test_m2_min_distance_rejects_singleton(zi_m2):
     # fully revealed m=1 K=1 subcode has one point
     with pytest.raises(InvalidArgument):
-        oklattice_min_distance(
+        min_distance(
             build_oklattice_code(zi_m2.field, zi_m2.primes, [[1]]), (1,))
 
 
@@ -198,13 +167,22 @@ def test_embedded_is_the_generated_point(module_codes):
         assert np.allclose(energy2, code.norms2, rtol=1e-12, atol=0), label
 
 
-def test_m2_diversity_counts_every_slot(module_codes):
-    for label in ("m=2 identity", "m=2 shear"):
-        rep = diversity_and_product_distance(module_codes[label], ())
-        assert rep.diversity >= 1, label
-    two = module_codes["m=2 two primes"]
-    for s in ((1,), (2,)):
-        assert diversity_and_product_distance(two, s).diversity >= 1, s
+def test_m2_diversity_counts_every_slot(module_codes, zi_1105):
+    # every S of the five module codes and of the 1105-point code with generator
+    # 1 + i, against the pair scan; m=2 two primes at S = {} (4225 points) is
+    # pinned, its pair scan is too slow for tier-1
+    for label, code in dict(module_codes, zi_1105=zi_1105).items():
+        k = len(code.primes)
+        for s in (s for r in range(k + 1) for s in combinations(range(1, k + 1), r)):
+            idx = code.subcode_indices(s)
+            if idx.shape[0] < 2 or (label, s) == ("m=2 two primes", ()):
+                continue
+            rep = diversity_and_product_distance(code, s)
+            diversity, pmin = _pair_scan(code, idx)
+            assert rep.diversity == diversity, (label, s)
+            assert math.isclose(rep.product_distance, pmin, rel_tol=1e-12), (label, s, pmin)
+    rep = diversity_and_product_distance(module_codes["m=2 two primes"], ())
+    assert (rep.diversity, rep.product_distance) == (1, 1.0)
 
 
 def test_files_and_simulation_need_the_plain_code(module_codes):

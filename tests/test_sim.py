@@ -8,13 +8,10 @@ import pytest
 from latticedex import (
     InvalidArgument,
     SimConfig,
-    build_oklattice_code,
     confidence_interval,
     curve_filename,
     diversity_slope,
     ml_detect,
-    prime_ideals_above,
-    quadratic_field,
     read_curve_csv,
     run_sim,
     si_gain_from_curves,
@@ -360,31 +357,50 @@ def test_ml_detect_matches_untiled_reference(request, fixture):
                 assert np.count_nonzero(want != raw) > 0  # the check sees real decisions
 
 
-def test_ml_detect_matches_untiled_reference_on_module_codes():
-    # the search reads a plain code's coordinates and embedding, so a module code over Z[i]
-    # (m = 2, 65^2 points) and an m = 1 code with a non-identity generator (5*13*17 points)
-    # are decided by brute force however large their groups are
-    field = quadratic_field(-1)
-    p5, p13, p17 = (prime_ideals_above(field, p)[0] for p in (5, 13, 17))
-    codes = [build_oklattice_code(field, [p5, p13], [[1, 0], [0, 1]]),
-             build_oklattice_code(field, [p5, p13, p17], [[field.element((1, 1))]])]
+def test_ml_detect_matches_untiled_reference_on_module_codes(zi_m2k2, zi_1105):
+    # a module code over Z[i] (m = 2, 65^2 points) and an m = 1 code with a non-identity
+    # generator (5*13*17 points) are searched like the plain code: the trials the search
+    # settles agree with the untiled reference, and ml_detect does on every trial
+    codes = [zi_m2k2, zi_1105]
     rng = np.random.default_rng(7)
     trials = 64
     for code in codes:
         assert code.size >= sim._SEARCH_MIN and not code.is_plain
+        groups = [sim._group(code, np.arange(code.size))]
+        lat = sim._search_lattice(code, (), groups)
+        assert lat is not None
+        enorm = code.gamma * code.embedded
         dim = code.embedded.shape[1]
         raw = rng.integers(code.size, size=trials)
-        tx = code.gamma * code.embedded[raw]
+        tx = enorm[raw]
         for snr_db, h in ((14.0, None), (20.0, rng.rayleigh(1.0 / math.sqrt(2.0), (trials, dim)))):
             a = 10.0 ** (snr_db / 20.0)
             z = rng.standard_normal((trials, dim)) / math.sqrt(dim)
             y = a * (tx if h is None else h * tx) + z
             want = _untiled_detect(code, (), a, raw, y, h)
+            searched = sim._search(lat, enorm, a, y, h, np.zeros(trials, dtype=np.int64))
+            settled = searched >= 0
+            assert settled.any(), (code.size, snr_db)
+            assert np.array_equal(searched[settled], want[settled]), (code.size, snr_db)
             got = [code.message_index(ml_detect(code, y[t], (), snr=a * a,
                                                 h=None if h is None else h[t]))
                    for t in range(trials)]
             assert got == want.tolist(), (code.size, snr_db)
             assert np.count_nonzero(want != raw) > 0  # the check sees real decisions
+
+
+def test_ml_detect_refuses_bad_input_types(ex1_code):
+    # a bool or a string SNR, and y or h holding bools, strings or complex numbers
+    y = np.zeros(2)
+    for snr in ("3", None, True, np.True_, 1.0 + 0j):
+        with pytest.raises(InvalidArgument, match="snr"):
+            ml_detect(ex1_code, y, (), snr=snr)
+    for bad in (["a", "b"], [True, False], [1.0 + 0j, 0.0], [[1.0], [2.0, 3.0]]):
+        with pytest.raises(InvalidArgument, match="^y "):
+            ml_detect(ex1_code, bad, ())
+        with pytest.raises(InvalidArgument, match="^h "):
+            ml_detect(ex1_code, y, (), h=bad)
+    assert ml_detect(ex1_code, [0, 0], (), snr=np.float64(2.0)) == ex1_code.zero_message()
 
 
 # ---- intervals ----
