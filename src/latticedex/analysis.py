@@ -261,14 +261,14 @@ def _smallest_realised(code, s, idx, by_norm=False):
     difference, 4 times the largest doubled energy.  The radius doubles from
     twice the least doubled energy of a nonzero element of J.
     """
-    field, ideal = code.field, code.side_ideal(s)
-    H = np.kron(np.eye(code.m, dtype=np.int64), np.array(ideal.hnf, dtype=np.int64))
+    field, H = code.field, code.side_basis(s).astype(np.int64)
     gram = sublattice_gram(H, code.gram2)  # code.side_sublattice_gram(s), J built once
+    norm = math.prod(H.diagonal()[:field.n].tolist())  # N(J), the index of J in O_K
     X = code.coords_matrix[idx]
     span = X.max(axis=0) - X.min(axis=0)
     full = 4 * int(code.norms2[idx].max())
     # AM-GM: 2|Psi(d)|^2 >= c * n * |N(d)|^(2/n), c = 2 totally real, 1 totally complex
-    least = (2 if field.is_totally_real else 1) * field.n * ideal.norm ** (2 / field.n)
+    least = (2 if field.is_totally_real else 1) * field.n * norm ** (2 / field.n)
     bound2 = min(full, math.ceil(2 * least))
     while True:
         Y, len2 = short_vectors(gram, bound2)
@@ -290,7 +290,7 @@ def _smallest_realised(code, s, idx, by_norm=False):
             hit = _first_realised(code, X, D, len2, keys)
             if hit is not None:
                 fewest = hit if slots[hit] == 1 else _first_realised(code, X, D, len2, slots)
-                if (keys[hit] == ideal.norm and slots[fewest] == 1) or bound2 == full:
+                if (keys[hit] == norm and slots[fewest] == 1) or bound2 == full:
                     break
         if bound2 == full:
             raise InvariantViolation("no difference of the subcode lies in its side ideal")

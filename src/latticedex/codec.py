@@ -341,11 +341,16 @@ class IndexCode:
             ideal = ideal * self.primes[k - 1]
         return ideal
 
+    def side_basis(self, s):
+        """kron(I_m, HNF(J)), J = prod_{k in S} p_k, in Python ints: integer
+        columns, in the coordinates of u, spanning the u with every slot in J."""
+        H = np.array(self.side_ideal(s).hnf, dtype=object)
+        return np.kron(np.eye(self.m, dtype=object), H)
+
     def side_sublattice_gram(self, s):
         """Doubled Gram of the u-sublattice with every slot in prod_{k in S} p_k,
         exact (an object array of Python ints)."""
-        H = np.array(self.side_ideal(s).hnf, dtype=object)
-        return sublattice_gram(np.kron(np.eye(self.m, dtype=object), H), self.gram2)
+        return sublattice_gram(self.side_basis(s), self.gram2)
 
     def side_index(self, s, msg=None):
         """Index of w_S among the messages on S (w_1 most significant): of

@@ -457,12 +457,6 @@ class AlgebraicInt:
     def trace(self):
         return self.field.trace_coords(self.coords)
 
-    def normsq2(self):
-        """2 * ||Psi(x)||^2 as an exact integer."""
-        c = self.coords
-        return sum(ci * sum(g * cj for g, cj in zip(row, c))
-                   for ci, row in zip(c, self.field.gram2))
-
     def embed(self):
         return self.field.embed_matrix @ np.asarray(self.coords, dtype=np.float64)
 

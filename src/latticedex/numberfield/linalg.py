@@ -1,14 +1,14 @@
 """Exact integer linear algebra for lattice computations.
 
-Column-style Hermite normal form and exact lattice membership,
-fraction-free determinants, triangular residue reduction, the one
-mixed-radix index of digit rows (mixed_radix), integral LLL
-reduction of Gram matrices, and enumeration of the short vectors of an
-integer Gram matrix.  Everything is arbitrary-precision Python int except
-the enumeration: it LLL-reduces the basis, lets a float Cholesky factor steer
-a breadth-first Fincke-Pohst search in numpy int64, rescores every candidate
-exactly, and refuses inputs whose exact range bounds leave int64.  Its level
-step (fp_level, fp_expand) is also the simulator's sphere decoder's.
+Column-style Hermite normal form, fraction-free determinants, triangular
+residue reduction, the one mixed-radix index of digit rows (mixed_radix),
+integral LLL reduction of Gram matrices, and the one breadth-first
+Fincke-Pohst search (fp_search): it enumerates the short vectors of an
+integer Gram matrix and is the simulator's sphere decoder.  Everything is
+arbitrary-precision Python int except the search: enumeration LLL-reduces
+the basis, lets a float Cholesky factor steer the search in numpy int64,
+rescores every candidate exactly, and refuses inputs whose exact range
+bounds leave int64.
 """
 
 from __future__ import annotations
@@ -81,12 +81,6 @@ def reduce_mod_hnf(coords, hnf):
             for r in range(i + 1):
                 v[r] -= q * hnf[r][i]
     return tuple(v)
-
-
-def hnf_contains(hnf, coords):
-    """Exact membership test of an integer vector in the HNF column lattice:
-    its canonical residue is zero."""
-    return not any(reduce_mod_hnf(coords, hnf))
 
 
 def hnf_reduction_bound(B, hnf):
@@ -263,58 +257,61 @@ def _range_bounds(U, R, bound2):
     return yb
 
 
-def fp_level(c, room, bound):
-    """One breadth-first Fincke-Pohst level: for every row, the integers y
-    with (y - c)^2 <= room, as (first, counts).
-
-    The float interval only steers: it is widened by a relative 1e-9 and an
-    absolute 1e-9, then clipped to |y| <= bound, an exact bound the caller
-    proves for every point it must not miss.  Clipping before the cast keeps
-    infinite centers and rooms inside int64; rows with a NaN are the caller's
-    to discard.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # non-finite targets: dropped
+def fp_search(R, w, radius2, bound, cap):
+    """Breadth-first Fincke-Pohst, the one search of this package: every
+    integer v with |R_t v - w_t|^2 <= radius2_t for t targets, as (target of
+    each row, rows V in int64, kept).  R is (t, n, n) upper triangular, maybe
+    a broadcast view; level i fixes v_i for every surviving prefix, and rows
+    stay in target order.  The float interval only steers: it is widened by a
+    relative and an absolute 1e-9, then clipped to |v_i| <= bound[i], an exact
+    bound the caller proves, before the int64 cast.  A target is dropped
+    (kept False, no rows) when a center or room of it is not finite, or when
+    a level would hold more than cap rows, the targets with the most rows
+    first, before those rows are materialised.
     """
-    r = np.sqrt(np.maximum(room, 0.0)) * (1.0 + 1e-9) + 1e-9
-    first = np.clip(np.ceil(c - r), -bound, bound + 1).astype(np.int64)
-    last = np.clip(np.floor(c + r), -bound - 1, bound).astype(np.int64)
-    return first, np.maximum(last - first + 1, 0)
-
-
-def fp_expand(first, counts):
-    """(parent row, value) of every integer fp_level admitted, rows in order."""
-    rows = np.repeat(np.arange(counts.shape[0]), counts)
-    offsets = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-    return rows, first[rows] + offsets
+    t, n = w.shape
+    kept = np.ones(t, dtype=bool)
+    tr = np.arange(t)  # the target of every row
+    T, V = np.zeros(t), np.zeros((t, 0), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        d = R[tr, i, i]
+        c = w[:, i] / d
+        room = (radius2[tr] - T) / (d * d)
+        kept[tr[~(np.isfinite(c) & np.isfinite(room))]] = False
+        r = np.sqrt(np.maximum(room, 0.0)) * (1.0 + 1e-9) + 1e-9
+        lo = np.clip(np.ceil(c - r), -bound[i], bound[i] + 1).astype(np.int64)
+        hi = np.clip(np.floor(c + r), -bound[i] - 1, bound[i]).astype(np.int64)
+        counts = np.where(kept[tr], np.maximum(hi - lo + 1, 0), 0)
+        if counts.sum() > cap:
+            per_target = np.bincount(tr, weights=counts, minlength=t)
+            order = np.argsort(per_target, kind="stable")
+            kept[order[np.cumsum(per_target[order]) > cap]] = False
+            counts[~kept[tr]] = 0
+        rows = np.repeat(np.arange(counts.shape[0]), counts)
+        vi = lo[rows] + np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+        tr = tr[rows]
+        T = T[rows] + (d[rows] * (c[rows] - vi)) ** 2
+        w = w[rows, :i] - R[tr, :i, i] * vi[:, None]
+        V = np.column_stack([vi, V[rows]])
+    return tr, V, kept
 
 
 def _enumerate(U, R, bound2, include_zero):
-    """Rows y with y^T R y <= bound2 in the reduced basis, mapped back by U.
-
-    Breadth-first Fincke-Pohst: level i fixes y_i for every surviving prefix
-    (y_{i+1}, ..., y_{n-1}) from the float Cholesky factor of R.  The floats
-    only steer: each interval is widened by a relative 1e-9, clipped to the
-    exact bound of _range_bounds, and every survivor is rescored exactly.
-    """
+    """Rows y with y^T R y <= bound2 in the reduced basis, mapped back by U:
+    one fp_search target at 0 under the float Cholesky factor of R, levels
+    clipped to _range_bounds, every row rescored exactly."""
     n = len(R)
     bound2 = math.floor(bound2)
     if bound2 < 0 or (bound2 == 0 and not include_zero):
         return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
     yb = _range_bounds(U, R, bound2)
     C = np.linalg.cholesky(np.array(R, dtype=np.float64)).T
-    q = np.diag(C) ** 2
-    mu = C / np.diag(C)[:, None]
-    budget = bound2 * (1.0 + 1e-9)
-    Y = np.zeros((1, 0), dtype=np.int64)  # columns: y_{i+1}, ..., y_{n-1}
-    T = np.zeros(1)  # float partial norms of the prefixes
-    for i in range(n - 1, -1, -1):
-        c = -(Y @ mu[i, i + 1:])
-        first, counts = fp_level(c, (budget - T) / q[i], yb[i])
-        total = int(counts.sum())
-        if total > _ENUM_LIMIT:
-            raise Infeasible(f"short-vector enumeration would hold {total} candidates "
-                             f"(limit {_ENUM_LIMIT}); giving up")
-        rows, yi = fp_expand(first, counts)
-        T = T[rows] + q[i] * (yi - c[rows]) ** 2
-        Y = np.column_stack([yi, Y[rows]])
+    _, Y, kept = fp_search(C[None], np.zeros((1, n)), np.array([bound2 * (1.0 + 1e-9)]), yb,
+                           _ENUM_LIMIT)
+    if not kept[0]:
+        raise Infeasible(f"short-vector enumeration would hold more than {_ENUM_LIMIT} "
+                         "candidates at one level; giving up")
     norms = np.einsum("ij,jk,ik->i", Y, np.array(R, dtype=np.int64), Y)
     keep = norms <= bound2
     if not include_zero:

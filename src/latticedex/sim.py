@@ -13,8 +13,9 @@ a coset x_g + Psi(G~ I_S^m) of the constellation, on every code (any m and
 generator G~).  Groups of at least _SEARCH_MIN points are decided by a
 batched sphere search (_search) around each trial's Babai point, in a reduced
 basis of that side sublattice with the trial's fade folded in and
-IndexCode.point_index telling which lattice points the code stores; the trials
-it cannot settle, and all trials of smaller groups, by brute force (_brute),
+IndexCode.point_index telling which lattice points the code stores: the one
+Fincke-Pohst search (linalg.fp_search), also behind short_vectors.  The trials
+it cannot settle, and all trials of smaller groups, go to brute force (_brute),
 which is also the oracle of the tests.  The search holds at most
 _SEARCH_ROWS rows per level for a tile of _SEARCH_TILE trials, and brute force
 scores in row tiles of at most _TILE_BYTES of float64 scores, so the memory a
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidArgument, Unsupported
 from .numberfield.field import _is_integer
-from .numberfield.linalg import fp_expand, fp_level, lll_gram
+from .numberfield.linalg import fp_search, lll_gram
 
 CHUNK = 4096
 _TILE_BYTES = 1 << 20  # a score tile (two on Rayleigh) fits a 2 MiB per-core L2 cache
@@ -187,8 +188,7 @@ def _search_lattice(code, s, groups):
     if groups[0]["cand"].shape[0] < _SEARCH_MIN:
         return None
     U, _ = lll_gram(code.side_sublattice_gram(s))
-    H = np.kron(np.eye(code.m, dtype=object), np.array(code.side_ideal(s).hnf, dtype=object))
-    basis = H @ np.array(U, dtype=object)
+    basis = code.side_basis(s) @ np.array(U, dtype=object)
     points = (code.basis.astype(object) @ basis).astype(np.float64)  # G~ basis, exact ints
     basis = basis.astype(np.int64)
     span = np.ptp(code.coords_matrix, axis=0).astype(np.float64)
@@ -293,16 +293,16 @@ def _search(lat, enorm, a, y, h, pids):
 
     The group of a trial is the coset x_g + Psi(G~ I_S^m), x_g its first point.
     Each trial's fade is folded into the basis (a*h*Psi(basis) = Q R), and
-    its radius is the distance from y to its Babai (nearest-plane) point.  A
-    breadth-first Fincke-Pohst search enumerates every lattice point of the
-    coset inside that radius; a point is a candidate when the code stores it
-    (IndexCode.point_index), and candidates are scored with _brute's formula.  The
-    nearest stored point is within the radius whenever any stored point is,
-    so the decision is exact ML.  A trial is left unsettled (-1) when no
-    stored point lies inside its radius (y beyond the shaping region), when
-    its fade makes the basis degenerate (a non-finite center or room), or
-    when a level would hold more than _SEARCH_ROWS rows; the trials with the
-    most rows leave first.
+    its radius is the distance from y to its Babai (nearest-plane) point.
+    linalg.fp_search, which also enumerates short vectors, finds every
+    lattice point of the coset inside that radius; a point is a candidate
+    when the code stores it (IndexCode.point_index), and candidates are
+    scored with _brute's formula.  The nearest stored point is within the
+    radius whenever any stored point is, so the decision is exact ML.  A
+    trial is left unsettled (-1) when no stored point lies inside its radius
+    (y beyond the shaping region) or fp_search drops it: its fade makes the
+    basis degenerate (a non-finite center or room), or it has the most rows
+    at a level over _SEARCH_ROWS.
     """
     t, n = y.shape
     first = lat["first"][pids]
@@ -317,26 +317,7 @@ def _search(lat, enorm, a, y, h, pids):
         v = np.rint(c)
         radius2 += (R[:, i, i] * (c - v)) ** 2
         babai[:, :i] -= R[:, :i, i] * v[:, None]
-    live = np.ones(t, dtype=bool)
-    tr = np.arange(t)  # the trial of every row
-    T, V = np.zeros(t), np.zeros((t, 0), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        d = R[tr, i, i]
-        c = w[:, i] / d
-        room = (radius2[tr] - T) / (d * d)
-        live[tr[~(np.isfinite(c) & np.isfinite(room))]] = False
-        lo, counts = fp_level(c, room, lat["bound"][i])
-        counts[~live[tr]] = 0
-        if counts.sum() > _SEARCH_ROWS:
-            per_trial = np.bincount(tr, weights=counts, minlength=t)
-            order = np.argsort(per_trial, kind="stable")
-            live[order[np.cumsum(per_trial[order]) > _SEARCH_ROWS]] = False
-            counts[~live[tr]] = 0
-        rows, vi = fp_expand(lo, counts)
-        tr = tr[rows]
-        T = T[rows] + (d[rows] * (c[rows] - vi)) ** 2
-        w = w[rows, :i] - R[tr, :i, i] * vi[:, None]
-        V = np.column_stack([vi, V[rows]])
+    tr, V, _ = fp_search(R, w, radius2, lat["bound"], _SEARCH_ROWS)
     code = lat["code"]
     idx = code.point_index(code.coords_matrix[first[tr]] + V @ lat["basis"].T)
     tr, idx = tr[idx >= 0], idx[idx >= 0]
@@ -479,10 +460,12 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
 
 def _real_vector(name, v, length):
     """v as a float64 vector of the given length, refused unless it holds
-    real numbers: no bools, strings, complex numbers or ragged nesting."""
+    real numbers: no bools, strings, complex numbers or ragged nesting.  Each
+    entry is checked on its own, as numpy reads [True, 1.0] as two floats."""
     try:
         arr = np.asarray(v)
-        ok = arr.dtype.kind in "iuf" and arr.shape == (length,)
+        ok = arr.shape == (length,) and all(
+            np.asarray(x).dtype.kind in "iuf" for x in np.asarray(v, dtype=object))
     except ValueError:  # ragged nesting
         ok = False
     if not ok:

@@ -12,8 +12,8 @@ from latticedex.errors import Infeasible, InvalidArgument
 from latticedex.numberfield import linalg
 from latticedex.numberfield.linalg import (
     det_int,
+    fp_search,
     hnf_columns,
-    hnf_contains,
     lll_gram,
     reduce_mod_hnf,
     reduce_mod_hnf_batch,
@@ -52,7 +52,7 @@ def test_hnf_preserves_lattice():
         H = hnf_columns(cols)
         # same lattice: generators contained both ways, same covolume
         for c in cols:
-            assert hnf_contains(H, c)
+            assert not any(reduce_mod_hnf(c, H))
         d_in = abs(det_int([[cols[j][i] for j in range(n)] for i in range(n)]))
         d_h = 1
         for i in range(n):
@@ -94,9 +94,9 @@ def test_hnf_contains_agrees_with_the_hnf_of_the_extended_lattice(cols, data):
     shift = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
     member = [sum(zj * c[i] for zj, c in zip(z, cols)) for i in range(n)]
     H = hnf_columns(cols)
-    assert hnf_contains(H, member)
+    assert not any(reduce_mod_hnf(member, H))
     v = [a + b for a, b in zip(member, shift)]
-    assert hnf_contains(H, v) == (hnf_columns(cols + [v]) == H)
+    assert (not any(reduce_mod_hnf(v, H))) == (hnf_columns(cols + [v]) == H)
 
 
 def test_hnf_rejects_rank_deficient_input():
@@ -116,7 +116,7 @@ def test_reduce_mod_hnf_canonical_box():
         for i in range(n):
             assert 0 <= r[i] < H[i][i]
         diff = tuple(a - b for a, b in zip(v, r))
-        assert hnf_contains(H, diff)
+        assert not any(reduce_mod_hnf(diff, H))
 
 
 def test_reduce_mod_hnf_batch_matches_scalar():
@@ -310,3 +310,83 @@ def test_lll_transform_is_unimodular_and_exact(G):
         bstar[i] = R[i][i] - sum(mu[i][k] ** 2 * bstar[k] for k in range(i))
         if i:
             assert bstar[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * bstar[i - 1]
+
+
+# ---- the one Fincke-Pohst search ----
+
+
+@st.composite
+def _search_inputs(draw, max_dim=3, max_targets=3):
+    """t small integer upper-triangular R (positive diagonal), targets w in
+    quarter steps and radii^2 in quarter steps."""
+    n = draw(st.integers(1, max_dim))
+    t = draw(st.integers(1, max_targets))
+    R = np.zeros((t, n, n))
+    for k in range(t):
+        for i in range(n):
+            R[k, i, i] = draw(st.integers(1, 3))
+            for j in range(i + 1, n):
+                R[k, i, j] = draw(st.integers(-2, 2))
+    quarters = st.lists(st.integers(-12, 12), min_size=t * n, max_size=t * n)
+    w = np.array(draw(quarters), dtype=np.float64).reshape(t, n) / 4.0
+    radius2 = np.array(draw(st.lists(st.integers(0, 24), min_size=t, max_size=t))) / 4.0
+    return R, w, radius2
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=_search_inputs(), box=st.integers(1, 3))
+def test_fp_search_equals_brute_box(args, box):
+    # every v of the box [-box, box]^n inside some target's ball, and no other,
+    # up to the points within 1e-6 of a sphere where the 1e-9 widening decides
+    R, w, radius2 = args
+    t, n = w.shape
+    tr, V, kept = fp_search(R, w, radius2, [box] * n, 1 << 20)
+    assert kept.all() and V.dtype == np.int64 and V.shape == (tr.shape[0], n)
+    assert (np.diff(tr) >= 0).all()
+    grid = np.array(list(itertools.product(range(-box, box + 1), repeat=n)), dtype=np.int64)
+    for k in range(t):
+        got = V[tr == k]
+        assert len({tuple(v) for v in got.tolist()}) == got.shape[0]  # no row twice
+        past, grid_past = (((X @ R[k].T - w[k]) ** 2).sum(axis=1) - radius2[k]
+                           for X in (got, grid))
+        assert (past <= 1e-6).all()
+        assert ({tuple(v) for v in got[past < -1e-6].tolist()}
+                == {tuple(v) for v in grid[grid_past < -1e-6].tolist()})
+
+
+def test_fp_search_batches_like_single_targets():
+    rng = np.random.default_rng(3)
+    t, n = 6, 4
+    R = np.triu(rng.integers(-2, 3, size=(t, n, n))).astype(np.float64)
+    R[:, np.arange(n), np.arange(n)] = rng.integers(1, 4, size=(t, n))
+    w = rng.normal(size=(t, n)) * 2.0
+    radius2 = rng.uniform(0.5, 6.0, size=t)
+    bound = [6] * n
+    tr, V, kept = fp_search(R, w, radius2, bound, 1 << 20)
+    assert kept.all()
+    for k in range(t):
+        _, one, _ = fp_search(R[k:k + 1], w[k:k + 1], radius2[k:k + 1], bound, 1 << 20)
+        assert np.array_equal(V[tr == k], one)
+    # a broadcast view of one R serves every target alike
+    shared = np.broadcast_to(R[0], (t, n, n))
+    tr, V, _ = fp_search(shared, w, radius2, bound, 1 << 20)
+    for k in range(t):
+        _, one, _ = fp_search(R[:1], w[k:k + 1], radius2[k:k + 1], bound, 1 << 20)
+        assert np.array_equal(V[tr == k], one)
+
+
+def test_fp_search_cap_drops_the_largest_target():
+    # discs of radius^2 9, 1 and 4 around 0 hold 29, 5 and 13 points; the first
+    # level holds 7 + 3 + 5 = 15 rows and the last 47, so a cap of 20 drops the
+    # 29-point disc alone, and a NaN target is dropped whatever the cap
+    R = np.broadcast_to(np.eye(2), (4, 2, 2))
+    w = np.zeros((4, 2))
+    w[3, 0] = np.nan
+    radius2 = np.array([9.0, 1.0, 4.0, 1.0])
+    tr, V, kept = fp_search(R, w, radius2, [3, 3], 20)
+    assert kept.tolist() == [False, True, True, False]
+    assert set(tr.tolist()) == {1, 2}
+    assert np.bincount(tr, minlength=4).tolist() == [0, 5, 13, 0]
+    assert ((V ** 2).sum(axis=1) <= radius2[tr]).all()
+    _, _, kept = fp_search(R, w, radius2, [3, 3], 47)
+    assert kept.tolist() == [True, True, True, False]

@@ -390,17 +390,21 @@ def test_ml_detect_matches_untiled_reference_on_module_codes(zi_m2k2, zi_1105):
 
 
 def test_ml_detect_refuses_bad_input_types(ex1_code):
-    # a bool or a string SNR, and y or h holding bools, strings or complex numbers
+    # a bool or a string SNR, and y or h holding bools, strings or complex numbers; numpy
+    # reads [True, 1.0] as two floats, so a bool mixed with numbers is checked for too
     y = np.zeros(2)
     for snr in ("3", None, True, np.True_, 1.0 + 0j):
         with pytest.raises(InvalidArgument, match="snr"):
             ml_detect(ex1_code, y, (), snr=snr)
-    for bad in (["a", "b"], [True, False], [1.0 + 0j, 0.0], [[1.0], [2.0, 3.0]]):
+    for bad in (["a", "b"], [True, False], [1.0 + 0j, 0.0], [[1.0], [2.0, 3.0]], [True, 1.0],
+                [True, 0.0], (0, False), [1.0, np.True_], [np.array(True), 1.0]):
         with pytest.raises(InvalidArgument, match="^y "):
             ml_detect(ex1_code, bad, ())
         with pytest.raises(InvalidArgument, match="^h "):
             ml_detect(ex1_code, y, (), h=bad)
     assert ml_detect(ex1_code, [0, 0], (), snr=np.float64(2.0)) == ex1_code.zero_message()
+    for good in ([1, 2], [1.0, 2], np.array([1.0, 2.0]), [np.float64(1.0), np.int32(2)]):
+        ml_detect(ex1_code, good, (), h=good)
 
 
 # ---- intervals ----
