@@ -123,10 +123,10 @@ def minkowski_upper_bound(field, ideal):
 
 
 def gain_bounds(code, s):
-    """(lower_db, upper_db) gain sandwich for totally real or complex fields.
+    """(lower_db, upper_db) gain sandwich of a field that is totally real or
+    totally complex, as every supported field is.
 
-    Imaginary quadratic PIDs return the exact value 20*log10(2) on both
-    sides; mixed-signature fields return (None, None).
+    Imaginary quadratic PIDs return the exact value 20*log10(2) on both sides.
     """
     field = code.field
     s = code.check_side_info(s)
@@ -134,8 +134,6 @@ def gain_bounds(code, s):
         raise InvalidArgument("side-information set must be nonempty")
     if field.is_imaginary_quadratic_pid:
         return (SIX_DB, SIX_DB)
-    if not (field.is_totally_real or field.is_totally_complex):
-        return (None, None)
     denom = sum(math.log2(code.primes[k - 1].norm) for k in s)
     disc = abs(field.discriminant)
     if field.is_totally_real:
@@ -324,13 +322,7 @@ def diversity_and_product_distance(code, s, fixed=None):
                         floor=floor)
 
 
-def capacity_rhs(snr):
-    """Capacity of the point-to-point reference channel, bits per dimension."""
-    if snr < 0:
-        raise InvalidArgument("snr must be nonnegative")
-    return 0.5 * math.log2(1.0 + snr)
-
-
-# Former names of the module-code entry points; the code type is one.
+# Former names of build_index_code and side_info_gain, kept only because
+# bench/workloads.py and bench/record.py call them.
 build_oklattice_code = build_index_code
 oklattice_side_info_gain = side_info_gain

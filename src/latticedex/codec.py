@@ -30,7 +30,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,8 +45,9 @@ from .numberfield import (
     prime_ideals_above,
     whole_ring,
 )
+from .numberfield.field import _is_integer
 from .numberfield.linalg import (INT64_MAX, det_int, hnf_reduction_bound, mixed_radix,
-                                 short_vectors, sublattice_gram)
+                                 reduce_mod_hnf_batch, short_vectors, sublattice_gram)
 
 DEFAULT_ENUMERATION_CAP = 10**6
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
@@ -152,7 +152,7 @@ def _slot_residues(ideal, coords, m):
     in (O_K/ideal)^m with slot 0 the most significant mixed-radix digit.
     """
     n = ideal.field.n
-    res = ideal.reduce_batch(coords.reshape(-1, n))
+    res = reduce_mod_hnf_batch(coords.reshape(-1, n), ideal.hnf)
     index = mixed_radix(ideal.residue_indices(res).reshape(-1, m), (ideal.norm,) * m)
     return res.reshape(-1, m * n), index
 
@@ -179,8 +179,8 @@ def _min_energy_representatives(field, modulus, gram2, m):
     Minkowski bound of the modulus (doubling until every coset of
     O_K^m / modulus^m is covered) in the lattice with doubled Gram gram2, and
     keeps the lowest-energy point per coset, ties broken lexicographically on
-    exact coordinates.  Returns int64 coordinates (N, m*n) ordered by the
-    per-slot modulus residue index.
+    exact coordinates.  Returns int64 coordinates (N, m*n), one row per
+    coset, in no particular order.
     """
     count = modulus.norm ** m
     bound2 = max(int(math.ceil(2.0 * m * minkowski_bound_sq(field, modulus))), 1)
@@ -191,9 +191,7 @@ def _min_energy_representatives(field, modulus, gram2, m):
         order = np.lexsort(keys)
         uniq, first = np.unique(ridx[order], return_index=True)
         if uniq.shape[0] == count:
-            out = np.empty((count, X.shape[1]), dtype=X.dtype)
-            out[uniq] = X[order[first]]
-            return out
+            return X[order[first]]
         bound2 *= 2
 
 
@@ -287,13 +285,10 @@ class IndexCode:
         p, n = self.primes[k], self.field.n
         if len(res) != self.dimension:
             raise InvalidArgument(f"w_{k+1} has wrong length")
-        if any(not (isinstance(v, numbers.Integral) and 0 <= v < p.hnf[i % n][i % n])
+        if any(not (_is_integer(v) and 0 <= v < p.hnf[i % n][i % n])
                for i, v in enumerate(res)):
             raise InvalidArgument(f"w_{k+1} = {res} is not a canonical residue")
         return int(_slot_residues(p, np.array(res, dtype=np.int64), self.m)[1][0])
-
-    def check_message(self, msg):
-        self.message_index(msg)
 
     def message_index(self, msg):
         return int(self.side_index(range(1, len(self.primes) + 1), msg)[0])
@@ -325,7 +320,7 @@ class IndexCode:
 
     def check_side_info(self, s):
         s = tuple(s)
-        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in s):
+        if not all(_is_integer(k) for k in s):
             raise InvalidArgument(f"side-information set {list(s)} must hold integer "
                                   "message indices")
         s = tuple(sorted(set(int(k) for k in s)))

@@ -17,7 +17,6 @@ from .ideals import (
     factor_minpoly_mod_p,
     ideal_from_generators,
     ideal_to_dict,
-    is_coprime,
     prime_ideals_above,
     principal_ideal,
     whole_ring,
@@ -38,7 +37,6 @@ __all__ = [
     "factor_minpoly_mod_p",
     "ideal_from_generators",
     "ideal_to_dict",
-    "is_coprime",
     "prime_ideals_above",
     "principal_ideal",
     "whole_ring",

@@ -454,12 +454,6 @@ class AlgebraicInt:
     def norm(self):
         return det_int(self.field.mul_columns(self.coords))
 
-    def trace(self):
-        return self.field.trace_coords(self.coords)
-
-    def embed(self):
-        return self.field.embed_matrix @ np.asarray(self.coords, dtype=np.float64)
-
     def conj(self):
         """Complex conjugate; the element itself in a totally real field."""
         f = self.field

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import InvalidArgument, InvariantViolation, Unsupported
 from .field import AlgebraicInt, _is_integer
-from .linalg import hnf_columns, mixed_radix, reduce_mod_hnf, reduce_mod_hnf_batch
+from .linalg import hnf_columns, mixed_radix, reduce_mod_hnf
 from .modp import factor_mod_p, is_prime
 
 
@@ -67,9 +67,6 @@ class Ideal:
         n = self.field.n
         return [tuple(self.hnf[r][j] for r in range(n)) for j in range(n)]
 
-    def basis_elements(self):
-        return [AlgebraicInt(self.field, c) for c in self.basis_columns()]
-
     def contains(self, el):
         return self.reduce(el).is_zero
 
@@ -77,10 +74,6 @@ class Ideal:
         """Canonical residue of el modulo this ideal."""
         el = self._coerce(el)
         return AlgebraicInt(self.field, reduce_mod_hnf(el.coords, self.hnf))
-
-    def reduce_batch(self, vecs):
-        """Vectorized reduce on an (M, n) int64 coordinate array."""
-        return reduce_mod_hnf_batch(vecs, self.hnf)
 
     def residues(self):
         """All canonical residues (the HNF box), as coordinate tuples, in
@@ -93,10 +86,6 @@ class Ideal:
         residues, coordinate 0 least significant; inverse of residues() order."""
         digits = np.asarray(coords, dtype=np.int64)[:, ::-1]
         return mixed_radix(digits, [self.hnf[i][i] for i in range(self.field.n - 1, -1, -1)])
-
-    def residue_index(self, coords):
-        """residue_indices of one canonical residue."""
-        return int(self.residue_indices([coords])[0])
 
     def _coerce(self, el):
         if _is_integer(el):
@@ -162,10 +151,6 @@ def principal_ideal(el):
     if el.is_zero:
         raise InvalidArgument("the zero ideal is not supported")
     return ideal_from_generators(el.field, [el])
-
-
-def is_coprime(i1, i2):
-    return (i1 + i2).norm == 1
 
 
 # ============================================================

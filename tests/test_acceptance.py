@@ -18,10 +18,8 @@ import conftest
 from latticedex import (
     SimConfig,
     build_index_code,
-    build_oklattice_code,
     classify_prime,
     min_distance,
-    oklattice_side_info_gain,
     prime_ideals_above,
     quadratic_field,
     run_sim,
@@ -183,11 +181,11 @@ def _mul_tensor(field):
 
 
 def _residue_array(prime):
-    """Residues ordered by residue_index, plus the index strides."""
+    """Residues ordered by residue_indices, plus the index strides."""
     n = prime.field.n
     R = np.zeros((prime.norm, n), dtype=np.int64)
     for r in prime.residues():
-        R[prime.residue_index(r)] = r
+        R[prime.residue_indices([r])[0]] = r
     strides = np.ones(n, dtype=np.int64)
     for i in range(1, n):
         strides[i] = strides[i - 1] * prime.hnf[i - 1][i - 1]
@@ -396,32 +394,30 @@ def test_criterion_8_module_codes_hit_six_db():
     one = field.one
     shear = field.element((1, 1))
     cases = [
-        ("m=1 identity", build_oklattice_code(field, [p5, p13], [[one]])),
-        ("m=1 scaled", build_oklattice_code(field, [p5, p13], [[shear]])),
-        ("m=2 identity", build_oklattice_code(field, [p5], [[1, 0], [0, 1]])),
-        ("m=2 shear", build_oklattice_code(field, [p5],
-                                           [[one, shear], [field.zero, one]])),
-        ("m=2 two primes", build_oklattice_code(field, [p5, p13],
-                                                [[1, 0], [0, 1]])),
+        ("m=1 identity", build_index_code(field, [p5, p13], [[one]])),
+        ("m=1 scaled", build_index_code(field, [p5, p13], [[shear]])),
+        ("m=2 identity", build_index_code(field, [p5], [[1, 0], [0, 1]])),
+        ("m=2 shear", build_index_code(field, [p5], [[one, shear], [field.zero, one]])),
+        ("m=2 two primes", build_index_code(field, [p5, p13], [[1, 0], [0, 1]])),
     ]
     worst = 0.0
     gains = 0
     for label, okc in cases:
         sets = [s for k in (1, 2) for s in combinations(range(1, len(okc.primes) + 1), k)]
         for s in sets:
-            rep = oklattice_side_info_gain(okc, s)
+            rep = side_info_gain(okc, s)
             worst = max(worst, abs(rep.gamma_db - SIX_DB))
             gains += 1
     # finite cross-checks where the constellation is small enough
     oracle = conftest.pair_scan_min_distance
     ok1 = cases[0][1]
-    assert (min_distance(ok1, ()) == oklattice_side_info_gain(ok1, (1,)).d0_sq
+    assert (min_distance(ok1, ()) == side_info_gain(ok1, (1,)).d0_sq
             == oracle(ok1, ()))
     for s in ((1,), (2,)):
-        assert (min_distance(ok1, s) == oklattice_side_info_gain(ok1, s).ds_sq
+        assert (min_distance(ok1, s) == side_info_gain(ok1, s).ds_sq
                 == oracle(ok1, s))
     for _, okc in cases[2:4]:
-        assert (min_distance(okc, ()) == oklattice_side_info_gain(okc, (1,)).d0_sq
+        assert (min_distance(okc, ()) == side_info_gain(okc, (1,)).d0_sq
                 == oracle(okc, ()))
     elapsed = time.perf_counter() - t0
     _record(8, worst < 1e-9,

@@ -11,7 +11,6 @@ from latticedex import (
     Infeasible,
     InvalidArgument,
     build_index_code,
-    capacity_rhs,
     cyclotomic_field,
     diversity_and_product_distance,
     gain_bounds,
@@ -320,10 +319,3 @@ def test_norm_search_matches_pair_scan(code):
             for fixed in (None, translate):
                 if code.subcode_indices(s, fixed).shape[0] >= 2:
                     _assert_searches_match_pair_scans(code, s, fixed)
-
-
-def test_capacity_rhs():
-    assert capacity_rhs(0.0) == 0.0
-    assert math.isclose(capacity_rhs(3.0), 1.0, rel_tol=1e-12)
-    with pytest.raises(InvalidArgument):
-        capacity_rhs(-0.5)

@@ -14,10 +14,14 @@ from latticedex import (
     Infeasible,
     InvalidArgument,
     Message,
+    SimConfig,
+    Unsupported,
     build_index_code,
     decode_point,
     encode,
     load_code,
+    min_distance,
+    ml_detect,
     prime_ideals_above,
     principal_ideal,
     quadratic_field,
@@ -163,20 +167,20 @@ def test_subcode_with_fixed_side_information(ex1_code):
     fixed = ex1_code.points[17].message
     idx = ex1_code.subcode_indices((1,), fixed)
     assert idx.shape[0] == 11
-    want = ex1_code.primes[0].residue_index(fixed.residues[0])
+    want = ex1_code.primes[0].residue_indices([fixed.residues[0]])[0]
     assert np.all(ex1_code.residue_indices[idx, 0] == want)
 
 
 def test_message_validation(ex1_code):
     with pytest.raises(InvalidArgument):
-        ex1_code.check_message(Message(((0, 0),)))  # wrong K
+        ex1_code.message_index(Message(((0, 0),)))  # wrong K
     with pytest.raises(InvalidArgument):
-        ex1_code.check_message(Message(((0,), (0, 0))))  # wrong length
+        ex1_code.message_index(Message(((0,), (0, 0))))  # wrong length
     bad = Message(((9, 9), (0, 0)))  # not a canonical residue
     with pytest.raises(InvalidArgument):
-        ex1_code.check_message(bad)
+        ex1_code.message_index(bad)
     with pytest.raises(InvalidArgument):
-        ex1_code.check_message(Message(((1.5, 0), (0, 0))))  # not an integer
+        ex1_code.message_index(Message(((1.5, 0), (0, 0))))  # not an integer
     with pytest.raises(InvalidArgument):
         ex1_code.check_side_info((3,))
     with pytest.raises(InvalidArgument):
@@ -186,6 +190,27 @@ def test_message_validation(ex1_code):
         with pytest.raises(InvalidArgument, match="integer"):
             ex1_code.check_side_info(s)
     assert ex1_code.check_side_info((np.int64(2), 1, 2)) == (1, 2)
+
+
+def test_bool_residues_are_refused(ex1_code):
+    # True == 1 in Python, but a residue is an integer: Python or numpy, not a bool
+    code = ex1_code
+    py = Message(((0, 0), (1, 0)))
+    as_numpy = Message(tuple(tuple(np.int64(v) for v in r) for r in py.residues))
+    for flag in (True, np.True_):
+        bad = Message(((0, 0), (flag, 0)))
+        with pytest.raises(InvalidArgument, match="canonical residue"):
+            code.message_index(bad)
+        with pytest.raises(InvalidArgument, match="canonical residue"):
+            encode(code, bad)
+        with pytest.raises(InvalidArgument, match="canonical residue"):
+            ml_detect(code, encode(code, py), (2,), fixed=bad)
+        with pytest.raises(InvalidArgument, match="canonical residue"):
+            min_distance(code, (2,), bad)
+    assert code.message_index(py) == code.message_index(as_numpy) == 1
+    assert np.array_equal(encode(code, py), encode(code, as_numpy))
+    assert ml_detect(code, encode(code, py), (2,), fixed=as_numpy) == py
+    assert min_distance(code, (2,), py) == min_distance(code, (2,), as_numpy)
 
 
 def test_build_rejects_duplicates_and_nonprimes():
@@ -225,6 +250,21 @@ def test_index_code_checks_its_primes(ex1_code):
         IndexCode(field, [], coords)
     with pytest.raises(InvalidArgument, match="field"):
         IndexCode(field, [prime_ideals_above(quadratic_field(-1), 5)[0]], coords)
+
+
+def test_index_code_takes_its_points_in_any_order(maxreal_code, module_codes):
+    # the constructor orders the points by message index, whatever order they
+    # come in; code files hold only plain codes, so the m = 2 code compares
+    # its arrays
+    rng = np.random.default_rng(19)
+    for code in (maxreal_code, module_codes["m=2 shear"]):
+        perm = rng.permutation(code.size)
+        direct = IndexCode(code.field, code.primes, code.coords_matrix[perm], code.gmatrix)
+        for attr in ("coords_matrix", "labels", "residue_indices", "norms2", "embedded"):
+            assert np.array_equal(getattr(direct, attr), getattr(code, attr)), attr
+        assert (direct.idempotents, direct.gamma) == (code.idempotents, code.gamma)
+        if code.is_plain:
+            assert direct.content_hash() == code.content_hash()
 
 
 def test_ideal_hnf_is_normalised():
@@ -649,7 +689,87 @@ def test_code_file_is_the_canonical_json(code, tmp_path_factory):
     assert again.to_dict() == doc
 
 
+def test_m1_identity_matches_plain_code(zi_primes):
+    field, primes = zi_primes
+    plain = build_index_code(field, primes)
+    stacked = build_index_code(field, primes, [[1]])
+    assert stacked.size == plain.size
+    assert np.array_equal(stacked.coords_matrix, plain.coords_matrix)
+    for k in range(2):
+        assert np.array_equal(stacked.residue_indices[:, k], plain.residue_indices[:, k])
+    assert abs(stacked.gamma - plain.gamma) < 1e-15
+    assert stacked.content_hash() == plain.content_hash()
+
+
+def test_m2_shape_and_labels(zi_m2):
+    code = zi_m2
+    assert code.m == 2
+    assert code.dimension == 4
+    # one message per prime, covering both slots: 5^m cosets
+    assert code.size == 25
+    assert code.coords_matrix.shape == (25, 4)
+    assert code.embedded.shape == (25, 4)
+    assert np.array_equal(np.sort(code.residue_indices[:, 0]), np.arange(25))
+    for i in range(code.size):
+        msg = code.message_from_index(i)
+        assert len(msg.residues[0]) == 4  # one residue of O_K/p per slot
+        assert code.message_index(msg) == i
+
+
+def test_generator_validation(zi_primes):
+    field, primes = zi_primes
+    with pytest.raises(InvalidArgument):
+        build_index_code(field, primes[:1], [[1, 1], [1, 1]])  # singular
+    with pytest.raises(InvalidArgument):
+        build_index_code(field, primes[:1], [[1, 0]])  # not square
+    with pytest.raises(InvalidArgument):
+        build_index_code(field, primes[:1],
+                         [[quadratic_field(5).one, 0], [0, 1]])  # wrong field
+    with pytest.raises(Infeasible):
+        build_index_code(field, primes[:1], [[1, 0], [0, 1]],
+                         enumeration_cap=24)
+    with pytest.raises(InvalidArgument):
+        build_index_code(field, [primes[0], primes[0]], [[1]])  # duplicate
+
+
+def test_embedded_is_the_generated_point(module_codes):
+    # embedded is Psi(G~ u), so its energy is the exact u^T gram2 u / 2
+    for label, code in module_codes.items():
+        energy2 = 2.0 * (code.embedded ** 2).sum(axis=1)
+        assert np.allclose(energy2, code.norms2, rtol=1e-12, atol=0), label
+
+
+def test_files_and_simulation_need_the_plain_code(module_codes):
+    for label, code in module_codes.items():
+        if label == "m=1 identity":
+            assert code.is_plain
+            continue
+        with pytest.raises(Unsupported):
+            code.to_dict()
+        with pytest.raises(Unsupported):
+            SimConfig(code=code, channel="awgn", snr_db=(10.0,))
+
+
 def test_public_names_resolve():
     import latticedex
+    from latticedex import analysis, numberfield, presets, sim
 
-    assert [name for name in latticedex.__all__ if not hasattr(latticedex, name)] == []
+    for package in (latticedex, numberfield):
+        assert [name for name in package.__all__ if not hasattr(package, name)] == []
+    # what bench/ calls, and what it wraps in place (bench/tracer.py reads the
+    # owner's __dict__), must survive a trim of the package
+    called = {analysis: ("build_oklattice_code", "oklattice_side_info_gain"),
+              sim: ("resolve_workers", "CHUNK"),
+              presets: ("preset_field_and_primes", "preset_snr_grid")}
+    wrapped = {codec: ("short_vectors",), analysis: ("short_vectors", "shortest_nonzero"),
+               codec.IndexCode: ("content_hash",), sim: ("_run_chunk", "ProcessPoolExecutor"),
+               presets: ("quadratic_field", "cyclotomic_field", "maximal_real_field",
+                         "prime_ideals_above", "principal_ideal", "preset_summary")}
+    for owner, names in called.items():
+        assert [name for name in names if not hasattr(owner, name)] == [], owner
+    for owner, names in wrapped.items():
+        assert [name for name in names if name not in vars(owner)] == [], owner
+    assert analysis.build_oklattice_code is build_index_code
+    assert analysis.oklattice_side_info_gain is analysis.side_info_gain
+    for name in ("build_oklattice_code", "oklattice_side_info_gain"):
+        assert not hasattr(latticedex, name) and name not in latticedex.__all__

@@ -120,6 +120,23 @@ def test_signature_oracles():
     assert cyclotomic_field(5).is_totally_complex
 
 
+@pytest.mark.parametrize("family, param", [
+    *(("quadratic", d) for d in (-163, -15, -7, -5, -2, -1, 2, 3, 5, 13, 101)),
+    *(("cyclotomic", m) for m in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20)),
+    *(("maximal_real", p) for p in (5, 7, 11, 13, 17)),
+])
+def test_every_family_is_totally_real_or_totally_complex(family, param):
+    # analysis.gain_bounds has no branch for a mixed signature: the roots of
+    # the minimal polynomial are all real or all non-real
+    make = {"quadratic": quadratic_field, "cyclotomic": cyclotomic_field,
+            "maximal_real": maximal_real_field}[family]
+    field = make(param)
+    real = int((np.abs(np.roots(field.min_poly[::-1]).imag) < 1e-9).sum())
+    assert real in (0, field.n)
+    assert field.signature == ((field.n, 0) if real else (0, field.n // 2))
+    assert field.is_totally_real != field.is_totally_complex
+
+
 def test_imaginary_quadratic_pid_flag():
     for d in (-1, -2, -3, -7, -11, -19, -43, -67, -163):
         assert quadratic_field(d).is_imaginary_quadratic_pid
@@ -199,10 +216,10 @@ def test_norm_and_trace_oracles():
     F = quadratic_field(5)  # theta = (1+sqrt 5)/2
     el = F.element((3, 2))  # 3 + 2*theta = 4 + sqrt 5
     assert el.norm() == 11
-    assert el.trace() == 8
+    assert F.trace_coords(el.coords) == 8
     G = quadratic_field(-5)
     assert G.element((2, 1)).norm() == 9  # (2+sqrt-5)(2-sqrt-5)
-    assert G.element((2, 1)).trace() == 4
+    assert G.trace_coords((2, 1)) == 4
 
 
 def test_norm_multiplicative_trace_additive():
@@ -211,7 +228,8 @@ def test_norm_multiplicative_trace_additive():
         for _ in range(10):
             a, b = _rand_el(rng, field), _rand_el(rng, field)
             assert (a * b).norm() == a.norm() * b.norm()
-            assert (a + b).trace() == a.trace() + b.trace()
+            assert (field.trace_coords((a + b).coords)
+                    == field.trace_coords(a.coords) + field.trace_coords(b.coords))
 
 
 def test_norm_matches_product_of_embeddings():
@@ -233,7 +251,7 @@ def test_normsq2_matches_embedding_norm():
     for field in TEST_FIELDS:
         for _ in range(10):
             a = _rand_el(rng, field)
-            emb = a.embed()
+            emb = field.embed_matrix @ np.array(a.coords, dtype=np.float64)
             q = sum(ci * g * cj for ci, row in zip(a.coords, field.gram2)
                     for g, cj in zip(row, a.coords))
             assert abs(q - 2.0 * float(emb @ emb)) < 1e-7 * max(1, q)
@@ -257,7 +275,7 @@ def test_places_and_place_sizes():
         r1, r2 = field.signature
         assert np.bincount(field.places).tolist() == [1] * r1 + [2] * r2
         els = [_rand_el(rng, field) for _ in range(6)]
-        emb = np.array([a.embed() for a in els])
+        emb = np.array([a.coords for a in els], dtype=np.float64) @ field.embed_matrix.T
         sizes = field.place_sizes(emb)
         assert sizes.shape == (6, r1 + r2)
         # any leading shape; a real place is exactly |x|
@@ -294,12 +312,12 @@ def test_conjugation_involution_and_norm():
 
 def test_embed_dimension_and_conventions():
     F = quadratic_field(5)
-    e = F.element((0, 1)).embed()  # theta = (1+sqrt5)/2 -> golden ratio first
+    e = F.embed_matrix @ np.array([0.0, 1.0])  # theta = (1+sqrt5)/2 -> golden ratio first
     assert e.shape == (2,)
     assert math.isclose(e[0], (1 + math.sqrt(5)) / 2, rel_tol=1e-12)
     assert math.isclose(e[1], (1 - math.sqrt(5)) / 2, rel_tol=1e-12)
     G = quadratic_field(-1)
-    e = G.element((0, 1)).embed()  # i -> (Re, Im) = (0, 1)
+    e = G.embed_matrix @ np.array([0.0, 1.0])  # i -> (Re, Im) = (0, 1)
     assert math.isclose(e[0], 0.0, abs_tol=1e-12)
     assert math.isclose(e[1], 1.0, rel_tol=1e-12)
 
