@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codec import build_index_code, minkowski_bound_sq, rate
+from .codec import build_index_code, rate
 from .errors import Infeasible, InvalidArgument, InvariantViolation
 from .numberfield.linalg import INT64_MAX, short_vectors, shortest_nonzero, sublattice_gram
 
@@ -119,7 +119,9 @@ def min_distance(code, s, fixed=None):
 
 def minkowski_upper_bound(field, ideal):
     """Geometry-of-numbers bound on the ideal lattice's shortest vector."""
-    return math.sqrt(minkowski_bound_sq(field, ideal))
+    n, (r1, r2) = field.n, field.signature
+    return math.sqrt((r1 + r2) * (math.sqrt(abs(field.discriminant)) * ideal.norm) ** (2.0 / n)
+                     * (2.0 / math.pi) ** (2.0 * r2 / n))
 
 
 def gain_bounds(code, s):

@@ -75,17 +75,6 @@ class CodePoint:
     coords: tuple
 
 
-def minkowski_bound_sq(field, ideal):
-    """Square of the geometry-of-numbers shortest-vector bound for the ideal lattice."""
-    n = field.n
-    r1, r2 = field.signature
-    return (
-        (r1 + r2)
-        * (math.sqrt(abs(field.discriminant)) * ideal.norm) ** (2.0 / n)
-        * (2.0 / math.pi) ** (2.0 * r2 / n)
-    )
-
-
 def _code_primes(field, primes):
     """The primes of a code, checked: one or more distinct prime ideals of field.
 
@@ -172,18 +161,22 @@ def _check_int64_range(coords, gram2, basis, ideals):
         raise InvalidArgument("point coordinates are too large for exact int64 arithmetic")
 
 
-def _min_energy_representatives(field, modulus, gram2, m):
+def _min_energy_representatives(modulus, gram2, m):
     """Minimum-energy representative of every coset of the modulus, slot-wise.
 
-    Enumerates the origin-centered ball of squared radius m times the
-    Minkowski bound of the modulus (doubling until every coset of
-    O_K^m / modulus^m is covered) in the lattice with doubled Gram gram2, and
-    keeps the lowest-energy point per coset, ties broken lexicographically on
-    exact coordinates.  Returns int64 coordinates (N, m*n), one row per
+    Enumerates origin-centered balls in the lattice with doubled Gram gram2,
+    starting at the ball that holds about one lattice point per coset of
+    O_K^m / modulus^m (the Gaussian heuristic) and growing it by about twice
+    the volume until every coset is covered, and keeps the lowest-energy
+    point per coset, ties broken lexicographically on exact coordinates.  A
+    covering ball holds every coset's minimizers, so the result does not
+    depend on the start.  Returns int64 coordinates (N, m*n), one row per
     coset, in no particular order.
     """
-    count = modulus.norm ** m
-    bound2 = max(int(math.ceil(2.0 * m * minkowski_bound_sq(field, modulus))), 1)
+    count, dim = modulus.norm ** m, gram2.shape[0]
+    log_covol = 0.5 * (math.log(det_int(gram2.tolist())) - dim * math.log(2.0))
+    log_ball = 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
+    bound2 = 2.0 * math.exp(2.0 * (math.log(count) + log_covol - log_ball) / dim)
     while True:
         X, norms2 = short_vectors(gram2, bound2, include_zero=True)
         _, ridx = _slot_residues(modulus, X, m)
@@ -192,7 +185,7 @@ def _min_energy_representatives(field, modulus, gram2, m):
         uniq, first = np.unique(ridx[order], return_index=True)
         if uniq.shape[0] == count:
             return X[order[first]]
-        bound2 *= 2
+        bound2 *= 2.0 ** (2.0 / dim)
 
 
 class IndexCode:
@@ -283,8 +276,12 @@ class IndexCode:
     def _residue_index(self, k, res):
         """Index of w_{k+1} in (O_K/p_k)^m after checking it is canonical."""
         p, n = self.primes[k], self.field.n
-        if len(res) != self.dimension:
-            raise InvalidArgument(f"w_{k+1} has wrong length")
+        try:
+            size = len(res)
+        except TypeError:  # an int, None or another non-sequence
+            size = None
+        if size != self.dimension:
+            raise InvalidArgument(f"w_{k+1} must be a sequence of {self.dimension} integers")
         if any(not (_is_integer(v) and 0 <= v < p.hnf[i % n][i % n])
                for i, v in enumerate(res)):
             raise InvalidArgument(f"w_{k+1} = {res} is not a canonical residue")
@@ -429,7 +426,7 @@ def build_index_code(field, primes, gmatrix=None, *,
     count = modulus.norm ** len(gmatrix)
     if count > enumeration_cap:
         raise Infeasible(f"constellation size {count} exceeds enumeration cap {enumeration_cap}")
-    coords = _min_energy_representatives(field, modulus, gram2, len(gmatrix))
+    coords = _min_energy_representatives(modulus, gram2, len(gmatrix))
     return IndexCode(field, primes, coords, gmatrix)
 
 

@@ -22,6 +22,7 @@ from latticedex import (
     load_code,
     min_distance,
     ml_detect,
+    preset_code,
     prime_ideals_above,
     principal_ideal,
     quadratic_field,
@@ -34,6 +35,7 @@ from latticedex import codec
 from latticedex.codec import IndexCode, code_from_dict
 from latticedex.numberfield import (Ideal, classify_prime, factor_minpoly_mod_p,
                                    field_from_dict, ideal_from_generators)
+from latticedex.numberfield.linalg import reduce_mod_hnf_batch, short_vectors
 
 
 def test_example1_shape(ex1_code):
@@ -211,6 +213,25 @@ def test_bool_residues_are_refused(ex1_code):
     assert np.array_equal(encode(code, py), encode(code, as_numpy))
     assert ml_detect(code, encode(code, py), (2,), fixed=as_numpy) == py
     assert min_distance(code, (2,), py) == min_distance(code, (2,), as_numpy)
+
+
+def test_non_sequence_residues_are_refused(ex1_code):
+    # a component that is not a sequence, inside S, is bad input: no TypeError from len
+    code = ex1_code
+    good = code.points[7].message
+    entry_points = (
+        code.message_index,
+        code.representative,
+        lambda w: encode(code, w),
+        lambda w: code.subcode_indices((2,), w),
+        lambda w: ml_detect(code, encode(code, good), (2,), fixed=w),
+        lambda w: min_distance(code, (2,), w),
+    )
+    for bad in (5, None, "ab", "abc"):
+        w = Message((good.residues[0], bad))
+        for call in entry_points:
+            with pytest.raises(InvalidArgument):
+                call(w)
 
 
 def test_build_rejects_duplicates_and_nonprimes():
@@ -423,6 +444,24 @@ def test_crt_ring_isomorphism_beyond_quadratic_fields(code, data, tmp_path_facto
     path = tmp_path_factory.mktemp("code") / "code.json"
     save_code(code, path)
     assert load_code(path).content_hash() == code.content_hash()
+
+
+def test_build_enumerates_a_ball_sized_by_the_coset_count(monkeypatch):
+    # the search starts near one lattice point per coset: cyclo-K4 and maxreal-K3
+    # enumerated 469,651 and 47,773 rows when it started at the Minkowski bound
+    rows = []
+    enumerate_ball = codec.short_vectors
+
+    def counting(*args, **kw):
+        out = enumerate_ball(*args, **kw)
+        rows.append(out[0].shape[0])
+        return out
+
+    monkeypatch.setattr(codec, "short_vectors", counting)
+    for name, most in (("cyclo-K4", 100_000), ("maxreal-K3", 15_000)):
+        rows.clear()
+        preset_code(name)
+        assert sum(rows) <= most, (name, rows)
 
 
 def test_build_respects_enumeration_cap():
@@ -687,6 +726,45 @@ def test_code_file_is_the_canonical_json(code, tmp_path_factory):
     again = load_code(path)
     assert again.content_hash() == code.content_hash()
     assert again.to_dict() == doc
+
+
+def _assert_min_energy_points(code, scale=4):
+    """The code's points are, per coset of I^m, the least (doubled energy,
+    coordinates) in one short_vectors ball at scale times the code's largest
+    doubled energy (any scale >= 1 covers every coset), found in plain Python
+    with each coset keyed by the canonical residues of its slots mod I."""
+    X, norms2 = short_vectors(code.gram2, scale * int(code.norms2.max()), include_zero=True)
+    n = code.field.n
+    res = reduce_mod_hnf_batch(X.reshape(-1, n), code.modulus.hnf).reshape(X.shape[0], -1)
+    best = {}
+    for key, norm, coords in zip(map(tuple, res.tolist()), norms2.tolist(),
+                                 map(tuple, X.tolist())):
+        best[key] = min(best.get(key, (norm, coords)), (norm, coords))
+    want = sorted(coords for _, coords in best.values())
+    assert sorted(map(tuple, code.coords_matrix.tolist())) == want
+
+
+@pytest.mark.parametrize("fixture", sorted(_PINNED) + ["module_codes"])
+def test_representatives_do_not_depend_on_the_radius(fixture, request):
+    codes = request.getfixturevalue(fixture)
+    for code in codes.values() if isinstance(codes, dict) else (codes,):
+        _assert_min_energy_points(code)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=_small_quadratic_codes())
+def test_representatives_match_one_large_ball(code):
+    _assert_min_energy_points(code)
+
+
+def test_high_dimensional_module_codes_build():
+    # m = 2 codes in real dimension 10 and 12: a search started at m times the
+    # Minkowski bound of I would hold more than _ENUM_LIMIT rows at one level
+    for family, param, p in (("maximal_real", 11, 23), ("cyclotomic", 7, 29)):
+        field = field_from_dict({"family": family, "param": param})
+        code = build_index_code(field, [prime_ideals_above(field, p)[0]], [[1, 1], [0, 1]])
+        assert code.size == p * p
+        _assert_min_energy_points(code, scale=1)
 
 
 def test_m1_identity_matches_plain_code(zi_primes):
