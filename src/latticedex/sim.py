@@ -6,7 +6,10 @@ unit second moment per real coordinate, or per place of K (fade_per_complex).
 Trials run in fixed chunks of 4096 with a counter-based generator keyed by
 (seed, point index, chunk index), so results are bit-identical across runs
 and across worker counts: chunks are always consumed in index order and the
-stop rule is applied in that order.
+stop rule is applied in that order.  More than one worker share a process
+pool, made by the first call that asks for it and reused by later calls,
+replaced when the worker count changes or it is broken, and shut down at
+exit; its workers keep the module state they were forked with.
 
 Detection is exact ML over the points that agree with the side information,
 a coset x_g + Psi(G~ I_S^m) of the constellation, on every code (any m and
@@ -29,11 +32,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import numbers
 import os
+import pickle
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +54,7 @@ _TILE_BYTES = 1 << 20  # a score tile (two on Rayleigh) fits a 2 MiB per-core L2
 _SEARCH_MIN = 1024  # group size from which _search beats _brute: 2x its time at 169, 0.6x at 1331
 _SEARCH_TILE = 2048  # trials per search tile
 _SEARCH_ROWS = 1 << 15  # rows a search tile may hold at one level
+_TASK_CHUNKS = 4  # chunks per task of run_sim's sweep loop
 _RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # E[h^2] = 1
 _Z95 = 1.959963984540054
 
@@ -255,7 +263,8 @@ def _brute(ctx, a, y, h, pids):
     and ties go to the first candidate.
     """
     det = np.empty(y.shape[0], dtype=np.int64)
-    order = np.argsort(pids, kind="stable")
+    one = len(ctx["groups"]) == 1  # S = {}: the rows are in group order already
+    order = np.arange(pids.shape[0]) if one else np.argsort(pids, kind="stable")
     sorted_pids = pids[order]
     bounds = np.flatnonzero(np.r_[True, sorted_pids[1:] != sorted_pids[:-1], True]).tolist()
     for start, stop in zip(bounds, bounds[1:]):
@@ -359,65 +368,111 @@ def _detect(ctx, a, y, h, pids):
 
 
 def _run_chunk(ctx, point_idx, chunk_idx):
-    """(errors, trials) for one fixed-size chunk; pure in its arguments."""
+    """Errors of one fixed-size chunk; pure in its arguments."""
     raw, y, h = _draw_chunk(ctx, point_idx, chunk_idx)
     det = _detect(ctx, ctx["amps"][point_idx], y, h, ctx["pid"][raw])
-    errors = int(np.count_nonzero(det != raw))
-    return errors, CHUNK
+    return int(np.count_nonzero(det != raw))
 
 
-_POOL_CTX = None
+def _run_chunks(ctx, point_idx, c0, c1, need):
+    """Error counts of chunks c0..c1-1 of a point, up to the one where they reach need."""
+    counts = []
+    for chunk_idx in range(c0, c1):
+        counts.append(_run_chunk(ctx, point_idx, chunk_idx))
+        if sum(counts) >= need:
+            break
+    return counts
 
 
-def _pool_init(ctx):
-    global _POOL_CTX
-    _POOL_CTX = ctx
+_POOL = (None, None, None)  # (pid, workers, executor): the pool run_sim reuses
+_CALL = (None, None)  # in a pool worker: (token, context) of the call it last served
+_TOKENS = itertools.count()
 
 
-def _pool_chunk(args):
-    point_idx, chunk_idx = args
-    return _run_chunk(_POOL_CTX, point_idx, chunk_idx)
+def _pool_task(token, blob, *task):
+    """(pid, _run_chunks) in a pool worker, which unpickles each call's context once."""
+    global _CALL
+    if _CALL[0] != token:
+        _CALL = None, None  # frees the last call's context first
+        _CALL = token, pickle.loads(blob)
+    return os.getpid(), _run_chunks(_CALL[1], *task)
+
+
+def _sweep(config, submit, ahead, ran_on):
+    """(errors, chunks) of every SNR point; see run_sim.  submit(point, c0, c1,
+    need) returns a function that gives the task's (pid, error counts), and
+    the pid of each task read is added to ran_on."""
+    last = -(-config.max_trials // CHUNK)  # a point's chunk count at max_trials
+    errors, chunks = [0] * len(config.snr_db), [0] * len(config.snr_db)
+
+    def stopped(pi):
+        return errors[pi] >= config.min_errors or chunks[pi] * CHUNK >= config.max_trials
+
+    def tasks():  # point-major, drawn lazily: a stopped point sends no more
+        for pi in range(len(config.snr_db)):
+            for c0 in range(0, last, _TASK_CHUNKS):
+                if stopped(pi):
+                    break
+                yield pi, c0, min(c0 + _TASK_CHUNKS, last)
+
+    todo, pending = tasks(), deque()  # pending: (point, result), in submission order
+    while True:
+        for pi, c0, c1 in itertools.islice(todo, ahead - len(pending)):
+            pending.append((pi, submit(pi, c0, c1, config.min_errors - errors[pi])))
+        if not pending:
+            return errors, chunks
+        pi, result = pending.popleft()
+        if stopped(pi):  # a surplus task
+            continue
+        pid, counts = result()
+        ran_on.add(pid)
+        for e in counts:
+            errors[pi] += e
+            chunks[pi] += 1
+            if stopped(pi):
+                break
+
+
+def _pooled_sweep(config, ctx, workers):
+    """_sweep on the pool of this process, made unless one of that size is there."""
+    global _POOL
+    token, blob = next(_TOKENS), pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)
+    for new in (_POOL[:2] != (os.getpid(), workers), True):  # a broken reused pool: once more
+        if new:
+            if _POOL[0] == os.getpid():  # not a pool inherited through fork
+                _POOL[2].shutdown(cancel_futures=True)
+            _POOL = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+        pool, holders = _POOL[2], set()
+        try:
+            return _sweep(config, lambda *task: pool.submit(
+                _pool_task, token, None if len(holders) == workers else blob, *task).result,
+                2 * workers, holders)
+        except BrokenProcessPool:
+            if new:
+                raise
 
 
 def run_sim(config):
     """Sweep the SNR grid; deterministic for a given (config, seed).
 
-    Chunks are scanned strictly in index order and accumulation stops at the
-    first chunk where min_errors or max_trials is reached, so the result does
-    not depend on how many workers computed the chunks.
+    Tasks of up to _TASK_CHUNKS chunks of one point go out at most two per
+    worker at a time, each told what its point lacked of min_errors when it
+    was sent, and are read in order; accumulation stops at the first chunk
+    where min_errors or max_trials is reached, so the result depends neither
+    on the worker count nor on the task size.  The context goes to the pool
+    pickled once, with the tasks sent until each worker has returned one.
     """
     ctx = _build_ctx(config)
     workers = resolve_workers(config.workers)
+    if workers == 1:  # each task runs when it is read, after the one before
+        errors, chunks = _sweep(config, lambda *task: lambda: (None, _run_chunks(ctx, *task)),
+                                1, set())
+    else:
+        errors, chunks = _pooled_sweep(config, ctx, workers)
     points = []
-    executor = None
-    try:
-        if workers > 1:
-            executor = ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_init, initargs=(ctx,))
-        for pi in range(len(config.snr_db)):
-            errors = 0
-            trials = 0
-            chunk = 0
-            done = False
-            while not done:
-                wave = [(pi, chunk + w) for w in range(workers)]
-                if executor is not None:
-                    results = list(executor.map(_pool_chunk, wave))
-                else:
-                    results = [_run_chunk(ctx, *args) for args in wave]
-                for e, t in results:
-                    errors += e
-                    trials += t
-                    chunk += 1
-                    if errors >= config.min_errors or trials >= config.max_trials:
-                        done = True
-                        break
-            ser = errors / trials
-            lo, hi = confidence_interval(errors, trials)
-            points.append(SimPoint(config.snr_db[pi], errors, trials, ser, lo, hi))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for snr, e, c in zip(config.snr_db, errors, chunks):
+        lo, hi = confidence_interval(e, c * CHUNK)
+        points.append(SimPoint(snr, e, c * CHUNK, e / (c * CHUNK), lo, hi))
     return SimResult(
         label=config.label,
         channel=config.channel,

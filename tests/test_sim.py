@@ -1,5 +1,11 @@
 import itertools
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -106,14 +112,68 @@ def test_rerun_is_bit_identical(ex1_code):
     assert r1 == r2
 
 
-def test_worker_count_does_not_change_results(ex1_code, tmp_path):
-    r1 = run_sim(_cfg(ex1_code, snr_db=(10.0, 14.0), workers=1))
-    r3 = run_sim(_cfg(ex1_code, snr_db=(10.0, 14.0), workers=3))
-    assert r1.points == r3.points
-    p1, p3 = tmp_path / "w1.csv", tmp_path / "w3.csv"
-    write_curve_csv(p1, r1)
-    write_curve_csv(p3, r3)
-    assert p1.read_bytes() == p3.read_bytes()
+def test_worker_count_does_not_change_results(ex1_code, ex2_code, tmp_path):
+    # calls with 1, 2, 3 and again 2 workers, interleaved over two codes and both
+    # channels: one pool serves several codes and is replaced when the count changes.
+    # Each grid has a point that stops on its first chunk and one whose chunks span
+    # more than one task.
+    grids = {"awgn": (10.0, 22.0, 24.0, 26.0), "rayleigh": (10.0, 32.0, 36.0, 40.0, 44.0)}
+    want = {}
+    for workers in (1, 2, 3, 2):
+        for code in (ex1_code, ex2_code):
+            for channel, grid in grids.items():
+                res = run_sim(_cfg(code, channel=channel, snr_db=grid, min_errors=60,
+                                   max_trials=10 * sim.CHUNK, workers=workers))
+                path = tmp_path / f"w{workers}.csv"
+                write_curve_csv(path, res)
+                key = (code.content_hash(), channel)
+                if workers == 1:
+                    trials = [p.trials for p in res.points]
+                    assert trials[0] == sim.CHUNK and max(trials) > sim._TASK_CHUNKS * sim.CHUNK
+                    want[key] = path.read_bytes()
+                else:
+                    assert path.read_bytes() == want[key], (workers, key)
+
+
+def _alive(pid):
+    """Whether pid names a process that has not ended (a zombie has ended)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_pool_workers_end_with_the_interpreter():
+    script = ("import multiprocessing as mp; from latticedex import preset_code, sim; "
+              "sim.run_sim(sim.SimConfig(code=preset_code('example1'), channel='awgn', "
+              "snr_db=(10.0, 20.0), max_trials=8192, workers=2)); "
+              "print(*[p.pid for p in mp.active_children()])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(sim.__file__)), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    pids = [int(v) for v in out.split()]
+    assert len(pids) == 2
+    assert [pid for pid in pids if _alive(pid)] == []
+
+
+def test_a_dead_worker_is_replaced_with_a_fresh_pool(ex1_code):
+    cfg = _cfg(ex1_code, snr_db=(10.0, 22.0, 24.0), min_errors=60, max_trials=10 * sim.CHUNK,
+               workers=2)
+    first = run_sim(cfg)
+    old = {p.pid for p in multiprocessing.active_children()}
+    assert len(old) == 2
+    victim = min(old)
+    os.kill(victim, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while victim in {p.pid for p in multiprocessing.active_children()}:  # reaps it once dead
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert run_sim(cfg).points == first.points
+    new = {p.pid for p in multiprocessing.active_children()}
+    assert len(new) == 2 and not new & old
 
 
 # ---- statistical sanity ----
