@@ -6,10 +6,10 @@ unit second moment per real coordinate, or per place of K (fade_per_complex).
 Trials run in fixed chunks of 4096 with a counter-based generator keyed by
 (seed, point index, chunk index), so results are bit-identical across runs
 and across worker counts: chunks are always consumed in index order and the
-stop rule is applied in that order.  More than one worker share a process
-pool, made by the first call that asks for it and reused by later calls,
-replaced when the worker count changes or it is broken, and shut down at
-exit; its workers keep the module state they were forked with.
+stop rule is applied in that order.  Codes below _KEEP_POINTS points run
+their chunks on one process pool kept across calls, each call's context sent
+pickled; a larger code runs them on a pool forked for the call, which
+inherits the context through fork and is shut down before the call returns.
 
 Detection is exact ML over the points that agree with the side information,
 a coset x_g + Psi(G~ I_S^m) of the constellation, on every code (any m and
@@ -38,7 +38,7 @@ import math
 import numbers
 import os
 import pickle
-from collections import deque
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -55,6 +55,7 @@ _SEARCH_MIN = 1024  # group size from which _search beats _brute: 2x its time at
 _SEARCH_TILE = 2048  # trials per search tile
 _SEARCH_ROWS = 1 << 15  # rows a search tile may hold at one level
 _TASK_CHUNKS = 4  # chunks per task of run_sim's sweep loop
+_KEEP_POINTS = 1024  # smaller codes use the kept pool: contexts of a few 100 kB at most
 _RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # E[h^2] = 1
 _Z95 = 1.959963984540054
 
@@ -384,24 +385,28 @@ def _run_chunks(ctx, point_idx, c0, c1, need):
     return counts
 
 
-_POOL = (None, None, None)  # (pid, workers, executor): the pool run_sim reuses
-_CALL = (None, None)  # in a pool worker: (token, context) of the call it last served
-_TOKENS = itertools.count()
+_CALL = (None, None)  # in a pool worker: (pickled context or None, context) it runs on
+_KEPT = (None, None, None)  # (pid, workers, executor): the pool kept across calls
+_KEPT_LOCK = threading.Lock()
 
 
-def _pool_task(token, blob, *task):
-    """(pid, _run_chunks) in a pool worker, which unpickles each call's context once."""
+def _pool_init(ctx):
     global _CALL
-    if _CALL[0] != token:
-        _CALL = None, None  # frees the last call's context first
-        _CALL = token, pickle.loads(blob)
-    return os.getpid(), _run_chunks(_CALL[1], *task)
+    _CALL = None, ctx
 
 
-def _sweep(config, submit, ahead, ran_on):
+def _pool_chunks(blob, *task):
+    """_run_chunks in a pool worker, on the context it was forked with (blob
+    None) or on a pickled one, unpickled when it differs from the last."""
+    global _CALL
+    if _CALL[0] != blob:
+        _CALL = blob, pickle.loads(blob)
+    return _run_chunks(_CALL[1], *task)
+
+
+def _sweep(config, submit, ahead):
     """(errors, chunks) of every SNR point; see run_sim.  submit(point, c0, c1,
-    need) returns a function that gives the task's (pid, error counts), and
-    the pid of each task read is added to ran_on."""
+    need) returns a function that gives the task's error counts."""
     last = -(-config.max_trials // CHUNK)  # a point's chunk count at max_trials
     errors, chunks = [0] * len(config.snr_db), [0] * len(config.snr_db)
 
@@ -415,64 +420,65 @@ def _sweep(config, submit, ahead, ran_on):
                     break
                 yield pi, c0, min(c0 + _TASK_CHUNKS, last)
 
-    todo, pending = tasks(), deque()  # pending: (point, result), in submission order
+    todo, pending = tasks(), []  # pending: (point, result), in submission order
     while True:
         for pi, c0, c1 in itertools.islice(todo, ahead - len(pending)):
             pending.append((pi, submit(pi, c0, c1, config.min_errors - errors[pi])))
         if not pending:
             return errors, chunks
-        pi, result = pending.popleft()
+        pi, result = pending.pop(0)
         if stopped(pi):  # a surplus task
             continue
-        pid, counts = result()
-        ran_on.add(pid)
-        for e in counts:
+        for e in result():
             errors[pi] += e
             chunks[pi] += 1
             if stopped(pi):
                 break
 
 
-def _pooled_sweep(config, ctx, workers):
-    """_sweep on the pool of this process, made unless one of that size is there."""
-    global _POOL
-    token, blob = next(_TOKENS), pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)
-    for new in (_POOL[:2] != (os.getpid(), workers), True):  # a broken reused pool: once more
-        if new:
-            if _POOL[0] == os.getpid():  # not a pool inherited through fork
-                _POOL[2].shutdown(cancel_futures=True)
-            _POOL = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
-        pool, holders = _POOL[2], set()
+def _kept_sweep(config, blob, workers):
+    """_sweep on the pool kept across calls, made anew for another worker
+    count, in a forked child, or once more when a worker has died."""
+    global _KEPT
+    for retry in (False, True):
+        if retry or _KEPT[:2] != (os.getpid(), workers):
+            if _KEPT[0] == os.getpid():  # not a pool inherited through fork
+                _KEPT[2].shutdown(cancel_futures=True)
+            _KEPT = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+        pool = _KEPT[2]
         try:
             return _sweep(config, lambda *task: pool.submit(
-                _pool_task, token, None if len(holders) == workers else blob, *task).result,
-                2 * workers, holders)
+                _pool_chunks, blob, *task).result, 2 * workers)
         except BrokenProcessPool:
-            if new:
+            if retry:
                 raise
 
 
 def run_sim(config):
     """Sweep the SNR grid; deterministic for a given (config, seed).
 
-    Tasks of up to _TASK_CHUNKS chunks of one point go out at most two per
-    worker at a time, each told what its point lacked of min_errors when it
-    was sent, and are read in order; accumulation stops at the first chunk
+    Tasks of up to _TASK_CHUNKS chunks of one point, at most two per worker
+    in flight, are read in order, and accumulation stops at the first chunk
     where min_errors or max_trials is reached, so the result depends neither
-    on the worker count nor on the task size.  The context goes to the pool
-    pickled once, with the tasks sent until each worker has returned one.
+    on the worker count nor on the task size.
     """
     ctx = _build_ctx(config)
     workers = resolve_workers(config.workers)
     if workers == 1:  # each task runs when it is read, after the one before
-        errors, chunks = _sweep(config, lambda *task: lambda: (None, _run_chunks(ctx, *task)),
-                                1, set())
-    else:
-        errors, chunks = _pooled_sweep(config, ctx, workers)
-    points = []
-    for snr, e, c in zip(config.snr_db, errors, chunks):
-        lo, hi = confidence_interval(e, c * CHUNK)
-        points.append(SimPoint(snr, e, c * CHUNK, e / (c * CHUNK), lo, hi))
+        errors, chunks = _sweep(config, lambda *task: lambda: _run_chunks(ctx, *task), 1)
+    elif config.code.size < _KEEP_POINTS:
+        blob = pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)
+        with _KEPT_LOCK:
+            errors, chunks = _kept_sweep(config, blob, workers)
+    else:  # the context reaches the workers through fork, not through a pipe
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(ctx,))
+        try:
+            errors, chunks = _sweep(config, lambda *task: pool.submit(
+                _pool_chunks, None, *task).result, 2 * workers)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    points = [SimPoint(snr, e, c * CHUNK, e / (c * CHUNK), *confidence_interval(e, c * CHUNK))
+              for snr, e, c in zip(config.snr_db, errors, chunks)]
     return SimResult(
         label=config.label,
         channel=config.channel,

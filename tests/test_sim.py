@@ -7,6 +7,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -144,6 +146,11 @@ def _alive(pid):
         return False
 
 
+def _pids():
+    """Pids of this process's live children; reaps the ended ones."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
 def test_pool_workers_end_with_the_interpreter():
     script = ("import multiprocessing as mp; from latticedex import preset_code, sim; "
@@ -163,17 +170,56 @@ def test_a_dead_worker_is_replaced_with_a_fresh_pool(ex1_code):
     cfg = _cfg(ex1_code, snr_db=(10.0, 22.0, 24.0), min_errors=60, max_trials=10 * sim.CHUNK,
                workers=2)
     first = run_sim(cfg)
-    old = {p.pid for p in multiprocessing.active_children()}
+    old = _pids()
     assert len(old) == 2
     victim = min(old)
     os.kill(victim, signal.SIGKILL)
     deadline = time.monotonic() + 30
-    while victim in {p.pid for p in multiprocessing.active_children()}:  # reaps it once dead
+    while victim in _pids():
         assert time.monotonic() < deadline
         time.sleep(0.01)
     assert run_sim(cfg).points == first.points
-    new = {p.pid for p in multiprocessing.active_children()}
+    new = _pids()
     assert len(new) == 2 and not new & old
+
+
+def test_calls_from_several_threads(ex1_code):
+    # the kept pool serves one call at a time; a call with another worker count waits
+    # for it instead of shutting it down under the other call
+    cfgs = [_cfg(ex1_code, snr_db=(10.0, 22.0, 24.0), min_errors=60, max_trials=10 * sim.CHUNK,
+                 workers=w) for w in (1, 2, 3)]
+    want = run_sim(cfgs[0]).points
+    with ThreadPoolExecutor(max_workers=4) as threads:
+        assert [r.points for r in threads.map(run_sim, cfgs[1:] * 4)] == [want] * 8
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must see the patched _run_chunk")
+def test_a_pool_forked_for_one_call_ends_with_it(ex1_code, monkeypatch):
+    monkeypatch.setattr(sim, "_KEEP_POINTS", 0)  # as for a code of 1024 points or more
+    cfg = dict(snr_db=(10.0, 22.0, 24.0), min_errors=60, max_trials=10 * sim.CHUNK)
+    before, seen, sweep = _pids(), [], sim._sweep
+
+    def record(*args):  # the call's workers, just before run_sim shuts its pool down
+        out = sweep(*args)
+        seen.extend(_pids() - before)
+        return out
+
+    monkeypatch.setattr(sim, "_sweep", record)
+    want = run_sim(_cfg(ex1_code, workers=1, **cfg)).points
+    assert run_sim(_cfg(ex1_code, workers=2, **cfg)).points == want
+    assert len(seen) == 2 and _pids() == before
+    me, run_chunk = os.getpid(), sim._run_chunk
+
+    def die(ctx, point_idx, chunk_idx):
+        if os.getpid() != me and chunk_idx == 5:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_chunk(ctx, point_idx, chunk_idx)
+
+    monkeypatch.setattr(sim, "_run_chunk", die)
+    with pytest.raises(BrokenProcessPool):
+        run_sim(_cfg(ex1_code, workers=2, **cfg))
+    assert _pids() == before
 
 
 # ---- statistical sanity ----
