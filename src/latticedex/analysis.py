@@ -31,7 +31,8 @@ import numpy as np
 
 from .codec import build_index_code, rate
 from .errors import Infeasible, InvalidArgument, InvariantViolation
-from .numberfield.linalg import INT64_MAX, short_vectors, shortest_nonzero, sublattice_gram
+from .numberfield.linalg import (check_int64, column_max, product_bounds, short_vectors,
+                                 shortest_nonzero, sublattice_gram)
 
 SIX_DB = 20.0 * math.log10(2.0)  # exact gain of PID constructions, ~6.0206
 _SEARCH_ROWS = 1 << 18  # sums x + d tested at once by the fading search
@@ -218,15 +219,6 @@ def overall_side_info_gain(code, k_cap=20):
 # ============================================================
 
 
-def _int64_product(Y, H):
-    """Y @ H.T, refused (Infeasible) unless an exact bound in Python ints keeps
-    every entry in the int64 range."""
-    ymax = np.abs(Y).max(axis=0, initial=0).tolist()
-    if max(sum(abs(h) * y for h, y in zip(row, ymax)) for row in H.tolist()) > INT64_MAX:
-        raise Infeasible("side-ideal differences leave the int64 range")
-    return Y @ H.T
-
-
 def _first_realised(code, X, D, *keys):
     """The first row d of D in np.lexsort(keys) order (the last key leads)
     with x + d a stored point for some row x of X, or None.  Tries 1, 2, 4,
@@ -266,13 +258,15 @@ def _smallest_realised(code, s, idx, by_norm=False):
     norm = math.prod(H.diagonal()[:field.n].tolist())  # N(J), the index of J in O_K
     X = code.coords_matrix[idx]
     span = X.max(axis=0) - X.min(axis=0)
+    check_int64(product_bounds(code.basis, span.tolist()), "a difference G~ d of the subcode")
     full = 4 * int(code.norms2[idx].max())
     # AM-GM: 2|Psi(d)|^2 >= c * n * |N(d)|^(2/n), c = 2 totally real, 1 totally complex
     least = (2 if field.is_totally_real else 1) * field.n * norm ** (2 / field.n)
     bound2 = min(full, math.ceil(2 * least))
     while True:
         Y, len2 = short_vectors(gram, bound2)
-        D = _int64_product(Y, H)
+        check_int64(product_bounds(H, column_max(Y)), "a side-ideal difference")
+        D = Y @ H.T
         # d and -d are realised together; a realised d fits the subcode's box
         sign = D[np.arange(D.shape[0]), (D != 0).argmax(axis=1)]
         keep = (sign > 0) & (np.abs(D) <= span).all(axis=1)
@@ -282,7 +276,7 @@ def _smallest_realised(code, s, idx, by_norm=False):
             if hit is not None:
                 return int(len2[hit])
         else:
-            E = _int64_product(D, code.basis).reshape(D.shape[0], code.m, field.n)
+            E = (D @ code.basis.T).reshape(D.shape[0], code.m, field.n)
             nonzero = E.any(axis=2)
             sizes = field.place_sizes(E.astype(np.float64) @ field.embed_matrix.T)
             norms = np.rint((sizes ** np.bincount(field.places)).prod(axis=2))

@@ -46,7 +46,7 @@ from .numberfield import (
     whole_ring,
 )
 from .numberfield.field import _is_integer
-from .numberfield.linalg import (INT64_MAX, det_int, hnf_reduction_bound, mixed_radix,
+from .numberfield.linalg import (check_int64, column_max, det_int, mixed_radix, product_bounds,
                                  reduce_mod_hnf_batch, short_vectors, sublattice_gram)
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -129,8 +129,7 @@ def _generator_lattice(field, gmatrix):
         raise InvalidArgument("generator matrix is singular")
     basis = np.array(cols, dtype=object).T
     gram2 = sublattice_gram(basis, np.kron(np.eye(m, dtype=np.int64), field.gram2_np))
-    if max(abs(v) for v in (*basis.flat, *gram2.flat)) > INT64_MAX:
-        raise Infeasible("the code lattice leaves the int64 range")
+    check_int64([*basis.flat, *gram2.flat], "the code lattice")
     return rows, basis.astype(np.int64), gram2.astype(np.int64)
 
 
@@ -144,21 +143,6 @@ def _slot_residues(ideal, coords, m):
     res = reduce_mod_hnf_batch(coords.reshape(-1, n), ideal.hnf)
     index = mixed_radix(ideal.residue_indices(res).reshape(-1, m), (ideal.norm,) * m)
     return res.reshape(-1, m * n), index
-
-
-def _check_int64_range(coords, gram2, basis, ideals):
-    """Refuse coordinates whose int64 work in IndexCode could wrap.
-
-    An exact a-priori bound from the largest |coordinate| B, in Python ints,
-    covers the energies x^T gram2 x and their sum, the points G~ u, and the
-    reduction of every coordinate row modulo each ideal's HNF.
-    """
-    B = max(int(coords.max()), -int(coords.min()), 0) if coords.size else 0
-    worst = max(coords.shape[0] * B * B * int(np.abs(gram2).sum()),
-                B * int(np.abs(basis).sum(axis=1).max()),
-                *(hnf_reduction_bound(B, ideal.hnf) for ideal in ideals))
-    if worst > INT64_MAX:
-        raise InvalidArgument("point coordinates are too large for exact int64 arithmetic")
 
 
 def _min_energy_representatives(modulus, gram2, m):
@@ -216,7 +200,13 @@ class IndexCode:
         if self.size != self.modulus.norm ** m:
             raise InvariantViolation(
                 f"{self.size} points for the {self.modulus.norm ** m} cosets of I")
-        _check_int64_range(coords, self.gram2, self.basis, self.primes)
+        # exact bounds on the int64 points G~ u, energies and their sum;
+        # reduce_mod_hnf_batch guards every reduction modulo an HNF itself
+        xmax = column_max(coords)
+        check_int64(product_bounds(self.basis, xmax), "a point G~ u")
+        energy = product_bounds(self.gram2, xmax)
+        check_int64([*energy, self.size * product_bounds([energy], xmax)[0]],
+                    "the constellation energy")
 
         # order points by row-major message index (w_1 slowest)
         labels, res_idx = zip(*(_slot_residues(p, coords, m) for p in self.primes))
@@ -554,9 +544,9 @@ def code_from_dict(doc):
     coords = _leaves(rows, (len(rows), n), int)
     if coords is None:
         raise InvalidArgument(f"point coordinates must be {n} integers within int64")
-    try:  # in a file, a code IndexCode refuses is bad input, not a bug
+    try:  # in a file, a code IndexCode refuses is bad input, not a bug or too big a design
         code = IndexCode(field, [Ideal(field, h) for h in hnfs], coords)
-    except (InvariantViolation, Unsupported) as e:
+    except (Infeasible, InvariantViolation, Unsupported) as e:
         raise InvalidArgument(str(e)) from None
     header = code._file_header()
     for key in ("primes", "modulus_hnf", "idempotents", "alphabet_sizes", "mean_energy"):

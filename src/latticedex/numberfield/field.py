@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import Infeasible, InvalidArgument
-from .linalg import INT64_MAX, det_int
+from .linalg import check_int64, det_int
 from .modp import is_prime, is_squarefree, prime_factors
 
 IMAGINARY_PID_DS = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
@@ -116,18 +116,7 @@ class NumberField:
             if d in (0, 1):
                 raise InvalidArgument("d must be a squarefree integer other than 0, 1")
             # the trace form holds |d|, so a d outside int64 is refused before any factoring
-            if abs(d) > INT64_MAX:
-                raise Infeasible(f"d = {d} leaves the int64 range of the trace form")
-            # and so is a d whose trace form's largest entry leaves int64 (the
-            # check in _init_tables, in closed form): size guards come first
-            if d % 4 == 1:
-                top = d + 1 if d > 0 else (1 - d) // 2
-            else:
-                top = 4 * d if d > 0 else -2 * d
-            if top > INT64_MAX:
-                raise Infeasible(f"the trace form of Q(sqrt({d})) leaves the int64 range")
-            if not is_squarefree(abs(d)):
-                raise InvalidArgument(f"d = {d} is not squarefree")
+            check_int64([d], f"d = {d}")
             if d % 4 == 1:
                 self.min_poly = ((1 - d) // 4, -1, 1)
                 self.theta_name = f"(1+sqrt({d}))/2"
@@ -169,6 +158,9 @@ class NumberField:
         self.param = param
         self.n = len(self.min_poly) - 1
         self._init_tables()
+        # after the trace form's int64 check: size guards come first
+        if family == "quadratic" and not is_squarefree(abs(param)):
+            raise InvalidArgument(f"d = {param} is not squarefree")
 
     # ---- precomputed tables ----
 
@@ -206,8 +198,7 @@ class NumberField:
                     g2[k][l] = self.trace_coords(
                         self.mul_coords(self._pow[k], self._conj_pow[l])
                     )
-        if max(abs(v) for r in g2 for v in r) > INT64_MAX:
-            raise Infeasible(f"the trace form of {self.name} leaves the int64 range")
+        check_int64([v for r in g2 for v in r], f"the trace form of {self.name}")
         self.gram2 = tuple(tuple(r) for r in g2)
         self.gram2_np = np.array(g2, dtype=np.int64)
 

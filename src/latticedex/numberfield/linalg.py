@@ -6,20 +6,43 @@ integral LLL reduction of Gram matrices, and the one breadth-first
 Fincke-Pohst search (fp_search): it enumerates the short vectors of an
 integer Gram matrix and is the simulator's sphere decoder.  Everything is
 arbitrary-precision Python int except the search: enumeration LLL-reduces
-the basis, lets a float Cholesky factor steer the search in numpy int64,
-rescores every candidate exactly, and refuses inputs whose exact range
-bounds leave int64.
+the basis, lets a float Cholesky factor steer the search in numpy int64 and
+rescores every candidate exactly.  Every int64 computation of the package is
+proven in range here: check_int64 on exact product_bounds is the one proof,
+and hnf_reduction_limit caps what reduce_mod_hnf_batch takes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from ..errors import Infeasible, InvalidArgument, InvariantViolation
 
 INT64_MAX = 2**63 - 1
+
+
+def column_max(X):
+    """Python-int max |X[:, j]| of every column of an integer array (0 for no
+    rows), exact at -2^63 and with no |X| copy."""
+    return [max(int(c.max(initial=0)), -int(c.min(initial=0))) for c in X.T]
+
+
+def product_bounds(A, xmax):
+    """Exact bounds sum_j |A_ij| xmax[j] on |(A @ x)_i| and its partial sums
+    for integer |x_j| <= xmax[j]; |x^T G x| <= product_bounds([g], xmax)[0]
+    for g = product_bounds(G, xmax)."""
+    return [sum(abs(int(a)) * int(x) for a, x in zip(row, xmax)) for row in A]
+
+
+def check_int64(values, what):
+    """The one int64 check: Infeasible unless every exact |value| <= INT64_MAX."""
+    if max(map(abs, values), default=0) > INT64_MAX:
+        raise Infeasible(f"{what} leaves the int64 range")
+
 
 # ============================================================
 # Hermite normal form (column style)
@@ -83,28 +106,26 @@ def reduce_mod_hnf(coords, hnf):
     return tuple(v)
 
 
-def hnf_reduction_bound(B, hnf):
-    """Exact bound, in Python ints, on every |value| that reducing rows with
-    entries of size at most B modulo the HNF meets: per column from the last,
-    |q| <= b//h + 1, and q times the column is added to the entries above."""
-    b = [B] * len(hnf)
-    worst = B
-    for i in range(len(hnf) - 1, -1, -1):
-        q = b[i] // hnf[i][i] + 1
-        b[:i] = [bj + q * abs(hnf[j][i]) for j, bj in enumerate(b[:i])]
-        worst = max(worst, b[i] + hnf[i][i], *b[:i])
-    return worst
+@functools.lru_cache(maxsize=None)
+def hnf_reduction_limit(hnf):
+    """Largest B for which reducing rows with |entries| <= B modulo the HNF (a
+    tuple of tuples) stays in int64.  Per column from the last, |q| <= b/h + 1
+    adds |q| times the column to the bounds b = a*B + c above, and |q|h <= b + h."""
+    n = len(hnf)
+    a, c = [Fraction(1)] * n, [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        h = hnf[i][i]
+        for j in range(i):
+            a[j] += abs(hnf[j][i]) * a[i] / h
+            c[j] += abs(hnf[j][i]) * (c[i] / h + 1)
+    return min(math.floor((INT64_MAX - c[i] - hnf[i][i]) / a[i]) for i in range(n))
 
 
 def reduce_mod_hnf_batch(vecs, hnf):
-    """Vectorized reduce_mod_hnf: vecs is (M, n) int64, returns same shape.
-
-    Raises Infeasible when hnf_reduction_bound leaves int64, where the
-    reduction could wrap.
-    """
+    """Vectorized reduce_mod_hnf: vecs is (M, n) int64, returns same shape;
+    Infeasible past hnf_reduction_limit, where the reduction could wrap."""
     V = np.array(vecs, dtype=np.int64, copy=True)
-    B = max(int(V.max()), -int(V.min()), 0) if V.size else 0
-    if hnf_reduction_bound(B, [[int(v) for v in row] for row in hnf]) > INT64_MAX:
+    if max(int(V.max(initial=0)), -int(V.min(initial=0))) > hnf_reduction_limit(hnf):
         raise Infeasible("reduction modulo the HNF leaves the int64 range")
     n = V.shape[1]
     H = np.asarray(hnf, dtype=np.int64)
@@ -242,21 +263,6 @@ def lll_gram(gram):
 _ENUM_LIMIT = 1 << 24  # max candidate rows materialised at one enumeration level
 
 
-def _range_bounds(U, R, bound2):
-    """Exact |y_i| bounds on the ellipsoid y^T R y <= bound2, after checking
-    that scoring it with R and mapping it back with U stay inside int64."""
-    n = len(R)
-    det = det_int(R)
-    yb = [math.isqrt(bound2 * det_int([r[:i] + r[i + 1:] for j, r in enumerate(R) if j != i])
-                     // det) for i in range(n)]
-    w = [max(v, 1) for v in yb]
-    score = sum(w[j] * abs(R[j][k]) * w[k] for j in range(n) for k in range(n))
-    image = max(sum(abs(u) * wj for u, wj in zip(row, w)) for row in U)
-    if max(score, image) > INT64_MAX:
-        raise Infeasible(f"enumeration of radius^2 {bound2} leaves the int64 range")
-    return yb
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # non-finite targets: dropped
 def fp_search(R, w, radius2, bound, cap):
     """Breadth-first Fincke-Pohst, the one search of this package: every
@@ -300,12 +306,19 @@ def fp_search(R, w, radius2, bound, cap):
 def _enumerate(U, R, bound2, include_zero):
     """Rows y with y^T R y <= bound2 in the reduced basis, mapped back by U:
     one fp_search target at 0 under the float Cholesky factor of R, levels
-    clipped to _range_bounds, every row rescored exactly."""
+    clipped to the exact |y_i| bounds yb of the ellipsoid, which prove that
+    scoring with R and mapping back with U stay in int64, and every row
+    rescored exactly."""
     n = len(R)
     bound2 = math.floor(bound2)
     if bound2 < 0 or (bound2 == 0 and not include_zero):
         return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    yb = _range_bounds(U, R, bound2)
+    det = det_int(R)
+    yb = [math.isqrt(bound2 * det_int([r[:i] + r[i + 1:] for j, r in enumerate(R) if j != i])
+                     // det) for i in range(n)]
+    w = [max(v, 1) for v in yb]  # w >= 1: the bounds also cover the entries of R and U
+    check_int64([*product_bounds([product_bounds(R, w)], w), *product_bounds(U, w)],
+                f"enumeration of radius^2 {bound2}")
     C = np.linalg.cholesky(np.array(R, dtype=np.float64)).T
     _, Y, kept = fp_search(C[None], np.zeros((1, n)), np.array([bound2 * (1.0 + 1e-9)]), yb,
                            _ENUM_LIMIT)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import InvalidArgument, Unsupported
 from .numberfield.field import _is_integer
-from .numberfield.linalg import fp_search, lll_gram
+from .numberfield.linalg import check_int64, column_max, fp_search, lll_gram, product_bounds
 
 CHUNK = 4096
 _TILE_BYTES = 1 << 20  # a score tile (two on Rayleigh) fits a 2 MiB per-core L2 cache
@@ -192,7 +192,8 @@ def _search_lattice(code, s, groups):
     integer columns in the coordinates of u, and ebasis the unit-energy
     embedding of the points G~ u they give.  Two points of the constellation
     differ by at most span in each coordinate, so bound caps |v_i| for every
-    point of a group written as its first point plus basis @ v.
+    point of a group written as its first point plus basis @ v; that bound
+    and the largest |coordinate| prove once that _search's int64 points fit.
     """
     if groups[0]["cand"].shape[0] < _SEARCH_MIN:
         return None
@@ -201,10 +202,14 @@ def _search_lattice(code, s, groups):
     points = (code.basis.astype(object) @ basis).astype(np.float64)  # G~ basis, exact ints
     basis = basis.astype(np.int64)
     span = np.ptp(code.coords_matrix, axis=0).astype(np.float64)
+    bound = np.floor(np.abs(np.linalg.inv(basis)) @ span * (1.0 + 1e-9)) + 1.0
+    check_int64([c + b for c, b in zip(column_max(code.coords_matrix),
+                                       product_bounds(basis, bound.tolist()))],
+                "a point of the sphere search")
     return {
         "basis": basis,
         "ebasis": code.gamma * (np.kron(np.eye(code.m), code.field.embed_matrix) @ points),
-        "bound": np.floor(np.abs(np.linalg.inv(basis)) @ span * (1.0 + 1e-9)) + 1.0,
+        "bound": bound,
         "first": np.array([g["cand"][0] for g in groups]),
         "code": code,
     }

@@ -1,7 +1,9 @@
 import itertools
 import math
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from latticedex import (
     Infeasible,
     InvalidArgument,
+    InvariantViolation,
     build_index_code,
     cyclotomic_field,
     diversity_and_product_distance,
@@ -25,8 +28,10 @@ from latticedex import (
     whole_ring,
 )
 from conftest import _pair_scan, pair_scan_min_distance
+from latticedex import analysis
 from latticedex.analysis import SIX_DB
-from latticedex.numberfield.linalg import lll_gram
+from latticedex.numberfield import linalg
+from latticedex.numberfield.linalg import lll_gram, shortest_nonzero
 
 
 def test_lambda1_exact_where_int64_gram_products_wrap():
@@ -319,3 +324,106 @@ def test_norm_search_matches_pair_scan(code):
             for fixed in (None, translate):
                 if code.subcode_indices(s, fixed).shape[0] >= 2:
                     _assert_searches_match_pair_scans(code, s, fixed)
+
+
+def test_m2_finite_distance_matches_lattice(zi_m2, zi_m2k2, module_codes):
+    val0, _ = shortest_nonzero(zi_m2.gram2)
+    assert (min_distance(zi_m2, ()) == Fraction(int(val0), 2)
+            == pair_scan_min_distance(zi_m2, ()))
+    vals, _ = shortest_nonzero(zi_m2k2.side_sublattice_gram((1,)))
+    assert (min_distance(zi_m2k2, (1,)) == Fraction(int(vals), 2)
+            == pair_scan_min_distance(zi_m2k2, (1,)))
+    for label, code in module_codes.items():
+        k = len(code.primes)
+        for s in (s for r in range(k + 1) for s in combinations(range(1, k + 1), r)):
+            if code.subcode_indices(s).shape[0] >= 2:
+                assert (min_distance(code, s)
+                        == pair_scan_min_distance(code, s)), (label, s)
+
+
+def test_m2_min_distance_rejects_singleton(zi_m2):
+    # fully revealed m=1 K=1 subcode has one point
+    with pytest.raises(InvalidArgument):
+        min_distance(
+            build_index_code(zi_m2.field, zi_m2.primes, [[1]]), (1,))
+
+
+def test_unit_column_scaling_preserves_gains(zi_primes):
+    field, primes = zi_primes
+    theta = field.theta  # i, a unit
+    a = build_index_code(field, primes[:1], [[1, 0], [0, 1]])
+    b = build_index_code(field, primes[:1], [[1, 0], [field.zero, theta]])
+    ra = side_info_gain(a, (1,))
+    rb = side_info_gain(b, (1,))
+    assert ra.d0_sq == rb.d0_sq
+    assert ra.ds_sq == rb.ds_sq
+    assert ra.gamma_db == rb.gamma_db
+
+
+def test_shear_changes_lattice_but_keeps_point_count(zi_primes):
+    field, primes = zi_primes
+    theta = field.theta
+    shear = build_index_code(field, primes[:1], [[1, 1 + theta], [0, 1]])
+    assert shear.size == 25
+    r = side_info_gain(shear, (1,))
+    assert r.bounds_ok
+
+
+def test_totally_real_stack():
+    field = quadratic_field(5)
+    prime = prime_ideals_above(field, 5)[0]  # ramified, norm 5
+    code = build_index_code(field, [prime], [[1, 0], [0, 1]])
+    assert code.size == 25
+    assert float(code.mean_energy) > 0
+    r = side_info_gain(code, (1,))
+    assert r.lower_bound_db is None  # no exact-uniform claim off the PID fields
+    assert r.gamma_db > 0
+    assert float(r.ds_sq) <= r.minkowski_upper**2 * (1 + 1e-9)
+
+
+def test_gain_rejects_empty_set(zi_m2):
+    with pytest.raises(InvalidArgument):
+        side_info_gain(zi_m2, ())
+
+
+def test_m2_diversity_counts_every_slot(module_codes, zi_1105):
+    # every S of the five module codes and of the 1105-point code with generator
+    # 1 + i, against the pair scan; m=2 two primes at S = {} (4225 points) is
+    # pinned, its pair scan is too slow for tier-1
+    for label, code in dict(module_codes, zi_1105=zi_1105).items():
+        k = len(code.primes)
+        for s in (s for r in range(k + 1) for s in combinations(range(1, k + 1), r)):
+            idx = code.subcode_indices(s)
+            if idx.shape[0] < 2 or (label, s) == ("m=2 two primes", ()):
+                continue
+            rep = diversity_and_product_distance(code, s)
+            diversity, pmin = _pair_scan(code, idx)
+            assert rep.diversity == diversity, (label, s)
+            assert math.isclose(rep.product_distance, pmin, rel_tol=1e-12), (label, s, pmin)
+    rep = diversity_and_product_distance(module_codes["m=2 two primes"], ())
+    assert (rep.diversity, rep.product_distance) == (1, 1.0)
+
+
+def test_side_ideal_differences_are_checked_at_the_exact_int64_bound(monkeypatch):
+    # S = {1}, J = a prime of norm 2 in Z[i], whose HNF's first column is (2, 0):
+    # a short vector (k, 0) maps to the difference (2k, 0), past int64 at k = 2^62
+    field = quadratic_field(-1)
+    code = build_index_code(field, [prime_ideals_above(field, p)[0] for p in (2, 5)])
+    assert code.side_basis((1,))[:, 0].tolist() == [2, 0]
+    for k, error, what in ((2**62, Infeasible, "a side-ideal difference leaves the int64"),
+                           (2**62 - 1, InvariantViolation, "no difference")):
+        monkeypatch.setattr(analysis, "short_vectors",
+                            lambda gram, bound2: (np.array([[k, 0]]), np.array([1])))
+        with pytest.raises(error, match=what):
+            min_distance(code, (1,))
+
+
+def test_subcode_differences_are_proven_in_int64(zi_1105, monkeypatch):
+    # every G~ d with |d| inside the subcode's box, bounded here in Python ints
+    X = zi_1105.coords_matrix
+    span = (X.max(axis=0) - X.min(axis=0)).tolist()
+    bound = max(sum(abs(b) * w for b, w in zip(row, span)) for row in zi_1105.basis.tolist())
+    monkeypatch.setattr(linalg, "INT64_MAX", bound - 1)
+    with pytest.raises(Infeasible, match="^a difference G~ d of the subcode leaves the int64"):
+        diversity_and_product_distance(zi_1105, ())
+

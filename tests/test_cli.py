@@ -281,7 +281,23 @@ def test_analyze_rejects_oversized_code_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["analyze", "--code", str(path)]) == 1
-    assert "int64" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "int64" in err and "Traceback" not in err
+
+
+def test_a_huge_quadratic_code_is_never_bad_input(tmp_path, capsys):
+    # d = 2^62 + 1: the trace form [[4, 2], [2, d + 1]] fits int64, and the two points
+    # 0 and 1 use only its first column, so the per-column bounds admit the code; a
+    # too-big design exits 3, never 1
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"field": {"family": "quadratic", "param": 2**62 + 1},
+                                "primes": [{"above": 2, "index": 0}]}))
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(path)]) == 0
+    assert main(["design", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert main(["analyze", "--code", str(tmp_path / "run_code.json")]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("Gamma(C) = 12.0412") == 2 and err == ""
 
 
 def test_analyze_rejects_malformed_code_files(tmp_path, capsys):

@@ -35,6 +35,7 @@ from latticedex import codec
 from latticedex.codec import IndexCode, code_from_dict
 from latticedex.numberfield import (Ideal, classify_prime, factor_minpoly_mod_p,
                                    field_from_dict, ideal_from_generators)
+from latticedex.numberfield import linalg
 from latticedex.numberfield.linalg import reduce_mod_hnf_batch, short_vectors
 
 
@@ -464,6 +465,40 @@ def test_build_enumerates_a_ball_sized_by_the_coset_count(monkeypatch):
         assert sum(rows) <= most, (name, rows)
 
 
+def test_code_lattice_is_checked_at_the_exact_int64_bound(zi_primes):
+    # the generator 2^31 on Z[i] makes a doubled Gram entry of 2 * 2^62 = 2^63
+    field, primes = zi_primes
+    with pytest.raises(Infeasible, match="the code lattice leaves the int64 range"):
+        build_index_code(field, primes[:1], [[2**31]])
+    _, _, gram2 = codec._generator_lattice(field, [[2**31 - 1]])
+    assert gram2.max() == 2 * (2**31 - 1) ** 2
+
+
+def test_a_built_code_past_the_energy_bound_is_infeasible(zi_primes):
+    # the 5 points 0, +-1, +-i of Z[i] modulo a prime of norm 5, scaled by c: the
+    # energy sum is bounded by 5 * 4c^2, past int64 at c = 2^30 (a too-big design)
+    field, primes = zi_primes
+    with pytest.raises(Infeasible, match="the constellation energy leaves the int64 range"):
+        build_index_code(field, primes[:1], [[2**30]])
+    assert build_index_code(field, primes[:1], [[2**29]]).size == 5
+
+
+def test_loaded_coordinates_are_checked_at_the_exact_int64_bounds(ex1_code, monkeypatch):
+    # point 5 moved within its coset by 2^31 modulus columns; each bound, computed
+    # here in Python ints, is refused as bad input one past INT64_MAX
+    doc = ex1_code.to_dict()
+    column = [row[0] for row in doc["modulus_hnf"]]
+    doc["points"][5]["coords"] = [c + 2**31 * v for c, v in zip(doc["points"][5]["coords"], column)]
+    X = [p["coords"] for p in doc["points"]]
+    xmax = [max(abs(v) for v in col) for col in zip(*X)]
+    inner = [sum(abs(g) * x for g, x in zip(row, xmax)) for row in ex1_code.gram2.tolist()]
+    energy = max(*inner, len(X) * sum(x * g for x, g in zip(xmax, inner)))
+    for limit, what in ((max(xmax) - 1, "a point G~ u"), (energy - 1, "the constellation energy")):
+        monkeypatch.setattr(linalg, "INT64_MAX", limit)
+        with pytest.raises(InvalidArgument, match=f"^{what} leaves the int64 range"):
+            code_from_dict(doc)
+
+
 def test_build_respects_enumeration_cap():
     field = quadratic_field(5)
     primes = [principal_ideal(field.element((-1, 2))),
@@ -851,3 +886,38 @@ def test_public_names_resolve():
     assert analysis.oklattice_side_info_gain is analysis.side_info_gain
     for name in ("build_oklattice_code", "oklattice_side_info_gain"):
         assert not hasattr(latticedex, name) and name not in latticedex.__all__
+
+
+def test_m2_subcode_and_fixed(zi_m2, zi_m2k2):
+    # K=1: revealing the only message pins the point completely
+    idx = zi_m2.subcode_indices((1,))
+    assert idx.shape[0] == 1
+    assert zi_m2.residue_indices[idx[0], 0] == 0
+    idx3 = zi_m2.subcode_indices((1,), fixed=zi_m2.message_from_index(3))
+    assert idx3.shape[0] == 1
+    assert zi_m2.residue_indices[idx3[0], 0] == 3
+    with pytest.raises(InvalidArgument):
+        zi_m2.subcode_indices((1,), fixed=[3])  # fixed is a Message
+    # K=2: one reveal leaves the other message free
+    code = zi_m2k2
+    assert code.size == 4225
+    idx = code.subcode_indices((1,))
+    assert idx.shape[0] == 169
+    assert np.all(code.residue_indices[idx, 0] == 0)
+    idx3 = code.subcode_indices((1,), fixed=code.message_from_index(3 * 169))
+    assert idx3.shape[0] == 169
+    assert np.all(code.residue_indices[idx3, 0] == 3)
+    assert code.subcode_indices((1, 2)).shape[0] == 1
+    with pytest.raises(InvalidArgument):
+        zi_m2.check_side_info((2,))
+    with pytest.raises(InvalidArgument):
+        zi_m2.check_side_info((0,))
+
+
+def test_sublattice_gram_determinant_scaling(zi_m2):
+    code = zi_m2
+    _, ld0 = np.linalg.slogdet(code.gram2.astype(float))
+    _, ld1 = np.linalg.slogdet(code.side_sublattice_gram((1,)).astype(float))
+    # sublattice index is N(p)^m = 25, so the Gram determinant grows by 25^2
+    want = ld0 + 2.0 * code.m * np.log(5.0)
+    assert abs(ld1 - want) < 1e-8

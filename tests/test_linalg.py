@@ -138,7 +138,7 @@ def test_reduce_mod_hnf_batch_refuses_int64_wrap():
     # the bound is exact, not a blanket size limit: the same column reduces at 2**20
     assert reduce_mod_hnf_batch([[5, 2**20]], ((7, 2**20), (0, 3))).tolist() == [
         list(reduce_mod_hnf((5, 2**20), ((7, 2**20), (0, 3))))]
-    assert linalg.hnf_reduction_bound(2**20, ((7, 2**20), (0, 3))) < linalg.INT64_MAX
+    assert 2**20 <= linalg.hnf_reduction_limit(((7, 2**20), (0, 3)))
 
 
 def test_det_int_against_numpy():
@@ -390,3 +390,56 @@ def test_fp_search_cap_drops_the_largest_target():
     assert ((V ** 2).sum(axis=1) <= radius2[tr]).all()
     _, _, kept = fp_search(R, w, radius2, [3, 3], 47)
     assert kept.tolist() == [True, True, True, False]
+
+
+def test_check_int64_and_column_max_are_exact_at_the_boundary():
+    linalg.check_int64([linalg.INT64_MAX, -linalg.INT64_MAX, 0], "x")
+    linalg.check_int64([], "x")
+    for v in (2**63, -(2**63)):
+        with pytest.raises(Infeasible, match="x leaves the int64 range"):
+            linalg.check_int64([1, v], "x")
+    # -(-2^63) wraps in int64; column_max negates in Python ints
+    assert linalg.column_max(np.array([[-(2**63), 5], [3, -7]], dtype=np.int64)) == [2**63, 7]
+    assert linalg.column_max(np.zeros((0, 3), dtype=np.int64)) == [0, 0, 0]
+
+
+def test_reduction_is_exact_up_to_its_limit():
+    for H in (((7, 2**20), (0, 3)), ((5, 3, 1), (0, 4, 2), (0, 0, 6)), ((1,),)):
+        limit, n = linalg.hnf_reduction_limit(H), len(H)
+        for v in ([limit] * n, [-limit] * n, [limit, -limit, limit][:n]):
+            assert tuple(reduce_mod_hnf_batch([v], H)[0].tolist()) == reduce_mod_hnf(v, H)
+        with pytest.raises(Infeasible, match="int64"):
+            reduce_mod_hnf_batch([[limit + 1] + [0] * (n - 1)], H)
+
+
+def _int_matrix(draw, rows, cols, bits):
+    entry = st.integers(-(2**bits), 2**bits)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), rows=st.integers(1, 4),
+       bits=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+def test_admitted_int64_products_equal_python_ints(data, n, rows, bits):
+    # the bounds hold in Python ints, and wherever check_int64 admits them, the
+    # int64 A @ x and x^T G x are the exact ones
+    A = np.array(_int_matrix(data.draw, n, n, bits[0]), dtype=object)
+    X = np.array(_int_matrix(data.draw, rows, n, bits[1]), dtype=object)
+    xmax = linalg.column_max(X.astype(np.int64))
+    g = linalg.product_bounds(A, xmax)
+    quad = linalg.product_bounds([g], xmax)[0]
+    assert all(abs(v) <= b for y in X @ A.T for v, b in zip(y, g))
+    assert all(abs(x @ A @ x) <= quad for x in X)
+    try:
+        linalg.check_int64(g, "A @ x")
+    except Infeasible:
+        pass
+    else:
+        assert ((X.astype(np.int64) @ A.astype(np.int64).T).astype(object) == X @ A.T).all()
+    try:
+        linalg.check_int64([*g, quad], "x^T G x")
+    except Infeasible:
+        return
+    quad = np.einsum("ij,jk,ik->i", X.astype(np.int64), A.astype(np.int64), X.astype(np.int64))
+    assert quad.tolist() == [x @ A @ x for x in X]

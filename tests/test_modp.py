@@ -177,8 +177,8 @@ def test_quadratic_trace_form_is_checked_before_the_squarefree_test(monkeypatch)
         raise AssertionError(f"is_squarefree({n}) was called")
 
     monkeypatch.setattr(field_module, "is_squarefree", refuse)
-    # 4d, 4d and 2|d| leave int64; |d| does not
-    for d in (2**63 - 25, 2**62 + 3, -(2**62 + 1)):
+    # 4d, 4d and 2|d| leave int64 (2|d| = 2^63 at d = -2^62); |d| does not
+    for d in (2**63 - 25, 2**62 + 3, -(2**62 + 1), -(2**62)):
         assert abs(d) <= INT64_MAX
         with pytest.raises(Infeasible, match="trace form"):
             quadratic_field(d)

@@ -26,6 +26,8 @@ from latticedex import (
     write_curve_csv,
 )
 from latticedex import sim
+from latticedex.errors import Infeasible
+from latticedex.numberfield import linalg
 from latticedex.presets import preset_snr_grid
 from latticedex.sim import SimPoint, _draw_fades, resolve_workers, side_info_tag
 
@@ -393,6 +395,21 @@ def test_unsettled_trials_fall_back_to_brute_force(maxreal_code, monkeypatch):
             assert forced <= brute_rows.shape[0] < sim.CHUNK, (channel, rows, brute_rows.shape)
             if hh is not h:  # every trial with a zero fade
                 assert {tuple(r) for r in yy[:64]} <= {tuple(r) for r in brute_rows}
+
+
+def test_search_points_are_proven_in_int64_once(maxreal_code, monkeypatch):
+    # _search forms first point + V @ basis.T with |v_i| <= bound[i]: the exact
+    # bound max|coordinate| + sum |basis| * bound, in Python ints, is the proof's
+    groups = [sim._group(maxreal_code, np.arange(maxreal_code.size))]
+    lat = sim._search_lattice(maxreal_code, (), groups)
+    top = np.abs(maxreal_code.coords_matrix).max(axis=0).tolist()
+    proof = max(c + sum(abs(b) * int(v) for b, v in zip(row, lat["bound"].tolist()))
+                for c, row in zip(top, lat["basis"].tolist()))
+    monkeypatch.setattr(linalg, "INT64_MAX", proof)
+    assert sim._search_lattice(maxreal_code, (), groups) is not None
+    monkeypatch.setattr(linalg, "INT64_MAX", proof - 1)
+    with pytest.raises(Infeasible, match="^a point of the sphere search leaves the int64"):
+        sim._search_lattice(maxreal_code, (), groups)
 
 
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
