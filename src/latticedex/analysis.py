@@ -257,7 +257,7 @@ def _smallest_realised(code, s, idx, by_norm=False):
     gram = sublattice_gram(H, code.gram2)  # code.side_sublattice_gram(s), J built once
     norm = math.prod(H.diagonal()[:field.n].tolist())  # N(J), the index of J in O_K
     X = code.coords_matrix[idx]
-    span = X.max(axis=0) - X.min(axis=0)
+    span, xmax = X.max(axis=0) - X.min(axis=0), column_max(X)
     check_int64(product_bounds(code.basis, span.tolist()), "a difference G~ d of the subcode")
     full = 4 * int(code.norms2[idx].max())
     # AM-GM: 2|Psi(d)|^2 >= c * n * |N(d)|^(2/n), c = 2 totally real, 1 totally complex
@@ -271,6 +271,7 @@ def _smallest_realised(code, s, idx, by_norm=False):
         sign = D[np.arange(D.shape[0]), (D != 0).argmax(axis=1)]
         keep = (sign > 0) & (np.abs(D) <= span).all(axis=1)
         D, len2 = D[keep], len2[keep]
+        check_int64([a + b for a, b in zip(xmax, column_max(D))], "a sum x + d of the subcode")
         if not by_norm:
             hit = _first_realised(code, X, D, len2)
             if hit is not None:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 from . import presets as preset_lib
 from .analysis import (diversity_and_product_distance, side_info_gain,
                        side_info_sets)
-from .codec import build_index_code, load_code, save_code
+from .codec import _float_rows, build_index_code, load_code, save_code
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
 from .numberfield import field_from_dict
@@ -172,15 +172,15 @@ def cmd_design(args):
     points_path = os.path.join(spec.out_dir, f"{spec.label}_points.csv")
     save_code(code, code_path)
     k, n = code.labels.shape[1:]
-    # index, label "(w_1)|...|(w_K)", coordinates, embedding (repr of floats)
+    # index, label "(w_1)|...|(w_K)", coordinates, embedding (the code file's float text)
     row = ("%d," + "|".join(["(" + " ".join(["%d"] * n) + ")"] * k)
-           + ",%d" * n + ",%r" * n + "\n")
+           + ",%d" * n + ",%s" * n + "\n")
     with open(points_path, "w") as fh:
         fh.write(",".join(["index", "label"] + [f"c{i}" for i in range(n)]
                           + [f"x{i}" for i in range(n)]) + "\n")
         fh.writelines(row % (i, *w, *c, *x) for i, (w, c, x) in enumerate(zip(
             code.labels.reshape(code.size, k * n).tolist(), code.coords_matrix.tolist(),
-            code.embedded.tolist())))
+            (x for block in _float_rows(code.embedded) for x in block))))
     print(f"{code.field.describe()}; K={len(code.primes)}; {code.size} points")
     print(f"wrote {code_path}")
     print(f"wrote {points_path}")

@@ -19,8 +19,9 @@ finite-field operations are ring operations followed by reduction.
 
 A plain code's file is the JSON of to_dict() with sorted keys: save_code
 writes it with indent=1, and content_hash is the SHA-256 of its compact form.
-Both stream the text from one emitter; code_from_dict checks a loaded file
-against what the math requires, reading each prime from its HNF alone.
+Both stream the text from one emitter, which load_code runs to check a saved
+file byte for byte; code_from_dict checks any other file against what the
+math requires, reading each prime from its HNF alone.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import Infeasible, InvalidArgument, InvariantViolation, Unsupported
+from .errors import Infeasible, InvalidArgument, InvariantViolation, LatticedexError, Unsupported
 from .numberfield import (
     AlgebraicInt,
     Ideal,
@@ -53,6 +55,9 @@ DEFAULT_ENUMERATION_CAP = 10**6
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
 _FILE_KEYS = ("field", "primes", "modulus_hnf", "idempotents", "alphabet_sizes", "gamma",
               "mean_energy", "points")  # read by code_from_dict besides "format"
+_POINT_KEYS = ("coords", "embedded", "label")  # of each point in a code file
+_POINTS_KEY = '\n "points": '  # in a saved file
+_COORDS = re.compile(r'"coords": \[([^\]]*)\]')
 
 
 @dataclass(frozen=True)
@@ -384,7 +389,7 @@ class IndexCode:
     def to_dict(self):
         """The code file as a dict: what save_code writes and content_hash hashes."""
         return {**self._file_header(), "points": [
-            _point_dict(*row) for row in zip(
+            dict(zip(_POINT_KEYS, row)) for row in zip(
                 self.coords_matrix.tolist(), self.embedded.tolist(), self.labels.tolist())]}
 
     def content_hash(self):
@@ -444,9 +449,15 @@ def rate(code, s):
     return sum(math.log2(code.primes[k - 1].norm) for k in s) / code.field.n
 
 
-def _point_dict(coords, embedded, label):
-    """One point of a code file."""
-    return {"coords": coords, "embedded": embedded, "label": label}
+def _float_rows(values):
+    """repr, as json prints a float, of each float of a 2-D array, _POINT_BLOCK
+    rows at a time; called once per bit pattern (0.0 and -0.0 differ)."""
+    table = {}
+    for i in range(0, values.shape[0], _POINT_BLOCK):
+        keys, inverse = np.unique(values[i:i + _POINT_BLOCK].view(np.int64), return_inverse=True)
+        text = [table.get(key) or table.setdefault(key, repr(value))
+                for key, value in zip(keys.tolist(), keys.view(np.float64).tolist())]
+        yield np.array(text, dtype=object)[inverse.reshape(-1, values.shape[1])].tolist()
 
 
 def _canonical_json(code, indent=None):
@@ -456,28 +467,29 @@ def _canonical_json(code, indent=None):
     separators (",", ":") (indent=None, what content_hash hashes) or with
     indent=1 (the file layout), but no file-sized dict or string is built.
     The header goes through json; the points are spliced in where "points"
-    sorts, a block of rows at a time, each point from one %-template
-    made by json from a point of placeholders: %d prints an int and %r a
-    finite float as json does.
+    sorts, a block of rows at a time, each point from one %-template made by
+    json from a point of placeholders: %d prints a coordinate, and %s the
+    text of a float (_float_rows) or of a prime's label, made once per residue.
     """
     seps = (",", ": ") if indent else (",", ":")
     dumps = functools.partial(json.dumps, sort_keys=True, indent=indent, separators=seps)
     key = dumps("points") + seps[1]
     head, tail = dumps({**code._file_header(), "points": 0}).split(key + "0")
     k, d = code.labels.shape[1:]
-    point = dumps(_point_dict(["%d"] * d, ["%r"] * d, [["%d"] * d] * k))
-    point = point.replace('"%d"', "%d").replace('"%r"', "%r")
-    if indent:
-        point = point.replace("\n", "\n  ")
+    point = dumps(dict(zip(_POINT_KEYS, (["%d"] * d, ["%s"] * d, ["%s"] * k))))
+    label = dumps(["%d"] * d).replace('"%d"', "%d")
+    if indent:  # in the file a point nests 2 deep and each prime's label 4
+        point, label = point.replace("\n", "\n  "), label.replace("\n", "\n    ")
         start, sep, end = "[\n  ", ",\n  ", "\n ]"
     else:
         start, sep, end = "[", ",", "]"
+    point = point.replace('"%d"', "%d").replace('"%s"', "%s")
+    labels = [np.array([label % r for r in p.residues()], dtype=object) for p in code.primes]
     yield head + key
-    labels = code.labels.reshape(code.size, k * d)
-    for i in range(0, code.size, _POINT_BLOCK):
-        rows = zip(code.coords_matrix[i:i + _POINT_BLOCK].tolist(),
-                   code.embedded[i:i + _POINT_BLOCK].tolist(),
-                   labels[i:i + _POINT_BLOCK].tolist())
+    for i, floats in zip(range(0, code.size, _POINT_BLOCK), _float_rows(code.embedded)):
+        res = code.residue_indices[i:i + _POINT_BLOCK]
+        rows = zip(code.coords_matrix[i:i + _POINT_BLOCK].tolist(), floats,
+                   zip(*(text[res[:, j]].tolist() for j, text in enumerate(labels))))
         yield (sep if i else start) + sep.join([point % (*c, *e, *w) for c, e, w in rows])
     yield end + tail
 
@@ -491,8 +503,33 @@ def save_code(code, path):
 
 def load_code(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    return code_from_dict(doc)
+        text = fh.read()
+    return _canonical_code(text) or code_from_dict(json.loads(text))
+
+
+def _canonical_code(text):
+    """The code whose save_code text is text, or None: the header (all but the
+    points list, which ends at the last " ]," line) must be canonical JSON, and
+    the code built from it and the stored coordinates must reproduce text."""
+    start, end = text.find(_POINTS_KEY) + len(_POINTS_KEY), text.rfind("\n ],\n")
+    if not len(_POINTS_KEY) <= start <= end:
+        return None
+    header = text[:start] + "0" + text[end + 3:]
+    try:
+        doc = json.loads(header)
+        if not isinstance(doc, dict) or json.dumps(doc, indent=1, sort_keys=True) + "\n" != header:
+            return None
+        field, primes = _stored_primes(doc)
+        coords = np.array(",".join(_COORDS.findall(text, start, end)).split(","), dtype=np.int64)
+        code = IndexCode(field, primes, coords.reshape(-1, field.n))
+    except (KeyError, ValueError, OverflowError, LatticedexError):
+        return None  # code_from_dict says what is wrong
+    pos = 0
+    for chunk in itertools.chain(_canonical_json(code, indent=1), ("\n",)):
+        if not text.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+    return code if pos == len(text) else None
 
 
 def _leaves(rows, shape, kind):
@@ -512,6 +549,17 @@ def _leaves(rows, shape, kind):
         return None
 
 
+def _stored_primes(doc):
+    """The field of a code file's dict and each prime as an ideal from its HNF alone."""
+    field = field_from_dict(doc["field"])
+    n = field.n
+    stored = doc["primes"] if isinstance(doc["primes"], list) else [None]
+    hnfs = [d.get("hnf") if isinstance(d, dict) else None for d in stored]
+    if any(_leaves(h, (n, n), int) is None for h in hnfs):
+        raise InvalidArgument(f"primes must be a list of objects with an {n}x{n} integer hnf")
+    return field, [Ideal(field, h) for h in hnfs]
+
+
 def code_from_dict(doc):
     """The code stored in a code file's dict, checked against what the math
     requires; anything malformed or inconsistent raises InvalidArgument.
@@ -528,24 +576,18 @@ def code_from_dict(doc):
         raise InvalidArgument(f"code file lacks {', '.join(missing)}")
     points = doc["points"] if isinstance(doc["points"], list) else None
     try:
-        rows, embedded, labels = ([pt[key] for pt in points]
-                                  for key in ("coords", "embedded", "label"))
+        rows, embedded, labels = ([pt[key] for pt in points] for key in _POINT_KEYS)
     except (KeyError, TypeError):
         raise InvalidArgument("points must be a list of objects with "
                               "coords, embedded and label") from None
     if type(doc["gamma"]) is not float:
         raise InvalidArgument("gamma must be a number")
-    field = field_from_dict(doc["field"])
-    n = field.n
-    stored = doc["primes"] if isinstance(doc["primes"], list) else [None]
-    hnfs = [d.get("hnf") if isinstance(d, dict) else None for d in stored]
-    if any(_leaves(h, (n, n), int) is None for h in hnfs):
-        raise InvalidArgument(f"primes must be a list of objects with an {n}x{n} integer hnf")
-    coords = _leaves(rows, (len(rows), n), int)
+    field, primes = _stored_primes(doc)
+    coords = _leaves(rows, (len(rows), field.n), int)
     if coords is None:
-        raise InvalidArgument(f"point coordinates must be {n} integers within int64")
+        raise InvalidArgument(f"point coordinates must be {field.n} integers within int64")
     try:  # in a file, a code IndexCode refuses is bad input, not a bug or too big a design
-        code = IndexCode(field, [Ideal(field, h) for h in hnfs], coords)
+        code = IndexCode(field, primes, coords)
     except (Infeasible, InvariantViolation, Unsupported) as e:
         raise InvalidArgument(str(e)) from None
     header = code._file_header()

@@ -127,6 +127,20 @@ def pair_scan_min_distance(code, s, fixed=None):
     return Fraction(min(best), 2)
 
 
+def points_csv_oracle(code):
+    """The text `design` writes to a points CSV, from one %-template per row:
+    index, label "(w_1)|...|(w_K)", coordinates, and each embedding float
+    printed by %r."""
+    k, n = code.labels.shape[1:]
+    row = ("%d," + "|".join(["(" + " ".join(["%d"] * n) + ")"] * k)
+           + ",%d" * n + ",%r" * n + "\n")
+    head = ",".join(["index", "label"] + [f"c{i}" for i in range(n)]
+                    + [f"x{i}" for i in range(n)]) + "\n"
+    return head + "".join(row % (i, *w, *c, *x) for i, (w, c, x) in enumerate(zip(
+        code.labels.reshape(code.size, k * n).tolist(), code.coords_matrix.tolist(),
+        code.embedded.tolist())))
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -427,3 +427,22 @@ def test_subcode_differences_are_proven_in_int64(zi_1105, monkeypatch):
     with pytest.raises(Infeasible, match="^a difference G~ d of the subcode leaves the int64"):
         diversity_and_product_distance(zi_1105, ())
 
+
+def test_subcode_sums_are_checked_at_the_exact_int64_bound(monkeypatch):
+    # S = {}, J = Z[i]: the difference d = (span_0, 0) fits the subcode's box, and
+    # the sums x + d reach max_j (max|x_j| + max|d_j|), above every earlier bound
+    field = quadratic_field(-1)
+    code = build_index_code(field, [prime_ideals_above(field, p)[0] for p in (2, 5)])
+    X = code.coords_matrix.tolist()
+    xmax = [max(abs(v) for v in col) for col in zip(*X)]
+    span = [max(col) - min(col) for col in zip(*X)]
+    d = [span[0], 0]
+    bound = max(x + abs(v) for x, v in zip(xmax, d))
+    assert bound > max(span)
+    monkeypatch.setattr(analysis, "short_vectors",
+                        lambda gram, bound2: (np.array([d]), np.array([2 * span[0] ** 2])))
+    monkeypatch.setattr(linalg, "INT64_MAX", bound - 1)
+    with pytest.raises(Infeasible, match="^a sum x \\+ d of the subcode leaves the int64"):
+        min_distance(code, ())
+    monkeypatch.setattr(linalg, "INT64_MAX", bound)
+    assert min_distance(code, ()) == span[0] ** 2  # x + d is stored for x = (-2, -1)

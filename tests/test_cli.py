@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import latticedex
+from conftest import points_csv_oracle
 from latticedex import InvariantViolation, build_index_code, load_code, quadratic_field
 from latticedex.cli import (
     ExperimentSpec,
@@ -240,6 +241,19 @@ def test_design_from_config_matches_preset(tmp_path):
     assert (a / "example3_code.json").read_bytes() == (b / "example3_code.json").read_bytes()
 
 
+_PRESET_FIXTURES = {"example1": "ex1_code", "example2": "ex2_code", "example3": "ex3_code",
+                    "cyclo-K4": "cyclo_code", "maxreal-K3": "maxreal_code"}
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESET_FIXTURES))
+def test_design_points_csv_matches_the_template(preset, request, tmp_path):
+    # the embedding text comes from the codec's float formatting, each float as %r prints it
+    assert set(_PRESET_FIXTURES) == set(preset_names())
+    assert main(["design", "--preset", preset, "--out-dir", str(tmp_path)]) == 0
+    code = request.getfixturevalue(_PRESET_FIXTURES[preset])
+    assert (tmp_path / f"{preset}_points.csv").read_text() == points_csv_oracle(code)
+
+
 # ---- analyze ----
 
 def test_analyze_preset_table(capsys):
@@ -333,6 +347,39 @@ def test_analyze_rejects_malformed_code_files(tmp_path, capsys):
                            str(tmp_path / "bad0.json")], capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_analyze_refuses_small_edits_of_a_saved_file(tmp_path, capsys):
+    # edits that keep a saved file's layout around them: json decides, and refuses each
+    assert main(["design", "--preset", "example1", "--out-dir", str(tmp_path)]) == 0
+    good = (tmp_path / "example1_code.json").read_text()
+    doc = json.loads(good)
+    last = doc["points"][-1]
+    j = next(j for j, v in enumerate(last["coords"]) if 0 <= v < 9)
+    k, i = next((k, i) for k, w in enumerate(last["label"]) for i, v in enumerate(w) if 0 < v < 9)
+
+    def edited(edit):
+        bad = json.loads(good)
+        edit(bad["points"][-1])
+        return json.dumps(bad, indent=1, sort_keys=True) + "\n"
+
+    cases = {
+        "coordinate digit": edited(lambda pt: pt["coords"].__setitem__(j, pt["coords"][j] + 1)),
+        "label digit": edited(lambda pt: pt["label"][k].__setitem__(i, pt["label"][k][i] + 1)),
+        "true for a label": edited(lambda pt: pt["label"][k].__setitem__(i, True)),
+        "a byte after the end": good + "x",
+        "its end repeated": good + good[good.rindex("\n ],\n"):],  # the header stays canonical
+    }
+    for name, text in cases.items():
+        changed = [a != b for a, b in zip(text, good)]
+        assert name not in ("coordinate digit", "label digit") or (
+            len(text) == len(good) and sum(changed) == 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["analyze", "--code", str(bad)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (name, err)
 
 
 def test_analyze_k_cap_exits_3(capsys):

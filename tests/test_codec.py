@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -761,6 +762,85 @@ def test_code_file_is_the_canonical_json(code, tmp_path_factory):
     again = load_code(path)
     assert again.content_hash() == code.content_hash()
     assert again.to_dict() == doc
+
+
+# where repr switches between positional and exponent notation (1e-4 and 1e16),
+# the subnormal range, the extremes and both zeros
+_FLOAT_EDGES = (0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-05,
+                1.0000000000000001e-05, 9.999999999999999e-05, 0.0001, 1.0000000000000002e-04,
+                9999999999999998.0, 1e16, 1.0000000000000002e16, 1.0, 0.1, 1.7976931348623157e308)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.sampled_from(_FLOAT_EDGES + tuple(-v for v in _FLOAT_EDGES))
+                       | st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=48),
+       cols=st.integers(1, 4), block=st.integers(1, 5))
+def test_float_text_is_repr_of_each_element(values, cols, block):
+    values = values * 2  # every value repeats, in a later block too
+    rows = np.array(values[:len(values) // cols * cols]).reshape(-1, cols)
+    with mock.patch.object(codec, "_POINT_BLOCK", block):
+        blocks = list(codec._float_rows(rows))
+    assert all(len(b) <= block for b in blocks)
+    assert [r for b in blocks for r in b] == [[repr(v) for v in r] for r in rows.tolist()]
+
+
+def test_negative_zero_keeps_its_sign_in_code_files(tmp_path):
+    field = quadratic_field(-1)
+    code = build_index_code(field, [prime_ideals_above(field, p)[0] for p in (2, 5)])
+    assert code.embedded[0].tolist() == [0.0, 0.0]  # the origin, in the same block
+    code.embedded[3, 1] = -0.0
+    doc = code.to_dict()
+    path = tmp_path / "code.json"
+    save_code(code, path)
+    assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    compact = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert "-0.0" in compact and code.content_hash() == hashlib.sha256(compact.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fixture", sorted(_PINNED))
+def test_a_saved_file_loads_without_decoding_its_points(fixture, request, tmp_path, monkeypatch):
+    code = request.getfixturevalue(fixture)
+    path = tmp_path / "code.json"
+    save_code(code, path)
+    decoded, loads = [], json.loads
+    monkeypatch.setattr(json, "load", lambda *a, **kw: pytest.fail("json.load called"))
+    monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or loads(text, **kw))
+    monkeypatch.setattr(codec, "code_from_dict", lambda doc: pytest.fail("code_from_dict called"))
+    again = load_code(path)
+    assert again.content_hash() == code.content_hash()
+    assert np.array_equal(again.coords_matrix, code.coords_matrix)
+    assert decoded and not any('"embedded"' in text for text in decoded)
+
+
+def test_other_json_loads_through_code_from_dict(tmp_path, ex1_code, monkeypatch):
+    path = tmp_path / "code.json"
+    save_code(ex1_code, path)
+    text = path.read_text()
+    doc = json.loads(text)
+    moved = json.loads(text)
+    moved["points"][7]["embedded"][1] *= 1 + 1e-12  # inside the 1e-9 tolerance
+    swapped = json.loads(text)
+    swapped["points"] = [dict(reversed(pt.items())) for pt in doc["points"]]
+    variants = {
+        "compact": json.dumps(doc, sort_keys=True, separators=(",", ":")),
+        "keys reordered": json.dumps(dict(reversed(doc.items())), indent=1),
+        "point keys reordered": json.dumps(swapped, indent=1),
+        "indent 2": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        "trailing spaces": text.replace("\n", " \n"),
+        "no trailing newline": text[:-1],
+        "two trailing newlines": text + "\n",
+        "embedding moved": json.dumps(moved, indent=1, sort_keys=True) + "\n",
+    }
+    calls = []
+    monkeypatch.setattr(codec, "code_from_dict",
+                        lambda d: calls.append(1) or code_from_dict(d))
+    for name, variant in variants.items():
+        assert variant != text, name
+        path.write_text(variant)
+        assert load_code(path).content_hash() == ex1_code.content_hash(), name
+        assert len(calls) == 1, name
+        calls.clear()
 
 
 def _assert_min_energy_points(code, scale=4):
