@@ -450,14 +450,14 @@ def rate(code, s):
 
 
 def _float_rows(values):
-    """repr, as json prints a float, of each float of a 2-D array, _POINT_BLOCK
-    rows at a time; called once per bit pattern (0.0 and -0.0 differ)."""
+    """repr, as json prints a float, of each float of a 2-D array, in object
+    arrays of _POINT_BLOCK rows; called once per bit pattern (0.0 and -0.0 differ)."""
     table = {}
     for i in range(0, values.shape[0], _POINT_BLOCK):
         keys, inverse = np.unique(values[i:i + _POINT_BLOCK].view(np.int64), return_inverse=True)
         text = [table.get(key) or table.setdefault(key, repr(value))
                 for key, value in zip(keys.tolist(), keys.view(np.float64).tolist())]
-        yield np.array(text, dtype=object)[inverse.reshape(-1, values.shape[1])].tolist()
+        yield np.array(text, dtype=object)[inverse.reshape(-1, values.shape[1])]
 
 
 def _canonical_json(code, indent=None):
@@ -468,8 +468,9 @@ def _canonical_json(code, indent=None):
     indent=1 (the file layout), but no file-sized dict or string is built.
     The header goes through json; the points are spliced in where "points"
     sorts, a block of rows at a time, each point from one %-template made by
-    json from a point of placeholders: %d prints a coordinate, and %s the
-    text of a float (_float_rows) or of a prime's label, made once per residue.
+    json from a point of placeholders, and a block from one % of them: %d
+    prints a coordinate, and %s the text of a float (_float_rows) or of a
+    prime's label, made once per residue.
     """
     seps = (",", ": ") if indent else (",", ":")
     dumps = functools.partial(json.dumps, sort_keys=True, indent=indent, separators=seps)
@@ -488,9 +489,9 @@ def _canonical_json(code, indent=None):
     yield head + key
     for i, floats in zip(range(0, code.size, _POINT_BLOCK), _float_rows(code.embedded)):
         res = code.residue_indices[i:i + _POINT_BLOCK]
-        rows = zip(code.coords_matrix[i:i + _POINT_BLOCK].tolist(), floats,
-                   zip(*(text[res[:, j]].tolist() for j, text in enumerate(labels))))
-        yield (sep if i else start) + sep.join([point % (*c, *e, *w) for c, e, w in rows])
+        args = np.concatenate([code.coords_matrix[i:i + _POINT_BLOCK].astype(object), floats]
+                              + [text[res[:, j, None]] for j, text in enumerate(labels)], axis=1)
+        yield (sep if i else start) + sep.join([point] * len(args)) % tuple(args.ravel().tolist())
     yield end + tail
 
 
