@@ -28,6 +28,8 @@ from .presets import resolve_primes
 from .sim import (SimConfig, curve_filename, run_sim, si_gain_from_curves,
                   write_curve_csv)
 
+_SNR_POINTS = 10_000  # points an --snr range may hold: each costs a chunk at least
+
 
 @dataclass
 class ExperimentSpec:
@@ -110,9 +112,12 @@ def _parse_snr(text):
             raise InvalidArgument("snr range bounds and step must be finite")
         if step <= 0:
             raise InvalidArgument("snr step must be positive")
-        grid = []
-        v = start
+        if (stop + 1e-9 - start) // step >= _SNR_POINTS:
+            raise Infeasible(f"snr range {text!r} holds more than {_SNR_POINTS} points")
+        grid, v = [], start
         while v <= stop + 1e-9:
+            if v + step == v:
+                raise Infeasible(f"snr step {step!r} does not advance past {v!r}")
             grid.append(round(v, 9))
             v += step
         return grid

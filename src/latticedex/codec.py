@@ -177,6 +177,19 @@ def _min_energy_representatives(modulus, gram2, m):
         bound2 *= 2.0 ** (2.0 / dim)
 
 
+class PointLookup:
+    """A code's point lookup, picklable without the code: called on (N, m*n) int64 rows, it
+    gives each row's index in coords (one point per coset of I^m), or -1 where it is not."""
+
+    def __init__(self, modulus, m, coords):
+        self.modulus, self.m, self.coords = modulus, m, coords
+        self.cosets = np.argsort(_slot_residues(modulus, coords, m)[1])  # point of each coset
+
+    def __call__(self, u):
+        idx = self.cosets[_slot_residues(self.modulus, u, self.m)[1]]
+        return np.where((self.coords[idx] == u).all(axis=1), idx, -1)
+
+
 class IndexCode:
     """Immutable index code on m copies of O_K; build with build_index_code.
 
@@ -359,15 +372,9 @@ class IndexCode:
         return np.flatnonzero(self.side_index(s) == want)
 
     @functools.cached_property
-    def _coset_points(self):
-        """Point index of each coset of I^m by its index in (O_K/I)^m: an inverse permutation."""
-        return np.argsort(_slot_residues(self.modulus, self.coords_matrix, self.m)[1])
-
-    def point_index(self, u):
-        """Point index of every row of an (N, m*n) int64 coordinate array, or -1
-        where the point stored for the row's coset of I^m is not the row."""
-        idx = self._coset_points[_slot_residues(self.modulus, u, self.m)[1]]
-        return np.where((self.coords_matrix[idx] == u).all(axis=1), idx, -1)
+    def point_index(self):
+        """The code's PointLookup: point_index(u) is each row's point index, or -1."""
+        return PointLookup(self.modulus, self.m, self.coords_matrix)
 
     # ---- code files ----
 

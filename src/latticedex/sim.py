@@ -6,10 +6,10 @@ unit second moment per real coordinate, or per place of K (fade_per_complex).
 Trials run in fixed chunks of 4096 with a counter-based generator keyed by
 (seed, point index, chunk index), so results are bit-identical across runs
 and across worker counts: chunks are always consumed in index order and the
-stop rule is applied in that order.  Codes below _KEEP_POINTS points run
-their chunks on one process pool kept across calls, each call's context sent
-pickled; a larger code runs them on a pool forked for the call, which
-inherits the context through fork and is shut down before the call returns.
+stop rule is applied in that order.  With more than one worker (at most
+_CPU_WORKERS per core), every code runs on one process pool kept across calls.
+Workers forked during a call inherit its context; older ones load it once from
+a file in the temp directory (TMPDIR applies), which the call then removes.
 
 Detection is exact ML over the points that agree with the side information,
 a coset x_g + Psi(G~ I_S^m) of the constellation, on every code (any m and
@@ -38,6 +38,7 @@ import math
 import numbers
 import os
 import pickle
+import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, Unsupported
+from .errors import Infeasible, InvalidArgument, Unsupported
 from .numberfield.field import _is_integer
 from .numberfield.linalg import check_int64, column_max, fp_search, lll_gram, product_bounds
 
@@ -55,7 +56,7 @@ _SEARCH_MIN = 1024  # group size from which _search beats _brute: 2x its time at
 _SEARCH_TILE = 2048  # trials per search tile
 _SEARCH_ROWS = 1 << 15  # rows a search tile may hold at one level
 _TASK_CHUNKS = 4  # chunks per task of run_sim's sweep loop
-_KEEP_POINTS = 1024  # smaller codes use the kept pool: contexts of a few 100 kB at most
+_CPU_WORKERS = 4  # workers per core resolve_workers allows: a pool starts all of them at once
 _RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # E[h^2] = 1
 _Z95 = 1.959963984540054
 
@@ -142,13 +143,16 @@ class SimConfig:
 
 
 def resolve_workers(requested):
-    """Worker count after the LATTICEDEX_THREADS cap (None = auto-detect)."""
+    """Worker count after the LATTICEDEX_THREADS cap (None = auto-detect);
+    more than _CPU_WORKERS per core is refused."""
     cap = os.environ.get("LATTICEDEX_THREADS")
     if cap and not (cap.strip().isdecimal() and int(cap) >= 1):
         raise InvalidArgument("LATTICEDEX_THREADS must be a positive integer")
     n = requested if requested is not None else (os.cpu_count() or 1)
     if cap:
         n = min(n, int(cap))
+    if n > _CPU_WORKERS * (os.cpu_count() or 1):
+        raise Infeasible(f"{n} workers exceed {_CPU_WORKERS} per core")
     return max(n, 1)
 
 
@@ -162,14 +166,9 @@ def confidence_interval(errors, trials):
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
     half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
-    lo = max(center - half, 0.0)
-    hi = min(center + half, 1.0)
     # center-half is analytically 0 (resp. 1) at the endpoints; kill float dust
-    if errors == 0:
-        lo = 0.0
-    if errors == trials:
-        hi = 1.0
-    return (lo, hi)
+    return (0.0 if errors == 0 else max(center - half, 0.0),
+            1.0 if errors == trials else min(center + half, 1.0))
 
 
 # ============================================================
@@ -211,7 +210,7 @@ def _search_lattice(code, s, groups):
         "ebasis": code.gamma * (np.kron(np.eye(code.m), code.field.embed_matrix) @ points),
         "bound": bound,
         "first": np.array([g["cand"][0] for g in groups]),
-        "code": code,
+        "lookup": code.point_index,
     }
 
 
@@ -333,8 +332,8 @@ def _search(lat, enorm, a, y, h, pids):
         radius2 += (R[:, i, i] * (c - v)) ** 2
         babai[:, :i] -= R[:, :i, i] * v[:, None]
     tr, V, _ = fp_search(R, w, radius2, lat["bound"], _SEARCH_ROWS)
-    code = lat["code"]
-    idx = code.point_index(code.coords_matrix[first[tr]] + V @ lat["basis"].T)
+    lookup = lat["lookup"]
+    idx = lookup(lookup.coords[first[tr]] + V @ lat["basis"].T)
     tr, idx = tr[idx >= 0], idx[idx >= 0]
     det = np.full(t, -1, dtype=np.int64)
     if tr.shape[0]:
@@ -390,22 +389,20 @@ def _run_chunks(ctx, point_idx, c0, c1, need):
     return counts
 
 
-_CALL = (None, None)  # in a pool worker: (pickled context or None, context) it runs on
+_CALL = (None, None)  # (key, context): a pool worker's last call, in the caller the running one
 _KEPT = (None, None, None)  # (pid, workers, executor): the pool kept across calls
 _KEPT_LOCK = threading.Lock()
+_KEYS = itertools.count()  # one key per pooled call, never reused in the process
 
 
-def _pool_init(ctx):
+def _pool_chunks(key, path, *task):
+    """_run_chunks in a pool worker on call key's context, inherited through fork or loaded
+    from path once; a surplus task that outlives its call finds no file and fails unread."""
     global _CALL
-    _CALL = None, ctx
-
-
-def _pool_chunks(blob, *task):
-    """_run_chunks in a pool worker, on the context it was forked with (blob
-    None) or on a pickled one, unpickled when it differs from the last."""
-    global _CALL
-    if _CALL[0] != blob:
-        _CALL = blob, pickle.loads(blob)
+    if _CALL[0] != key:
+        _CALL = None, None  # drop the last context before loading the next
+        with open(path, "rb") as fh:
+            _CALL = key, pickle.load(fh)
     return _run_chunks(_CALL[1], *task)
 
 
@@ -441,22 +438,27 @@ def _sweep(config, submit, ahead):
                 break
 
 
-def _kept_sweep(config, blob, workers):
-    """_sweep on the pool kept across calls, made anew for another worker
-    count, in a forked child, or once more when a worker has died."""
-    global _KEPT
-    for retry in (False, True):
-        if retry or _KEPT[:2] != (os.getpid(), workers):
-            if _KEPT[0] == os.getpid():  # not a pool inherited through fork
-                _KEPT[2].shutdown(cancel_futures=True)
-            _KEPT = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
-        pool = _KEPT[2]
-        try:
-            return _sweep(config, lambda *task: pool.submit(
-                _pool_chunks, blob, *task).result, 2 * workers)
-        except BrokenProcessPool:
-            if retry:
-                raise
+def _kept_sweep(config, ctx, call, workers):
+    """_sweep on the pool kept across calls, made anew for another worker count, in a forked
+    child, or once more when a worker has died; workers forked meanwhile start with _CALL."""
+    global _KEPT, _CALL
+    _CALL = call[0], ctx
+    try:
+        for retry in (False, True):
+            if retry or _KEPT[:2] != (os.getpid(), workers):
+                if _KEPT[0] == os.getpid():  # not a pool inherited through fork
+                    _KEPT[2].shutdown(cancel_futures=True)
+                _KEPT = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+            pool = _KEPT[2]
+            try:
+                return _sweep(config, lambda *task: pool.submit(
+                    _pool_chunks, *call, *task).result, 2 * workers)
+            except BrokenProcessPool:
+                if retry:
+                    pool.shutdown()  # no worker outlives the error
+                    raise
+    finally:
+        _CALL = None, None
 
 
 def run_sim(config):
@@ -467,21 +469,15 @@ def run_sim(config):
     where min_errors or max_trials is reached, so the result depends neither
     on the worker count nor on the task size.
     """
-    ctx = _build_ctx(config)
     workers = resolve_workers(config.workers)
+    ctx = _build_ctx(config)
     if workers == 1:  # each task runs when it is read, after the one before
         errors, chunks = _sweep(config, lambda *task: lambda: _run_chunks(ctx, *task), 1)
-    elif config.code.size < _KEEP_POINTS:
-        blob = pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)
-        with _KEPT_LOCK:
-            errors, chunks = _kept_sweep(config, blob, workers)
-    else:  # the context reaches the workers through fork, not through a pipe
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(ctx,))
-        try:
-            errors, chunks = _sweep(config, lambda *task: pool.submit(
-                _pool_chunks, None, *task).result, 2 * workers)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    else:  # the context file is made 0600 and exclusive, and removed on leaving the block
+        with _KEPT_LOCK, tempfile.NamedTemporaryFile(prefix="latticedex-") as fh:
+            pickle.dump(ctx, fh, pickle.HIGHEST_PROTOCOL)
+            fh.flush()
+            errors, chunks = _kept_sweep(config, ctx, (next(_KEYS), fh.name), workers)
     points = [SimPoint(snr, e, c * CHUNK, e / (c * CHUNK), *confidence_interval(e, c * CHUNK))
               for snr, e, c in zip(config.snr_db, errors, chunks)]
     return SimResult(
@@ -565,18 +561,10 @@ def write_curve_csv(path, result):
 
 
 def read_curve_csv(path):
-    points = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            points.append(SimPoint(
-                snr_db=float(row["snr_db"]),
-                errors=int(row["errors"]),
-                trials=int(row["trials"]),
-                ser=float(row["ser"]),
-                ci_low=float(row["ci_low"]),
-                ci_high=float(row["ci_high"]),
-            ))
-    return tuple(points)
+        return tuple(SimPoint(float(row["snr_db"]), int(row["errors"]), int(row["trials"]),
+                              float(row["ser"]), float(row["ci_low"]), float(row["ci_high"]))
+                     for row in csv.DictReader(fh))
 
 
 def _curve_points(curve):

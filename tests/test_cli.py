@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from latticedex.cli import (
     resolve_primes,
     spec_from_preset,
 )
-from latticedex.errors import InvalidArgument
+from latticedex.errors import Infeasible, InvalidArgument
 from latticedex.presets import PRESETS, preset_field_and_primes, preset_names
 
 
@@ -103,6 +104,32 @@ def test_parse_snr():
     for text in ("a", "10,x", "1:a:2"):
         with pytest.raises(InvalidArgument, match="not a number"):
             _parse_snr(text)
+
+
+def _range_until_it_ends(start, stop, step):
+    """The range loop before its bounds, for ranges that end."""
+    grid, v = [], start
+    while v <= stop + 1e-9:
+        grid.append(round(v, 9))
+        v += step
+    return grid
+
+
+def test_snr_ranges_are_bounded_and_keep_their_values(tmp_path):
+    for a, b, c in [PRESETS[name]["snr"][ch] for name in PRESETS for ch in PRESETS[name]["snr"]]:
+        assert _parse_snr(f"{a}:{b - 1}:{c}") == [float(v) for v in range(a, b, c)]
+    for text, args in (("10:20:2", (10.0, 20.0, 2.0)), ("0:30:0.1", (0.0, 30.0, 0.1)),
+                       ("-5:5:0.25", (-5.0, 5.0, 0.25)), ("0:9999:1", (0.0, 9999.0, 1.0))):
+        assert repr(_parse_snr(text)) == repr(_range_until_it_ends(*args))
+    assert len(_parse_snr("0:9999:1")) == 10_000
+    # past 2**53 v += 1 stopped moving v: the grid grew until memory ran out
+    for text in ("0:10000:1", "0:1e300:1", "1e20:1e20:1", "0:1:1e-300"):
+        with pytest.raises(Infeasible, match="snr"):
+            _parse_snr(text)
+    t = time.perf_counter()
+    assert main(["simulate", "--preset", "example1", "--snr", "0:1e300:1",
+                 "--out-dir", str(tmp_path)]) == 3
+    assert time.perf_counter() - t < 10 and not os.listdir(tmp_path)
 
 
 def test_parse_sets():

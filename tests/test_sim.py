@@ -2,9 +2,11 @@ import itertools
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +28,7 @@ from latticedex import (
     write_curve_csv,
 )
 from latticedex import sim
+from latticedex.cli import main as cli_main
 from latticedex.errors import Infeasible
 from latticedex.numberfield import linalg
 from latticedex.presets import preset_snr_grid
@@ -116,21 +119,26 @@ def test_rerun_is_bit_identical(ex1_code):
     assert r1 == r2
 
 
-def test_worker_count_does_not_change_results(ex1_code, ex2_code, tmp_path):
-    # calls with 1, 2, 3 and again 2 workers, interleaved over two codes and both
-    # channels: one pool serves several codes and is replaced when the count changes.
-    # Each grid has a point that stops on its first chunk and one whose chunks span
-    # more than one task.
-    grids = {"awgn": (10.0, 22.0, 24.0, 26.0), "rayleigh": (10.0, 32.0, 36.0, 40.0, 44.0)}
+def test_worker_count_does_not_change_results(ex1_code, ex2_code, maxreal_code, cyclo_code,
+                                             tmp_path):
+    # calls with 1, 2, 3 and again 2 workers, interleaved over codes of 49 to 14641 points and
+    # both channels: one pool serves every code and is replaced when the count changes.  The
+    # sphere search decides maxreal-K3 on S = {} and cyclo-K4 on S = {1} (1331 points a group),
+    # brute force maxreal-K3 on S = {1} (169 points a group).  Each grid has a point that stops
+    # on its first chunk and one whose chunks span more than one task.
+    small = {"awgn": (10.0, 22.0, 24.0, 26.0), "rayleigh": (10.0, 32.0, 36.0, 40.0, 44.0)}
+    large = {"awgn": (10.0, 20.0, 28.0), "rayleigh": (10.0, 28.0, 36.0)}
+    cases = [(ex1_code, (), small), (ex2_code, (), small), (maxreal_code, (), large),
+             (maxreal_code, (1,), large), (cyclo_code, (1,), large)]
     want = {}
     for workers in (1, 2, 3, 2):
-        for code in (ex1_code, ex2_code):
+        for code, s, grids in cases:
             for channel, grid in grids.items():
-                res = run_sim(_cfg(code, channel=channel, snr_db=grid, min_errors=60,
-                                   max_trials=10 * sim.CHUNK, workers=workers))
+                res = run_sim(_cfg(code, channel=channel, side_info=s, snr_db=grid,
+                                   min_errors=60, max_trials=10 * sim.CHUNK, workers=workers))
                 path = tmp_path / f"w{workers}.csv"
                 write_curve_csv(path, res)
-                key = (code.content_hash(), channel)
+                key = (code.content_hash(), s, channel)
                 if workers == 1:
                     trials = [p.trials for p in res.points]
                     assert trials[0] == sim.CHUNK and max(trials) > sim._TASK_CHUNKS * sim.CHUNK
@@ -197,31 +205,99 @@ def test_calls_from_several_threads(ex1_code):
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must see the patched _run_chunk")
-def test_a_pool_forked_for_one_call_ends_with_it(ex1_code, monkeypatch):
-    monkeypatch.setattr(sim, "_KEEP_POINTS", 0)  # as for a code of 1024 points or more
-    cfg = dict(snr_db=(10.0, 22.0, 24.0), min_errors=60, max_trials=10 * sim.CHUNK)
-    before, seen, sweep = _pids(), [], sim._sweep
+def test_a_worker_death_mid_call_reruns_the_sweep_once(maxreal_code, monkeypatch, tmp_path):
+    # a worker killed mid-call breaks the kept pool: the sweep reruns once, on a new pool, to
+    # the same result.  A second death raises.  Neither leaves a worker behind, nor the call's
+    # context file, which lives in TMPDIR while the call runs.
+    tmp, kills = tmp_path / "tmp", tmp_path / "kills"
+    tmp.mkdir()
+    kills.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    cfg = dict(snr_db=(10.0, 24.0), min_errors=2000, max_trials=10 * sim.CHUNK)
+    want = run_sim(_cfg(maxreal_code, workers=1, **cfg)).points
+    assert want[1].trials > 5 * sim.CHUNK  # chunk 5 of point 1 is read
+    before, me, run_chunk, sweep, listed = _pids(), os.getpid(), sim._run_chunk, sim._sweep, []
 
-    def record(*args):  # the call's workers, just before run_sim shuts its pool down
-        out = sweep(*args)
-        seen.extend(_pids() - before)
-        return out
-
-    monkeypatch.setattr(sim, "_sweep", record)
-    want = run_sim(_cfg(ex1_code, workers=1, **cfg)).points
-    assert run_sim(_cfg(ex1_code, workers=2, **cfg)).points == want
-    assert len(seen) == 2 and _pids() == before
-    me, run_chunk = os.getpid(), sim._run_chunk
-
-    def die(ctx, point_idx, chunk_idx):
-        if os.getpid() != me and chunk_idx == 5:
-            os.kill(os.getpid(), signal.SIGKILL)
+    def die(ctx, point_idx, chunk_idx):  # one death per file in kills
+        if os.getpid() != me and (point_idx, chunk_idx) == (1, 5):
+            try:
+                os.remove(next(kills.iterdir()))
+            except (StopIteration, FileNotFoundError):
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
         return run_chunk(ctx, point_idx, chunk_idx)
 
+    def listing(*args):
+        listed.append([p.name for p in tmp.iterdir()])
+        return sweep(*args)
+
     monkeypatch.setattr(sim, "_run_chunk", die)
+    monkeypatch.setattr(sim, "_sweep", listing)
+    workers = 3 if sim._KEPT[1] == 2 else 2  # a pool started after the patch
+    (kills / "0").touch()
+    assert run_sim(_cfg(maxreal_code, workers=workers, **cfg)).points == want
+    (kills / "1").touch()
+    (kills / "2").touch()
     with pytest.raises(BrokenProcessPool):
-        run_sim(_cfg(ex1_code, workers=2, **cfg))
-    assert _pids() == before
+        run_sim(_cfg(maxreal_code, workers=workers, **cfg))
+    assert list(kills.iterdir()) == [] and len(listed) == 4
+    assert all(len(names) == 1 and names[0].startswith("latticedex-") for names in listed)
+    assert list(tmp.iterdir()) == [] and not _pids() - before
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must see the patched pickle.load")
+def test_each_worker_gets_a_call_context_once(ex1_code, monkeypatch, tmp_path):
+    # workers forked during a call start with its context; a worker kept from an earlier
+    # call loads the context from the call's file once, however many tasks it runs
+    log, load = tmp_path / "loads", pickle.load
+
+    def logged(fh):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return load(fh)
+
+    monkeypatch.setattr(pickle, "load", logged)
+    workers = 3 if sim._KEPT[1] == 2 else 2  # a pool started after the patch
+    cfg = dict(snr_db=(10.0, 22.0, 24.0), min_errors=60, max_trials=10 * sim.CHUNK,
+               workers=workers)
+    want = run_sim(_cfg(ex1_code, **cfg)).points
+    assert not log.exists()
+    for seed in (8, 7):
+        res = run_sim(_cfg(ex1_code, seed=seed, **cfg)).points
+        pids = log.read_text().split()
+        log.unlink()
+        assert len(pids) == len(set(pids)) and 1 <= len(pids) <= workers, pids
+    assert res == want
+
+
+def test_the_search_context_holds_no_code(cyclo_code):
+    # what a pool worker loads per call: the point lookup, not the IndexCode behind it
+    ctx = sim._build_ctx(_cfg(cyclo_code, channel="rayleigh", snr_db=(20.0,)))
+    assert ctx["lattice"]["lookup"] is cyclo_code.point_index
+    assert b"IndexCode" not in pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)
+
+
+def test_a_worker_count_above_the_bound_starts_no_pool(ex1_code, monkeypatch, tmp_path):
+    # a pool starts all its workers at the first task: 100000 would fork 100000 interpreters
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.delenv("LATTICEDEX_THREADS", raising=False)
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", refuse)
+    top = sim._CPU_WORKERS * (os.cpu_count() or 1)
+    assert resolve_workers(top) == top
+    for n in (top + 1, 100_000):
+        with pytest.raises(Infeasible, match="workers"):
+            resolve_workers(n)
+        with pytest.raises(Infeasible):
+            run_sim(_cfg(ex1_code, workers=n))
+    assert cli_main(["simulate", "--preset", "example1", "--snr", "10", "--trials", "4096",
+                     "--workers", "100000", "--out-dir", str(tmp_path)]) == 3
+    monkeypatch.setenv("LATTICEDEX_THREADS", "2")  # the bound applies after the cap
+    assert resolve_workers(100_000) == 2
 
 
 # ---- statistical sanity ----
