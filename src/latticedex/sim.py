@@ -9,7 +9,9 @@ and across worker counts: chunks are always consumed in index order and the
 stop rule is applied in that order.  With more than one worker (at most
 _CPU_WORKERS per core), every code runs on one process pool kept across calls.
 Workers forked during a call inherit its context; older ones load it once from
-a file in the temp directory (TMPDIR applies), which the call then removes.
+a file in the temp directory (TMPDIR applies), which the call then removes, and
+unpickle it only if it is the file the call made.  An idle kept worker holds
+the last call's context until the next call or the interpreter's exit.
 
 Detection is exact ML over the points that agree with the side information,
 a coset x_g + Psi(G~ I_S^m) of the constellation, on every code (any m and
@@ -166,9 +168,14 @@ def confidence_interval(errors, trials):
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
     half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    lo = max(center - half, 0.0)
+    hi = min(center + half, 1.0)
     # center-half is analytically 0 (resp. 1) at the endpoints; kill float dust
-    return (0.0 if errors == 0 else max(center - half, 0.0),
-            1.0 if errors == trials else min(center + half, 1.0))
+    if errors == 0:
+        lo = 0.0
+    if errors == trials:
+        hi = 1.0
+    return (lo, hi)
 
 
 # ============================================================
@@ -395,13 +402,19 @@ _KEPT_LOCK = threading.Lock()
 _KEYS = itertools.count()  # one key per pooled call, never reused in the process
 
 
-def _pool_chunks(key, path, *task):
+def _pool_chunks(key, path, ident, *task):
     """_run_chunks in a pool worker on call key's context, inherited through fork or loaded
-    from path once; a surplus task that outlives its call finds no file and fails unread."""
+    from path once.  Only the call's own file is unpickled: this user's, with ident as its
+    (st_dev, st_ino).  A surplus task that outlives its call may find the path gone or
+    remade by anyone with the temp directory's access; it fails before reading."""
     global _CALL
     if _CALL[0] != key:
         _CALL = None, None  # drop the last context before loading the next
-        with open(path, "rb") as fh:
+        # O_NOFOLLOW: no symlink is followed; O_NONBLOCK: a FIFO at the path does not block
+        with open(os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK), "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if (st.st_dev, st.st_ino, st.st_uid) != (*ident, os.geteuid()):
+                raise FileNotFoundError(f"the context file of call {key} is gone from {path}")
             _CALL = key, pickle.load(fh)
     return _run_chunks(_CALL[1], *task)
 
@@ -477,7 +490,9 @@ def run_sim(config):
         with _KEPT_LOCK, tempfile.NamedTemporaryFile(prefix="latticedex-") as fh:
             pickle.dump(ctx, fh, pickle.HIGHEST_PROTOCOL)
             fh.flush()
-            errors, chunks = _kept_sweep(config, ctx, (next(_KEYS), fh.name), workers)
+            st = os.fstat(fh.fileno())
+            call = (next(_KEYS), fh.name, (st.st_dev, st.st_ino))
+            errors, chunks = _kept_sweep(config, ctx, call, workers)
     points = [SimPoint(snr, e, c * CHUNK, e / (c * CHUNK), *confidence_interval(e, c * CHUNK))
               for snr, e, c in zip(config.snr_db, errors, chunks)]
     return SimResult(
@@ -561,10 +576,18 @@ def write_curve_csv(path, result):
 
 
 def read_curve_csv(path):
+    points = []
     with open(path, newline="") as fh:
-        return tuple(SimPoint(float(row["snr_db"]), int(row["errors"]), int(row["trials"]),
-                              float(row["ser"]), float(row["ci_low"]), float(row["ci_high"]))
-                     for row in csv.DictReader(fh))
+        for row in csv.DictReader(fh):
+            points.append(SimPoint(
+                snr_db=float(row["snr_db"]),
+                errors=int(row["errors"]),
+                trials=int(row["trials"]),
+                ser=float(row["ser"]),
+                ci_low=float(row["ci_low"]),
+                ci_high=float(row["ci_high"]),
+            ))
+    return tuple(points)
 
 
 def _curve_points(curve):

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -271,6 +272,101 @@ def test_each_worker_gets_a_call_context_once(ex1_code, monkeypatch, tmp_path):
         log.unlink()
         assert len(pids) == len(set(pids)) and 1 <= len(pids) <= workers, pids
     assert res == want
+
+
+class _Trap:
+    """Unpickling it makes the file at path: what a planted pickle could run instead."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def _blocks(fn, *args):
+    """Whether fn(*args) is still running after 10 s, in a daemon thread."""
+    done = threading.Event()
+
+    def run():
+        try:
+            fn(*args)
+        except OSError:
+            pass
+        done.set()
+
+    threading.Thread(target=run, daemon=True).start()
+    return not done.wait(10)
+
+
+def test_a_worker_unpickles_only_its_call_s_own_file(ex1_code, monkeypatch, tmp_path):
+    # a task still queued when its call ends finds the context file gone, and anyone may make
+    # a file at that path: a worker unpickles only the file the call made
+    monkeypatch.setattr(sim, "_CALL", (None, None))
+    marker, path, held = tmp_path / "unpickled", tmp_path / "latticedex-ctx", tmp_path / "held"
+    ctx = sim._build_ctx(_cfg(ex1_code, snr_db=(10.0,)))
+    path.write_bytes(pickle.dumps(ctx))
+    st = os.stat(path)
+    ident, task = (st.st_dev, st.st_ino), (0, 0, 1, 1)
+    os.rename(path, held)  # the call's file, alive under another name: its inode is not reused
+    path.write_bytes(pickle.dumps(_Trap(marker)))
+    with pytest.raises(FileNotFoundError, match="gone"):
+        sim._pool_chunks(next(sim._KEYS), str(path), ident, *task)
+    path.unlink()
+    path.symlink_to(held)  # the call's own file, reached through a symlink
+    with pytest.raises(OSError):
+        sim._pool_chunks(next(sim._KEYS), str(path), ident, *task)
+    path.unlink()
+    os.mkfifo(path)  # a worker that waited for its writer would serve no call again
+    blocked = _blocks(sim._pool_chunks, next(sim._KEYS), str(path), ident, *task)
+    if blocked:
+        os.close(os.open(path, os.O_WRONLY))  # lets the blocked reader go
+    assert not blocked
+    path.unlink()
+    os.rename(held, path)
+    real = os.geteuid()
+    monkeypatch.setattr(os, "geteuid", lambda: real + 1)  # the file of another user
+    with pytest.raises(FileNotFoundError, match="gone"):
+        sim._pool_chunks(next(sim._KEYS), str(path), ident, *task)
+    monkeypatch.undo()
+    monkeypatch.setattr(sim, "_CALL", (None, None))
+    assert sim._pool_chunks(next(sim._KEYS), str(path), ident, *task) == \
+        sim._run_chunks(ctx, *task)
+    assert not marker.exists()
+
+
+def test_a_file_remade_at_the_path_after_a_call_is_never_unpickled(ex1_code, monkeypatch,
+                                                                     tmp_path):
+    # on the kept pool: a task of a call that has returned, replayed under a key no worker
+    # holds, fails in the worker before it unpickles the file now at the call's path, and
+    # leaves the worker able to serve the next call
+    tmp, marker, held, calls = tmp_path / "tmp", tmp_path / "unpickled", tmp_path / "held", []
+    tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    kept_sweep = sim._kept_sweep
+
+    def hold(config, ctx, call, workers):  # keeps the file's inode from being reused
+        calls.append(call)
+        os.link(call[1], held)
+        return kept_sweep(config, ctx, call, workers)
+
+    monkeypatch.setattr(sim, "_kept_sweep", hold)
+    cfg = dict(snr_db=(10.0, 22.0, 24.0), min_errors=60, max_trials=10 * sim.CHUNK)
+    want = run_sim(_cfg(ex1_code, workers=1, **cfg)).points
+    assert run_sim(_cfg(ex1_code, workers=2, **cfg)).points == want
+    (key, path, ident), = calls
+    assert not os.path.exists(path)
+    with open(path, "xb") as fh:
+        pickle.dump(_Trap(marker), fh)
+    for _ in range(4):  # more tasks than workers: every worker gets one, or runs two
+        err = sim._KEPT[2].submit(sim._pool_chunks, next(sim._KEYS), path, ident,
+                                  0, 0, 1, 1).exception(timeout=120)
+        assert isinstance(err, FileNotFoundError)
+    assert not marker.exists()
+    os.remove(path)
+    monkeypatch.setattr(sim, "_kept_sweep", kept_sweep)
+    assert run_sim(_cfg(ex1_code, workers=2, **cfg)).points == want
 
 
 def test_the_search_context_holds_no_code(cyclo_code):
