@@ -20,12 +20,12 @@ from dataclasses import asdict, dataclass, field as dc_field
 from . import presets as preset_lib
 from .analysis import (diversity_and_product_distance, side_info_gain,
                        side_info_sets)
-from .codec import _float_rows, build_index_code, load_code, save_code
+from .codec import build_index_code, load_code, save_code, save_points_csv
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
 from .numberfield import field_from_dict
 from .presets import resolve_primes
-from .sim import (SimConfig, curve_filename, run_sim, si_gain_from_curves,
+from .sim import (SimConfig, curve_filename, resolve_workers, run_sim, si_gain_from_curves,
                   write_curve_csv)
 
 _SNR_POINTS = 10_000  # points an --snr range may hold: each costs a chunk at least
@@ -176,16 +176,7 @@ def cmd_design(args):
     code_path = os.path.join(spec.out_dir, f"{spec.label}_code.json")
     points_path = os.path.join(spec.out_dir, f"{spec.label}_points.csv")
     save_code(code, code_path)
-    k, n = code.labels.shape[1:]
-    # index, label "(w_1)|...|(w_K)", coordinates, embedding (the code file's float text)
-    row = ("%d," + "|".join(["(" + " ".join(["%d"] * n) + ")"] * k)
-           + ",%d" * n + ",%s" * n + "\n")
-    with open(points_path, "w") as fh:
-        fh.write(",".join(["index", "label"] + [f"c{i}" for i in range(n)]
-                          + [f"x{i}" for i in range(n)]) + "\n")
-        fh.writelines(row % (i, *w, *c, *x) for i, (w, c, x) in enumerate(zip(
-            code.labels.reshape(code.size, k * n).tolist(), code.coords_matrix.tolist(),
-            (x for block in _float_rows(code.embedded) for x in block))))
+    save_points_csv(code, points_path)  # index, label, coordinates, the file's float text
     print(f"{code.field.describe()}; K={len(code.primes)}; {code.size} points")
     print(f"wrote {code_path}")
     print(f"wrote {points_path}")
@@ -268,6 +259,7 @@ def cmd_simulate(args):
     if args.min_errors is not None and args.min_errors < 1:
         raise InvalidArgument("--min-errors must be at least 1")
     spec = _load_spec(args)
+    resolve_workers(spec.workers)  # a bad worker count or LATTICEDEX_THREADS before the build
     code = build_from_spec(spec)
     k = len(code.primes)
     if args.sets:

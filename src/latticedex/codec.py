@@ -18,10 +18,10 @@ reproducible.  Message components are canonical HNF residues of O_K / p_k;
 finite-field operations are ring operations followed by reduction.
 
 A plain code's file is the JSON of to_dict() with sorted keys: save_code
-writes it with indent=1, and content_hash is the SHA-256 of its compact form.
-Both stream the text from one emitter, which load_code runs to check a saved
-file byte for byte; code_from_dict checks any other file against what the
-math requires, reading each prime from its HNF alone.
+writes it with indent=1, content_hash hashes its compact form (SHA-256) and
+save_points_csv writes its points as CSV, all from one emitter, which
+load_code runs to check a saved file byte for byte; code_from_dict checks any
+other file against what the math requires, reading each prime from its HNF.
 """
 
 from __future__ import annotations
@@ -467,6 +467,16 @@ def _float_rows(values):
         yield np.array(text, dtype=object)[inverse.reshape(-1, values.shape[1])]
 
 
+def _point_blocks(code, label):
+    """(first index, rows) of each block of _POINT_BLOCK points: an object array, a row per point
+    of its int coordinates, float text (_float_rows) and label text (label % residue)."""
+    labels = [np.array([label % r for r in p.residues()], dtype=object) for p in code.primes]
+    for i, floats in zip(range(0, code.size, _POINT_BLOCK), _float_rows(code.embedded)):
+        res = code.residue_indices[i:i + _POINT_BLOCK]
+        yield i, np.concatenate([code.coords_matrix[i:i + _POINT_BLOCK].astype(object), floats]
+                                + [text[res[:, j, None]] for j, text in enumerate(labels)], axis=1)
+
+
 def _canonical_json(code, indent=None):
     """The canonical JSON of a plain code's file, in chunks.
 
@@ -474,10 +484,8 @@ def _canonical_json(code, indent=None):
     separators (",", ":") (indent=None, what content_hash hashes) or with
     indent=1 (the file layout), but no file-sized dict or string is built.
     The header goes through json; the points are spliced in where "points"
-    sorts, a block of rows at a time, each point from one %-template made by
-    json from a point of placeholders, and a block from one % of them: %d
-    prints a coordinate, and %s the text of a float (_float_rows) or of a
-    prime's label, made once per residue.
+    sorts, a block of _point_blocks at a time: each point from one %-template
+    made by json from a point of placeholders, a block from one % of them.
     """
     seps = (",", ": ") if indent else (",", ":")
     dumps = functools.partial(json.dumps, sort_keys=True, indent=indent, separators=seps)
@@ -492,12 +500,8 @@ def _canonical_json(code, indent=None):
     else:
         start, sep, end = "[", ",", "]"
     point = point.replace('"%d"', "%d").replace('"%s"', "%s")
-    labels = [np.array([label % r for r in p.residues()], dtype=object) for p in code.primes]
     yield head + key
-    for i, floats in zip(range(0, code.size, _POINT_BLOCK), _float_rows(code.embedded)):
-        res = code.residue_indices[i:i + _POINT_BLOCK]
-        args = np.concatenate([code.coords_matrix[i:i + _POINT_BLOCK].astype(object), floats]
-                              + [text[res[:, j, None]] for j, text in enumerate(labels)], axis=1)
+    for i, args in _point_blocks(code, label):
         yield (sep if i else start) + sep.join([point] * len(args)) % tuple(args.ravel().tolist())
     yield end + tail
 
@@ -507,6 +511,19 @@ def save_code(code, path):
     with open(path, "w") as fh:
         fh.writelines(_canonical_json(code, indent=1))
         fh.write("\n")
+
+
+def save_points_csv(code, path):
+    """Write the points CSV: index, label "(w_1)|...|(w_K)", c and x (the code file's text)."""
+    if not code.is_plain:
+        raise Unsupported("points CSVs hold only m = 1 codes with the identity generator")
+    k, n = code.labels.shape[1:]
+    row = "%d," + "|".join(["%s"] * k) + ",%d" * n + ",%s" * n + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(["index", "label", *(f"{c}{i}" for c in "cx" for i in range(n))]) + "\n")
+        for i, args in _point_blocks(code, "(" + " ".join(["%d"] * n) + ")"):
+            args = np.c_[np.arange(i, i + len(args), dtype=object), args[:, -k:], args[:, :-k]]
+            fh.write(row * len(args) % tuple(args.ravel().tolist()))
 
 
 def load_code(path):

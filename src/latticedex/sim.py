@@ -226,7 +226,8 @@ def _build_ctx(config):
     code = config.code
     field = code.field
     pid = code.side_index(config.side_info)
-    groups = [_group(code, np.flatnonzero(pid == g)) for g in range(int(pid.max()) + 1)]
+    groups = [_group(code, cand) for cand in  # stable: each group in ascending order
+              np.split(np.argsort(pid, kind="stable"), np.cumsum(np.bincount(pid))[:-1])]
     return {
         "channel": config.channel,
         "seed": config.seed,

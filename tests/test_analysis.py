@@ -381,6 +381,15 @@ def test_totally_real_stack():
     assert float(r.ds_sq) <= r.minkowski_upper**2 * (1 + 1e-9)
 
 
+def test_bounds_hold_when_no_bound_applies():
+    # an m = 2 code off the imaginary quadratic PIDs has no gain sandwich to violate
+    field = quadratic_field(-5)
+    code = build_index_code(field, [prime_ideals_above(field, 3)[0]], [[1, 0], [0, 1]])
+    r = side_info_gain(code, (1,))
+    assert (r.lower_bound_db, r.upper_bound_db, r.exact_uniform) == (None, None, False)
+    assert r.bounds_ok and r.to_dict()["bounds_ok"] is True
+
+
 def test_gain_rejects_empty_set(zi_m2):
     with pytest.raises(InvalidArgument):
         side_info_gain(zi_m2, ())

@@ -8,7 +8,8 @@ import pytest
 
 import latticedex
 from conftest import points_csv_oracle
-from latticedex import InvariantViolation, build_index_code, load_code, quadratic_field
+from latticedex import (InvariantViolation, SimConfig, build_index_code, load_code,
+                        quadratic_field, run_sim, write_curve_csv)
 from latticedex.cli import (
     ExperimentSpec,
     _parse_sets,
@@ -233,6 +234,24 @@ def test_bad_seed_and_thread_cap_exit_1(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_bad_worker_settings_are_refused_before_the_build(tmp_path, capsys, monkeypatch):
+    # a worker count or LATTICEDEX_THREADS that run_sim would refuse is refused before the
+    # code is built: on a near-cap config the build costs seconds and hundreds of MB
+    import latticedex.cli as cli_mod
+
+    def no_build(spec):
+        raise AssertionError("the code was built before the worker settings were checked")
+
+    monkeypatch.setattr(cli_mod, "build_from_spec", no_build)
+    run = ["simulate", "--preset", "example1", "--snr", "10", "--trials", "4096",
+           "--out-dir", str(tmp_path)]
+    assert main(run + ["--workers", "100000"]) == 3
+    assert "infeasible" in capsys.readouterr().err
+    monkeypatch.setenv("LATTICEDEX_THREADS", "abc")
+    assert main(run) == 1
+    assert "LATTICEDEX_THREADS" in capsys.readouterr().err
+
+
 # ---- design ----
 
 def test_design_writes_code_and_points(tmp_path, capsys, ex1_code):
@@ -272,13 +291,28 @@ _PRESET_FIXTURES = {"example1": "ex1_code", "example2": "ex2_code", "example3": 
                     "cyclo-K4": "cyclo_code", "maxreal-K3": "maxreal_code"}
 
 
-@pytest.mark.parametrize("preset", sorted(_PRESET_FIXTURES))
+_ONE_PRIME = {"label": "one-prime", "field": {"family": "quadratic", "param": -7},
+              "primes": [{"above": 11, "index": 0}]}
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESET_FIXTURES) + ["one-prime"])
 def test_design_points_csv_matches_the_template(preset, request, tmp_path):
-    # the embedding text comes from the codec's float formatting, each float as %r prints it
+    # the embedding text comes from the codec's float formatting, each float as %r prints it;
+    # a one-prime code (K = 1) has one label per point and no "|"
     assert set(_PRESET_FIXTURES) == set(preset_names())
-    assert main(["design", "--preset", preset, "--out-dir", str(tmp_path)]) == 0
-    code = request.getfixturevalue(_PRESET_FIXTURES[preset])
-    assert (tmp_path / f"{preset}_points.csv").read_text() == points_csv_oracle(code)
+    if preset in _PRESET_FIXTURES:
+        source = ["--preset", preset]
+        code = request.getfixturevalue(_PRESET_FIXTURES[preset])
+    else:
+        config = tmp_path / "one.json"
+        config.write_text(json.dumps(_ONE_PRIME))
+        source = ["--config", str(config)]
+        code = build_from_spec(ExperimentSpec.from_dict(_ONE_PRIME))
+        assert code.num_messages == 1 and code.size == 11
+    assert main(["design", *source, "--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / f"{preset}_points.csv").read_text()
+    assert text == points_csv_oracle(code)
+    assert ("|" in text) == (code.num_messages > 1)
 
 
 # ---- analyze ----
@@ -409,6 +443,21 @@ def test_analyze_refuses_small_edits_of_a_saved_file(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, (name, err)
 
 
+def test_analyze_reports_a_bound_violation(monkeypatch, capsys):
+    import dataclasses
+
+    import latticedex.cli as cli_mod
+
+    real = cli_mod.side_info_gain
+    monkeypatch.setattr(cli_mod, "side_info_gain",
+                        lambda code, s: dataclasses.replace(real(code, s), gamma_db=99.0))
+    assert main(["analyze", "--preset", "example1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [
+        "BOUND VIOLATION at S=(1,)", "BOUND VIOLATION at S=(2,)", "BOUND VIOLATION at S=(1, 2)"]
+    assert all("gamma 99.000000 outside [6.000000, " in line for line in err), err
+
+
 def test_analyze_k_cap_exits_3(capsys):
     assert main(["analyze", "--preset", "example1", "--k-cap", "1"]) == 3
     assert main(["analyze", "--preset", "example1", "--k-cap", "1", "--sets", "all"]) == 3
@@ -446,6 +495,43 @@ def test_simulate_writes_curves_and_gaps(tmp_path, capsys):
     assert base.exists() and s2.exists()
     assert "gap at SER 0.05 for S=[2]" in out
     assert len(base.read_text().splitlines()) == 5
+
+
+def test_simulate_without_an_snr_grid_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**spec_from_preset("example1").to_dict(), "snr_db": [],
+                                "out_dir": str(tmp_path)}))
+    assert main(["simulate", "--config", str(path), "--trials", "4096"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no snr grid") and "Traceback" not in err, err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_gap_at_warns_without_a_base_curve_or_a_crossing(tmp_path, capsys):
+    common = ["simulate", "--preset", "example1", "--snr", "8,12", "--trials", "4096",
+              "--seed", "3", "--workers", "1", "--out-dir", str(tmp_path)]
+    assert main(common + ["--sets", "[[2]]", "--gap-at", "0.05"]) == 0
+    out, err = capsys.readouterr()
+    assert "warning: no S=[] sweep" in err and "gap at" not in out
+    # an SER no curve reaches: the S = {2} gap is skipped with a warning, not an error
+    assert main(common + ["--sets", "[[],[2]]", "--gap-at", "1e-9"]) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("warning: S=[2]: ") and "gap at" not in out, err
+    assert "Traceback" not in err
+
+
+def test_fade_per_complex_flag_reaches_the_sweep(tmp_path, ex2_code):
+    assert main(["simulate", "--preset", "example2", "--channel", "rayleigh",
+                 "--fade-per-complex", "--snr", "14,18", "--sets", "[[]]", "--trials", "8192",
+                 "--min-errors", "50", "--seed", "3", "--workers", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    cfg = dict(code=ex2_code, channel="rayleigh", snr_db=(14.0, 18.0), min_errors=50,
+               max_trials=8192, seed=3, workers=1, label="example2")
+    paired = run_sim(SimConfig(**cfg, fade_per_complex=True))
+    assert paired.points != run_sim(SimConfig(**cfg)).points  # the flag changes the curve
+    write_curve_csv(tmp_path / "want.csv", paired)
+    got = tmp_path / "example2_rayleigh_Snone.csv"
+    assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_simulate_refuses_an_empty_set_list(tmp_path, capsys):

@@ -947,6 +947,14 @@ def test_files_and_simulation_need_the_plain_code(module_codes):
             SimConfig(code=code, channel="awgn", snr_db=(10.0,))
 
 
+def test_points_csv_needs_the_plain_code(zi_m2, tmp_path):
+    # like save_code, the points CSV holds only m = 1 codes; nothing is written for any other
+    path = tmp_path / "points.csv"
+    with pytest.raises(Unsupported):
+        codec.save_points_csv(zi_m2, path)
+    assert not path.exists()
+
+
 def test_public_names_resolve():
     import latticedex
     from latticedex import analysis, numberfield, presets, sim

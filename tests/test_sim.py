@@ -376,6 +376,29 @@ def test_the_search_context_holds_no_code(cyclo_code):
     assert b"IndexCode" not in pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)
 
 
+@pytest.mark.parametrize("s", [(), (1,), (1, 2), (1, 2, 3, 4)])
+def test_side_information_groups_match_a_scan_per_group(cyclo_code, s):
+    # one stable argsort split at the group boundaries gives what one np.flatnonzero pass per
+    # group gave: every group, in order, its points ascending
+    ctx = sim._build_ctx(_cfg(cyclo_code, side_info=s))
+    pid = cyclo_code.side_index(s)
+    want = [np.flatnonzero(pid == g) for g in range(int(pid.max()) + 1)]
+    got = [g["cand"] for g in ctx["groups"]]
+    assert len(got) == len(want) == cyclo_code.size // cyclo_code.subcode_indices(s).shape[0]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("s, counts", [
+    ((1, 2, 3, 4), {"awgn": [(0, 8192)] * 2, "rayleigh": [(0, 8192)] * 2}),
+    ((1, 2), {"awgn": [(2789, 4096), (1453, 4096)], "rayleigh": [(2117, 4096), (912, 4096)]})])
+def test_grouped_sweeps_are_pinned(cyclo_code, s, counts):
+    # fixed-seed curves on 14641 groups of one point and on 121 groups of 121 points
+    for channel, snr in (("awgn", (4.0, 8.0)), ("rayleigh", (8.0, 12.0))):
+        res = run_sim(_cfg(cyclo_code, channel=channel, snr_db=snr, side_info=s, min_errors=50,
+                           max_trials=8192, seed=11))
+        assert [(p.errors, p.trials) for p in res.points] == counts[channel], channel
+
+
 def test_a_worker_count_above_the_bound_starts_no_pool(ex1_code, monkeypatch, tmp_path):
     # a pool starts all its workers at the first task: 100000 would fork 100000 interpreters
     def refuse(*args, **kwargs):
