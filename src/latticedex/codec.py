@@ -20,8 +20,9 @@ finite-field operations are ring operations followed by reduction.
 A plain code's file is the JSON of to_dict() with sorted keys: save_code
 writes it with indent=1, content_hash hashes its compact form (SHA-256) and
 save_points_csv writes its points as CSV, all from one emitter, which
-load_code runs to check a saved file byte for byte; code_from_dict checks any
-other file against what the math requires, reading each prime from its HNF.
+load_code runs to check a saved file byte for byte, reading it twice in blocks
+and never whole; code_from_dict checks any other file, which json decodes
+whole, against what the math requires, reading each prime from its HNF.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ _FILE_KEYS = ("field", "primes", "modulus_hnf", "idempotents", "alphabet_sizes",
 _POINT_KEYS = ("coords", "embedded", "label")  # of each point in a code file
 _POINTS_KEY = '\n "points": '  # in a saved file
 _COORDS = re.compile(r'"coords": \[([^\]]*)\]')
+_READ = 1 << 18  # characters per read of a code file
 
 
 @dataclass(frozen=True)
@@ -508,6 +510,8 @@ def _canonical_json(code, indent=None):
 
 def save_code(code, path):
     """Write the code file: the indent=1, sorted-key JSON of to_dict()."""
+    if not code.is_plain:  # refused before path is opened, so a file there survives
+        raise Unsupported("code files hold only m = 1 codes with the identity generator")
     with open(path, "w") as fh:
         fh.writelines(_canonical_json(code, indent=1))
         fh.write("\n")
@@ -528,33 +532,48 @@ def save_points_csv(code, path):
 
 def load_code(path):
     with open(path) as fh:
-        text = fh.read()
-    return _canonical_code(text) or code_from_dict(json.loads(text))
+        code = _canonical_code(fh)
+        fh.seek(0)
+        return code or code_from_dict(json.loads(fh.read()))
 
 
-def _canonical_code(text):
-    """The code whose save_code text is text, or None: the header (all but the
-    points list, which ends at the last " ]," line) must be canonical JSON, and
-    the code built from it and the stored coordinates must reproduce text."""
-    start, end = text.find(_POINTS_KEY) + len(_POINTS_KEY), text.rfind("\n ],\n")
-    if not len(_POINTS_KEY) <= start <= end:
-        return None
-    header = text[:start] + "0" + text[end + 3:]
+def _int_rows(text):
+    """The numbers of every "coords" list in text, as one int64 array."""
+    found = _COORDS.findall(text)
+    return np.array(",".join(found).split(",") if found else [], dtype=np.int64)
+
+
+def _canonical_code(fh):
+    """The code whose save_code text the text file fh holds, or None.  fh is read twice, in
+    blocks of _READ characters: pass 1 keeps the header (all but the points list, which ends at
+    the last " ]," line) and parses the coordinates; pass 2 compares fh with the code's text."""
+    head, rest, coords = None, "", []
     try:
+        for block in iter(functools.partial(fh.read, _READ), ""):
+            rest += block  # rest: from the start, or from the last point seen, which may go on
+            if head is None:
+                at = rest.find(_POINTS_KEY, max(0, len(rest) - len(block) - len(_POINTS_KEY)))
+                if at >= 0:
+                    head, rest = rest[:at + len(_POINTS_KEY)], rest[at + len(_POINTS_KEY):]
+            elif (cut := rest.rfind('"coords"', max(1, len(rest) - len(block) - 7))) > 0:
+                coords.append(_int_rows(rest[:cut]))
+                rest = rest[cut:]
+        end = rest.rfind("\n ],\n")
+        if head is None or end < 0:
+            return None
+        header = head + "0" + rest[end + 3:]
+        coords = np.concatenate([*coords, _int_rows(rest[:end])])
         doc = json.loads(header)
         if not isinstance(doc, dict) or json.dumps(doc, indent=1, sort_keys=True) + "\n" != header:
             return None
         field, primes = _stored_primes(doc)
-        coords = np.array(",".join(_COORDS.findall(text, start, end)).split(","), dtype=np.int64)
         code = IndexCode(field, primes, coords.reshape(-1, field.n))
     except (KeyError, ValueError, OverflowError, LatticedexError):
         return None  # code_from_dict says what is wrong
-    pos = 0
-    for chunk in itertools.chain(_canonical_json(code, indent=1), ("\n",)):
-        if not text.startswith(chunk, pos):
-            return None
-        pos += len(chunk)
-    return code if pos == len(text) else None
+    fh.seek(0)
+    chunks = itertools.chain(_canonical_json(code, indent=1), ("\n",))
+    pieces = (chunk[i:i + _READ] for chunk in chunks for i in range(0, len(chunk), _READ))
+    return code if all(fh.read(len(p)) == p for p in pieces) and not fh.read(1) else None
 
 
 def _leaves(rows, shape, kind):

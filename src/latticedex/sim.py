@@ -226,8 +226,9 @@ def _build_ctx(config):
     code = config.code
     field = code.field
     pid = code.side_index(config.side_info)
-    groups = [_group(code, cand) for cand in  # stable: each group in ascending order
-              np.split(np.argsort(pid, kind="stable"), np.cumsum(np.bincount(pid))[:-1])]
+    whole = _group(code, np.argsort(pid, kind="stable"))  # stable: each group in ascending order
+    ends = np.cumsum(np.bincount(pid)).tolist()  # each group gets row slices of whole
+    groups = [{key: v[lo:hi] for key, v in whole.items()} for lo, hi in zip([0, *ends], ends)]
     return {
         "channel": config.channel,
         "seed": config.seed,

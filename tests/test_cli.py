@@ -8,7 +8,7 @@ import pytest
 
 import latticedex
 from conftest import points_csv_oracle
-from latticedex import (InvariantViolation, SimConfig, build_index_code, load_code,
+from latticedex import (InvariantViolation, SimConfig, build_index_code, codec, load_code,
                         quadratic_field, run_sim, write_curve_csv)
 from latticedex.cli import (
     ExperimentSpec,
@@ -410,8 +410,9 @@ def test_analyze_rejects_malformed_code_files(tmp_path, capsys):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
-def test_analyze_refuses_small_edits_of_a_saved_file(tmp_path, capsys):
-    # edits that keep a saved file's layout around them: json decides, and refuses each
+def test_analyze_refuses_small_edits_of_a_saved_file(tmp_path, capsys, monkeypatch):
+    # edits that keep a saved file's layout around them: json decides, and refuses each, at
+    # every size of the blocks the file is read in; and a file cut at a block boundary
     assert main(["design", "--preset", "example1", "--out-dir", str(tmp_path)]) == 0
     good = (tmp_path / "example1_code.json").read_text()
     doc = json.loads(good)
@@ -431,16 +432,19 @@ def test_analyze_refuses_small_edits_of_a_saved_file(tmp_path, capsys):
         "a byte after the end": good + "x",
         "its end repeated": good + good[good.rindex("\n ],\n"):],  # the header stays canonical
     }
-    for name, text in cases.items():
-        changed = [a != b for a, b in zip(text, good)]
-        assert name not in ("coordinate digit", "label digit") or (
-            len(text) == len(good) and sum(changed) == 1)
-        bad = tmp_path / "bad.json"
-        bad.write_text(text)
-        capsys.readouterr()
-        assert main(["analyze", "--code", str(bad)]) == 1, name
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err, (name, err)
+    for read in (1, 7, 64, 4096, len(good) - 1, len(good)):
+        monkeypatch.setattr(codec, "_READ", read)
+        cases["cut at a block boundary"] = good[:len(good) // 2 // read * read]
+        for name, text in cases.items():
+            changed = [a != b for a, b in zip(text, good)]
+            assert name not in ("coordinate digit", "label digit") or (
+                len(text) == len(good) and sum(changed) == 1)
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            capsys.readouterr()
+            assert main(["analyze", "--code", str(bad)]) == 1, (name, read)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, (name, read, err)
 
 
 def test_analyze_reports_a_bound_violation(monkeypatch, capsys):

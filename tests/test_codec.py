@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -813,6 +814,73 @@ def test_a_saved_file_loads_without_decoding_its_points(fixture, request, tmp_pa
     assert decoded and not any('"embedded"' in text for text in decoded)
 
 
+def _one_prime_code():
+    field = quadratic_field(-1)
+    return build_index_code(field, [prime_ideals_above(field, 13)[0]])
+
+
+@pytest.mark.parametrize("fixture", ["ex1_code", "maxreal_code", None])
+def test_saved_files_load_at_every_read_size(fixture, request, tmp_path, monkeypatch):
+    # block boundaries inside '"coords": [', inside a number, inside the "\n ],\n" that ends
+    # the points and inside the header; and one block, or one character short of it
+    code = request.getfixturevalue(fixture) if fixture else _one_prime_code()
+    path = tmp_path / "code.json"
+    save_code(code, path)
+    size = len(path.read_text())
+    monkeypatch.setattr(codec, "code_from_dict", lambda doc: pytest.fail("code_from_dict called"))
+    for read in (1, 7, 64, 4096, size - 1, size):
+        monkeypatch.setattr(codec, "_READ", read)
+        assert load_code(path).content_hash() == code.content_hash(), read
+
+
+def test_a_saved_file_is_read_in_blocks(maxreal_code, tmp_path, monkeypatch):
+    # no read asks for more than _READ characters, so the whole text is never held: pass 1
+    # parses the file, pass 2 compares it with the built code's own text
+    path = tmp_path / "code.json"
+    save_code(maxreal_code, path)
+    size = len(path.read_text())
+    assert size > codec._READ
+    asked, got, real_open = [], [], open
+
+    def spy_open(*args, **kw):
+        fh = real_open(*args, **kw)
+        read = fh.read
+
+        def spy(n=-1):
+            text = read(n)
+            asked.append(n)
+            got.append(len(text))
+            return text
+
+        fh.read = spy
+        return fh
+
+    monkeypatch.setattr(codec, "open", spy_open, raising=False)
+    assert load_code(path).content_hash() == maxreal_code.content_hash()
+    assert all(0 < n <= codec._READ for n in asked), sorted(set(asked))
+    assert sum(got) == 2 * size
+
+
+def test_loading_a_saved_file_costs_about_its_build(cyclo_code, tmp_path):
+    # the load's traced peak stays within that of building the code from its coordinates,
+    # plus 2 MiB: the file's 5.4 MB text is never held, nor a string per coordinate
+    path = tmp_path / "code.json"
+    save_code(cyclo_code, path)
+    coords = cyclo_code.coords_matrix.copy()
+
+    def peak(fn):
+        fn()  # caches filled outside the traced call
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    build = peak(lambda: IndexCode(cyclo_code.field, cyclo_code.primes, coords))
+    assert peak(lambda: load_code(path)) <= build + 2 * 2**20
+
+
 def test_other_json_loads_through_code_from_dict(tmp_path, ex1_code, monkeypatch):
     path = tmp_path / "code.json"
     save_code(ex1_code, path)
@@ -953,6 +1021,16 @@ def test_points_csv_needs_the_plain_code(zi_m2, tmp_path):
     with pytest.raises(Unsupported):
         codec.save_points_csv(zi_m2, path)
     assert not path.exists()
+
+
+def test_a_refused_save_leaves_the_file_at_the_path(ex1_code, zi_m2, tmp_path):
+    # save_code refuses a code that is not plain before it opens, and so truncates, its path
+    path = tmp_path / "code.json"
+    save_code(ex1_code, path)
+    before = path.read_bytes()
+    with pytest.raises(Unsupported):
+        save_code(zi_m2, path)
+    assert path.read_bytes() == before
 
 
 def test_public_names_resolve():
