@@ -8,7 +8,7 @@ rates over AWGN and Rayleigh channels with reproducible Monte Carlo.
 from .analysis import (FadingReport, GainReport, diversity_and_product_distance,
                        gain_bounds, ideal_lambda1_sq, min_distance, minkowski_upper_bound,
                        overall_side_info_gain, side_info_gain)
-from .codec import (CodePoint, IndexCode, Message, build_index_code, code_from_dict,
+from .codec import (CodePoint, IndexCode, Message, build_index_code,
                     decode_point, encode, load_code, rate, save_code,
                     subcode_points)
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
@@ -29,7 +29,7 @@ __all__ = [
     "IndexCode", "Infeasible", "InvalidArgument", "InvariantViolation",
     "LatticedexError", "Message", "NumberField", "SimConfig",
     "SimPoint", "SimResult", "Unsupported",
-    "build_index_code", "classify_prime", "code_from_dict", "confidence_interval",
+    "build_index_code", "classify_prime", "confidence_interval",
     "curve_filename", "cyclotomic_field", "decode_point",
     "diversity_and_product_distance", "diversity_slope", "encode",
     "field_from_dict", "gain_bounds", "ideal_from_generators",

@@ -19,10 +19,10 @@ finite-field operations are ring operations followed by reduction.
 
 A plain code's file is the JSON of to_dict() with sorted keys: save_code
 writes it with indent=1, content_hash hashes its compact form (SHA-256) and
-save_points_csv writes its points as CSV, all from one emitter, which
-load_code runs to check a saved file byte for byte, reading it twice in blocks
-and never whole; code_from_dict checks any other file, which json decodes
-whole, against what the math requires, reading each prime from its HNF.
+save_points_csv writes its points as CSV, all from one emitter.  load_code
+loads a file only if its JSON is the canonical JSON of the code its field,
+primes and coordinates define, so its hash is the hash of the file's content;
+a saved file is read in blocks and checked byte for byte, never read whole.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from .numberfield.linalg import (check_int64, column_max, det_int, mixed_radix, 
 
 DEFAULT_ENUMERATION_CAP = 10**6
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
-_FILE_KEYS = ("field", "primes", "modulus_hnf", "idempotents", "alphabet_sizes", "gamma",
-              "mean_energy", "points")  # read by code_from_dict besides "format"
 _POINT_KEYS = ("coords", "embedded", "label")  # of each point in a code file
 _POINTS_KEY = '\n "points": '  # in a saved file
 _COORDS = re.compile(r'"coords": \[([^\]]*)\]')
@@ -531,10 +529,34 @@ def save_points_csv(code, path):
 
 
 def load_code(path):
-    with open(path) as fh:
-        code = _canonical_code(fh)
+    """The code a code file defines; a file loads only if its JSON is the code's canonical JSON."""
+    with open(path, encoding="utf-8") as fh:
+        if code := _canonical_code(fh):
+            return code
         fh.seek(0)
-        return code or code_from_dict(json.loads(fh.read()))
+        try:  # not UTF-8, not JSON, nested too deep or an int of over 4300 digits
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise InvalidArgument(f"code file is not UTF-8 JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise InvalidArgument("not a latticedex code file")
+    compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(compact(doc).encode()).hexdigest()  # text freed before the build
+    field, primes = _stored_primes(doc)
+    try:
+        coords = _int64_array([pt["coords"] for pt in doc["points"]], -1, field.n)
+    except (KeyError, TypeError, ValueError):
+        raise InvalidArgument(f"points must be objects with {field.n} integer coords") from None
+    try:  # in a file, a code IndexCode refuses is bad input, not a bug or too big a design
+        code = IndexCode(field, primes, coords)
+    except (Infeasible, InvariantViolation, Unsupported) as e:
+        raise InvalidArgument(str(e)) from None
+    if digest != code.content_hash():
+        header = code._file_header()  # name the first key that differs, else points
+        key = next((k for k in [*header, *doc] if k != "points"
+                    and compact(doc.get(k)) != compact(header.get(k))), "points")
+        raise InvalidArgument(f"stored {key} disagrees with the code the file defines")
+    return code
 
 
 def _int_rows(text):
@@ -544,9 +566,10 @@ def _int_rows(text):
 
 
 def _canonical_code(fh):
-    """The code whose save_code text the text file fh holds, or None.  fh is read twice, in
-    blocks of _READ characters: pass 1 keeps the header (all but the points list, which ends at
-    the last " ]," line) and parses the coordinates; pass 2 compares fh with the code's text."""
+    """The code whose save_code text the text file fh holds, or None on any failure (load_code
+    then decodes fh with json and says what is wrong).  fh is read twice, in blocks of _READ
+    characters: pass 1 keeps the header (all but the points list, which ends at the last " ],"
+    line) and parses the coordinates; pass 2 compares fh with the code's text."""
     head, rest, coords = None, "", []
     try:
         for block in iter(functools.partial(fh.read, _READ), ""):
@@ -568,82 +591,24 @@ def _canonical_code(fh):
             return None
         field, primes = _stored_primes(doc)
         code = IndexCode(field, primes, coords.reshape(-1, field.n))
-    except (KeyError, ValueError, OverflowError, LatticedexError):
-        return None  # code_from_dict says what is wrong
+    except (ValueError, OverflowError, RecursionError, LatticedexError):
+        return None
     fh.seek(0)
     chunks = itertools.chain(_canonical_json(code, indent=1), ("\n",))
     pieces = (chunk[i:i + _READ] for chunk in chunks for i in range(0, len(chunk), _READ))
     return code if all(fh.read(len(p)) == p for p in pieces) and not fh.read(1) else None
 
 
-def _leaves(rows, shape, kind):
-    """rows as an array of the given shape, or None unless rows is nested lists
-    of exactly that shape whose values all have type kind, int (within int64)
-    or float.  Types are compared, not values: True == 1 and 0 == 0.0."""
-    values = [rows]
-    for size in shape:
-        if set(map(type, values)) != {list} or set(map(len, values)) != {size}:
-            return None
-        values = list(itertools.chain.from_iterable(values))
-    if set(map(type, values)) != {kind}:
-        return None
-    try:
-        return np.array(values, dtype=np.int64 if kind is int else np.float64).reshape(shape)
-    except OverflowError:
-        return None
+def _int64_array(rows, *shape):
+    """rows as an int64 array of the given shape; a float, string or big int raises (bools cast)."""
+    return np.array(rows).astype(np.int64, casting="safe").reshape(shape)
 
 
 def _stored_primes(doc):
     """The field of a code file's dict and each prime as an ideal from its HNF alone."""
-    field = field_from_dict(doc["field"])
+    field = field_from_dict(doc.get("field"))
     n = field.n
-    stored = doc["primes"] if isinstance(doc["primes"], list) else [None]
-    hnfs = [d.get("hnf") if isinstance(d, dict) else None for d in stored]
-    if any(_leaves(h, (n, n), int) is None for h in hnfs):
-        raise InvalidArgument(f"primes must be a list of objects with an {n}x{n} integer hnf")
-    return field, [Ideal(field, h) for h in hnfs]
-
-
-def code_from_dict(doc):
-    """The code stored in a code file's dict, checked against what the math
-    requires; anything malformed or inconsistent raises InvalidArgument.
-
-    Types and shapes are checked here.  Each stored prime becomes an
-    untagged ideal from its HNF alone; IndexCode checks the primes (prime,
-    distinct, tagged) and the points (one per coset of I, coordinates safe
-    for int64 work), and the stored values are compared with what it
-    recomputes."""
-    if not isinstance(doc, dict) or doc.get("format") != "latticedex-code-v1":
-        raise InvalidArgument("not a latticedex code file")
-    missing = [key for key in _FILE_KEYS if key not in doc]
-    if missing:
-        raise InvalidArgument(f"code file lacks {', '.join(missing)}")
-    points = doc["points"] if isinstance(doc["points"], list) else None
     try:
-        rows, embedded, labels = ([pt[key] for pt in points] for key in _POINT_KEYS)
-    except (KeyError, TypeError):
-        raise InvalidArgument("points must be a list of objects with "
-                              "coords, embedded and label") from None
-    if type(doc["gamma"]) is not float:
-        raise InvalidArgument("gamma must be a number")
-    field, primes = _stored_primes(doc)
-    coords = _leaves(rows, (len(rows), field.n), int)
-    if coords is None:
-        raise InvalidArgument(f"point coordinates must be {field.n} integers within int64")
-    try:  # in a file, a code IndexCode refuses is bad input, not a bug or too big a design
-        code = IndexCode(field, primes, coords)
-    except (Infeasible, InvariantViolation, Unsupported) as e:
-        raise InvalidArgument(str(e)) from None
-    header = code._file_header()
-    for key in ("primes", "modulus_hnf", "idempotents", "alphabet_sizes", "mean_energy"):
-        if json.dumps(doc[key], sort_keys=True) != json.dumps(header[key], sort_keys=True):
-            raise InvalidArgument(f"stored {key} disagrees with the primes and points")
-    if not np.array_equal(_leaves(labels, code.labels.shape, int), code.labels):
-        raise InvalidArgument("stored labels disagree with recomputed residues")
-    if not abs(code.gamma - doc["gamma"]) <= 1e-12 * code.gamma:
-        raise InvalidArgument("stored gamma disagrees with recomputed normalization")
-    values = _leaves(embedded, code.embedded.shape, float)
-    scale = max(1.0, float(np.abs(code.embedded).max()))
-    if values is None or not np.abs(values - code.embedded).max() <= 1e-9 * scale:
-        raise InvalidArgument("stored embedding disagrees with recomputed points")
-    return code
+        return field, [Ideal(field, _int64_array(d["hnf"], n, n).tolist()) for d in doc["primes"]]
+    except (KeyError, TypeError, ValueError):
+        raise InvalidArgument(f"primes must be objects with an {n}x{n} integer hnf") from None

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from latticedex import build_index_code, preset_code, prime_ideals_above, quadratic_field
+from latticedex import (build_index_code, load_code, preset_code, prime_ideals_above,
+                        quadratic_field)
 
 # pass/fail lines recorded by tests/test_acceptance.py, echoed after the run
 ACCEPTANCE_LINES = []
@@ -33,6 +35,18 @@ def cyclo_code():
 @pytest.fixture(scope="session")
 def maxreal_code():
     return preset_code("maxreal-K3")
+
+
+@pytest.fixture
+def load_doc(tmp_path):
+    """load_code on a file that holds json.dumps(doc): the route of any JSON but save_code's."""
+    path = tmp_path / "doc.json"
+
+    def load(doc):
+        path.write_text(json.dumps(doc))
+        return load_code(path)
+
+    return load
 
 
 @pytest.fixture(scope="session")

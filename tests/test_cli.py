@@ -393,9 +393,16 @@ def test_analyze_rejects_malformed_code_files(tmp_path, capsys):
         lambda d: d["points"][0].pop("coords") and None,
         lambda d: d.__setitem__("gamma", "x"),
     ]
-    for i, edit in enumerate(cases):
+    files = [json.dumps(tampered(edit)).encode() for edit in cases] + [
+        b"\xff\xfe{}",  # not UTF-8
+        b"1" * 4301,  # an int json refuses to convert
+        b"[" * 10**5 + b"]" * 10**5,  # nested past the recursion limit
+        # the same in the header of a file laid out as save_code writes one
+        b'{\n "a": ' + b"[" * 10**5 + b"]" * 10**5 + b',\n "points": [\n ],\n "z": 0\n}\n',
+    ]
+    for i, data in enumerate(files):
         bad = tmp_path / f"bad{i}.json"
-        bad.write_text(json.dumps(tampered(edit)))
+        bad.write_bytes(data)
         capsys.readouterr()
         assert main(["analyze", "--code", str(bad)]) == 1, i
         err = capsys.readouterr().err

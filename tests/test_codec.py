@@ -34,7 +34,7 @@ from latticedex import (
     whole_ring,
 )
 from latticedex import codec
-from latticedex.codec import IndexCode, code_from_dict
+from latticedex.codec import IndexCode
 from latticedex.numberfield import (Ideal, classify_prime, factor_minpoly_mod_p,
                                    field_from_dict, ideal_from_generators)
 from latticedex.numberfield import linalg
@@ -252,7 +252,7 @@ def test_build_rejects_duplicates_and_nonprimes():
         build_index_code(field, [])
 
 
-def test_index_code_checks_its_primes(ex1_code):
+def test_index_code_checks_its_primes(ex1_code, load_doc):
     # the constructor is the one gate: untagged primes come out tagged exactly
     # as build_index_code has them, so the direct code hashes like the built
     # one and its file loads
@@ -261,7 +261,7 @@ def test_index_code_checks_its_primes(ex1_code):
     assert not a.is_prime_tagged
     direct = IndexCode(field, [a, b], coords[::-1])
     assert direct.content_hash() == ex1_code.content_hash()
-    assert code_from_dict(direct.to_dict()).content_hash() == ex1_code.content_hash()
+    assert load_doc(direct.to_dict()).content_hash() == ex1_code.content_hash()
     # wrong tags on the right HNF are replaced by the true ones
     fake = Ideal(field, b.hnf, residue_char=11, ramification=2, inertia=1)
     assert IndexCode(field, [a, fake], coords).content_hash() == ex1_code.content_hash()
@@ -485,7 +485,7 @@ def test_a_built_code_past_the_energy_bound_is_infeasible(zi_primes):
     assert build_index_code(field, primes[:1], [[2**29]]).size == 5
 
 
-def test_loaded_coordinates_are_checked_at_the_exact_int64_bounds(ex1_code, monkeypatch):
+def test_loaded_coordinates_are_checked_at_the_exact_int64_bounds(ex1_code, monkeypatch, load_doc):
     # point 5 moved within its coset by 2^31 modulus columns; each bound, computed
     # here in Python ints, is refused as bad input one past INT64_MAX
     doc = ex1_code.to_dict()
@@ -498,7 +498,7 @@ def test_loaded_coordinates_are_checked_at_the_exact_int64_bounds(ex1_code, monk
     for limit, what in ((max(xmax) - 1, "a point G~ u"), (energy - 1, "the constellation energy")):
         monkeypatch.setattr(linalg, "INT64_MAX", limit)
         with pytest.raises(InvalidArgument, match=f"^{what} leaves the int64 range"):
-            code_from_dict(doc)
+            load_doc(doc)
 
 
 def test_build_respects_enumeration_cap():
@@ -552,7 +552,7 @@ def test_save_load_round_trip(tmp_path, ex1_code):
     assert again.primes[0].residue_char == ex1_code.primes[0].residue_char
 
 
-def test_load_rejects_tampered_files(tmp_path, ex1_code):
+def test_load_rejects_tampered_files(tmp_path, ex1_code, load_doc):
     path = tmp_path / "code.json"
     save_code(ex1_code, path)
     doc = json.loads(path.read_text())
@@ -560,66 +560,66 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
     bad = dict(doc)
     bad["format"] = "something-else"
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     bad = json.loads(path.read_text())
     bad["gamma"] *= 1.01
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     bad = json.loads(path.read_text())
     bad["points"][3]["label"], bad["points"][4]["label"] = (
         bad["points"][4]["label"], bad["points"][3]["label"])
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     bad = json.loads(path.read_text())
     bad["idempotents"][0] = [7, 3]
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     bad = json.loads(path.read_text())
     bad["points"][0]["embedded"] = [9, 9]
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     bad = json.loads(path.read_text())
     bad["points"][7]["embedded"][1] *= 1 + 1e-6
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     bad = json.loads(path.read_text())
     bad["points"][2]["embedded"] = [1.0]
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     for embedded in (["0.0", "0.0"], [None, 0.0]):  # point 0 is the origin
         bad = json.loads(path.read_text())
         bad["points"][0]["embedded"] = embedded
         with pytest.raises(InvalidArgument):
-            code_from_dict(bad)
+            load_doc(bad)
 
     bad = json.loads(path.read_text())
     bad["mean_energy"] = [1, 1]
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     bad = json.loads(path.read_text())
     bad["alphabet_sizes"] = [3, 3]
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     for coord in (2**70, 1.5, True, "1", None):
         bad = json.loads(path.read_text())
         bad["points"][5]["coords"][0] = coord
         with pytest.raises(InvalidArgument):
-            code_from_dict(bad)
+            load_doc(bad)
 
     for coords in ([1], [1, 2, 3], 7):
         bad = json.loads(path.read_text())
         bad["points"][5]["coords"] = coords
         with pytest.raises(InvalidArgument):
-            code_from_dict(bad)
+            load_doc(bad)
 
     # same coset and inside int64, but the int64 energies would wrap
     bad = json.loads(path.read_text())
@@ -627,48 +627,48 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
     bad["points"][5]["coords"] = [c + 2**31 * v
                                   for c, v in zip(bad["points"][5]["coords"], column)]
     with pytest.raises(InvalidArgument):
-        code_from_dict(bad)
+        load_doc(bad)
 
     # a point deleted, two points in one coset, points not a list
     bad = json.loads(path.read_text())
     del bad["points"][5]
     with pytest.raises(InvalidArgument, match="cosets"):
-        code_from_dict(bad)
+        load_doc(bad)
     bad = json.loads(path.read_text())
     bad["points"][5] = bad["points"][6]
     with pytest.raises(InvalidArgument, match="same coset"):
-        code_from_dict(bad)
+        load_doc(bad)
     for points in ({}, [], [[0, 0]], None):
         bad = json.loads(path.read_text())
         bad["points"] = points
         with pytest.raises(InvalidArgument):
-            code_from_dict(bad)
+            load_doc(bad)
 
     # not an object, keys missing or mistyped
     with pytest.raises(InvalidArgument):
-        code_from_dict([doc])
+        load_doc([doc])
     for key in ("field", "primes", "gamma", "points"):
         bad = json.loads(path.read_text())
         del bad[key]
         with pytest.raises(InvalidArgument, match=key):
-            code_from_dict(bad)
+            load_doc(bad)
     for key in ("coords", "embedded", "label"):
         bad = json.loads(path.read_text())
         del bad["points"][0][key]
         with pytest.raises(InvalidArgument):
-            code_from_dict(bad)
+            load_doc(bad)
     for gamma in ("x", None, [1.0], float("nan")):
         bad = json.loads(path.read_text())
         bad["gamma"] = gamma
         with pytest.raises(InvalidArgument):
-            code_from_dict(bad)
+            load_doc(bad)
     for key, value in (("field", {}), ("field", [5]), ("field", {"family": "quadratic"}),
                        ("primes", []), ("primes", 5), ("primes", [{"p": 5}]),
                        ("primes", [{"hnf": 5}])):
         bad = json.loads(path.read_text())
         bad[key] = value
         with pytest.raises(InvalidArgument):
-            code_from_dict(bad)
+            load_doc(bad)
 
     # stored primes must be exactly the prime ideals above their p
     for key, value in (("hnf", [[5]]), ("hnf", [[5, 1], [0, 1]]), ("p", 7), ("p", "5"),
@@ -676,10 +676,10 @@ def test_load_rejects_tampered_files(tmp_path, ex1_code):
         bad = json.loads(path.read_text())
         bad["primes"][0][key] = value
         with pytest.raises(InvalidArgument):
-            code_from_dict(bad)
+            load_doc(bad)
 
 
-def test_load_refuses_a_bool_in_a_label(tmp_path, ex1_code):
+def test_load_refuses_a_bool_in_a_label(tmp_path, ex1_code, load_doc):
     # True == 1 in Python, so a label compared by value alone takes it
     path = tmp_path / "code.json"
     save_code(ex1_code, path)
@@ -687,19 +687,19 @@ def test_load_refuses_a_bool_in_a_label(tmp_path, ex1_code):
     label = bad["points"][1]["label"]
     k, i = next((k, i) for k, w in enumerate(label) for i, v in enumerate(w) if v == 1)
     label[k][i] = True
-    with pytest.raises(InvalidArgument, match="labels"):
-        code_from_dict(bad)
+    with pytest.raises(InvalidArgument, match="stored points"):
+        load_doc(bad)
 
 
-def test_load_refuses_an_integer_in_an_embedding(tmp_path, ex1_code):
+def test_load_refuses_an_integer_in_an_embedding(tmp_path, ex1_code, load_doc):
     # 0 == 0.0, and numpy turns [0, 0.0] into a float array, so only its type tells
     path = tmp_path / "code.json"
     save_code(ex1_code, path)
     bad = json.loads(path.read_text())
     assert bad["points"][0]["embedded"] == [0.0, 0.0]  # point 0 is the origin
     bad["points"][0]["embedded"][0] = 0
-    with pytest.raises(InvalidArgument, match="embedding"):
-        code_from_dict(bad)
+    with pytest.raises(InvalidArgument, match="stored points"):
+        load_doc(bad)
 
 
 def test_content_hash_serialises_once(monkeypatch):
@@ -807,7 +807,6 @@ def test_a_saved_file_loads_without_decoding_its_points(fixture, request, tmp_pa
     decoded, loads = [], json.loads
     monkeypatch.setattr(json, "load", lambda *a, **kw: pytest.fail("json.load called"))
     monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or loads(text, **kw))
-    monkeypatch.setattr(codec, "code_from_dict", lambda doc: pytest.fail("code_from_dict called"))
     again = load_code(path)
     assert again.content_hash() == code.content_hash()
     assert np.array_equal(again.coords_matrix, code.coords_matrix)
@@ -827,7 +826,7 @@ def test_saved_files_load_at_every_read_size(fixture, request, tmp_path, monkeyp
     path = tmp_path / "code.json"
     save_code(code, path)
     size = len(path.read_text())
-    monkeypatch.setattr(codec, "code_from_dict", lambda doc: pytest.fail("code_from_dict called"))
+    monkeypatch.setattr(json, "load", lambda *a, **kw: pytest.fail("json.load called"))
     for read in (1, 7, 64, 4096, size - 1, size):
         monkeypatch.setattr(codec, "_READ", read)
         assert load_code(path).content_hash() == code.content_hash(), read
@@ -881,13 +880,19 @@ def test_loading_a_saved_file_costs_about_its_build(cyclo_code, tmp_path):
     assert peak(lambda: load_code(path)) <= build + 2 * 2**20
 
 
-def test_other_json_loads_through_code_from_dict(tmp_path, ex1_code, monkeypatch):
+def _compact_hash(text):
+    """SHA-256 of the compact, sorted-key dump of the JSON in text."""
+    compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(compact.encode()).hexdigest()
+
+
+def test_other_json_loads_by_its_content_hash(tmp_path, ex1_code):
+    # any JSON whose compact, sorted-key dump is the code's canonical JSON loads, and the code's
+    # hash is that of the file's content; a float moved by a last bit is another file
     path = tmp_path / "code.json"
     save_code(ex1_code, path)
     text = path.read_text()
     doc = json.loads(text)
-    moved = json.loads(text)
-    moved["points"][7]["embedded"][1] *= 1 + 1e-12  # inside the 1e-9 tolerance
     swapped = json.loads(text)
     swapped["points"] = [dict(reversed(pt.items())) for pt in doc["points"]]
     variants = {
@@ -898,21 +903,46 @@ def test_other_json_loads_through_code_from_dict(tmp_path, ex1_code, monkeypatch
         "trailing spaces": text.replace("\n", " \n"),
         "no trailing newline": text[:-1],
         "two trailing newlines": text + "\n",
-        "embedding moved": json.dumps(moved, indent=1, sort_keys=True) + "\n",
     }
-    calls, builds = [], []
-    monkeypatch.setattr(codec, "code_from_dict",
-                        lambda d: calls.append(1) or code_from_dict(d))
-    monkeypatch.setattr(codec, "IndexCode", lambda *a: builds.append(1) or IndexCode(*a))
     for name, variant in variants.items():
         assert variant != text, name
         path.write_text(variant)
-        assert load_code(path).content_hash() == ex1_code.content_hash(), name
-        assert len(calls) == 1, name
-        # only a file whose header is canonical is built before json decides
-        assert len(builds) == (2 if name in ("point keys reordered", "embedding moved") else 1)
-        calls.clear()
-        builds.clear()
+        assert load_code(path).content_hash() == _compact_hash(variant), name
+        assert _compact_hash(variant) == ex1_code.content_hash(), name
+    moved = json.loads(text)
+    moved["points"][7]["embedded"][1] *= 1 + 1e-12  # within the former 1e-9 tolerance
+    ulp = json.loads(text)
+    ulp["gamma"] = math.nextafter(ulp["gamma"], math.inf)
+    for name, bad, key in (("embedding moved", moved, "points"), ("gamma up an ulp", ulp, "gamma")):
+        assert bad != doc, name
+        path.write_text(json.dumps(bad, indent=1, sort_keys=True) + "\n")
+        with pytest.raises(InvalidArgument, match=f"^stored {key} disagrees"):
+            load_code(path)
+
+
+_EDIT_CHARS = '0123456789-+.,:[]{}" \neEnulltruefalseNaNx\xe9'
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_edited_code_files_load_by_their_hash_or_are_refused(ex1_code, data, tmp_path_factory):
+    # 1-3 one-character substitutions, deletions or insertions in a saved file, some aimed at
+    # the header or at the primes that follow the points: the file loads, and its code hashes
+    # as its content does, or it is refused as bad input (exit 1), never with another error
+    path = tmp_path_factory.getbasetemp() / "edited_code.json"
+    save_code(ex1_code, path)
+    text = path.read_text()
+    head, tail = text.index('"points"'), text.rindex('"primes"')
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, head) | st.integers(0, len(text)) | st.integers(tail, len(text)))
+        op, char = data.draw(st.sampled_from("sdi")), data.draw(st.sampled_from(_EDIT_CHARS))
+        text = text[:at] + (char if op != "d" else "") + text[at + (op != "i"):]
+    path.write_text(text)
+    try:
+        code = load_code(path)
+    except InvalidArgument:
+        return
+    assert code.content_hash() == _compact_hash(text)
 
 
 def _assert_min_energy_points(code, scale=4):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from latticedex.codec import build_index_code, code_from_dict
+from latticedex.codec import build_index_code
 from latticedex.errors import InvalidArgument, Unsupported
 from latticedex.numberfield import (
     cyclotomic_field,
@@ -186,14 +186,14 @@ def test_ideal_equality_independent_of_generators():
     assert principal_ideal(g) != principal_ideal(g * g)
 
 
-def test_ideal_dict_round_trip():
+def test_ideal_dict_round_trip(load_doc):
     # a code file stores each prime as ideal_to_dict writes it and reads it back
     # from its HNF alone: the code's prime check restores the tags
     field = quadratic_field(-5)
     for q in prime_ideals_above(field, 7):
         doc = build_index_code(field, [q]).to_dict()
         assert doc["primes"] == [ideal_to_dict(q)]
-        again = code_from_dict(doc).primes[0]
+        again = load_doc(doc).primes[0]
         assert again == q
         assert again.residue_char == q.residue_char
         assert again.ramification == q.ramification
