@@ -124,14 +124,18 @@ def _parse_snr(text):
     return [_snr_value(v) for v in text.split(",") if v.strip()]
 
 
+def _decode(load, source, what):
+    """load(source); what json cannot decode (not UTF-8, too deep, a huge int) is bad input."""
+    try:
+        return load(source)
+    except (ValueError, RecursionError) as e:
+        raise InvalidArgument(f"{what}: {e}") from None
+
+
 def _parse_sets(text, k, k_cap=20):
     if text == "all":
         return [list(s) for s in side_info_sets(k, k_cap)]
-    try:
-        sets = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidArgument(f"side-info sets must be JSON like [[1],[2]]: {e}")
-    return _check_sets(sets)
+    return _check_sets(_decode(json.loads, text, "side-info sets must be JSON like [[1],[2]]"))
 
 
 def _check_sets(sets):
@@ -142,8 +146,8 @@ def _check_sets(sets):
 
 def _load_spec(args):
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            spec = ExperimentSpec.from_dict(json.load(fh))
+        with open(args.config, encoding="utf-8") as fh:
+            spec = ExperimentSpec.from_dict(_decode(json.load, fh, "config is not UTF-8 JSON"))
     elif getattr(args, "preset", None):
         channel = getattr(args, "channel", None) or "awgn"
         spec = spec_from_preset(args.preset, channel)
@@ -380,7 +384,7 @@ def main(argv=None):
     except (Infeasible, Unsupported) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, LatticedexError) as e:
+    except (OSError, LatticedexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -15,13 +15,15 @@ the last call's context until the next call or the interpreter's exit.
 
 Detection is exact ML over the points that agree with the side information,
 a coset x_g + Psi(G~ I_S^m) of the constellation, on every code (any m and
-generator G~).  Groups of at least _SEARCH_MIN points are decided by a
-batched sphere search (_search) around each trial's Babai point, in a reduced
-basis of that side sublattice with the trial's fade folded in and
-IndexCode.point_index telling which lattice points the code stores: the one
-Fincke-Pohst search (linalg.fp_search), also behind short_vectors.  The trials
-it cannot settle, and all trials of smaller groups, go to brute force (_brute),
-which is also the oracle of the tests.  The search holds at most
+generator G~).  These cosets, the groups, all hold the same number of points,
+so each is a row of one table (_groups) shared by run_sim and ml_detect.
+Groups of at least _SEARCH_MIN points are decided by a batched sphere search
+(_search) around each trial's Babai point, in a reduced basis of that side
+sublattice with the trial's fade folded in and IndexCode.point_index telling
+which lattice points the code stores: the one Fincke-Pohst search
+(linalg.fp_search), also behind short_vectors.  The trials it cannot settle,
+and all trials of smaller groups, go to brute force (_brute), which is also
+the oracle of the tests.  The search holds at most
 _SEARCH_ROWS rows per level for a tile of _SEARCH_TILE trials, and brute force
 scores in row tiles of at most _TILE_BYTES of float64 scores, so the memory a
 chunk needs is bounded independently of the constellation size.  Both paths
@@ -183,16 +185,21 @@ def confidence_interval(errors, trials):
 # ============================================================
 
 
-def _group(code, cand):
-    """What _brute reads of one side-information group: the candidate point
-    indices and their unit-energy points P, P*P and |P|^2."""
-    P = code.gamma * code.embedded[cand]
-    return {"cand": cand, "P": P, "Psq": P * P, "Pnorm": (P * P).sum(axis=1)}
+def _groups(code, s):
+    """What detection reads of the code on S: pid, each point's group; enorm, the
+    unit-energy points; the group table, whose row g holds group g's point indices
+    cand, ascending, and their P, P*P and |P|^2; and lattice, what _search reads."""
+    pid = code.side_index(s)
+    enorm = code.gamma * code.embedded  # unit average energy
+    cand = np.argsort(pid, kind="stable").reshape(int(pid.max()) + 1, -1)  # stable: ascending
+    P = enorm[cand]
+    return {"pid": pid, "enorm": enorm, "cand": cand, "P": P, "Psq": P * P,
+            "Pnorm": (P * P).sum(axis=2), "lattice": _search_lattice(code, s, cand)}
 
 
-def _search_lattice(code, s, groups):
-    """What _search reads of the side sublattice, or None when its groups are
-    below _SEARCH_MIN points and brute force decides every group of S.
+def _search_lattice(code, s, cand):
+    """What _search reads of the side sublattice, or None when its groups (the rows
+    of cand) are below _SEARCH_MIN points and brute force decides every group of S.
 
     basis holds an LLL-reduced basis of the u with every slot in I_S, as
     integer columns in the coordinates of u, and ebasis the unit-energy
@@ -201,7 +208,7 @@ def _search_lattice(code, s, groups):
     point of a group written as its first point plus basis @ v; that bound
     and the largest |coordinate| prove once that _search's int64 points fit.
     """
-    if groups[0]["cand"].shape[0] < _SEARCH_MIN:
+    if cand.shape[1] < _SEARCH_MIN:
         return None
     U, _ = lll_gram(code.side_sublattice_gram(s))
     basis = code.side_basis(s) @ np.array(U, dtype=object)
@@ -216,31 +223,23 @@ def _search_lattice(code, s, groups):
         "basis": basis,
         "ebasis": code.gamma * (np.kron(np.eye(code.m), code.field.embed_matrix) @ points),
         "bound": bound,
-        "first": np.array([g["cand"][0] for g in groups]),
+        "first": cand[:, 0],
         "lookup": code.point_index,
     }
 
 
 def _build_ctx(config):
     """Read-only arrays shared by every chunk of a sweep."""
-    code = config.code
-    field = code.field
-    pid = code.side_index(config.side_info)
-    whole = _group(code, np.argsort(pid, kind="stable"))  # stable: each group in ascending order
-    ends = np.cumsum(np.bincount(pid)).tolist()  # each group gets row slices of whole
-    groups = [{key: v[lo:hi] for key, v in whole.items()} for lo, hi in zip([0, *ends], ends)]
+    field = config.code.field
     return {
         "channel": config.channel,
         "seed": config.seed,
         "fade_columns": field.places if config.fade_per_complex else np.arange(field.n),
-        "size": code.size,
+        "size": config.code.size,
         "n": field.n,
         "noise_sigma": math.sqrt(1.0 / field.n),
         "amps": [math.sqrt(10.0 ** (v / 10.0)) for v in config.snr_db],
-        "enorm": code.gamma * code.embedded,  # unit average energy
-        "pid": pid,
-        "groups": groups,
-        "lattice": _search_lattice(code, config.side_info, groups),
+        **_groups(config.code, config.side_info),
     }
 
 
@@ -277,35 +276,34 @@ def _brute(ctx, a, y, h, pids):
     and ties go to the first candidate.
     """
     det = np.empty(y.shape[0], dtype=np.int64)
-    one = len(ctx["groups"]) == 1  # S = {}: the rows are in group order already
-    order = np.arange(pids.shape[0]) if one else np.argsort(pids, kind="stable")
+    groups, size = ctx["cand"].shape
+    order = np.arange(pids.shape[0]) if groups == 1 else np.argsort(pids, kind="stable")
     sorted_pids = pids[order]
     bounds = np.flatnonzero(np.r_[True, sorted_pids[1:] != sorted_pids[:-1], True]).tolist()
-    for start, stop in zip(bounds, bounds[1:]):
-        g = ctx["groups"][sorted_pids[start]]
-        size = g["cand"].shape[0]
+    for g, start, stop in zip(sorted_pids[bounds[:-1]], bounds, bounds[1:]):
+        cand, P = ctx["cand"][g], ctx["P"][g]
         tile = min(max(1, _TILE_BYTES // (8 * size)), stop - start)
         score_buf = np.empty((tile, size))
         if h is None:
-            energy = a * a * g["Pnorm"]
+            energy = a * a * ctx["Pnorm"][g]
         else:
-            fade_buf = np.empty((tile, size))
+            Psq, fade_buf = ctx["Psq"][g], np.empty((tile, size))
         for lo in range(start, stop, tile):
             rows = order[lo:min(lo + tile, stop)]
             score = score_buf[:rows.shape[0]]
             if h is None:
-                np.matmul(y[rows], g["P"].T, out=score)
+                np.matmul(y[rows], P.T, out=score)
                 np.multiply(2.0 * a, score, out=score)
                 np.subtract(energy, score, out=score)
             else:
                 hr = h[rows]
-                np.matmul(y[rows] * hr, g["P"].T, out=score)
+                np.matmul(y[rows] * hr, P.T, out=score)
                 np.multiply(2.0 * a, score, out=score)
                 fade = fade_buf[:rows.shape[0]]
-                np.matmul(hr * hr, g["Psq"].T, out=fade)
+                np.matmul(hr * hr, Psq.T, out=fade)
                 np.multiply(a * a, fade, out=fade)
                 np.subtract(fade, score, out=score)
-            det[rows] = g["cand"][np.argmin(score, axis=1)]
+            det[rows] = cand[np.argmin(score, axis=1)]
     return det
 
 
@@ -517,9 +515,9 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
     """ML decision restricted to codewords consistent with the side info.
 
     The decision of run_sim for one trial received as y = sqrt(snr)*(h.x) + z
-    over subcode_points(code, s, fixed): _detect on a one-row chunk, so a
-    sphere search from _SEARCH_MIN points up and brute force below, ties
-    toward the lowest message index.  Returns the Message.
+    over subcode_points(code, s, fixed): _detect on a one-row chunk of that group
+    of run_sim's table, so a sphere search from _SEARCH_MIN points up and brute
+    force below, ties toward the lowest message index.  Returns the Message.
     """
     y = _real_vector("y", y, code.dimension)
     if h is not None:
@@ -530,10 +528,8 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
         raise InvalidArgument(f"snr must be a real number, got {snr!r}")
     if not (math.isfinite(snr) and snr >= 0):
         raise InvalidArgument("snr must be finite and nonnegative")
-    groups = [_group(code, code.subcode_indices(s, fixed))]
-    ctx = {"groups": groups, "enorm": code.gamma * code.embedded,
-           "lattice": _search_lattice(code, s, groups)}
-    det = _detect(ctx, math.sqrt(snr), y[None, :], h, np.zeros(1, dtype=np.int64))
+    g = np.zeros(1, dtype=np.int64) if fixed is None else code.side_index(s, fixed)
+    det = _detect(_groups(code, s), math.sqrt(snr), y[None, :], h, g)
     return code.message_from_index(int(det[0]))
 
 

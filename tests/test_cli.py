@@ -169,6 +169,15 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     doc["energy_radius_factor"] = 1.0
     path.write_text(json.dumps(doc))
     assert main(["design", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+    # an int of 4301 digits, nesting past the recursion limit and a file that is not UTF-8
+    # ended in ValueError, RecursionError and UnicodeDecodeError tracebacks
+    for blob in (b'{"seed": ' + b"9" * 4301 + b"}", b"[" * 10**5 + b"]" * 10**5,
+                 b"\xff\xfe{}"):
+        path.write_bytes(blob)
+        capsys.readouterr()
+        assert main(["design", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (blob[:20], err)
 
 
 def test_infeasible_design_exits_3(tmp_path, capsys):
@@ -475,13 +484,21 @@ def test_analyze_k_cap_exits_3(capsys):
     assert main(["analyze", "--preset", "example1", "--k-cap", "1", "--sets", "[[1]]"]) == 0
 
 
-def test_analyze_rejects_bad_sets(capsys):
-    # [[1.5],[2.9]] was truncated to {1} and {2}; the others ended in tracebacks
-    for sets in ("[[1.5],[2.9]]", "[]", "[[]]", '[["a"]]', "[[null]]", "[[true]]", "[[3]]"):
+def test_analyze_rejects_bad_sets(capsys, tmp_path):
+    # [[1.5],[2.9]] was truncated to {1} and {2}; the others ended in tracebacks, the last two
+    # (an int of 4301 digits, nesting past the recursion limit) in analyze and simulate alike
+    simulate = ["simulate", "--preset", "example1", "--snr", "10", "--trials", "4096",
+                "--workers", "1", "--out-dir", str(tmp_path)]
+    huge, deep = "[[" + "9" * 4301 + "]]", "[" * 5000 + "]" * 5000
+    runs = [["analyze", "--preset", "example1", "--sets", sets] for sets in (
+        "[[1.5],[2.9]]", "[]", "[[]]", '[["a"]]', "[[null]]", "[[true]]", "[[3]]", huge, deep)]
+    for argv in runs + [simulate + ["--sets", huge], simulate + ["--sets", deep]]:
         capsys.readouterr()
-        assert main(["analyze", "--preset", "example1", "--sets", sets]) == 1, sets
+        assert main(argv) == 1, argv[-1][:20]
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err, (sets, err)
+        assert err.startswith("error: ") and "Traceback" not in err, (argv[-1][:20], err)
+    assert "like [[1],[2]]" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_analyze_explicit_sets(capsys):

@@ -378,14 +378,29 @@ def test_the_search_context_holds_no_code(cyclo_code):
 
 @pytest.mark.parametrize("s", [(), (1,), (1, 2), (1, 2, 3, 4)])
 def test_side_information_groups_match_a_scan_per_group(cyclo_code, s):
-    # one stable argsort split at the group boundaries gives what one np.flatnonzero pass per
-    # group gave: every group, in order, its points ascending
+    # the rows of the group table, one stable argsort of pid, are what one np.flatnonzero pass
+    # per group gives: every group, in order, its points ascending
     ctx = sim._build_ctx(_cfg(cyclo_code, side_info=s))
     pid = cyclo_code.side_index(s)
     want = [np.flatnonzero(pid == g) for g in range(int(pid.max()) + 1)]
-    got = [g["cand"] for g in ctx["groups"]]
+    got = list(ctx["cand"])
     assert len(got) == len(want) == cyclo_code.size // cyclo_code.subcode_indices(s).shape[0]
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_the_group_table_pickles_alike_for_any_group_count(cyclo_code):
+    # each group is a row of one (G, size) table, so the context a pooled call pickles holds
+    # the same arrays for 121 groups of 121 points and for 14641 groups of one point; one
+    # dict of array slices per group made the second 3.46 MB against 1.77 MB
+    sizes = []
+    for s in ((1, 2), (1, 2, 3, 4)):
+        ctx = sim._build_ctx(_cfg(cyclo_code, side_info=s))
+        G = math.prod(cyclo_code.alphabet_sizes[k - 1] for k in s)
+        assert ctx["cand"].shape == ctx["Pnorm"].shape == (G, cyclo_code.size // G)
+        assert ctx["P"].shape == ctx["Psq"].shape == (*ctx["cand"].shape, cyclo_code.dimension)
+        assert ctx["cand"].size == cyclo_code.size
+        sizes.append(len(pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)))
+    assert abs(sizes[1] - sizes[0]) <= 0.01 * sizes[0], sizes
 
 
 @pytest.mark.parametrize("s, counts", [
@@ -543,7 +558,7 @@ def test_tiled_detection_matches_untiled_reference(request, monkeypatch, untiled
                                       snr_db=(grid[0], grid[-1]), fade_per_complex=per_complex))
             with monkeypatch.context() as m:
                 m.setattr(sim, "_SEARCH_MIN", 1)
-                searched = dict(ctx, lattice=sim._search_lattice(code, s, ctx["groups"]))
+                searched = dict(ctx, lattice=sim._search_lattice(code, s, ctx["cand"]))
             for point in (0, 1):
                 raw, y, h = sim._draw_chunk(ctx, point, 0)
                 a = ctx["amps"][point]
@@ -595,16 +610,16 @@ def test_unsettled_trials_fall_back_to_brute_force(maxreal_code, monkeypatch):
 def test_search_points_are_proven_in_int64_once(maxreal_code, monkeypatch):
     # _search forms first point + V @ basis.T with |v_i| <= bound[i]: the exact
     # bound max|coordinate| + sum |basis| * bound, in Python ints, is the proof's
-    groups = [sim._group(maxreal_code, np.arange(maxreal_code.size))]
-    lat = sim._search_lattice(maxreal_code, (), groups)
+    cand = np.arange(maxreal_code.size)[None]
+    lat = sim._search_lattice(maxreal_code, (), cand)
     top = np.abs(maxreal_code.coords_matrix).max(axis=0).tolist()
     proof = max(c + sum(abs(b) * int(v) for b, v in zip(row, lat["bound"].tolist()))
                 for c, row in zip(top, lat["basis"].tolist()))
     monkeypatch.setattr(linalg, "INT64_MAX", proof)
-    assert sim._search_lattice(maxreal_code, (), groups) is not None
+    assert sim._search_lattice(maxreal_code, (), cand) is not None
     monkeypatch.setattr(linalg, "INT64_MAX", proof - 1)
     with pytest.raises(Infeasible, match="^a point of the sphere search leaves the int64"):
-        sim._search_lattice(maxreal_code, (), groups)
+        sim._search_lattice(maxreal_code, (), cand)
 
 
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
@@ -684,8 +699,7 @@ def test_ml_detect_matches_untiled_reference_on_module_codes(zi_m2k2, zi_1105):
     trials = 64
     for code in codes:
         assert code.size >= sim._SEARCH_MIN and not code.is_plain
-        groups = [sim._group(code, np.arange(code.size))]
-        lat = sim._search_lattice(code, (), groups)
+        lat = sim._search_lattice(code, (), np.arange(code.size)[None])
         assert lat is not None
         enorm = code.gamma * code.embedded
         dim = code.embedded.shape[1]
