@@ -22,14 +22,16 @@ Groups of at least _SEARCH_MIN points are decided by a batched sphere search
 sublattice with the trial's fade folded in and IndexCode.point_index telling
 which lattice points the code stores: the one Fincke-Pohst search
 (linalg.fp_search), also behind short_vectors.  The trials it cannot settle,
-and all trials of smaller groups, go to brute force (_brute), which is also
-the oracle of the tests.  The search holds at most
-_SEARCH_ROWS rows per level for a tile of _SEARCH_TILE trials, and brute force
-scores in row tiles of at most _TILE_BYTES of float64 scores, so the memory a
-chunk needs is bounded independently of the constellation size.  Both paths
-minimise the same score, computed with a different summation order, so they
-could part only on two candidates whose scores agree to rounding; the tests
-check them trial by trial against an untiled brute-force oracle.
+and all trials of smaller groups, go to brute force (_brute), the oracle of
+the tests: one matrix product per tile of trials, their features times the
+group's row of a weight table stored with the groups; a group of one point
+needs no score.  The search holds at most _SEARCH_ROWS rows per level for a
+tile of _SEARCH_TILE trials, and brute force scores in row tiles of at most
+_TILE_BYTES of float64 scores, so the memory a chunk needs is bounded
+independently of the constellation size.  Both paths minimise the same score,
+computed with a different summation order, so they could part only on two
+candidates whose scores agree to rounding; the tests check them trial by
+trial against an untiled brute-force oracle.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .numberfield.field import _is_integer
 from .numberfield.linalg import check_int64, column_max, fp_search, lll_gram, product_bounds
 
 CHUNK = 4096
-_TILE_BYTES = 1 << 20  # a score tile (two on Rayleigh) fits a 2 MiB per-core L2 cache
-_SEARCH_MIN = 1024  # group size from which _search beats _brute: 2x its time at 169, 0.6x at 1331
+_TILE_BYTES = 1 << 20  # the one score tile fits a 2 MiB per-core L2 cache
+_SEARCH_MIN = 1024  # group size from which _search decides; 1.5-2.5x _brute's time at 1331
 _SEARCH_TILE = 2048  # trials per search tile
 _SEARCH_ROWS = 1 << 15  # rows a search tile may hold at one level
 _TASK_CHUNKS = 4  # chunks per task of run_sim's sweep loop
@@ -188,13 +190,18 @@ def confidence_interval(errors, trials):
 def _groups(code, s):
     """What detection reads of the code on S: pid, each point's group; enorm, the
     unit-energy points; the group table, whose row g holds group g's point indices
-    cand, ascending, and their P, P*P and |P|^2; and lattice, what _search reads."""
+    cand, ascending, and their weights W[g] (_brute); and lattice, what _search reads."""
     pid = code.side_index(s)
+    pid = pid.astype(np.min_scalar_type(pid.max()))  # small ints: stable argsorts are radix sorts
     enorm = code.gamma * code.embedded  # unit average energy
     cand = np.argsort(pid, kind="stable").reshape(int(pid.max()) + 1, -1)  # stable: ascending
-    P = enorm[cand]
-    return {"pid": pid, "enorm": enorm, "cand": cand, "P": P, "Psq": P * P,
-            "Pnorm": (P * P).sum(axis=2), "lattice": _search_lattice(code, s, cand)}
+    n = enorm.shape[1]
+    W = np.empty((cand.shape[0], 2 * n + 1, cand.shape[1]))  # [P*P; P; |P|^2], filled in place
+    W[:, n:2 * n] = enorm[cand].transpose(0, 2, 1)
+    np.multiply(W[:, n:2 * n], W[:, n:2 * n], out=W[:, :n])
+    W[:, :n].sum(axis=1, out=W[:, 2 * n])
+    return {"pid": pid, "enorm": enorm, "cand": cand, "W": W,
+            "lattice": _search_lattice(code, s, cand)}
 
 
 def _search_lattice(code, s, cand):
@@ -269,41 +276,34 @@ def _brute(ctx, a, y, h, pids):
     """ML decision (point index) for every row of y by scoring it against
     every candidate of its side-information group; the oracle of _search.
 
-    Trials of one group are scored in tiles of at most _TILE_BYTES of float64
-    scores, written into buffers reused across the group's tiles, so memory
-    does not grow with the constellation size.  Each score is
-    a*a*|P|^2 - 2a<y, P> (AWGN) or a*a*<h*h, P*P> - 2a<y*h, P> (Rayleigh),
-    and ties go to the first candidate.
+    Each score is one product X @ W[g] of the trial's features and two row
+    slices of the group's weights: X = [-2a*y, a*a] against [P; |P|^2] (AWGN)
+    or X = [a*a*h*h, -2a*y*h] against [P*P; P] (Rayleigh).  Trials are put in
+    group order once and scored in tiles of at most _TILE_BYTES of float64
+    scores in one reused buffer, so memory does not grow with the constellation
+    size.  Ties go to the first candidate; a one-point group needs no score.
     """
-    det = np.empty(y.shape[0], dtype=np.int64)
-    groups, size = ctx["cand"].shape
-    order = np.arange(pids.shape[0]) if groups == 1 else np.argsort(pids, kind="stable")
-    sorted_pids = pids[order]
-    bounds = np.flatnonzero(np.r_[True, sorted_pids[1:] != sorted_pids[:-1], True]).tolist()
-    for g, start, stop in zip(sorted_pids[bounds[:-1]], bounds, bounds[1:]):
-        cand, P = ctx["cand"][g], ctx["P"][g]
-        tile = min(max(1, _TILE_BYTES // (8 * size)), stop - start)
-        score_buf = np.empty((tile, size))
-        if h is None:
-            energy = a * a * ctx["Pnorm"][g]
-        else:
-            Psq, fade_buf = ctx["Psq"][g], np.empty((tile, size))
+    cand, W = ctx["cand"], ctx["W"]
+    groups, size = cand.shape
+    if size == 1:
+        return cand[pids, 0]
+    if h is None:
+        X, W = np.hstack([(-2.0 * a) * y, np.full((y.shape[0], 1), a * a)]), W[:, y.shape[1]:]
+    else:
+        X, W = np.hstack([(a * a) * (h * h), (-2.0 * a) * (y * h)]), W[:, :2 * y.shape[1]]
+    order = slice(None) if groups == 1 else np.argsort(pids, kind="stable")
+    X, pids = X[order], pids[order]  # views when there is one group
+    bounds = np.flatnonzero(np.r_[True, pids[1:] != pids[:-1], True]).tolist()
+    tile = max(1, _TILE_BYTES // (8 * size))
+    buf = np.empty((min(tile, X.shape[0]), size))
+    det = np.empty(X.shape[0], dtype=np.int64)
+    for g, start, stop in zip(pids[bounds[:-1]], bounds, bounds[1:]):
         for lo in range(start, stop, tile):
-            rows = order[lo:min(lo + tile, stop)]
-            score = score_buf[:rows.shape[0]]
-            if h is None:
-                np.matmul(y[rows], P.T, out=score)
-                np.multiply(2.0 * a, score, out=score)
-                np.subtract(energy, score, out=score)
-            else:
-                hr = h[rows]
-                np.matmul(y[rows] * hr, P.T, out=score)
-                np.multiply(2.0 * a, score, out=score)
-                fade = fade_buf[:rows.shape[0]]
-                np.matmul(hr * hr, Psq.T, out=fade)
-                np.multiply(a * a, fade, out=fade)
-                np.subtract(fade, score, out=score)
-            det[rows] = cand[np.argmin(score, axis=1)]
+            hi = min(lo + tile, stop)
+            score = buf[:hi - lo]
+            np.matmul(X[lo:hi], W[g], out=score)
+            det[lo:hi] = cand[g][np.argmin(score, axis=1)]
+    det[order] = det.copy()  # back to trial order
     return det
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,9 +398,12 @@ def test_the_group_table_pickles_alike_for_any_group_count(cyclo_code):
     for s in ((1, 2), (1, 2, 3, 4)):
         ctx = sim._build_ctx(_cfg(cyclo_code, side_info=s))
         G = math.prod(cyclo_code.alphabet_sizes[k - 1] for k in s)
-        assert ctx["cand"].shape == ctx["Pnorm"].shape == (G, cyclo_code.size // G)
-        assert ctx["P"].shape == ctx["Psq"].shape == (*ctx["cand"].shape, cyclo_code.dimension)
+        assert ctx["cand"].shape == (G, cyclo_code.size // G)
+        assert ctx["W"].shape == (G, 2 * cyclo_code.dimension + 1, cyclo_code.size // G)
         assert ctx["cand"].size == cyclo_code.size
+        P = ctx["enorm"][ctx["cand"]].transpose(0, 2, 1)  # W[g] = [P*P; P; |P|^2]
+        assert np.array_equal(ctx["W"], np.concatenate([P * P, P, (P * P).sum(axis=1)[:, None]],
+                                                       axis=1))
         sizes.append(len(pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)))
     assert abs(sizes[1] - sizes[0]) <= 0.01 * sizes[0], sizes
 
@@ -412,6 +417,33 @@ def test_grouped_sweeps_are_pinned(cyclo_code, s, counts):
         res = run_sim(_cfg(cyclo_code, channel=channel, snr_db=snr, side_info=s, min_errors=50,
                            max_trials=8192, seed=11))
         assert [(p.errors, p.trials) for p in res.points] == counts[channel], channel
+
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def test_sweeps_replay_the_benchmark_reference_counts(ex1_code, ex2_code, ex3_code,
+                                                      maxreal_code):
+    # the benchmark's sweep calls (bench/workloads.py SWEEPS) for one seed, on one worker:
+    # every call of sweep-small, and sweep-large's maxreal-K3 S = {1}, which brute force
+    # decides, give the reference (snr, errors, trials) the benchmark checks
+    seed = 1
+    ref = json.loads(_REFERENCE.read_text())["sims"]
+    codes = {"example1": ex1_code, "example2": ex2_code, "example3": ex3_code}
+    calls = [("sweep-small", name, channel, s, tuple(preset_snr_grid(name, channel)), 200, 4)
+             for name in codes for channel in ("awgn", "rayleigh") for s in ((), (1,), (2,))]
+    codes["maxreal-K3"] = maxreal_code
+    calls += [("sweep-large", "maxreal-K3", "awgn", (1,), (14.0, 20.0, 28.0), 100, 2),
+              ("sweep-large", "maxreal-K3", "rayleigh", (1,), (16.0, 28.0, 36.0), 100, 2)]
+    small = {f"{name}/{channel}/S{side_info_tag(s)}"
+             for group, name, channel, s, *_ in calls if group == "sweep-small"}
+    assert small == set(ref["sweep-small"][str(seed)])
+    for group, name, channel, s, snr, min_errors, chunks in calls:
+        res = run_sim(_cfg(codes[name], channel=channel, snr_db=snr, side_info=s,
+                           min_errors=min_errors, max_trials=chunks * sim.CHUNK, seed=seed))
+        key = f"{name}/{channel}/S{side_info_tag(s)}"
+        want = ref[group][str(seed)][key]
+        assert [[p.snr_db, p.errors, p.trials] for p in res.points] == want, (group, key)
 
 
 def test_a_worker_count_above_the_bound_starts_no_pool(ex1_code, monkeypatch, tmp_path):
@@ -572,6 +604,28 @@ def test_tiled_detection_matches_untiled_reference(request, monkeypatch, untiled
                     assert np.array_equal(det, want), (channel, per_complex, s, point)
                 if not s and point == 0:
                     assert np.count_nonzero(want != raw[:keep]) > 0  # real decisions
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+def test_one_point_groups_are_decided_without_scoring(cyclo_code, monkeypatch, channel):
+    # on S = {1,2,3,4} each of the 14641 groups is one point, the sent one's: brute force
+    # returns it with no score product, and agrees with the untiled reference
+    ctx = sim._build_ctx(_cfg(cyclo_code, channel=channel, side_info=(1, 2, 3, 4),
+                              snr_db=(8.0,)))
+    assert ctx["cand"].shape == (cyclo_code.size, 1)
+    raw, y, h = sim._draw_chunk(ctx, 0, 0)
+    a = ctx["amps"][0]
+    products, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kw: products.append(args) or
+                        matmul(*args, **kw))
+    det = sim._detect(ctx, a, y, h, ctx["pid"][raw])
+    monkeypatch.undo()
+    assert products == []
+    assert np.array_equal(det, raw)
+    keep = 512
+    want = _untiled_detect(cyclo_code, (1, 2, 3, 4), a, raw[:keep], y[:keep],
+                           None if h is None else h[:keep])
+    assert np.array_equal(det[:keep], want)
 
 
 def test_unsettled_trials_fall_back_to_brute_force(maxreal_code, monkeypatch):
