@@ -194,8 +194,9 @@ class IndexCode:
     """Immutable index code on m copies of O_K; build with build_index_code.
 
     The constructor takes the field, the primes and one point per coset of
-    I^m, and is the one place that checks the primes (_code_primes): built,
-    loaded or made directly, a code holds tagged, distinct prime ideals.
+    I^m, or build_index_code's enumeration of them, and is the one place that
+    checks the generator and the primes (_generator_lattice, _code_primes):
+    built, loaded or made directly, a code holds tagged, distinct prime ideals.
 
     size is the number of points M, num_messages the number of messages K and
     dimension the real dimension m*n.  coords_matrix holds the slot-major
@@ -214,6 +215,8 @@ class IndexCode:
         self.m = m = len(self.gmatrix)
         self.modulus = functools.reduce(operator.mul, self.primes)
         self.alphabet_sizes = tuple(p.norm ** m for p in self.primes)
+        if callable(coords):
+            coords = coords(self.modulus, self.gram2, m)
         self.size = coords.shape[0]
         if self.size != self.modulus.norm ** m:
             raise InvariantViolation(
@@ -422,14 +425,12 @@ def build_index_code(field, primes, gmatrix=None, *,
     rational integers; default the 1x1 identity).  enumeration_cap limits
     the constellation size N(I)^m.
     """
-    gmatrix, _, gram2 = _generator_lattice(field, gmatrix)
-    primes = _code_primes(field, primes)
-    modulus = functools.reduce(operator.mul, primes)
-    count = modulus.norm ** len(gmatrix)
-    if count > enumeration_cap:
-        raise Infeasible(f"constellation size {count} exceeds enumeration cap {enumeration_cap}")
-    coords = _min_energy_representatives(modulus, gram2, len(gmatrix))
-    return IndexCode(field, primes, coords, gmatrix)
+    def enumerate_points(modulus, gram2, m):  # on the checked code, the cap first
+        if (count := modulus.norm ** m) > enumeration_cap:
+            raise Infeasible(f"constellation size {count} exceeds enumeration cap "
+                             f"{enumeration_cap}")
+        return _min_energy_representatives(modulus, gram2, m)
+    return IndexCode(field, primes, enumerate_points, gmatrix)
 
 
 def encode(code, msg):

@@ -16,22 +16,22 @@ the last call's context until the next call or the interpreter's exit.
 Detection is exact ML over the points that agree with the side information,
 a coset x_g + Psi(G~ I_S^m) of the constellation, on every code (any m and
 generator G~).  These cosets, the groups, all hold the same number of points,
-so each is a row of one table (_groups) shared by run_sim and ml_detect.
-Groups of at least _SEARCH_MIN points are decided by a batched sphere search
-(_search) around each trial's Babai point, in a reduced basis of that side
-sublattice with the trial's fade folded in and IndexCode.point_index telling
-which lattice points the code stores: the one Fincke-Pohst search
+so each is a row of one table (_groups): run_sim's holds every group, and
+ml_detect's the one it decides.  Its weights W are the detector's only float
+copy of the points; a candidate scores a trial's features times its column of
+W (_features).  Groups of at least _SEARCH_MIN points are decided by a batched
+sphere search (_search) around each trial's Babai point, in a reduced basis of
+that side sublattice with the trial's fade folded in and IndexCode.point_index
+telling which lattice points the code stores: the one Fincke-Pohst search
 (linalg.fp_search), also behind short_vectors.  The trials it cannot settle,
 and all trials of smaller groups, go to brute force (_brute), the oracle of
-the tests: one matrix product per tile of trials, their features times the
-group's row of a weight table stored with the groups; a group of one point
-needs no score.  The search holds at most _SEARCH_ROWS rows per level for a
-tile of _SEARCH_TILE trials, and brute force scores in row tiles of at most
-_TILE_BYTES of float64 scores, so the memory a chunk needs is bounded
-independently of the constellation size.  Both paths minimise the same score,
-computed with a different summation order, so they could part only on two
-candidates whose scores agree to rounding; the tests check them trial by
-trial against an untiled brute-force oracle.
+the tests: one matrix product per tile of trials; a one-point group needs no
+score.  The search holds at most _SEARCH_ROWS rows per level for a tile of
+_SEARCH_TILE trials, and brute force scores in row tiles of at most
+_TILE_BYTES of float64 scores, so a chunk's memory is bounded independently
+of the constellation size.  The two paths sum the same products in different
+orders, so they could part only on candidates whose scores agree to
+rounding; the tests check them trial by trial against an untiled oracle.
 """
 
 from __future__ import annotations
@@ -187,21 +187,18 @@ def confidence_interval(errors, trials):
 # ============================================================
 
 
-def _groups(code, s):
-    """What detection reads of the code on S: pid, each point's group; enorm, the
-    unit-energy points; the group table, whose row g holds group g's point indices
-    cand, ascending, and their weights W[g] (_brute); and lattice, what _search reads."""
-    pid = code.side_index(s)
-    pid = pid.astype(np.min_scalar_type(pid.max()))  # small ints: stable argsorts are radix sorts
-    enorm = code.gamma * code.embedded  # unit average energy
-    cand = np.argsort(pid, kind="stable").reshape(int(pid.max()) + 1, -1)  # stable: ascending
-    n = enorm.shape[1]
-    W = np.empty((cand.shape[0], 2 * n + 1, cand.shape[1]))  # [P*P; P; |P|^2], filled in place
-    W[:, n:2 * n] = enorm[cand].transpose(0, 2, 1)
+def _groups(code, s, cand):
+    """What detection reads of the code on S for the groups in the rows of cand (each row a
+    group's point indices, ascending): cand; the weights W, row g [P*P; P; |P|^2] of group
+    g's unit-energy points P; rank, each point's column there; lattice, what _search reads."""
+    n = code.dimension
+    W = np.empty((cand.shape[0], 2 * n + 1, cand.shape[1]))  # filled in place
+    W[:, n:2 * n] = (code.gamma * code.embedded[cand]).transpose(0, 2, 1)  # unit average energy
     np.multiply(W[:, n:2 * n], W[:, n:2 * n], out=W[:, :n])
     W[:, :n].sum(axis=1, out=W[:, 2 * n])
-    return {"pid": pid, "enorm": enorm, "cand": cand, "W": W,
-            "lattice": _search_lattice(code, s, cand)}
+    rank = np.zeros(code.size, dtype=np.min_scalar_type(cand.shape[1] - 1))
+    rank[cand] = np.arange(cand.shape[1])
+    return {"cand": cand, "W": W, "rank": rank, "lattice": _search_lattice(code, s, cand)}
 
 
 def _search_lattice(code, s, cand):
@@ -230,23 +227,25 @@ def _search_lattice(code, s, cand):
         "basis": basis,
         "ebasis": code.gamma * (np.kron(np.eye(code.m), code.field.embed_matrix) @ points),
         "bound": bound,
-        "first": cand[:, 0],
         "lookup": code.point_index,
     }
 
 
 def _build_ctx(config):
-    """Read-only arrays shared by every chunk of a sweep."""
-    field = config.code.field
+    """Read-only arrays shared by every chunk of a sweep: pid, each point's group, and _groups."""
+    code, field = config.code, config.code.field
+    pid = code.side_index(config.side_info)
+    pid = pid.astype(np.min_scalar_type(pid.max()))  # small ints: stable argsorts are radix sorts
+    cand = np.argsort(pid, kind="stable").reshape(int(pid.max()) + 1, -1)  # stable: ascending
     return {
         "channel": config.channel,
         "seed": config.seed,
         "fade_columns": field.places if config.fade_per_complex else np.arange(field.n),
-        "size": config.code.size,
         "n": field.n,
         "noise_sigma": math.sqrt(1.0 / field.n),
         "amps": [math.sqrt(10.0 ** (v / 10.0)) for v in config.snr_db],
-        **_groups(config.code, config.side_info),
+        "pid": pid,
+        **_groups(code, config.side_info, cand),
     }
 
 
@@ -261,24 +260,31 @@ def _draw_chunk(ctx, point_idx, chunk_idx):
     """(sent point indices, received y, fades h or None) of one chunk; pure in its arguments."""
     ss = np.random.SeedSequence(ctx["seed"], spawn_key=(point_idx, chunk_idx))
     rng = np.random.Generator(np.random.Philox(ss))
-    a = ctx["amps"][point_idx]
+    a, n = ctx["amps"][point_idx], ctx["n"]
 
-    raw = rng.integers(0, ctx["size"], size=CHUNK)
-    z = rng.standard_normal((CHUNK, ctx["n"])) * ctx["noise_sigma"]
+    raw = rng.integers(0, ctx["pid"].shape[0], size=CHUNK)  # one pid per point
+    z = rng.standard_normal((CHUNK, n)) * ctx["noise_sigma"]
     h = _draw_fades(ctx, rng) if ctx["channel"] == "rayleigh" else None
 
-    tx = ctx["enorm"][raw]
+    tx = ctx["W"][ctx["pid"][raw], n:2 * n, ctx["rank"][raw]]  # the sent points, unit energy
     y = a * (h * tx if h is not None else tx) + z
     return raw, y, h
+
+
+def _features(a, y, h):
+    """(X, rows): each trial's features X, and the rows of W that give a candidate P its
+    score, X @ W[g][rows] = |y - a*h*P|^2 - |y|^2: X = [-2a*y, a*a] against [P; |P|^2]
+    (AWGN) or X = [a*a*h*h, -2a*y*h] against [P*P; P] (Rayleigh)."""
+    if h is None:
+        return np.hstack([(-2.0 * a) * y, np.full((y.shape[0], 1), a * a)]), slice(y.shape[1], None)
+    return np.hstack([(a * a) * (h * h), (-2.0 * a) * (y * h)]), slice(0, 2 * y.shape[1])
 
 
 def _brute(ctx, a, y, h, pids):
     """ML decision (point index) for every row of y by scoring it against
     every candidate of its side-information group; the oracle of _search.
 
-    Each score is one product X @ W[g] of the trial's features and two row
-    slices of the group's weights: X = [-2a*y, a*a] against [P; |P|^2] (AWGN)
-    or X = [a*a*h*h, -2a*y*h] against [P*P; P] (Rayleigh).  Trials are put in
+    Each tile is one product X @ W[g][rows] (_features).  Trials are put in
     group order once and scored in tiles of at most _TILE_BYTES of float64
     scores in one reused buffer, so memory does not grow with the constellation
     size.  Ties go to the first candidate; a one-point group needs no score.
@@ -287,10 +293,7 @@ def _brute(ctx, a, y, h, pids):
     groups, size = cand.shape
     if size == 1:
         return cand[pids, 0]
-    if h is None:
-        X, W = np.hstack([(-2.0 * a) * y, np.full((y.shape[0], 1), a * a)]), W[:, y.shape[1]:]
-    else:
-        X, W = np.hstack([(a * a) * (h * h), (-2.0 * a) * (y * h)]), W[:, :2 * y.shape[1]]
+    X, rows = _features(a, y, h)
     order = slice(None) if groups == 1 else np.argsort(pids, kind="stable")
     X, pids = X[order], pids[order]  # views when there is one group
     bounds = np.flatnonzero(np.r_[True, pids[1:] != pids[:-1], True]).tolist()
@@ -301,14 +304,14 @@ def _brute(ctx, a, y, h, pids):
         for lo in range(start, stop, tile):
             hi = min(lo + tile, stop)
             score = buf[:hi - lo]
-            np.matmul(X[lo:hi], W[g], out=score)
+            np.matmul(X[lo:hi], W[g, rows], out=score)
             det[lo:hi] = cand[g][np.argmin(score, axis=1)]
     det[order] = det.copy()  # back to trial order
     return det
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # a degenerate fade: see below
-def _search(lat, enorm, a, y, h, pids):
+def _search(ctx, a, y, h, pids):
     """ML decision (point index) for every row of y, or -1 where the sphere
     search cannot settle it; one tile of at most _SEARCH_TILE trials.
 
@@ -317,19 +320,20 @@ def _search(lat, enorm, a, y, h, pids):
     its radius is the distance from y to its Babai (nearest-plane) point.
     linalg.fp_search, which also enumerates short vectors, finds every
     lattice point of the coset inside that radius; a point is a candidate
-    when the code stores it (IndexCode.point_index), and candidates are
-    scored with _brute's formula.  The nearest stored point is within the
-    radius whenever any stored point is, so the decision is exact ML.  A
-    trial is left unsettled (-1) when no stored point lies inside its radius
-    (y beyond the shaping region) or fp_search drops it: its fade makes the
-    basis degenerate (a non-finite center or room), or it has the most rows
-    at a level over _SEARCH_ROWS.
+    when the code stores it (IndexCode.point_index), and its score is the
+    trial's features times its column of W[g] (_features).  The nearest
+    stored point is within the radius whenever any stored point is, so the
+    decision is exact ML.  A trial is left unsettled (-1) when no stored
+    point lies inside its radius (y beyond the shaping region) or fp_search
+    drops it: its fade makes the basis degenerate (a non-finite center or
+    room), or it has the most rows at a level over _SEARCH_ROWS.
     """
+    lat, W, rank = ctx["lattice"], ctx["W"], ctx["rank"]
     t, n = y.shape
-    first = lat["first"][pids]
+    first = W[pids, n:2 * n, 0]  # x_g at unit energy
     basis = a * lat["ebasis"][None] if h is None else a * h[:, :, None] * lat["ebasis"]
     Q, R = np.linalg.qr(basis)
-    w = ((y - a * (enorm[first] if h is None else h * enorm[first]))[:, None, :] @ Q)[:, 0]
+    w = ((y - a * (first if h is None else h * first))[:, None, :] @ Q)[:, 0]
     R = np.broadcast_to(R, (t, n, n))
     radius2 = np.zeros(t)
     babai = w.copy()
@@ -340,20 +344,15 @@ def _search(lat, enorm, a, y, h, pids):
         babai[:, :i] -= R[:, :i, i] * v[:, None]
     tr, V, _ = fp_search(R, w, radius2, lat["bound"], _SEARCH_ROWS)
     lookup = lat["lookup"]
-    idx = lookup(lookup.coords[first[tr]] + V @ lat["basis"].T)
+    idx = lookup(lookup.coords[ctx["cand"][pids[tr], 0]] + V @ lat["basis"].T)
     tr, idx = tr[idx >= 0], idx[idx >= 0]
     det = np.full(t, -1, dtype=np.int64)
     if tr.shape[0]:
-        P = enorm[idx]
-        if h is None:
-            score = a * a * (P * P).sum(axis=1) - 2.0 * a * np.einsum("ij,ij->i", y[tr], P)
-        else:
-            hr = h[tr]
-            score = (a * a * np.einsum("ij,ij->i", hr * hr, P * P)
-                     - 2.0 * a * np.einsum("ij,ij->i", y[tr] * hr, P))
+        X, rows = _features(a, y, h)
+        score = np.einsum("ij,ij->i", X[tr], W[pids[tr], rows, rank[idx]])
         starts = np.flatnonzero(np.r_[True, tr[1:] != tr[:-1]])  # rows stay in trial order
         low = np.repeat(np.minimum.reduceat(score, starts), np.diff(np.r_[starts, tr.shape[0]]))
-        det[tr[starts]] = np.minimum.reduceat(np.where(score == low, idx, enorm.shape[0]), starts)
+        det[tr[starts]] = np.minimum.reduceat(np.where(score == low, idx, rank.shape[0]), starts)
     return det
 
 
@@ -371,8 +370,7 @@ def _detect(ctx, a, y, h, pids):
     det = np.empty(y.shape[0], dtype=np.int64)
     for lo in range(0, y.shape[0], _SEARCH_TILE):
         rows = slice(lo, lo + _SEARCH_TILE)
-        det[rows] = _search(lat, ctx["enorm"], a, y[rows], None if h is None else h[rows],
-                            pids[rows])
+        det[rows] = _search(ctx, a, y[rows], None if h is None else h[rows], pids[rows])
     rest = np.flatnonzero(det < 0)
     if rest.shape[0]:
         det[rest] = _brute(ctx, a, y[rest], None if h is None else h[rest], pids[rest])
@@ -515,9 +513,9 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
     """ML decision restricted to codewords consistent with the side info.
 
     The decision of run_sim for one trial received as y = sqrt(snr)*(h.x) + z
-    over subcode_points(code, s, fixed): _detect on a one-row chunk of that group
-    of run_sim's table, so a sphere search from _SEARCH_MIN points up and brute
-    force below, ties toward the lowest message index.  Returns the Message.
+    over subcode_points(code, s, fixed): _detect on a one-row chunk and a table of
+    that one group, so a sphere search from _SEARCH_MIN points up and brute force
+    below, ties toward the lowest message index.  Returns the Message.
     """
     y = _real_vector("y", y, code.dimension)
     if h is not None:
@@ -528,8 +526,8 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
         raise InvalidArgument(f"snr must be a real number, got {snr!r}")
     if not (math.isfinite(snr) and snr >= 0):
         raise InvalidArgument("snr must be finite and nonnegative")
-    g = np.zeros(1, dtype=np.int64) if fixed is None else code.side_index(s, fixed)
-    det = _detect(_groups(code, s), math.sqrt(snr), y[None, :], h, g)
+    ctx = _groups(code, s, code.subcode_indices(s, fixed)[None])
+    det = _detect(ctx, math.sqrt(snr), y[None, :], h, np.zeros(1, dtype=np.int64))
     return code.message_from_index(int(det[0]))
 
 

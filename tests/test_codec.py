@@ -501,12 +501,25 @@ def test_loaded_coordinates_are_checked_at_the_exact_int64_bounds(ex1_code, monk
             load_doc(doc)
 
 
-def test_build_respects_enumeration_cap():
+def test_build_respects_enumeration_cap(monkeypatch):
+    # the cap is refused before any enumeration, and a build checks the generator and the
+    # primes once each
     field = quadratic_field(5)
     primes = [principal_ideal(field.element((-1, 2))),
               principal_ideal(field.element((3, 2)))]
+    calls = []
+
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    for name in ("_generator_lattice", "_code_primes", "_min_energy_representatives"):
+        monkeypatch.setattr(codec, name, counted(name, getattr(codec, name)))
     with pytest.raises(Infeasible):
         build_index_code(field, primes, enumeration_cap=54)
+    assert "_min_energy_representatives" not in calls
+    calls.clear()
+    assert build_index_code(field, primes, enumeration_cap=55).size == 55
+    assert sorted(calls) == ["_code_primes", "_generator_lattice", "_min_energy_representatives"]
 
 
 def test_build_refuses_oversized_enumeration(monkeypatch):
