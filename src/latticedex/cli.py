@@ -25,8 +25,8 @@ from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
 from .numberfield import field_from_dict
 from .presets import resolve_primes
-from .sim import (SimConfig, curve_filename, resolve_workers, run_sim, si_gain_from_curves,
-                  write_curve_csv)
+from .sim import (SimConfig, check_sweep, curve_filename, resolve_workers, run_sim,
+                  si_gain_from_curves, write_curve_csv)
 
 _SNR_POINTS = 10_000  # points an --snr range may hold: each costs a chunk at least
 
@@ -258,12 +258,11 @@ def cmd_analyze(args):
 
 
 def cmd_simulate(args):
-    if args.trials is not None and args.trials < 1:
-        raise InvalidArgument("--trials must be at least 1")
-    if args.min_errors is not None and args.min_errors < 1:
-        raise InvalidArgument("--min-errors must be at least 1")
     spec = _load_spec(args)
-    resolve_workers(spec.workers)  # a bad worker count or LATTICEDEX_THREADS before the build
+    if not spec.snr_db:
+        raise InvalidArgument("no snr grid: set snr_db in the config or pass --snr")
+    check_sweep(spec)  # every setting that needs no code, before the build
+    resolve_workers(spec.workers)  # and LATTICEDEX_THREADS
     code = build_from_spec(spec)
     k = len(code.primes)
     if args.sets:
@@ -275,8 +274,6 @@ def cmd_simulate(args):
     sets = [code.check_side_info(s) for s in sets]  # all of them before any sweep
     if not sets:
         raise InvalidArgument("the side-information set list is empty; [[]] simulates S = {}")
-    if not spec.snr_db:
-        raise InvalidArgument("no snr grid: set snr_db in the config or pass --snr")
 
     os.makedirs(spec.out_dir, exist_ok=True)
     results = {}

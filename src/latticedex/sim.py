@@ -16,22 +16,23 @@ the last call's context until the next call or the interpreter's exit.
 Detection is exact ML over the points that agree with the side information,
 a coset x_g + Psi(G~ I_S^m) of the constellation, on every code (any m and
 generator G~).  These cosets, the groups, all hold the same number of points,
-so each is a row of one table (_groups): run_sim's holds every group, and
-ml_detect's the one it decides.  Its weights W are the detector's only float
-copy of the points; a candidate scores a trial's features times its column of
-W (_features).  Groups of at least _SEARCH_MIN points are decided by a batched
-sphere search (_search) around each trial's Babai point, in a reduced basis of
-that side sublattice with the trial's fade folded in and IndexCode.point_index
-telling which lattice points the code stores: the one Fincke-Pohst search
+so each is a row of one table (_groups): run_sim's is the message grid with
+S's axes first (IndexCode.side_groups), ml_detect's the one row it decides.
+Its weights W are the detector's only float copy of the points; a candidate
+scores a trial's features times its column of W (_features).  Groups of at
+least _SEARCH_MIN points are decided by a batched sphere search (_search)
+around each trial's Babai point, in a reduced basis of that side sublattice
+with the trial's fade folded in and IndexCode.point_index telling which
+lattice points the code stores: the one Fincke-Pohst search
 (linalg.fp_search), also behind short_vectors.  The trials it cannot settle,
 and all trials of smaller groups, go to brute force (_brute), the oracle of
 the tests: one matrix product per tile of trials; a one-point group needs no
 score.  The search holds at most _SEARCH_ROWS rows per level for a tile of
 _SEARCH_TILE trials, and brute force scores in row tiles of at most
-_TILE_BYTES of float64 scores, so a chunk's memory is bounded independently
-of the constellation size.  The two paths sum the same products in different
-orders, so they could part only on candidates whose scores agree to
-rounding; the tests check them trial by trial against an untiled oracle.
+_TILE_BYTES of float64 scores, so a chunk's memory is bounded independently of
+the constellation size.  The two paths sum the same products in different
+orders, so they could part only on candidates whose scores agree to rounding;
+the tests check them trial by trial against an untiled oracle.
 """
 
 from __future__ import annotations
@@ -104,48 +105,42 @@ class SimConfig:
     def __post_init__(self):
         if not self.code.is_plain:
             raise Unsupported("simulation needs an m = 1 code with the identity generator")
-        if self.channel not in ("awgn", "rayleigh"):
-            raise InvalidArgument(f"unknown channel {self.channel!r}")
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   for v in self.snr_db):
-            raise InvalidArgument(f"snr values must be numbers, got {list(self.snr_db)!r}")
-        grid = tuple(float(v) for v in self.snr_db)
-        if not grid:
-            raise InvalidArgument("snr grid is empty")
-        if not all(math.isfinite(v) for v in grid):
-            raise InvalidArgument("snr values must be finite")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidArgument("snr grid must be strictly increasing")
-        self.snr_db = grid
+        vars(self).update(check_sweep(self))
         self.side_info = self.code.check_side_info(self.side_info)
-        for name in ("min_errors", "max_trials", "workers"):
-            v = getattr(self, name)
-            if name == "workers" and v is None:  # auto
-                continue
-            if not _is_integer(v) or v < 1:
-                raise InvalidArgument(f"{name} must be an integer of at least 1, got {v!r}")
-            setattr(self, name, int(v))
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise InvalidArgument(f"seed must be a nonnegative integer, got {self.seed!r}")
-        self.seed = int(self.seed)
 
     def digest(self):
-        blob = json.dumps(
-            {
-                "channel": self.channel,
-                "snr_db": list(self.snr_db),
-                "side_info": list(self.side_info),
-                "min_errors": self.min_errors,
-                "max_trials": self.max_trials,
-                "seed": self.seed,
-                "fade_per_complex": self.fade_per_complex,
-                "label": self.label,
-                "code": self.code.content_hash(),
-                "chunk": CHUNK,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        """12 hex digits of SHA-256 of the settings but workers, the code's hash and CHUNK."""
+        doc = {**vars(self), "code": self.code.content_hash(), "chunk": CHUNK}
+        del doc["workers"]
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def check_sweep(settings):
+    """The sweep settings that need no code (channel, snr_db, min_errors, max_trials, seed and
+    workers of settings), checked: a dict, the grid a tuple of floats and counts Python ints."""
+    if settings.channel not in ("awgn", "rayleigh"):
+        raise InvalidArgument(f"unknown channel {settings.channel!r}")
+    grid = settings.snr_db
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in grid):
+        raise InvalidArgument(f"snr values must be numbers, got {list(grid)!r}")
+    grid = tuple(map(float, grid))
+    if not grid:
+        raise InvalidArgument("snr grid is empty")
+    try:  # a linear power past the largest float raises OverflowError
+        finite = all(math.isfinite(v) and math.isfinite(10.0 ** (v / 10.0)) for v in grid)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidArgument("snr values and their linear powers 10^(snr/10) must be finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidArgument("snr grid must be strictly increasing")
+    out = {"snr_db": grid}
+    for name, least in (("min_errors", 1), ("max_trials", 1), ("workers", 1), ("seed", 0)):
+        v = getattr(settings, name)
+        if not (name == "workers" and v is None or _is_integer(v) and v >= least):  # None: auto
+            raise InvalidArgument(f"{name} must be an integer of at least {least}, got {v!r}")
+        out[name] = v if v is None else int(v)
+    return out
 
 
 def resolve_workers(requested):
@@ -232,11 +227,13 @@ def _search_lattice(code, s, cand):
 
 
 def _build_ctx(config):
-    """Read-only arrays shared by every chunk of a sweep: pid, each point's group, and _groups."""
+    """Read-only arrays shared by every chunk of a sweep: the group table cand, the message
+    grid with S's axes first (IndexCode.side_groups); pid, each point's group; and _groups."""
     code, field = config.code, config.code.field
-    pid = code.side_index(config.side_info)
-    pid = pid.astype(np.min_scalar_type(pid.max()))  # small ints: stable argsorts are radix sorts
-    cand = np.argsort(pid, kind="stable").reshape(int(pid.max()) + 1, -1)  # stable: ascending
+    cand = code.side_groups(config.side_info)
+    # small ints: _brute's stable argsort of a chunk's groups is a radix sort
+    pid = np.empty(code.size, dtype=np.min_scalar_type(cand.shape[0] - 1))
+    pid[cand] = np.arange(cand.shape[0])[:, None]
     return {
         "channel": config.channel,
         "seed": config.seed,

@@ -600,6 +600,39 @@ def test_simulate_respects_config_sets(tmp_path):
     assert not (tmp_path / "example1_awgn_Snone.csv").exists()
 
 
+def test_code_independent_sweep_settings_are_refused_before_the_build(tmp_path, capsys,
+                                                                       monkeypatch):
+    # each of these built the code first (seconds and hundreds of MB near the cap) and only
+    # then exited 1; an snr of 4000 dB ended in an OverflowError traceback after the build
+    import latticedex.cli as cli_mod
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the code was built before the sweep settings were checked")
+
+    monkeypatch.setattr(cli_mod, "build_index_code", no_build)
+    run = ["simulate", "--preset", "example1", "--snr", "10", "--trials", "4096",
+           "--workers", "1", "--out-dir", str(tmp_path)]
+    flags = (("--workers", "0"), ("--workers", "-3"), ("--seed", "-1"), ("--trials", "0"),
+             ("--min-errors", "0"), ("--snr", "4000"), ("--snr", "1e308"), ("--snr", "12,10"))
+    for flag in flags:
+        capsys.readouterr()
+        assert main(run + list(flag)) == 1, flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (flag, err)
+    doc = {**spec_from_preset("example1").to_dict(), "snr_db": [10.0], "max_trials": 4096,
+           "workers": 1, "out_dir": str(tmp_path)}
+    path = tmp_path / "cfg.json"
+    for key, value in (("workers", 0), ("workers", -3), ("seed", -1), ("min_errors", 0),
+                       ("max_trials", 0), ("channel", "bsc"), ("snr_db", [4000]),
+                       ("snr_db", [1e308]), ("snr_db", [10, "12"]), ("snr_db", [12, 10])):
+        path.write_text(json.dumps({**doc, key: value}))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path)]) == 1, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (key, err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_rejects_bad_config_sets(tmp_path, capsys):
     spec = spec_from_preset("example1")
     spec.snr_db, spec.max_trials, spec.out_dir = [6.0], 1000, str(tmp_path)

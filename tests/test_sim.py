@@ -64,10 +64,12 @@ def test_config_validation(ex1_code):
         _cfg(ex1_code, workers=0)
     with pytest.raises(InvalidArgument):
         _cfg(ex1_code, side_info=(3,))
+    # 10 ** (4000 / 10) is past the largest float: the sweep's amplitude raised OverflowError
     for grid in ((math.nan,), (math.inf,), (-math.inf,), (8.0, math.nan, 12.0),
-                 (8.0, math.inf)):
-        with pytest.raises(InvalidArgument):
+                 (8.0, math.inf), (4000.0,), (1e308,), (10.0, 4000.0)):
+        with pytest.raises(InvalidArgument, match="must be finite"):
             _cfg(ex1_code, snr_db=grid)
+    assert _cfg(ex1_code, snr_db=(-4000.0, 3000.0)).snr_db == (-4000.0, 3000.0)
     # ["a"] raised a bare ValueError and [True, 2] ran at 1 and 2 dB
     for grid in (("a",), (True, 2), (None,), ("10",), (8.0, [9.0])):
         with pytest.raises(InvalidArgument, match="snr values must be numbers"):
@@ -378,16 +380,60 @@ def test_the_search_context_holds_no_code(cyclo_code):
     assert b"IndexCode" not in pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)
 
 
+def _groups_by_scan(code, s):
+    """Oracle of the group table: the points of each w_S, found by one scan of the residue
+    digits of every point (code.residue_indices), w_S in row-major order (w_1 most
+    significant), each group's points ascending."""
+    ks = [k - 1 for k in s]
+    found = {}
+    for i, digits in enumerate(map(tuple, code.residue_indices[:, ks].tolist())):
+        found.setdefault(digits, []).append(i)
+    return np.array([found[w] for w in itertools.product(*(
+        range(code.alphabet_sizes[k]) for k in ks))])
+
+
+def _check_groups(code, s):
+    """side_groups on S is the scan's table; so are a sweep's cand and pid on a plain code."""
+    want = _groups_by_scan(code, s)
+    assert np.array_equal(code.side_groups(s), want), s
+    if code.is_plain:
+        ctx = sim._build_ctx(_cfg(code, side_info=s))
+        assert np.array_equal(ctx["cand"], want), s
+        assert (ctx["pid"][want] == np.arange(want.shape[0])[:, None]).all(), s
+        assert ctx["pid"].shape == (code.size,)
+
+
 @pytest.mark.parametrize("s", [(), (1,), (1, 2), (1, 2, 3, 4)])
 def test_side_information_groups_match_a_scan_per_group(cyclo_code, s):
-    # the rows of the group table, one stable argsort of pid, are what one np.flatnonzero pass
-    # per group gives: every group, in order, its points ascending
-    ctx = sim._build_ctx(_cfg(cyclo_code, side_info=s))
-    pid = cyclo_code.side_index(s)
-    want = [np.flatnonzero(pid == g) for g in range(int(pid.max()) + 1)]
-    got = list(ctx["cand"])
-    assert len(got) == len(want) == cyclo_code.size // cyclo_code.subcode_indices(s).shape[0]
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # the rows of the group table, the message grid with S's axes first, are what a scan of
+    # every point's residue digits gives: every group, in order, its points ascending
+    _check_groups(cyclo_code, s)
+
+
+@pytest.mark.parametrize("fixture", ["maxreal_code", "zi_m2k2"])
+def test_side_information_groups_match_a_scan_on_every_set(request, fixture):
+    # three axes of 13 on maxreal-K3; two axes of N(p)^m = 25 and 169 on the m = 2 module
+    # code, where only side_groups is checked, as run_sim takes plain codes alone
+    code = request.getfixturevalue(fixture)
+    for s in _sets(code):
+        _check_groups(code, s)
+
+
+@pytest.mark.parametrize("fixture", ["maxreal_code", "cyclo_code", "zi_m2k2"])
+def test_subcode_indices_match_a_scan(request, fixture):
+    # the group of a fixed w_S is the message grid at its digits on S: the scan's row of it,
+    # on S = {}, each single message and the full set, for seeded random messages
+    code = request.getfixturevalue(fixture)
+    k = len(code.primes)
+    rng = np.random.default_rng(11)
+    for s in [(), *((j,) for j in range(1, k + 1)), tuple(range(1, k + 1))]:
+        want = _groups_by_scan(code, s)
+        assert np.array_equal(code.subcode_indices(s), want[0]), s
+        for i in rng.integers(0, code.size, size=3).tolist():
+            fixed = code.message_from_index(i)
+            got = code.subcode_indices(s, fixed)
+            assert np.array_equal(got, next(row for row in want if i in row)), (s, i)
+            assert code.message_index(fixed) == i
 
 
 def test_the_group_table_pickles_alike_for_any_group_count(cyclo_code):
