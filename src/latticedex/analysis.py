@@ -54,11 +54,8 @@ class GainReport:
 
     @property
     def bounds_ok(self):
-        if self.lower_bound_db is None:
-            return True
-        return (
-            self.lower_bound_db - 1e-9 <= self.gamma_db <= self.upper_bound_db + 1e-9
-        )
+        return (self.lower_bound_db is None
+                or self.lower_bound_db - 1e-9 <= self.gamma_db <= self.upper_bound_db + 1e-9)
 
     def to_dict(self):
         return {

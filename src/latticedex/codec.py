@@ -249,6 +249,11 @@ class IndexCode:
         # made after the build's temporaries: made among them it raised catalog peak RSS 1.4 MB
         self.message_grid = np.arange(self.size).reshape(self.alphabet_sizes)
         self.message_grid.flags.writeable = False
+        # per prime, the HNF box of residues per slot and each coordinate's place value in their
+        # index: slot 0 the most significant, each slot in Ideal.residue_indices's order
+        boxes = [[p.hnf[j][j] for j in range(n)] * m for p in self.primes]
+        self._residue_boxes = [(b, np.cumprod([1, *b[:-1]]).reshape(m, n)[::-1].ravel().tolist())
+                               for b in boxes]
         # e_k is 1 mod p_k and 0 mod the other primes: slot 0 of the point whose
         # message is 1 on p_k and 0 on the others, as its residue mod I
         one, zero = field.one.coords * m, (0,) * self.dimension
@@ -290,20 +295,23 @@ class IndexCode:
         return tuple(self._point(i) for i in range(self.size))
 
     def _residue_index(self, k, res):
-        """Index of w_{k+1} in (O_K/p_k)^m after checking it is canonical."""
-        p, n = self.primes[k], self.field.n
+        """Index of w_{k+1} in (O_K/p_k)^m after checking it is canonical: integers (no float or
+        bool taken for one; each element type checked once) in the HNF box of every slot."""
         try:
             size = len(res)
         except TypeError:  # an int, None or another non-sequence
             size = None
         if size != self.dimension:
             raise InvalidArgument(f"w_{k+1} must be a sequence of {self.dimension} integers")
-        if any(not (_is_integer(v) and 0 <= v < p.hnf[i % n][i % n])
-               for i, v in enumerate(res)):
+        box, places = self._residue_boxes[k]
+        try:  # -1, like an int past int64, is outside the box
+            w = np.array(res, dtype=np.int64) if all(
+                map(_is_integer, {type(v): v for v in res}.values())) else np.int64(-1)
+        except OverflowError:
+            w = np.int64(-1)
+        if not ((w >= 0) & (w < box)).all():
             raise InvalidArgument(f"w_{k+1} = {res} is not a canonical residue")
-        # in the HNF box, so canonical: no reduction
-        slots = p.residue_indices(np.array(res, dtype=np.int64).reshape(self.m, n))
-        return int(mixed_radix(slots[None], (p.norm,) * self.m)[0])
+        return int(w @ places)
 
     def message_index(self, msg):
         return int(self.subcode_indices(range(1, len(self.primes) + 1), msg)[0])

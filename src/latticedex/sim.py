@@ -32,12 +32,15 @@ _SEARCH_TILE trials, and brute force scores in row tiles of at most
 _TILE_BYTES of float64 scores, so a chunk's memory is bounded independently of
 the constellation size.  The two paths sum the same products in different
 orders, so they could part only on candidates whose scores agree to rounding;
-the tests check them trial by trial against an untiled oracle.
+the tests check them trial by trial against an untiled oracle.  A trial whose y
+lies far enough inside half its group's minimum distance of the sent point is its
+own ML decision, proven by _open, and never reaches the detector.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -55,7 +58,8 @@ import numpy as np
 
 from .errors import Infeasible, InvalidArgument, Unsupported
 from .numberfield.field import _is_integer
-from .numberfield.linalg import check_int64, column_max, fp_search, lll_gram, product_bounds
+from .numberfield.linalg import (check_int64, column_max, fp_search, lll_gram, product_bounds,
+                                 shortest_nonzero)
 
 CHUNK = 4096
 _TILE_BYTES = 1 << 20  # the one score tile fits a 2 MiB per-core L2 cache
@@ -66,6 +70,7 @@ _TASK_CHUNKS = 4  # chunks per task of run_sim's sweep loop
 _CPU_WORKERS = 4  # workers per core resolve_workers allows: a pool starts all of them at once
 _RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # E[h^2] = 1
 _Z95 = 1.959963984540054
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,12 @@ class SimConfig:
             raise Unsupported("simulation needs an m = 1 code with the identity generator")
         vars(self).update(check_sweep(self))
         self.side_info = self.code.check_side_info(self.side_info)
+        # numpy's normal and Rayleigh draws stay below 64 and 8 in magnitude: every score and
+        # _open term is below 16 (a*8*|P|max + 64)^2, a float while a*8*|P|max <= 2^509
+        top = 8.0 * self.code.gamma * math.sqrt(int(self.code.norms2.max()) / 2)
+        if self.snr_db[-1] > (limit := 20.0 * math.log10(2.0 ** 509 / top)):
+            raise InvalidArgument(f"snr {self.snr_db[-1]!r} dB is past {limit:.2f} dB, where "
+                                  "detector scores could overflow")
 
     def digest(self):
         """12 hex digits of SHA-256 of the settings but workers, the code's hash and CHUNK."""
@@ -167,14 +178,9 @@ def confidence_interval(errors, trials):
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
     half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
-    lo = max(center - half, 0.0)
-    hi = min(center + half, 1.0)
     # center-half is analytically 0 (resp. 1) at the endpoints; kill float dust
-    if errors == 0:
-        lo = 0.0
-    if errors == trials:
-        hi = 1.0
-    return (lo, hi)
+    return (0.0 if errors == 0 else max(center - half, 0.0),
+            1.0 if errors == trials else min(center + half, 1.0))
 
 
 # ============================================================
@@ -228,12 +234,17 @@ def _search_lattice(code, s, cand):
 
 def _build_ctx(config):
     """Read-only arrays shared by every chunk of a sweep: the group table cand, the message
-    grid with S's axes first (IndexCode.side_groups); pid, each point's group; and _groups."""
-    code, field = config.code, config.code.field
-    cand = code.side_groups(config.side_info)
+    grid with S's axes first (IndexCode.side_groups); pid, each point's group; _groups; ball."""
+    code, field, s = config.code, config.code.field, config.side_info
+    cand = code.side_groups(s)
     # small ints: _brute's stable argsort of a chunk's groups is a radix sort
     pid = np.empty(code.size, dtype=np.min_scalar_type(cand.shape[0] - 1))
     pid[cand] = np.arange(cand.shape[0])[:, None]
+    n, gamma = field.n, code.gamma
+    delta = ((42 * n + 2) * math.sqrt(n) * _U * gamma * np.abs(field.embed_matrix).max()
+             * sum(column_max(code.coords_matrix)))  # bounds every |u|_1 with no |u| copy
+    lam = shortest_nonzero(code.side_sublattice_gram(s))[0] if cand.shape[1] > 1 else math.inf
+    d = gamma * math.sqrt(lam / 2) * (1.0 - 8.0 * _U) - 2.0 * delta
     return {
         "channel": config.channel,
         "seed": config.seed,
@@ -242,7 +253,8 @@ def _build_ctx(config):
         "noise_sigma": math.sqrt(1.0 / field.n),
         "amps": [math.sqrt(10.0 ** (v / 10.0)) for v in config.snr_db],
         "pid": pid,
-        **_groups(code, config.side_info, cand),
+        "ball": (gamma * math.sqrt(int(code.norms2.max()) / 2) * (1.0 + 4.0 * _U) + delta, d),
+        **_groups(code, s, cand),
     }
 
 
@@ -253,8 +265,8 @@ def _draw_fades(ctx, rng):
     return draws if draws.shape[1] == cols.shape[0] else draws[:, cols]
 
 
-def _draw_chunk(ctx, point_idx, chunk_idx):
-    """(sent point indices, received y, fades h or None) of one chunk; pure in its arguments."""
+def _draw_chunk(ctx, point_idx, chunk_idx, open_only=False):
+    """(sent point indices, received y, fades h or None) of a chunk, or of its open trials; pure."""
     ss = np.random.SeedSequence(ctx["seed"], spawn_key=(point_idx, chunk_idx))
     rng = np.random.Generator(np.random.Philox(ss))
     a, n = ctx["amps"][point_idx], ctx["n"]
@@ -262,10 +274,39 @@ def _draw_chunk(ctx, point_idx, chunk_idx):
     raw = rng.integers(0, ctx["pid"].shape[0], size=CHUNK)  # one pid per point
     z = rng.standard_normal((CHUNK, n)) * ctx["noise_sigma"]
     h = _draw_fades(ctx, rng) if ctx["channel"] == "rayleigh" else None
+    if open_only:
+        keep = np.flatnonzero(_open(ctx, a, z, h))
+        raw, z, h = raw[keep], z[keep], None if h is None else h[keep]
 
     tx = ctx["W"][ctx["pid"][raw], n:2 * n, ctx["rank"][raw]]  # the sent points, unit energy
     y = a * (h * tx if h is not None else tx) + z
     return raw, y, h
+
+
+@np.errstate(invalid="ignore")  # 0*inf, a zero fade on a one-point group: kept open
+def _open(ctx, a, z, h):
+    """The trials of a chunk that can err: all but those proven to be decided as sent.
+
+    Two stored points of a group are d apart or more: gamma*sqrt(lambda/2), lambda the side
+    sublattice's exact minimum, less 8 ulps and twice delta, the farthest a stored point lies
+    from its exact place (embedding entries within 40n ulps of the largest, n + 2 more from
+    the product with u and gamma); d = inf on one point, and pmax bounds every |P|.  With P
+    sent, Q another point, r = y - a*h.P and D = a*h.(P - Q), Q's score exceeds P's by
+    |r + D|^2 - |r|^2 >= |D| (|D| - 2|r|) >= x (x - 2*rho) once x = a*hmin*d exceeds 2*rho, hmin
+    the smallest fade (1 on AWGN), rho >= |r| (|z| plus y's rounding).  A = a*hmax*pmax bounds
+    every |a*h.Q| and |y| - rho, so a score X @ W (_features) sums terms of at most A (3A + 2*rho)
+    in all, rounded 2n + 4 times at most in _brute's product and _search's einsum alike: that
+    many ulps of it bound its error eps.  Where x (x - 2*rho) > 2*eps, 8 ulps more for this
+    test's own rounding, P's computed score is the strict least on every path.
+    """
+    (pmax, d), n = ctx["ball"], ctx["n"]
+    zz = sum(c * c for c in z.T)  # by columns: numpy reduces short rows slowly
+    lo, hi = (1.0, 1.0) if h is None else (functools.reduce(np.minimum, h.T),
+                                           functools.reduce(np.maximum, h.T))
+    A = (a * pmax) * hi
+    rho = np.sqrt(zz) * (1.0 + (n + 3) * _U) + 4.0 * _U * A
+    x = (a * d) * lo
+    return ~(x * (x - 2.0 * rho) > (4 * n + 16) * _U * A * (3.0 * A + 2.0 * rho))
 
 
 def _features(a, y, h):
@@ -288,7 +329,7 @@ def _brute(ctx, a, y, h, pids):
     """
     cand, W = ctx["cand"], ctx["W"]
     groups, size = cand.shape
-    if size == 1:
+    if size == 1 or not pids.shape[0]:
         return cand[pids, 0]
     X, rows = _features(a, y, h)
     order = slice(None) if groups == 1 else np.argsort(pids, kind="stable")
@@ -375,8 +416,9 @@ def _detect(ctx, a, y, h, pids):
 
 
 def _run_chunk(ctx, point_idx, chunk_idx):
-    """Errors of one fixed-size chunk; pure in its arguments."""
-    raw, y, h = _draw_chunk(ctx, point_idx, chunk_idx)
+    """Errors of one fixed-size chunk, pure in its arguments: _detect's on the trials that can
+    err (_open), as every other one is decided as sent on _search's path and _brute's alike."""
+    raw, y, h = _draw_chunk(ctx, point_idx, chunk_idx, open_only=True)
     det = _detect(ctx, ctx["amps"][point_idx], y, h, ctx["pid"][raw])
     return int(np.count_nonzero(det != raw))
 
@@ -490,15 +532,8 @@ def run_sim(config):
             errors, chunks = _kept_sweep(config, ctx, call, workers)
     points = [SimPoint(snr, e, c * CHUNK, e / (c * CHUNK), *confidence_interval(e, c * CHUNK))
               for snr, e, c in zip(config.snr_db, errors, chunks)]
-    return SimResult(
-        label=config.label,
-        channel=config.channel,
-        side_info=config.side_info,
-        seed=config.seed,
-        code_hash=config.code.content_hash(),
-        config_digest=config.digest(),
-        points=tuple(points),
-    )
+    return SimResult(config.label, config.channel, config.side_info, config.seed,
+                     config.code.content_hash(), config.digest(), tuple(points))
 
 
 # ============================================================
@@ -569,24 +604,14 @@ def write_curve_csv(path, result):
 
 
 def read_curve_csv(path):
-    points = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            points.append(SimPoint(
-                snr_db=float(row["snr_db"]),
-                errors=int(row["errors"]),
-                trials=int(row["trials"]),
-                ser=float(row["ser"]),
-                ci_low=float(row["ci_low"]),
-                ci_high=float(row["ci_high"]),
-            ))
-    return tuple(points)
+        return tuple(SimPoint(float(r["snr_db"]), int(r["errors"]), int(r["trials"]),
+                              float(r["ser"]), float(r["ci_low"]), float(r["ci_high"]))
+                     for r in csv.DictReader(fh))
 
 
 def _curve_points(curve):
-    if isinstance(curve, SimResult):
-        return curve.points
-    return tuple(curve)
+    return curve.points if isinstance(curve, SimResult) else tuple(curve)
 
 
 def _snr_at_ser(points, target):

@@ -237,6 +237,26 @@ def test_non_sequence_residues_are_refused(ex1_code):
                 call(w)
 
 
+
+def test_residues_are_checked_against_the_hnf_box(ex1_code, zi_m2k2):
+    # one comparison with the HNF diagonal of every slot refuses what lies outside the box,
+    # ints past int64 included, and one check per element type refuses floats and bools among
+    # ints; numpy ints are read as ints, and every message of both codes gives its own index
+    code = ex1_code
+    good = code.points[7].message
+    top = code.primes[1].hnf[0][0]
+    for bad in ((top, 0), (-1, 0), (0, -1), (2**70, 0), (0, -2**70), (np.uint64(2**63), 0),
+                (1, np.float64(0.0)), (np.int64(1), np.True_), (0, 1.0)):
+        with pytest.raises(InvalidArgument, match="is not a canonical residue"):
+            code.subcode_indices((2,), Message((good.residues[0], bad)))
+    for bad in ((0,), (0, 0, 0), [], 7):
+        with pytest.raises(InvalidArgument, match="must be a sequence of 2 integers"):
+            code.subcode_indices((2,), Message((good.residues[0], bad)))
+    as_numpy = Message(tuple(tuple(np.int32(v) for v in r) for r in good.residues))
+    assert code.message_index(as_numpy) == code.message_index(good) == 7
+    for c in (code, zi_m2k2):
+        assert [c.message_index(p.message) for p in c.points] == list(range(c.size))
+
 def test_build_rejects_duplicates_and_nonprimes():
     field = quadratic_field(5)
     g = principal_ideal(field.element((-1, 2)))

@@ -737,6 +737,108 @@ def test_chunk_memory_does_not_grow_with_the_code(maxreal_code, cyclo_code, chan
         assert peak < 16 * 2**20, (code, peak)
 
 
+
+# ---- the packing-ball exit ----
+
+@pytest.mark.parametrize("fixture", list(_PRESETS))
+def test_the_exit_skips_only_trials_decided_as_sent(request, monkeypatch, fixture):
+    # at the first and last grid points, on S = {} and every single S, both channels and both
+    # fade layouts: every trial _open passes over is decided as sent by the untiled reference
+    # (the first 512 on cyclo-K4, whose reference holds trials x 14641 scores), the open ones
+    # are received as in the whole chunk, and _run_chunk counts what _detect counts on it all
+    code = request.getfixturevalue(fixture)
+    keep = 512 if code.size > 4096 else sim.CHUNK
+    for channel, per_complex in (("awgn", False), ("rayleigh", False), ("rayleigh", True)):
+        grid = preset_snr_grid(_PRESETS[fixture], channel)
+        for s in [(), *((k,) for k in range(1, len(code.primes) + 1))]:
+            ctx = sim._build_ctx(_cfg(code, channel=channel, side_info=s,
+                                      snr_db=(grid[0], grid[-1]), fade_per_complex=per_complex))
+            for point in (0, 1):
+                verdicts, real = [], sim._open
+                with monkeypatch.context() as m:
+                    m.setattr(sim, "_open", lambda *args: verdicts.append(real(*args)) or
+                              verdicts[-1])
+                    opened = sim._draw_chunk(ctx, point, 0, open_only=True)
+                raw, y, h = sim._draw_chunk(ctx, point, 0)
+                for part, whole in zip(opened, (raw, y, h)):
+                    assert part is whole is None or np.array_equal(part, whole[verdicts[0]])
+                a, skip = ctx["amps"][point], np.flatnonzero(~verdicts[0][:keep])
+                want = _untiled_detect(code, s, a, raw[skip], y[skip],
+                                       None if h is None else h[skip])
+                assert np.array_equal(want, raw[skip]), (channel, per_complex, s, point)
+                det = sim._detect(ctx, a, y, h, ctx["pid"][raw])
+                assert sim._run_chunk(ctx, point, 0) == np.count_nonzero(det != raw)
+                if point == 1:  # the top of the grid: most trials need no decision
+                    assert skip.shape[0] > keep // 2, (channel, per_complex, s)
+
+
+@pytest.mark.parametrize("fixture", list(_PRESETS))
+def test_the_exit_boundary_is_half_the_packing_distance(request, fixture):
+    # noise of (1 - 1e-12) a*hmin*d/2 toward a nearest neighbour of the sent point is passed
+    # over, and decided as sent; (1 + 1e-12) a*hmin*d/2 is kept open, and so is (1 - 1e-14)
+    # a*hmin*d/2, whose margin is within the rounding of its scores.  d is a lower bound on
+    # the distance of two points of a group, within 1e-9 of the nearest pair found
+    code = request.getfixturevalue(fixture)
+    for s in [(), *((k,) for k in range(1, len(code.primes) + 1))]:
+        for channel, fade in (("awgn", 1.0), ("rayleigh", 1.0), ("rayleigh", 0.25)):
+            ctx = sim._build_ctx(_cfg(code, channel=channel, side_info=s, snr_db=(20.0,)))
+            a, d, group = ctx["amps"][0], ctx["ball"][1], ctx["cand"][0]
+            P = code.gamma * code.embedded[group]
+            dist = np.linalg.norm(P[:64, None] - P[None], axis=2)
+            dist[np.arange(dist.shape[0]), np.arange(dist.shape[0])] = np.inf
+            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+            assert d < dist[i, j] < d * (1 + 1e-9), (s, dist[i, j], d)
+            toward = (P[j] - P[i]) / dist[i, j]
+            z = np.array([[1 - 1e-12], [1 + 1e-12], [1 - 1e-14]]) * (a * fade * d / 2) * toward
+            h = None if channel == "awgn" else np.full_like(z, fade)
+            assert sim._open(ctx, a, z, h).tolist() == [False, True, True], (s, channel, fade)
+            y = a * (P[i] if h is None else h * P[i]) + z
+            want = _untiled_detect(code, s, a, group[[i]], y[:1], None if h is None else h[:1])
+            assert want.tolist() == [group[i]]
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+def test_one_point_groups_skip_every_trial(ex1_code, cyclo_code, monkeypatch, channel):
+    # a group of one point is decided as sent whatever the noise: d is infinite, so not one
+    # trial of a chunk reaches the detector, at -10 dB as at 10 dB
+    sizes, detect = [], sim._detect
+    monkeypatch.setattr(sim, "_detect", lambda ctx, a, y, h, pids: sizes.append(y.shape[0]) or
+                        detect(ctx, a, y, h, pids))
+    for code, s in ((ex1_code, (1, 2)), (cyclo_code, (1, 2, 3, 4))):
+        ctx = sim._build_ctx(_cfg(code, channel=channel, side_info=s, snr_db=(-10.0, 10.0)))
+        assert ctx["cand"].shape[1] == 1 and ctx["ball"][1] == math.inf
+        for point in (0, 1):
+            assert sim._draw_chunk(ctx, point, 0, open_only=True)[0].shape == (0,)
+            assert sim._run_chunk(ctx, point, 0) == 0
+    assert set(sizes) <= {0}
+
+
+def test_an_snr_whose_scores_could_overflow_is_refused(ex1_code, maxreal_code, tmp_path):
+    # 3080 dB ran, and example1's scores overflowed: 3,129 errors in 4,096 AWGN trials.  The
+    # largest SNR admitted, found by bisection, gives finite scores on both channels, on
+    # brute force (example1) and the sphere search (maxreal-K3), and no error
+    for grid in ((3080.0,), (10.0, 3080.0)):
+        with pytest.raises(InvalidArgument, match="detector scores could overflow"):
+            _cfg(ex1_code, snr_db=grid)
+    assert cli_main(["simulate", "--preset", "example1", "--snr", "3080", "--trials", "4096",
+                     "--workers", "1", "--sets", "[[]]", "--out-dir", str(tmp_path)]) == 1
+    for code in (ex1_code, maxreal_code):
+        lo, hi = 3000.0, 3080.0  # admitted, refused
+        while hi - lo > 1e-9:
+            try:
+                lo = _cfg(code, snr_db=((lo + hi) / 2,)).snr_db[0]
+            except InvalidArgument:
+                hi = (lo + hi) / 2
+        for channel in ("awgn", "rayleigh"):
+            ctx = sim._build_ctx(_cfg(code, channel=channel, snr_db=(lo,)))
+            a = ctx["amps"][0]
+            with np.errstate(over="raise", invalid="raise"):
+                raw, y, h = sim._draw_chunk(ctx, 0, 0)
+                X, rows = sim._features(a, y[:512], None if h is None else h[:512])
+                assert np.isfinite(X @ ctx["W"][0][rows]).all()
+                assert np.array_equal(sim._detect(ctx, a, y, h, ctx["pid"][raw]), raw)
+                assert sim._run_chunk(ctx, 0, 0) == 0
+
 # ---- single-shot detection ----
 
 def test_ml_detect_recovers_clean_codewords(ex1_code):
