@@ -15,9 +15,10 @@ the other primes.
 Per-coset representatives minimize the canonical-embedding energy, with ties
 broken lexicographically on exact integer coordinates, so constellations are
 reproducible.  Message components are canonical HNF residues of O_K / p_k;
-finite-field operations are ring operations followed by reduction.  Points are
-stored in message order (w_1 slowest), so they make the message grid, one axis
-per message: side information w_S fixes S's axes, and its subcode is a slice.
+finite-field operations are ring operations followed by reduction.  Point i is
+the one whose message has index i by the one residue-index rule (_places), w_1
+slowest: its message is read off i, and the points make the message grid, one
+axis per message: side information w_S fixes S's axes, and its subcode is a slice.
 
 A plain code's file is the JSON of to_dict() with sorted keys: save_code
 writes it with indent=1, content_hash hashes its compact form (SHA-256) and
@@ -51,7 +52,7 @@ from .numberfield import (
     whole_ring,
 )
 from .numberfield.field import _is_integer
-from .numberfield.linalg import (check_int64, column_max, det_int, mixed_radix, product_bounds,
+from .numberfield.linalg import (check_int64, column_max, det_int, product_bounds,
                                  reduce_mod_hnf_batch, short_vectors, sublattice_gram)
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -140,16 +141,23 @@ def _generator_lattice(field, gmatrix):
     return rows, basis.astype(np.int64), gram2.astype(np.int64)
 
 
-def _slot_residues(ideal, coords, m):
-    """(residues, index) of rows of slot-major coordinates modulo the ideal.
+def _places(ideals, m):
+    """The one residue-index rule: (box, places) of the digits of an index over (O_K/ideals[0])^m
+    x (O_K/ideals[1])^m x ..., lists of len(ideals)*m*n ints.  A digit is a coordinate of a
+    canonical residue, in [0, box) (the HNF diagonal); ideal 0 is the most significant, then slot
+    0, and coordinate 0 the least within a slot: digits @ places is the index, i // places % box
+    the digits of index i."""
+    n = ideals[0].field.n
+    box = np.array([p.hnf[j][j] for p in ideals for _ in range(m) for j in range(n)])
+    places = np.cumprod(np.r_[1, box.reshape(-1, n)[::-1].ravel()[:-1]])  # slots reversed
+    return box.tolist(), places.reshape(-1, n)[::-1].ravel().tolist()
 
-    residues holds the canonical residue of every slot, index the position
-    in (O_K/ideal)^m with slot 0 the most significant mixed-radix digit.
-    """
-    n = ideal.field.n
-    res = reduce_mod_hnf_batch(coords.reshape(-1, n), ideal.hnf)
-    index = mixed_radix(ideal.residue_indices(res).reshape(-1, m), (ideal.norm,) * m)
-    return res.reshape(-1, m * n), index
+
+def _index(ideals, places, coords):
+    """The index of each slot-major int64 row of coords by its residues mod the ideals (_places)."""
+    n, d = ideals[0].field.n, coords.shape[1]
+    return sum(reduce_mod_hnf_batch(coords.reshape(-1, n), p.hnf).reshape(-1, d)
+               @ places[k * d:(k + 1) * d] for k, p in enumerate(ideals))
 
 
 def _min_energy_representatives(modulus, gram2, m):
@@ -164,16 +172,15 @@ def _min_energy_representatives(modulus, gram2, m):
     depend on the start.  Returns int64 coordinates (N, m*n), one row per
     coset, in no particular order.
     """
-    count, dim = modulus.norm ** m, gram2.shape[0]
+    count, dim, places = modulus.norm ** m, gram2.shape[0], _places((modulus,), m)[1]
     log_covol = 0.5 * (math.log(det_int(gram2.tolist())) - dim * math.log(2.0))
     log_ball = 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
     bound2 = 2.0 * math.exp(2.0 * (math.log(count) + log_covol - log_ball) / dim)
     while True:
         X, norms2 = short_vectors(gram2, bound2, include_zero=True)
-        _, ridx = _slot_residues(modulus, X, m)
         keys = tuple(X[:, i] for i in range(X.shape[1] - 1, -1, -1)) + (norms2,)
         order = np.lexsort(keys)
-        uniq, first = np.unique(ridx[order], return_index=True)
+        uniq, first = np.unique(_index((modulus,), places, X)[order], return_index=True)
         if uniq.shape[0] == count:
             return X[order[first]]
         bound2 *= 2.0 ** (2.0 / dim)
@@ -184,11 +191,12 @@ class PointLookup:
     gives each row's index in coords (one point per coset of I^m), or -1 where it is not."""
 
     def __init__(self, modulus, m, coords):
-        self.modulus, self.m, self.coords = modulus, m, coords
-        self.cosets = np.argsort(_slot_residues(modulus, coords, m)[1])  # point of each coset
+        self.ideals, self.coords = (modulus,), coords
+        self.places = np.array(_places(self.ideals, m)[1])
+        self.cosets = np.argsort(_index(self.ideals, self.places, coords))  # point of each coset
 
     def __call__(self, u):
-        idx = self.cosets[_slot_residues(self.modulus, u, self.m)[1]]
+        idx = self.cosets[_index(self.ideals, self.places, u)]
         return np.where((self.coords[idx] == u).all(axis=1), idx, -1)
 
 
@@ -200,14 +208,13 @@ class IndexCode:
     checks the generator and the primes (_generator_lattice, _code_primes):
     built, loaded or made directly, a code holds tagged, distinct prime ideals.
 
-    size is the number of points M, num_messages the number of messages K and
-    dimension the real dimension m*n.  coords_matrix holds the slot-major
-    power-basis coordinates of u, embedded the canonical embedding of the
-    point G~ u, norms2 the exact doubled energies 2*|Psi(G~ u)|^2 and labels
-    the messages, (M, K, m*n) canonical residues of u modulo each p_k.  The
-    points biject with the cosets of I^m (checked), so idempotents holds e_k
-    as the residue mod I of slot 0 of the point labelled 1 on p_k and 0 on
-    every other prime.  message_grid, np.arange(M) shaped alphabet_sizes, maps messages to points.
+    size is the number of points M, num_messages the number of messages K and dimension
+    the real dimension m*n.  coords_matrix holds the slot-major power-basis coordinates of u,
+    embedded the canonical embedding of the point G~ u and norms2 the exact doubled energies
+    2*|Psi(G~ u)|^2.  The points biject with the cosets of I^m (checked): point i's message,
+    its residues mod each p_k, has index i (_places), so message_residues reads it off i and
+    message_grid, np.arange(M) shaped alphabet_sizes, maps messages to points.  idempotents
+    holds e_k as the residue mod I of slot 0 of the point with message 1 on p_k, 0 elsewhere.
     """
 
     def __init__(self, field, primes, coords, gmatrix=None):
@@ -231,17 +238,11 @@ class IndexCode:
         check_int64([*energy, self.size * product_bounds([energy], xmax)[0]],
                     "the constellation energy")
 
-        # order points by row-major message index (w_1 slowest)
-        labels, res_idx = zip(*(_slot_residues(p, coords, m) for p in self.primes))
-        res_idx = np.stack(res_idx, axis=1)
-        msg_index = mixed_radix(res_idx, self.alphabet_sizes)
+        self._places = _places(self.primes, m)
+        msg_index = _index(self.primes, self._places[1], coords)
         if not np.array_equal(np.bincount(msg_index, minlength=self.size), np.ones(self.size)):
             raise InvariantViolation("two points lie in the same coset of I")
-        order = np.argsort(msg_index)
-        self.coords_matrix = coords[order]
-        self.residue_indices = res_idx[order]
-        self.labels = np.stack(labels, axis=1)[order]
-        X = self.coords_matrix
+        X = self.coords_matrix = coords[np.argsort(msg_index)]
         self.norms2 = np.einsum("ij,jk,ik->i", X, self.gram2, X)
         n = field.n
         points = (X @ self.basis.T).reshape(-1, n).astype(np.float64)
@@ -249,19 +250,11 @@ class IndexCode:
         # made after the build's temporaries: made among them it raised catalog peak RSS 1.4 MB
         self.message_grid = np.arange(self.size).reshape(self.alphabet_sizes)
         self.message_grid.flags.writeable = False
-        # per prime, the HNF box of residues per slot and each coordinate's place value in their
-        # index: slot 0 the most significant, each slot in Ideal.residue_indices's order
-        boxes = [[p.hnf[j][j] for j in range(n)] * m for p in self.primes]
-        self._residue_boxes = [(b, np.cumprod([1, *b[:-1]]).reshape(m, n)[::-1].ravel().tolist())
-                               for b in boxes]
-        # e_k is 1 mod p_k and 0 mod the other primes: slot 0 of the point whose
-        # message is 1 on p_k and 0 on the others, as its residue mod I
-        one, zero = field.one.coords * m, (0,) * self.dimension
-        units = [Message(tuple(one if j == k else zero for j in range(len(self.primes))))
-                 for k in range(len(self.primes))]
-        self.idempotents = tuple(
-            self.modulus.reduce(field.element(self.coords_matrix[self.message_index(w)][:n]))
-            for w in units)
+        # e_k is 1 mod p_k and 0 mod the other primes: slot 0 of the point whose message is 1
+        # on p_k and 0 on the others, whose index is 1's digits in each slot at p_k's places
+        d, one = m * n, field.one.coords * m
+        self.idempotents = tuple(self.modulus.reduce(field.element(self.coords_matrix[np.dot(
+            one, self._places[1][k * d:(k + 1) * d])][:n])) for k in range(len(self.primes)))
 
         total = int(self.norms2.sum())
         if total <= 0:
@@ -285,9 +278,15 @@ class IndexCode:
 
     # ---- message plumbing ----
 
+    def message_residues(self, idx):
+        """The messages of point indices idx (an int or int array), shaped idx.shape + (K, m*n):
+        canonical residues of u modulo each p_k, slot-major, the digits (_places) of idx."""
+        box, places = self._places
+        digits = self.message_grid.ravel()[idx][..., None] // places % box  # idx range-checked
+        return digits.reshape(*np.shape(idx), len(self.primes), -1)
+
     def _point(self, i):
-        labels = tuple(map(tuple, self.labels[i].tolist()))
-        return CodePoint(i, Message(labels), tuple(self.coords_matrix[i].tolist()))
+        return CodePoint(i, self.message_from_index(i), tuple(self.coords_matrix[i].tolist()))
 
     @functools.cached_property
     def points(self):
@@ -303,7 +302,7 @@ class IndexCode:
             size = None
         if size != self.dimension:
             raise InvalidArgument(f"w_{k+1} must be a sequence of {self.dimension} integers")
-        box, places = self._residue_boxes[k]
+        box, places = (v[k * size:(k + 1) * size] for v in self._places)
         try:  # -1, like an int past int64, is outside the box
             w = np.array(res, dtype=np.int64) if all(
                 map(_is_integer, {type(v): v for v in res}.values())) else np.int64(-1)
@@ -311,7 +310,7 @@ class IndexCode:
             w = np.int64(-1)
         if not ((w >= 0) & (w < box)).all():
             raise InvalidArgument(f"w_{k+1} = {res} is not a canonical residue")
-        return int(w @ places)
+        return int(w @ places) // places[-self.field.n]  # over its least significant place
 
     def message_index(self, msg):
         return int(self.subcode_indices(range(1, len(self.primes) + 1), msg)[0])
@@ -321,7 +320,7 @@ class IndexCode:
         return self._point(self.message_index(msg))
 
     def message_from_index(self, idx):
-        return self._point(idx).message
+        return Message(tuple(map(tuple, self.message_residues(idx).tolist())))
 
     def zero_message(self):
         return Message(tuple((0,) * self.dimension for _ in self.primes))
@@ -414,7 +413,8 @@ class IndexCode:
         """The code file as a dict: what save_code writes and content_hash hashes."""
         return {**self._file_header(), "points": [
             dict(zip(_POINT_KEYS, row)) for row in zip(
-                self.coords_matrix.tolist(), self.embedded.tolist(), self.labels.tolist())]}
+                self.coords_matrix.tolist(), self.embedded.tolist(),
+                self.message_residues(np.arange(self.size)).tolist())]}
 
     def content_hash(self):
         """SHA-256 of the compact, sorted-key JSON of the code file; computed
@@ -449,8 +449,7 @@ def build_index_code(field, primes, gmatrix=None, *,
 
 def encode(code, msg):
     """Transmit vector gamma * Psi(representative of the message)."""
-    pt = code.representative(msg)
-    return code.gamma * code.embedded[pt.index]
+    return code.gamma * code.embedded[code.message_index(msg)]
 
 
 def decode_point(code, x):
@@ -484,12 +483,15 @@ def _float_rows(values):
 
 def _point_blocks(code, label):
     """(first index, rows) of each block of _POINT_BLOCK points: an object array, a row per point
-    of its int coordinates, float text (_float_rows) and label text (label % residue)."""
-    labels = [np.array([label % r for r in p.residues()], dtype=object) for p in code.primes]
+    of its int coordinates, float text (_float_rows) and label text (label % residue, made once
+    per residue of each prime, from message_residues along its axis of the message grid)."""
+    k = len(code.primes)
+    labels = [np.array([label % tuple(r[i]) for r in code.message_residues(np.moveaxis(
+        code.message_grid, i, -1)[(0,) * (k - 1)]).tolist()], dtype=object) for i in range(k)]
     for i, floats in zip(range(0, code.size, _POINT_BLOCK), _float_rows(code.embedded)):
-        res = code.residue_indices[i:i + _POINT_BLOCK]
+        grid = np.unravel_index(np.arange(i, i + len(floats)), code.alphabet_sizes)
         yield i, np.concatenate([code.coords_matrix[i:i + _POINT_BLOCK].astype(object), floats]
-                                + [text[res[:, j, None]] for j, text in enumerate(labels)], axis=1)
+                                + [text[r[:, None]] for text, r in zip(labels, grid)], axis=1)
 
 
 def _canonical_json(code, indent=None):
@@ -506,7 +508,7 @@ def _canonical_json(code, indent=None):
     dumps = functools.partial(json.dumps, sort_keys=True, indent=indent, separators=seps)
     key = dumps("points") + seps[1]
     head, tail = dumps({**code._file_header(), "points": 0}).split(key + "0")
-    k, d = code.labels.shape[1:]
+    k, d = len(code.primes), code.dimension
     point = dumps(dict(zip(_POINT_KEYS, (["%d"] * d, ["%s"] * d, ["%s"] * k))))
     label = dumps(["%d"] * d).replace('"%d"', "%d")
     if indent:  # in the file a point nests 2 deep and each prime's label 4
@@ -517,7 +519,8 @@ def _canonical_json(code, indent=None):
     point = point.replace('"%d"', "%d").replace('"%s"', "%s")
     yield head + key
     for i, args in _point_blocks(code, label):
-        yield (sep if i else start) + sep.join([point] * len(args)) % tuple(args.ravel().tolist())
+        yield sep if i else start
+        yield sep.join([point] * len(args)) % tuple(args.ravel())
     yield end + tail
 
 
@@ -534,7 +537,7 @@ def save_points_csv(code, path):
     """Write the points CSV: index, label "(w_1)|...|(w_K)", c and x (the code file's text)."""
     if not code.is_plain:
         raise Unsupported("points CSVs hold only m = 1 codes with the identity generator")
-    k, n = code.labels.shape[1:]
+    k, n = len(code.primes), code.dimension
     row = "%d," + "|".join(["%s"] * k) + ",%d" * n + ",%s" * n + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(["index", "label", *(f"{c}{i}" for c in "cx" for i in range(n))]) + "\n")
@@ -606,12 +609,14 @@ def _canonical_code(fh):
             return None
         field, primes = _stored_primes(doc)
         code = IndexCode(field, primes, coords.reshape(-1, field.n))
+        del block, head, rest, coords, header, doc  # before pass 2
     except (ValueError, OverflowError, RecursionError, LatticedexError):
         return None
-    fh.seek(0)
+    fh.seek(0)  # compared in place; after a short read, the last ("\n") reads "", failing as "\0"
     chunks = itertools.chain(_canonical_json(code, indent=1), ("\n",))
-    pieces = (chunk[i:i + _READ] for chunk in chunks for i in range(0, len(chunk), _READ))
-    return code if all(fh.read(len(p)) == p for p in pieces) and not fh.read(1) else None
+    same = all(chunk.startswith(fh.read(min(_READ, len(chunk) - i)) or "\0", i)
+               for chunk in chunks for i in range(0, len(chunk), _READ))
+    return code if same and not fh.read(1) else None
 
 
 def _int64_array(rows, *shape):

@@ -14,11 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import InvalidArgument, InvariantViolation, Unsupported
 from .field import AlgebraicInt, _is_integer
-from .linalg import hnf_columns, mixed_radix, reduce_mod_hnf
+from .linalg import hnf_columns, reduce_mod_hnf
 from .modp import factor_mod_p, is_prime
 
 
@@ -76,16 +74,10 @@ class Ideal:
         return AlgebraicInt(self.field, reduce_mod_hnf(el.coords, self.hnf))
 
     def residues(self):
-        """All canonical residues (the HNF box), as coordinate tuples, in
-        residue_indices order: coordinate 0 varies fastest."""
+        """All canonical residues (the HNF box), as coordinate tuples, coordinate 0
+        varying fastest: the order of their index in a code (codec._places)."""
         box = (range(self.hnf[i][i]) for i in range(self.field.n - 1, -1, -1))
         return (r[::-1] for r in itertools.product(*box))
-
-    def residue_indices(self, coords):
-        """Mixed-radix index of every row of an (M, n) array of canonical
-        residues, coordinate 0 least significant; inverse of residues() order."""
-        digits = np.asarray(coords, dtype=np.int64)[:, ::-1]
-        return mixed_radix(digits, [self.hnf[i][i] for i in range(self.field.n - 1, -1, -1)])
 
     def _coerce(self, el):
         if _is_integer(el):

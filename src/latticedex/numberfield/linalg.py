@@ -1,8 +1,7 @@
 """Exact integer linear algebra for lattice computations.
 
 Column-style Hermite normal form, fraction-free determinants, triangular
-residue reduction, the one mixed-radix index of digit rows (mixed_radix),
-integral LLL reduction of Gram matrices, and the one breadth-first
+residue reduction, integral LLL reduction of Gram matrices, and the one breadth-first
 Fincke-Pohst search (fp_search): it enumerates the short vectors of an
 integer Gram matrix and is the simulator's sphere decoder.  Everything is
 arbitrary-precision Python int except the search: enumeration LLL-reduces
@@ -133,19 +132,6 @@ def reduce_mod_hnf_batch(vecs, hnf):
         q = V[:, i] // H[i, i]
         V[:, : i + 1] -= q[:, None] * H[: i + 1, i]
     return V
-
-
-def mixed_radix(digits, radices):
-    """Mixed-radix index of every row of an (M, k) int64 array of digits,
-    column 0 the most significant.
-
-    The one place where residue, slot, message and w_S indices are formed;
-    every product of radices it meets is at most the constellation size.
-    """
-    index = np.zeros(digits.shape[0], dtype=np.int64)
-    for column, radix in zip(digits.T, radices):
-        index = index * radix + column
-    return index
 
 
 def sublattice_gram(basis, gram):
@@ -346,14 +332,14 @@ def short_vectors(gram2, bound2, include_zero=False):
     return _enumerate(U, R, bound2, include_zero)
 
 
-def shortest_nonzero(gram2):
+def shortest_nonzero(gram2, lll=None):
     """(min positive x^T G2 x, lexicographically smallest minimizer); G2 in
-    int64 or Python ints.
+    int64 or Python ints, lll its lll_gram(G2) if the caller has it.
 
     The search radius is the smallest diagonal entry of the LLL-reduced Gram
     (its shortest basis vector), which always contains a minimizer.
     """
-    U, R = lll_gram(gram2)
+    U, R = lll or lll_gram(gram2)
     X, norms = _enumerate(U, R, min(R[i][i] for i in range(len(R))), False)
     best = int(norms.min())
     cands = X[norms == best]

@@ -112,18 +112,28 @@ class SimConfig:
             raise Unsupported("simulation needs an m = 1 code with the identity generator")
         vars(self).update(check_sweep(self))
         self.side_info = self.code.check_side_info(self.side_info)
-        # numpy's normal and Rayleigh draws stay below 64 and 8 in magnitude: every score and
-        # _open term is below 16 (a*8*|P|max + 64)^2, a float while a*8*|P|max <= 2^509
-        top = 8.0 * self.code.gamma * math.sqrt(int(self.code.norms2.max()) / 2)
-        if self.snr_db[-1] > (limit := 20.0 * math.log10(2.0 ** 509 / top)):
-            raise InvalidArgument(f"snr {self.snr_db[-1]!r} dB is past {limit:.2f} dB, where "
-                                  "detector scores could overflow")
+        # numpy's normal and Rayleigh draws stay below 64 and 8 in magnitude
+        snr, pmax = self.snr_db[-1], self.code.gamma * math.sqrt(int(self.code.norms2.max()) / 2)
+        if (room := _score_room(self.code.dimension, 10.0 ** (snr / 20.0), 8.0, 64.0, pmax)) < 1:
+            raise InvalidArgument(f"snr {snr!r} dB is past {snr + 20.0 * math.log10(room):.2f} "
+                                  "dB, where detector scores could overflow")
 
     def digest(self):
         """12 hex digits of SHA-256 of the settings but workers, the code's hash and CHUNK."""
         doc = {**vars(self), "code": self.code.content_hash(), "chunk": CHUNK}
         del doc["workers"]
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def _score_room(dim, a, hmax, zmax, pmax):
+    """How far B may still grow, at least 1 while no detector score can overflow: if |h_j| <=
+    hmax, |y_j| <= a*hmax*pmax + zmax, |P| <= pmax and search basis entries |b_i| <= pmax, each
+    factor detection multiplies (a, h_j, y_j, P_j, a*h_j*P_j, a*h*b, ...) is at most B = max(a, 1)
+    max(hmax, 1) max(pmax, 1) + a*hmax*pmax + zmax, and 2B for _open's a*hmin*d (d <= 2 pmax).
+    A score sums 2 dim + 1 products of at most 2 B^2, a squared radius dim^2 of at most B^2 / 4
+    and an _open term at most 8 B^2: all are finite while (4 dim^2 + 2) B^2 <= 2^1023, dim > 1."""
+    grow = max(a, 1.0) * max(hmax, 1.0) * max(pmax, 1.0) + a * hmax * pmax + zmax
+    return math.sqrt(2.0 ** 1023 / (4 * dim * dim + 2)) / grow
 
 
 def check_sweep(settings):
@@ -188,10 +198,10 @@ def confidence_interval(errors, trials):
 # ============================================================
 
 
-def _groups(code, s, cand):
+def _groups(code, s, cand, lll=None):
     """What detection reads of the code on S for the groups in the rows of cand (each row a
     group's point indices, ascending): cand; the weights W, row g [P*P; P; |P|^2] of group
-    g's unit-energy points P; rank, each point's column there; lattice, what _search reads."""
+    g's unit-energy points P; rank, each point's column there; lattice, _search_lattice's."""
     n = code.dimension
     W = np.empty((cand.shape[0], 2 * n + 1, cand.shape[1]))  # filled in place
     W[:, n:2 * n] = (code.gamma * code.embedded[cand]).transpose(0, 2, 1)  # unit average energy
@@ -199,10 +209,10 @@ def _groups(code, s, cand):
     W[:, :n].sum(axis=1, out=W[:, 2 * n])
     rank = np.zeros(code.size, dtype=np.min_scalar_type(cand.shape[1] - 1))
     rank[cand] = np.arange(cand.shape[1])
-    return {"cand": cand, "W": W, "rank": rank, "lattice": _search_lattice(code, s, cand)}
+    return {"cand": cand, "W": W, "rank": rank, "lattice": _search_lattice(code, s, cand, lll)}
 
 
-def _search_lattice(code, s, cand):
+def _search_lattice(code, s, cand, lll=None):
     """What _search reads of the side sublattice, or None when its groups (the rows
     of cand) are below _SEARCH_MIN points and brute force decides every group of S.
 
@@ -215,7 +225,7 @@ def _search_lattice(code, s, cand):
     """
     if cand.shape[1] < _SEARCH_MIN:
         return None
-    U, _ = lll_gram(code.side_sublattice_gram(s))
+    U, _ = lll or lll_gram(code.side_sublattice_gram(s))
     basis = code.side_basis(s) @ np.array(U, dtype=object)
     points = (code.basis.astype(object) @ basis).astype(np.float64)  # G~ basis, exact ints
     basis = basis.astype(np.int64)
@@ -243,7 +253,8 @@ def _build_ctx(config):
     n, gamma = field.n, code.gamma
     delta = ((42 * n + 2) * math.sqrt(n) * _U * gamma * np.abs(field.embed_matrix).max()
              * sum(column_max(code.coords_matrix)))  # bounds every |u|_1 with no |u| copy
-    lam = shortest_nonzero(code.side_sublattice_gram(s))[0] if cand.shape[1] > 1 else math.inf
+    lll = lll_gram(gram := code.side_sublattice_gram(s)) if cand.shape[1] > 1 else None  # once
+    lam = shortest_nonzero(gram, lll)[0] if lll else math.inf
     d = gamma * math.sqrt(lam / 2) * (1.0 - 8.0 * _U) - 2.0 * delta
     return {
         "channel": config.channel,
@@ -254,7 +265,7 @@ def _build_ctx(config):
         "amps": [math.sqrt(10.0 ** (v / 10.0)) for v in config.snr_db],
         "pid": pid,
         "ball": (gamma * math.sqrt(int(code.norms2.max()) / 2) * (1.0 + 4.0 * _U) + delta, d),
-        **_groups(code, s, cand),
+        **_groups(code, s, cand, lll),
     }
 
 
@@ -552,14 +563,16 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
     y = _real_vector("y", y, code.dimension)
     if h is not None:
         h = _real_vector("h", h, code.dimension)[None, :]
-    if not (np.isfinite(y).all() and (h is None or np.isfinite(h).all())):
-        raise InvalidArgument("y and h must be finite")
     if not isinstance(snr, numbers.Real) or isinstance(snr, bool):
         raise InvalidArgument(f"snr must be a real number, got {snr!r}")
     if not (math.isfinite(snr) and snr >= 0):
         raise InvalidArgument("snr must be finite and nonnegative")
-    ctx = _groups(code, s, code.subcode_indices(s, fixed)[None])
-    det = _detect(ctx, math.sqrt(snr), y[None, :], h, np.zeros(1, dtype=np.int64))
+    ctx, a = _groups(code, s, code.subcode_indices(s, fixed)[None]), math.sqrt(snr)
+    lat, hmax = ctx["lattice"], 1.0 if h is None else np.abs(h).max()
+    pmax = max(math.sqrt(ctx["W"][0, -1].max()), 0 if lat is None else np.abs(lat["ebasis"]).max())
+    if not _score_room(code.dimension, a, hmax, np.abs(y).max(), pmax) >= 1:  # NaN fails too
+        raise InvalidArgument("y and h must be finite and small enough for scores not to overflow")
+    det = _detect(ctx, a, y[None, :], h, np.zeros(1, dtype=np.int64))
     return code.message_from_index(int(det[0]))
 
 

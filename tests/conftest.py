@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from latticedex import (build_index_code, load_code, preset_code, prime_ideals_above,
                         quadratic_field)
+from latticedex.numberfield.linalg import reduce_mod_hnf_batch
 
 # pass/fail lines recorded by tests/test_acceptance.py, echoed after the run
 ACCEPTANCE_LINES = []
@@ -141,18 +143,41 @@ def pair_scan_min_distance(code, s, fixed=None):
     return Fraction(min(best), 2)
 
 
+def residues_by_reduction(code):
+    """Oracle of the messages, (M, K, m*n): each point's coordinates reduced modulo each
+    prime, slot by slot, with no use of the index."""
+    rows = code.coords_matrix.reshape(-1, code.field.n)
+    return np.stack([reduce_mod_hnf_batch(rows, p.hnf).reshape(code.size, -1)
+                     for p in code.primes], axis=1)
+
+
+@functools.lru_cache(maxsize=None)  # one scan per code: codes are session fixtures
+def residue_indices_by_reduction(code):
+    """Oracle of each point's index per prime, (M, K): its residues modulo p_k
+    (residues_by_reduction) numbered in Ideal.residues order in each slot, slot 0 the most
+    significant."""
+    res, n = residues_by_reduction(code), code.field.n
+    out = np.zeros(res.shape[:2], dtype=np.int64)
+    for k, p in enumerate(code.primes):
+        number = {r: i for i, r in enumerate(p.residues())}
+        for s in range(code.m):
+            out[:, k] = out[:, k] * p.norm + [number[tuple(r)] for r in
+                                              res[:, k, s * n:(s + 1) * n].tolist()]
+    return out
+
+
 def points_csv_oracle(code):
     """The text `design` writes to a points CSV, from one %-template per row:
-    index, label "(w_1)|...|(w_K)", coordinates, and each embedding float
-    printed by %r."""
-    k, n = code.labels.shape[1:]
+    index, label "(w_1)|...|(w_K)" (residues_by_reduction), coordinates, and
+    each embedding float printed by %r."""
+    k, n = len(code.primes), code.field.n
     row = ("%d," + "|".join(["(" + " ".join(["%d"] * n) + ")"] * k)
            + ",%d" * n + ",%r" * n + "\n")
     head = ",".join(["index", "label"] + [f"c{i}" for i in range(n)]
                     + [f"x{i}" for i in range(n)]) + "\n"
     return head + "".join(row % (i, *w, *c, *x) for i, (w, c, x) in enumerate(zip(
-        code.labels.reshape(code.size, k * n).tolist(), code.coords_matrix.tolist(),
-        code.embedded.tolist())))
+        residues_by_reduction(code).reshape(code.size, k * n).tolist(),
+        code.coords_matrix.tolist(), code.embedded.tolist())))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -181,14 +181,15 @@ def _mul_tensor(field):
 
 
 def _residue_array(prime):
-    """Residues ordered by residue_indices, plus the index strides."""
+    """Residues ordered by their index (coordinate 0 the least significant digit), plus the
+    index strides."""
     n = prime.field.n
-    R = np.zeros((prime.norm, n), dtype=np.int64)
-    for r in prime.residues():
-        R[prime.residue_indices([r])[0]] = r
     strides = np.ones(n, dtype=np.int64)
     for i in range(1, n):
         strides[i] = strides[i - 1] * prime.hnf[i - 1][i - 1]
+    R = np.zeros((prime.norm, n), dtype=np.int64)
+    for r in prime.residues():
+        R[np.dot(r, strides)] = r
     return R, strides
 
 
@@ -234,7 +235,9 @@ def test_criterion_4_crt_isomorphism_suite(ex1_code, ex2_code, ex3_code,
     exhaustive_cap = 10 ** 4
     for code in (ex1_code, ex2_code, ex3_code, cyclo_code, maxreal_code):
         X = np.asarray(code.coords_matrix, dtype=np.int64)
-        RI = np.asarray(code.residue_indices, dtype=np.int64)
+        # each point's index per prime, from its coordinates reduced modulo the prime
+        RI = np.stack([reduce_mod_hnf_batch(X, p.hnf) @ _residue_array(p)[1]
+                       for p in code.primes], axis=1)
         N = X.shape[0]
         T = _mul_tensor(code.field)
         tables = [_prime_op_tables(p, T) for p in code.primes]

@@ -33,6 +33,7 @@ from latticedex import (
     subcode_points,
     whole_ring,
 )
+from conftest import residue_indices_by_reduction, residues_by_reduction
 from latticedex import codec
 from latticedex.codec import IndexCode
 from latticedex.numberfield import (Ideal, classify_prime, factor_minpoly_mod_p,
@@ -80,11 +81,39 @@ def test_labels_round_trip_exhaustively(ex1_code, ex2_code, ex3_code):
             assert decode_point(code, pt.coords) == pt.message
 
 
+@pytest.mark.parametrize("fixture", ["ex1_code", "ex2_code", "ex3_code", "maxreal_code",
+                                     "cyclo_code", "zi_m2k2", None])
+def test_a_points_message_is_read_off_its_index(request, fixture):
+    # no table of messages is stored: the digits of each index are the residues of its
+    # point's coordinates modulo each prime, and message_index inverts message_from_index.
+    # None: Z[i]^2 on the inert 3 and the prime above 2, two nontrivial digits in each slot
+    field = quadratic_field(-1)
+    code = request.getfixturevalue(fixture) if fixture else build_index_code(
+        field, [prime_ideals_above(field, 3)[0], prime_ideals_above(field, 2)[0]], [[1, 1], [0, 1]])
+    every = np.arange(code.size)
+    assert np.array_equal(code.message_residues(every), residues_by_reduction(code))
+    assert code.message_residues(7).tolist() == residues_by_reduction(code)[7].tolist()
+    assert all(code.message_index(code.message_from_index(i)) == i for i in range(code.size))
+    with pytest.raises(IndexError):  # as the table it replaces did
+        code.message_from_index(code.size)
+
+
+@pytest.mark.parametrize("fixture", ["ex1_code", "ex2_code", "ex3_code", "maxreal_code",
+                                     "cyclo_code", "zi_m2k2"])
+def test_a_code_stores_no_per_point_message_table(request, fixture):
+    # the numpy arrays a code holds are its coordinates, embedding, energies and message grid,
+    # M * (2 * dimension + 2) int64 or float64 entries, plus its Gram and basis: the
+    # (M, K, m*n) label and (M, K) residue-index tables took 2.29 of cyclo-K4's 3.43 MB
+    code = request.getfixturevalue(fixture)
+    held = sum(v.nbytes for v in vars(code).values() if isinstance(v, np.ndarray))
+    assert held <= code.size * (2 * code.dimension + 2) * 8 + code.gram2.nbytes + code.basis.nbytes
+
+
 def test_message_order_is_row_major(ex1_code):
-    n2 = ex1_code.alphabet_sizes[1]
-    assert np.all(ex1_code.residue_indices[:n2, 0] == 0)
-    assert np.array_equal(ex1_code.residue_indices[:n2, 1], np.arange(n2))
-    assert np.all(ex1_code.residue_indices[n2:2 * n2, 0] == 1)
+    n2, ri = ex1_code.alphabet_sizes[1], residue_indices_by_reduction(ex1_code)
+    assert np.all(ri[:n2, 0] == 0)
+    assert np.array_equal(ri[:n2, 1], np.arange(n2))
+    assert np.all(ri[n2:2 * n2, 0] == 1)
 
 
 def test_encoding_is_crt_additive(ex1_code, ex3_code):
@@ -172,8 +201,7 @@ def test_subcode_with_fixed_side_information(ex1_code):
     fixed = ex1_code.points[17].message
     idx = ex1_code.subcode_indices((1,), fixed)
     assert idx.shape[0] == 11
-    want = ex1_code.primes[0].residue_indices([fixed.residues[0]])[0]
-    assert np.all(ex1_code.residue_indices[idx, 0] == want)
+    assert np.all(residues_by_reduction(ex1_code)[idx, 0] == fixed.residues[0])
 
 
 def test_message_validation(ex1_code):
@@ -304,8 +332,10 @@ def test_index_code_takes_its_points_in_any_order(maxreal_code, module_codes):
     for code in (maxreal_code, module_codes["m=2 shear"]):
         perm = rng.permutation(code.size)
         direct = IndexCode(code.field, code.primes, code.coords_matrix[perm], code.gmatrix)
-        for attr in ("coords_matrix", "labels", "residue_indices", "norms2", "embedded"):
+        for attr in ("coords_matrix", "norms2", "embedded"):
             assert np.array_equal(getattr(direct, attr), getattr(code, attr)), attr
+        every = np.arange(code.size)
+        assert np.array_equal(direct.message_residues(every), code.message_residues(every))
         assert (direct.idempotents, direct.gamma) == (code.idempotents, code.gamma)
         if code.is_plain:
             assert direct.content_hash() == code.content_hash()
@@ -1023,8 +1053,8 @@ def test_m1_identity_matches_plain_code(zi_primes):
     stacked = build_index_code(field, primes, [[1]])
     assert stacked.size == plain.size
     assert np.array_equal(stacked.coords_matrix, plain.coords_matrix)
-    for k in range(2):
-        assert np.array_equal(stacked.residue_indices[:, k], plain.residue_indices[:, k])
+    every = np.arange(plain.size)
+    assert np.array_equal(stacked.message_residues(every), plain.message_residues(every))
     assert abs(stacked.gamma - plain.gamma) < 1e-15
     assert stacked.content_hash() == plain.content_hash()
 
@@ -1037,7 +1067,7 @@ def test_m2_shape_and_labels(zi_m2):
     assert code.size == 25
     assert code.coords_matrix.shape == (25, 4)
     assert code.embedded.shape == (25, 4)
-    assert np.array_equal(np.sort(code.residue_indices[:, 0]), np.arange(25))
+    assert np.array_equal(np.sort(residue_indices_by_reduction(code)[:, 0]), np.arange(25))
     for i in range(code.size):
         msg = code.message_from_index(i)
         assert len(msg.residues[0]) == 4  # one residue of O_K/p per slot
@@ -1123,23 +1153,23 @@ def test_public_names_resolve():
 
 def test_m2_subcode_and_fixed(zi_m2, zi_m2k2):
     # K=1: revealing the only message pins the point completely
-    idx = zi_m2.subcode_indices((1,))
+    idx, ri = zi_m2.subcode_indices((1,)), residue_indices_by_reduction(zi_m2)
     assert idx.shape[0] == 1
-    assert zi_m2.residue_indices[idx[0], 0] == 0
+    assert ri[idx[0], 0] == 0
     idx3 = zi_m2.subcode_indices((1,), fixed=zi_m2.message_from_index(3))
     assert idx3.shape[0] == 1
-    assert zi_m2.residue_indices[idx3[0], 0] == 3
+    assert ri[idx3[0], 0] == 3
     with pytest.raises(InvalidArgument):
         zi_m2.subcode_indices((1,), fixed=[3])  # fixed is a Message
     # K=2: one reveal leaves the other message free
-    code = zi_m2k2
+    code, ri = zi_m2k2, residue_indices_by_reduction(zi_m2k2)
     assert code.size == 4225
     idx = code.subcode_indices((1,))
     assert idx.shape[0] == 169
-    assert np.all(code.residue_indices[idx, 0] == 0)
+    assert np.all(ri[idx, 0] == 0)
     idx3 = code.subcode_indices((1,), fixed=code.message_from_index(3 * 169))
     assert idx3.shape[0] == 169
-    assert np.all(code.residue_indices[idx3, 0] == 3)
+    assert np.all(ri[idx3, 0] == 3)
     assert code.subcode_indices((1, 2)).shape[0] == 1
     with pytest.raises(InvalidArgument):
         zi_m2.check_side_info((2,))

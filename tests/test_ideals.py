@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from latticedex.codec import build_index_code
+from latticedex.codec import _places, build_index_code
 from latticedex.errors import InvalidArgument, Unsupported
 from latticedex.numberfield import (
     cyclotomic_field,
@@ -135,9 +135,9 @@ def test_ideal_from_generators_validation():
 def test_residues_enumeration_and_index():
     for field in FIELDS[:3]:
         for q in prime_ideals_above(field, 11 if field.param != -5 else 7):
-            seen = []
+            seen, places = [], _places((q,), 1)[1]
             for r in q.residues():
-                idx = int(q.residue_indices([r])[0])
+                idx = int(np.dot(r, places))
                 seen.append(idx)
                 assert q.reduce(field.element(r)).coords == r
             assert sorted(seen) == list(range(q.norm))
@@ -152,8 +152,9 @@ def test_residues_come_in_index_order():
     q19 = prime_ideals_above(cyclotomic_field(5), 19)[0]  # residue degree 2
     for ideal in (inert, composite, q19, ideal_from_generators(cyclotomic_field(5), [6])):
         assert sum(h > 1 for h in np.diag(ideal.hnf)) > 1
-        rows = list(ideal.residues())
-        assert ideal.residue_indices(rows).tolist() == list(range(ideal.norm))
+        rows, (box, places) = list(ideal.residues()), _places((ideal,), 1)
+        assert (np.array(rows) @ places).tolist() == list(range(ideal.norm))
+        assert (np.arange(ideal.norm)[:, None] // places % box).tolist() == list(map(list, rows))
 
 
 def test_reduce_is_canonical_and_lattice_compatible():

@@ -30,8 +30,10 @@ from latticedex import (
     si_gain_from_curves,
     write_curve_csv,
 )
+from conftest import residue_indices_by_reduction
 from latticedex import sim
 from latticedex.cli import main as cli_main
+from latticedex.codec import IndexCode
 from latticedex.errors import Infeasible
 from latticedex.numberfield import linalg
 from latticedex.presets import preset_snr_grid
@@ -373,6 +375,31 @@ def test_a_file_remade_at_the_path_after_a_call_is_never_unpickled(ex1_code, mon
     assert run_sim(_cfg(ex1_code, workers=2, **cfg)).points == want
 
 
+def test_a_sweep_reduces_its_side_sublattice_once(ex1_code, cyclo_code, monkeypatch):
+    # the exit's lambda and the sphere search read one Gram of the side sublattice, reduced
+    # once: the Gram was made, and reduced with LLL, once for each of them
+    calls = {"gram": 0, "lll": 0}
+
+    def counted(name, fn):
+        return lambda *a, **kw: calls.__setitem__(name, calls[name] + 1) or fn(*a, **kw)
+
+    monkeypatch.setattr(IndexCode, "side_sublattice_gram",
+                        counted("gram", IndexCode.side_sublattice_gram))
+    monkeypatch.setattr(linalg, "lll_gram", counted("lll", linalg.lll_gram))
+    monkeypatch.setattr(sim, "lll_gram", linalg.lll_gram)
+    for code, s, searched in ((cyclo_code, (), True), (cyclo_code, (1,), True),
+                              (ex1_code, (), False), (cyclo_code, (1, 2, 3, 4), False)):
+        calls.update(gram=0, lll=0)
+        ctx = sim._build_ctx(_cfg(code, side_info=s))
+        once = int(ctx["cand"].shape[1] > 1)
+        assert calls == {"gram": once, "lll": once}, (code, s)
+        assert (ctx["lattice"] is not None) == searched
+        if once:  # d from lambda as before, less its rounding
+            lam = linalg.shortest_nonzero(code.side_sublattice_gram(s))[0]
+            want = code.gamma * math.sqrt(lam / 2)
+            assert want * (1 - 1e-9) < ctx["ball"][1] < want, (code, s)
+
+
 def test_the_search_context_holds_no_code(cyclo_code):
     # what a pool worker loads per call: the point lookup, not the IndexCode behind it
     ctx = sim._build_ctx(_cfg(cyclo_code, channel="rayleigh", snr_db=(20.0,)))
@@ -382,11 +409,11 @@ def test_the_search_context_holds_no_code(cyclo_code):
 
 def _groups_by_scan(code, s):
     """Oracle of the group table: the points of each w_S, found by one scan of the residue
-    digits of every point (code.residue_indices), w_S in row-major order (w_1 most
+    digits of every point (residue_indices_by_reduction), w_S in row-major order (w_1 most
     significant), each group's points ascending."""
     ks = [k - 1 for k in s]
     found = {}
-    for i, digits in enumerate(map(tuple, code.residue_indices[:, ks].tolist())):
+    for i, digits in enumerate(map(tuple, residue_indices_by_reduction(code)[:, ks].tolist())):
         found.setdefault(digits, []).append(i)
     return np.array([found[w] for w in itertools.product(*(
         range(code.alphabet_sizes[k]) for k in ks))])
@@ -589,7 +616,7 @@ def test_fade_per_complex_results_are_pinned(request, fixture, errors):
 def _untiled_detect(code, s, a, raw, y, h):
     """Reference: one trials x candidates score matrix per side-information group."""
     enorm = code.gamma * code.embedded
-    res = code.residue_indices[:, [k - 1 for k in s]]
+    res = residue_indices_by_reduction(code)[:, [k - 1 for k in s]]
     det = np.full(raw.shape[0], -1, dtype=np.int64)
     for key in {tuple(r) for r in res[raw]}:
         rows = np.flatnonzero((res[raw] == key).all(axis=1))
@@ -871,6 +898,26 @@ def test_ml_detect_refuses_non_finite_input(ex1_code):
     for y, h in (((math.nan, 0.0), None), ((math.inf, 0.0), None), ((0.0, 0.0), (math.inf, 1.0))):
         with pytest.raises(InvalidArgument, match="finite"):
             ml_detect(ex1_code, y, (), h=h)
+
+
+def test_ml_detect_refuses_input_whose_scores_could_overflow(ex1_code, maxreal_code):
+    # with only a RuntimeWarning, the first case decoded 42 of example1's 55 noiseless points
+    # wrongly and y = [1e308, -1e308] at snr 1 gave the zero message; at snr 1e300 every
+    # noiseless point still decodes, its scores finite, on brute force (example1) and the
+    # sphere search (maxreal-K3, S = {})
+    for code in (ex1_code, maxreal_code):
+        y = code.gamma * code.embedded[5]
+        for snr, h, scale in ((1e308, None, 1e154), (1.0, None, 1e300), (1.0, [1e300] * 3, 1.0),
+                              (0.0, [1e160] * 3, 1e160)):
+            with pytest.raises(InvalidArgument, match="not to overflow"):
+                ml_detect(code, y * scale, (), snr=snr, h=None if h is None else h[:len(y)])
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(0, code.size, 1 + code.size // 60):
+                pt = code.points[i]
+                got = ml_detect(code, 1e150 * code.gamma * code.embedded[i], (), snr=1e300)
+                assert got == pt.message, i
+    with pytest.raises(InvalidArgument, match="not to overflow"):
+        ml_detect(ex1_code, [1e308, -1e308], ())
 
 
 @pytest.mark.parametrize("fixture", ["ex1_code", "ex2_code", "ex3_code", "maxreal_code",
