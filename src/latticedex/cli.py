@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 from . import presets as preset_lib
 from .analysis import (diversity_and_product_distance, side_info_gain,
                        side_info_sets)
-from .codec import build_index_code, load_code, save_code, save_points_csv
+from .codec import build_index_code, load_code, save_code
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
 from .numberfield import field_from_dict
@@ -179,8 +179,7 @@ def cmd_design(args):
     os.makedirs(spec.out_dir, exist_ok=True)
     code_path = os.path.join(spec.out_dir, f"{spec.label}_code.json")
     points_path = os.path.join(spec.out_dir, f"{spec.label}_points.csv")
-    save_code(code, code_path)
-    save_points_csv(code, points_path)  # index, label, coordinates, the file's float text
+    save_code(code, code_path, points_path)  # both files from one pass over the points
     print(f"{code.field.describe()}; K={len(code.primes)}; {code.size} points")
     print(f"wrote {code_path}")
     print(f"wrote {points_path}")
@@ -263,6 +262,8 @@ def cmd_simulate(args):
         raise InvalidArgument("no snr grid: set snr_db in the config or pass --snr")
     check_sweep(spec)  # every setting that needs no code, before the build
     resolve_workers(spec.workers)  # and LATTICEDEX_THREADS
+    if args.gap_at is not None and not 0.0 < args.gap_at < 1.0:  # nan too
+        raise InvalidArgument(f"--gap-at must be a target SER in (0, 1), got {args.gap_at!r}")
     code = build_from_spec(spec)
     k = len(code.primes)
     if args.sets:

@@ -21,8 +21,8 @@ slowest: its message is read off i, and the points make the message grid, one
 axis per message: side information w_S fixes S's axes, and its subcode is a slice.
 
 A plain code's file is the JSON of to_dict() with sorted keys: save_code
-writes it with indent=1, content_hash hashes its compact form (SHA-256) and
-save_points_csv writes its points as CSV, all from one emitter.  load_code
+writes it with indent=1, and with it the points CSV if asked, from one pass of
+one emitter; content_hash hashes its compact form (SHA-256).  load_code
 loads a file only if its JSON is the canonical JSON of the code its field,
 primes and coordinates define, so its hash is the hash of the file's content;
 a saved file is read in blocks and checked byte for byte, never read whole.
@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import operator
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -290,8 +290,10 @@ class IndexCode:
 
     @functools.cached_property
     def points(self):
-        """Every CodePoint in message-index order, built on first use."""
-        return tuple(self._point(i) for i in range(self.size))
+        """Every CodePoint in message-index order, built on first use from one message_residues."""
+        messages = self.message_residues(np.arange(self.size)).tolist()
+        return tuple(CodePoint(i, Message(tuple(map(tuple, r))), tuple(c))
+                     for i, (r, c) in enumerate(zip(messages, self.coords_matrix.tolist())))
 
     def _residue_index(self, k, res):
         """Index of w_{k+1} in (O_K/p_k)^m after checking it is canonical: integers (no float or
@@ -320,7 +322,9 @@ class IndexCode:
         return self._point(self.message_index(msg))
 
     def message_from_index(self, idx):
-        return Message(tuple(map(tuple, self.message_residues(idx).tolist())))
+        i, (box, places) = range(self.size)[idx], self._places  # idx an int, range-checked
+        digits = iter([i // p % b for p, b in zip(places, box)])  # message_residues(i), as ints
+        return Message(tuple(zip(*[digits] * self.dimension)))  # K tuples of m*n digits
 
     def zero_message(self):
         return Message(tuple((0,) * self.dimension for _ in self.primes))
@@ -481,25 +485,28 @@ def _float_rows(values):
         yield np.array(text, dtype=object)[inverse.reshape(-1, values.shape[1])]
 
 
-def _point_blocks(code, label):
+def _point_blocks(code, *labels):
     """(first index, rows) of each block of _POINT_BLOCK points: an object array, a row per point
-    of its int coordinates, float text (_float_rows) and label text (label % residue, made once
-    per residue of each prime, from message_residues along its axis of the message grid)."""
+    of its int coordinates, float text (_float_rows) and text by labels[-1] (label % residue, a
+    table per label and prime); given two labels, first its index and text by labels[0]."""
     k = len(code.primes)
-    labels = [np.array([label % tuple(r[i]) for r in code.message_residues(np.moveaxis(
-        code.message_grid, i, -1)[(0,) * (k - 1)]).tolist()], dtype=object) for i in range(k)]
+    tables = [np.array([label % tuple(r[i]) for r in code.message_residues(np.moveaxis(
+        code.message_grid, i, -1)[(0,) * (k - 1)]).tolist()], dtype=object)
+        for label in labels for i in range(k)]
     for i, floats in zip(range(0, code.size, _POINT_BLOCK), _float_rows(code.embedded)):
-        grid = np.unravel_index(np.arange(i, i + len(floats)), code.alphabet_sizes)
-        yield i, np.concatenate([code.coords_matrix[i:i + _POINT_BLOCK].astype(object), floats]
-                                + [text[r[:, None]] for text, r in zip(labels, grid)], axis=1)
+        index = np.arange(i, i + len(floats))[:, None]
+        text = [t[r] for t, r in zip(tables, np.unravel_index(index, code.alphabet_sizes) * 2)]
+        index = [index] * (len(labels) > 1)  # a CSV's column, else freed before the concatenation
+        yield i, np.concatenate(index + text[:-k] + [
+            code.coords_matrix[i:i + _POINT_BLOCK], floats] + text[-k:], axis=1, dtype=object)
 
 
-def _canonical_json(code, indent=None):
-    """The canonical JSON of a plain code's file, in chunks.
+def _canonical_json(code, indent=None, csv=None):
+    """The canonical JSON of a plain code's file in chunks; its points CSV goes to csv, if given.
 
     The text equals json.dumps(code.to_dict(), sort_keys=True) with
     separators (",", ":") (indent=None, what content_hash hashes) or with
-    indent=1 (the file layout), but no file-sized dict or string is built.
+    indent=1 and a newline (the file), but no file-sized dict or string is built.
     The header goes through json; the points are spliced in where "points"
     sorts, a block of _point_blocks at a time: each point from one %-template
     made by json from a point of placeholders, a block from one % of them.
@@ -517,33 +524,25 @@ def _canonical_json(code, indent=None):
     else:
         start, sep, end = "[", ",", "]"
     point = point.replace('"%d"', "%d").replace('"%s"', "%s")
+    if csv:  # a header, then per point: index, label "(w_1)|...|(w_K)", c and x
+        csv.write(",".join(["index", "label", *(f"{c}{i}" for c in "cx" for i in range(d))]) + "\n")
+        row = "%d," + "|".join(["%s"] * k) + ",%d" * d + ",%s" * d + "\n"
     yield head + key
-    for i, args in _point_blocks(code, label):
+    for i, args in _point_blocks(code, *["(" + " ".join(["%d"] * d) + ")"] * bool(csv), label):
+        if csv:
+            csv.write(row * len(args) % tuple(args[:, :-k].ravel().tolist()))
         yield sep if i else start
-        yield sep.join([point] * len(args)) % tuple(args.ravel())
+        yield sep.join([point] * len(args)) % tuple(args[:, -k - 2 * d:].ravel())
     yield end + tail
+    yield "\n" if indent else ""  # alone, so a file cut short fails _canonical_code's compare
 
 
-def save_code(code, path):
-    """Write the code file: the indent=1, sorted-key JSON of to_dict()."""
-    if not code.is_plain:  # refused before path is opened, so a file there survives
+def save_code(code, path, points_csv=None):
+    """Write the code file (the indent=1 sorted-key JSON of to_dict()) and points CSV if asked."""
+    if not code.is_plain:  # refused before either path is opened, so files there survive
         raise Unsupported("code files hold only m = 1 codes with the identity generator")
-    with open(path, "w") as fh:
-        fh.writelines(_canonical_json(code, indent=1))
-        fh.write("\n")
-
-
-def save_points_csv(code, path):
-    """Write the points CSV: index, label "(w_1)|...|(w_K)", c and x (the code file's text)."""
-    if not code.is_plain:
-        raise Unsupported("points CSVs hold only m = 1 codes with the identity generator")
-    k, n = len(code.primes), code.dimension
-    row = "%d," + "|".join(["%s"] * k) + ",%d" * n + ",%s" * n + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(["index", "label", *(f"{c}{i}" for c in "cx" for i in range(n))]) + "\n")
-        for i, args in _point_blocks(code, "(" + " ".join(["%d"] * n) + ")"):
-            args = np.c_[np.arange(i, i + len(args), dtype=object), args[:, -k:], args[:, :-k]]
-            fh.write(row * len(args) % tuple(args.ravel().tolist()))
+    with open(path, "w") as fh, open(points_csv, "w") if points_csv else nullcontext() as csv:
+        fh.writelines(_canonical_json(code, indent=1, csv=csv))
 
 
 def load_code(path):
@@ -612,10 +611,9 @@ def _canonical_code(fh):
         del block, head, rest, coords, header, doc  # before pass 2
     except (ValueError, OverflowError, RecursionError, LatticedexError):
         return None
-    fh.seek(0)  # compared in place; after a short read, the last ("\n") reads "", failing as "\0"
-    chunks = itertools.chain(_canonical_json(code, indent=1), ("\n",))
+    fh.seek(0)  # compared in place; after a short read, the last chunk ("\n") reads "", as "\0"
     same = all(chunk.startswith(fh.read(min(_READ, len(chunk) - i)) or "\0", i)
-               for chunk in chunks for i in range(0, len(chunk), _READ))
+               for chunk in _canonical_json(code, indent=1) for i in range(0, len(chunk), _READ))
     return code if same and not fh.read(1) else None
 
 

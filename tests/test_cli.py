@@ -324,6 +324,20 @@ def test_design_points_csv_matches_the_template(preset, request, tmp_path):
     assert ("|" in text) == (code.num_messages > 1)
 
 
+def test_design_formats_each_point_once(tmp_path, monkeypatch):
+    # the code file and the points CSV come from one pass of point blocks, so each float's
+    # and each label's text is made once
+    passes = dict.fromkeys(("_point_blocks", "_float_rows"), 0)
+    for name in passes:
+        def counted(*args, _name=name, _real=getattr(codec, name)):
+            passes[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(codec, name, counted)
+    assert main(["design", "--preset", "maxreal-K3", "--out-dir", str(tmp_path)]) == 0
+    assert passes == {"_point_blocks": 1, "_float_rows": 1}
+    assert (tmp_path / "maxreal-K3_points.csv").stat().st_size > 0
+
+
 # ---- analyze ----
 
 def test_analyze_preset_table(capsys):
@@ -613,7 +627,9 @@ def test_code_independent_sweep_settings_are_refused_before_the_build(tmp_path, 
     run = ["simulate", "--preset", "example1", "--snr", "10", "--trials", "4096",
            "--workers", "1", "--out-dir", str(tmp_path)]
     flags = (("--workers", "0"), ("--workers", "-3"), ("--seed", "-1"), ("--trials", "0"),
-             ("--min-errors", "0"), ("--snr", "4000"), ("--snr", "1e308"), ("--snr", "12,10"))
+             ("--min-errors", "0"), ("--snr", "4000"), ("--snr", "1e308"), ("--snr", "12,10"),
+             ("--gap-at", "2"), ("--gap-at", "0"), ("--gap-at", "-0.5"), ("--gap-at", "nan"),
+             ("--gap-at", "inf"))
     for flag in flags:
         capsys.readouterr()
         assert main(run + list(flag)) == 1, flag

@@ -73,6 +73,26 @@ def test_zero_message_maps_to_origin(ex1_code, ex2_code, ex3_code):
         assert all(v == 0 for v in pt.coords)
 
 
+@pytest.mark.parametrize("fixture", ["ex1_code", "maxreal_code", "zi_m2k2"])
+def test_points_take_every_message_from_one_call(request, fixture, monkeypatch):
+    # IndexCode.points reads all M messages with one message_residues call, not one per point,
+    # and each is message_from_index of its index, in Python ints
+    code = request.getfixturevalue(fixture)
+    fresh = IndexCode(code.field, code.primes, code.coords_matrix, code.gmatrix)  # points unbuilt
+    calls, residues = [], IndexCode.message_residues
+    monkeypatch.setattr(IndexCode, "message_residues",
+                        lambda self, idx: calls.append(np.shape(idx)) or residues(self, idx))
+    points = fresh.points
+    monkeypatch.undo()
+    assert calls == [(code.size,)]
+    assert [pt.index for pt in points] == list(range(code.size))
+    assert [pt.coords for pt in points] == list(map(tuple, code.coords_matrix.tolist()))
+    assert all(pt.message == fresh.message_from_index(i) for i, pt in enumerate(points))
+    want = residues_by_reduction(code).tolist()
+    assert [list(map(list, pt.message.residues)) for pt in points] == want
+    assert all(type(v) is int for pt in points for r in pt.message.residues for v in r)
+
+
 def test_labels_round_trip_exhaustively(ex1_code, ex2_code, ex3_code):
     for code in (ex1_code, ex2_code, ex3_code):
         for pt in code.points:
@@ -1109,21 +1129,27 @@ def test_files_and_simulation_need_the_plain_code(module_codes):
 
 
 def test_points_csv_needs_the_plain_code(zi_m2, tmp_path):
-    # like save_code, the points CSV holds only m = 1 codes; nothing is written for any other
-    path = tmp_path / "points.csv"
+    # like the code file, the points CSV holds only m = 1 codes; nothing is written for any other
+    path, csv = tmp_path / "code.json", tmp_path / "points.csv"
     with pytest.raises(Unsupported):
-        codec.save_points_csv(zi_m2, path)
-    assert not path.exists()
+        save_code(zi_m2, path, csv)
+    assert not path.exists() and not csv.exists()
 
 
 def test_a_refused_save_leaves_the_file_at_the_path(ex1_code, zi_m2, tmp_path):
-    # save_code refuses a code that is not plain before it opens, and so truncates, its path
-    path = tmp_path / "code.json"
+    # save_code refuses a code that is not plain before it opens, and so truncates, either path
+    path, csv = tmp_path / "code.json", tmp_path / "points.csv"
     save_code(ex1_code, path)
     before = path.read_bytes()
     with pytest.raises(Unsupported):
         save_code(zi_m2, path)
     assert path.read_bytes() == before
+    save_code(ex1_code, path, csv)
+    both = path.read_bytes(), csv.read_bytes()
+    assert both[0] == before and both[1].startswith(b"index,label,")
+    with pytest.raises(Unsupported):
+        save_code(zi_m2, path, csv)
+    assert (path.read_bytes(), csv.read_bytes()) == both
 
 
 def test_public_names_resolve():
