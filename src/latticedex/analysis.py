@@ -3,12 +3,12 @@
 Side-information gains are computed from exact squared distances: d_0 is the
 shortest nonzero vector of the code lattice and d_S that of its side
 sublattice, the u with every slot in prod_{k in S} p_k (revealing w_S reduces
-the candidate set to a translate of it).  Both come from
-numberfield.linalg.shortest_nonzero: LLL reduction of the Gram matrix, then
-Fincke-Pohst enumeration in the reduced basis with exact integer scoring,
-so skewed HNF sublattice bases cost no more than reduced ones.  For the
-plain code on O_K the side sublattice is the ideal lattice
-Psi(prod_{k in S} p_k).
+the candidate set to a translate of it).  Both read the code's one record of
+that lattice, IndexCode.side_lattice (S = {} for the code lattice), whose Gram
+is LLL-reduced once per S; numberfield.linalg.shortest_nonzero enumerates
+(Fincke-Pohst) in the reduced basis with exact integer scoring, so skewed HNF
+sublattice bases cost no more than reduced ones.  For the plain code on O_K
+the side sublattice is the ideal lattice Psi(prod_{k in S} p_k).
 
 The finite subcode's figures scan no pair of points: every difference of a
 subcode is a nonzero d of the side sublattice (each slot in
@@ -154,20 +154,18 @@ def side_info_gain(code, s):
     s = code.check_side_info(s)
     if not s:
         raise InvalidArgument("side-information set must be nonempty")
-    val0, _ = shortest_nonzero(code.gram2)
-    d0_sq = Fraction(int(val0), 2)
-    side_gram = code.side_sublattice_gram(s)
-    vals, _ = shortest_nonzero(side_gram)
-    ds_sq = Fraction(int(vals), 2)
+    base, side = code.side_lattice(()), code.side_lattice(s)
+    d0_sq = Fraction(shortest_nonzero(base.gram, base.lll)[0], 2)
+    ds_sq = Fraction(shortest_nonzero(side.gram, side.lll)[0], 2)
     r = rate(code, s)
     gamma_db = 10.0 * math.log10(float(ds_sq / d0_sq)) / r
     exact = code.field.is_imaginary_quadratic_pid
     if code.is_plain:
         lower, upper = gain_bounds(code, s)
-        mink = minkowski_upper_bound(code.field, code.side_ideal(s))
+        mink = minkowski_upper_bound(code.field, side.ideal)
     else:
         lower = upper = SIX_DB if exact else None
-        mink = _general_minkowski(side_gram)
+        mink = _general_minkowski(side.gram)
     return GainReport(
         s=s,
         d0_sq=d0_sq,
@@ -234,25 +232,22 @@ def _first_realised(code, X, D, *keys):
 
 
 def _smallest_realised(code, s, idx, by_norm=False):
-    """Least doubled length over the differences d of the subcode idx, or
-    by_norm (fewest nonzero slots, least key) over them, the key of d being
-    the exact product of |N(e_i)| over the nonzero slots e_i of G~ d.
+    """Least doubled length over the differences d of the subcode idx, or by_norm (fewest
+    nonzero slots, least key) over them, the key of d being the exact product of |N(e_i)| over
+    the nonzero slots e_i of G~ d.
 
-    Two points of the subcode differ by a nonzero d with every slot in
-    J = prod_{k in S} p_k, and x + d is then in the subcode exactly when it
-    is a stored point (IndexCode.point_index).  Candidates are the
-    short_vectors of that side sublattice within a doubled radius, and the
-    first realised in order of length, or of key (of slots, unless the key
-    winner has one) then length, wins.  Float norms only set the order (exact
-    integers are at least 1 apart); the winner's key is checked exactly.
-    G~ has entries in O_K, so every slot of G~ d lies in J: a norm search
-    stops at key N(J) with one slot, or when the radius covers every
-    difference, 4 times the largest doubled energy.  The radius doubles from
-    twice the least doubled energy of a nonzero element of J.
+    Two points of the subcode differ by a nonzero d with every slot in J = prod_{k in S} p_k,
+    and x + d is then in the subcode exactly when it is a stored point (IndexCode.point_index).
+    Candidates are the short_vectors of that side sublattice (code.side_lattice(s)) within a
+    doubled radius, and the first realised in order of length, or of key (of slots, unless the
+    key winner has one) then length, wins.  Float norms only set the order (exact integers are
+    at least 1 apart); the winner's key is checked exactly.  G~ has entries in O_K, so every
+    slot of G~ d lies in J: a norm search stops at key N(J) with one slot, or when the radius
+    covers every difference, 4 times the largest doubled energy.  The radius doubles from twice
+    the least doubled energy of a nonzero element of J.
     """
-    field, H = code.field, code.side_basis(s).astype(np.int64)
-    gram = sublattice_gram(H, code.gram2)  # code.side_sublattice_gram(s), J built once
-    norm = math.prod(H.diagonal()[:field.n].tolist())  # N(J), the index of J in O_K
+    field, side = code.field, code.side_lattice(s)
+    H, norm = side.basis.astype(np.int64), side.ideal.norm  # N(J), the index of J in O_K
     X = code.coords_matrix[idx]
     span, xmax = X.max(axis=0) - X.min(axis=0), column_max(X)
     check_int64(product_bounds(code.basis, span.tolist()), "a difference G~ d of the subcode")
@@ -261,7 +256,7 @@ def _smallest_realised(code, s, idx, by_norm=False):
     least = (2 if field.is_totally_real else 1) * field.n * norm ** (2 / field.n)
     bound2 = min(full, math.ceil(2 * least))
     while True:
-        Y, len2 = short_vectors(gram, bound2)
+        Y, len2 = short_vectors(side.gram, bound2, lll=side.lll)
         check_int64(product_bounds(H, column_max(Y)), "a side-ideal difference")
         D = Y @ H.T
         # d and -d are realised together; a realised d fits the subcode's box
@@ -310,8 +305,7 @@ def diversity_and_product_distance(code, s, fixed=None):
     slots, key = _smallest_realised(code, s, idx, by_norm=True)
     # every supported field is totally real or totally complex
     pmin = float(key) if field.is_totally_real else math.sqrt(key)
-    floor = (float(math.prod(code.primes[k - 1].norm for k in s))
-             if code.is_plain and field.is_totally_real else None)
+    floor = float(code.side_ideal(s).norm) if code.is_plain and field.is_totally_real else None
     return FadingReport(s=s, diversity=slots * (field.r1 + field.r2), product_distance=pmin,
                         floor=floor)
 

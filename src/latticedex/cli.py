@@ -144,6 +144,13 @@ def _check_sets(sets):
     return sets
 
 
+def _side_info_sets(code, sets):
+    sets = [code.check_side_info(s) for s in sets]
+    if twice := [a for a, b in zip(sorted(sets), sorted(sets)[1:]) if a == b]:
+        raise InvalidArgument(f"side-information set {list(twice[0])} is named twice")
+    return sets
+
+
 def _load_spec(args):
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -194,7 +201,7 @@ def cmd_analyze(args):
     code = load_code(args.code) if args.code else build_from_spec(_load_spec(args))
     k = len(code.primes)
     if args.sets:
-        sets = [s for s in map(code.check_side_info, _parse_sets(args.sets, k, args.k_cap)) if s]
+        sets = [s for s in _side_info_sets(code, _parse_sets(args.sets, k, args.k_cap)) if s]
         if not sets:
             raise InvalidArgument("--sets names no nonempty side-information set")
     else:
@@ -272,7 +279,7 @@ def cmd_simulate(args):
         sets = _check_sets(spec.side_info_sets)
     else:
         sets = [[]] + [[i + 1] for i in range(k)]
-    sets = [code.check_side_info(s) for s in sets]  # all of them before any sweep
+    sets = _side_info_sets(code, sets)  # all of them before any sweep
     if not sets:
         raise InvalidArgument("the side-information set list is empty; [[]] simulates S = {}")
 

@@ -35,9 +35,10 @@ import hashlib
 import json
 import math
 import operator
+import os
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +53,7 @@ from .numberfield import (
     whole_ring,
 )
 from .numberfield.field import _is_integer
-from .numberfield.linalg import (check_int64, column_max, det_int, product_bounds,
+from .numberfield.linalg import (check_int64, column_max, det_int, lll_gram, product_bounds,
                                  reduce_mod_hnf_batch, short_vectors, sublattice_gram)
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -61,6 +62,7 @@ _POINT_KEYS = ("coords", "embedded", "label")  # of each point in a code file
 _POINTS_KEY = '\n "points": '  # in a saved file
 _COORDS = re.compile(r'"coords": \[([^\]]*)\]')
 _READ = 1 << 18  # characters per read of a code file
+SideLattice = make_dataclass("SideLattice", ["ideal", "basis", "gram", "lll"], frozen=True)
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,7 @@ class IndexCode:
     its residues mod each p_k, has index i (_places), so message_residues reads it off i and
     message_grid, np.arange(M) shaped alphabet_sizes, maps messages to points.  idempotents
     holds e_k as the residue mod I of slot 0 of the point with message 1 on p_k, 0 elsewhere.
+    side_lattice(s), S's side sublattice and its LLL reduction, is made on first use and kept.
     """
 
     def __init__(self, field, primes, coords, gmatrix=None):
@@ -261,7 +264,7 @@ class IndexCode:
             raise InvariantViolation("constellation has no energy")
         self.mean_energy = Fraction(total, 2 * self.size)
         self.gamma = 1.0 / math.sqrt(total / (2.0 * self.size))
-        self._hash = None
+        self._hash, self._side = None, {}
 
     @property
     def num_messages(self):
@@ -354,24 +357,21 @@ class IndexCode:
             raise InvalidArgument(f"side-information set {s} not within 1..{len(self.primes)}")
         return s
 
+    def side_lattice(self, s):
+        """S's SideLattice: ideal J = prod_{k in S} p_k, basis H = kron(I_m, HNF(J)) spanning the u
+        with every slot in J, gram H^T G2 H (read-only Python ints), lll (U, R) = lll_gram(gram)."""
+        s = self.check_side_info(s)
+        if s not in self._side:
+            J = math.prod([self.primes[k - 1] for k in s], start=whole_ring(self.field))
+            H = np.kron(np.eye(self.m, dtype=object), np.array(J.hnf, dtype=object))
+            G = sublattice_gram(H, self.gram2)
+            H.flags.writeable = G.flags.writeable = False
+            self._side[s] = SideLattice(J, H, G, tuple(tuple(map(tuple, M)) for M in lll_gram(G)))
+        return self._side[s]
+
     def side_ideal(self, s):
         """The ideal prod_{k in S} p_k (whole ring for empty S)."""
-        s = self.check_side_info(s)
-        ideal = whole_ring(self.field)
-        for k in s:
-            ideal = ideal * self.primes[k - 1]
-        return ideal
-
-    def side_basis(self, s):
-        """kron(I_m, HNF(J)), J = prod_{k in S} p_k, in Python ints: integer
-        columns, in the coordinates of u, spanning the u with every slot in J."""
-        H = np.array(self.side_ideal(s).hnf, dtype=object)
-        return np.kron(np.eye(self.m, dtype=object), H)
-
-    def side_sublattice_gram(self, s):
-        """Doubled Gram of the u-sublattice with every slot in prod_{k in S} p_k,
-        exact (an object array of Python ints)."""
-        return sublattice_gram(self.side_basis(s), self.gram2)
+        return self.side_lattice(s).ideal
 
     def side_groups(self, s):
         """The message grid with S's axes first, as (G, M/G): row g holds the points whose w_S
@@ -541,7 +541,8 @@ def save_code(code, path, points_csv=None):
     """Write the code file (the indent=1 sorted-key JSON of to_dict()) and points CSV if asked."""
     if not code.is_plain:  # refused before either path is opened, so files there survive
         raise Unsupported("code files hold only m = 1 codes with the identity generator")
-    with open(path, "w") as fh, open(points_csv, "w") if points_csv else nullcontext() as csv:
+    with (open(path, "a") if os.path.exists(path) else nullcontext(),  # first, not truncated
+          open(points_csv, "w") if points_csv else nullcontext() as csv, open(path, "w") as fh):
         fh.writelines(_canonical_json(code, indent=1, csv=csv))
 
 

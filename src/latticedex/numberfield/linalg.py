@@ -318,9 +318,9 @@ def _enumerate(U, R, bound2, include_zero):
     return Y[keep] @ np.array(U, dtype=np.int64).T, norms[keep]
 
 
-def short_vectors(gram2, bound2, include_zero=False):
+def short_vectors(gram2, bound2, include_zero=False, lll=None):
     """All integer vectors with x^T G2 x <= bound2, exactly (G2 in int64 or
-    Python ints).
+    Python ints; lll its lll_gram(G2) if the caller has it).
 
     Returns (X, norms2): X is (M, n) int64, norms2 is (M,) int64, rows in no
     particular order.  The search runs in an LLL-reduced basis and scores
@@ -328,7 +328,7 @@ def short_vectors(gram2, bound2, include_zero=False):
     include_zero.  Raises Infeasible when the search would exceed
     _ENUM_LIMIT candidate rows at one level or leave the int64 range.
     """
-    U, R = lll_gram(gram2)
+    U, R = lll or lll_gram(gram2)
     return _enumerate(U, R, bound2, include_zero)
 
 

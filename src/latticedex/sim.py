@@ -58,8 +58,7 @@ import numpy as np
 
 from .errors import Infeasible, InvalidArgument, Unsupported
 from .numberfield.field import _is_integer
-from .numberfield.linalg import (check_int64, column_max, fp_search, lll_gram, product_bounds,
-                                 shortest_nonzero)
+from .numberfield.linalg import check_int64, column_max, fp_search, product_bounds, shortest_nonzero
 
 CHUNK = 4096
 _TILE_BYTES = 1 << 20  # the one score tile fits a 2 MiB per-core L2 cache
@@ -198,7 +197,7 @@ def confidence_interval(errors, trials):
 # ============================================================
 
 
-def _groups(code, s, cand, lll=None):
+def _groups(code, s, cand):
     """What detection reads of the code on S for the groups in the rows of cand (each row a
     group's point indices, ascending): cand; the weights W, row g [P*P; P; |P|^2] of group
     g's unit-energy points P; rank, each point's column there; lattice, _search_lattice's."""
@@ -209,24 +208,23 @@ def _groups(code, s, cand, lll=None):
     W[:, :n].sum(axis=1, out=W[:, 2 * n])
     rank = np.zeros(code.size, dtype=np.min_scalar_type(cand.shape[1] - 1))
     rank[cand] = np.arange(cand.shape[1])
-    return {"cand": cand, "W": W, "rank": rank, "lattice": _search_lattice(code, s, cand, lll)}
+    return {"cand": cand, "W": W, "rank": rank, "lattice": _search_lattice(code, s, cand)}
 
 
-def _search_lattice(code, s, cand, lll=None):
+def _search_lattice(code, s, cand):
     """What _search reads of the side sublattice, or None when its groups (the rows
     of cand) are below _SEARCH_MIN points and brute force decides every group of S.
 
-    basis holds an LLL-reduced basis of the u with every slot in I_S, as
-    integer columns in the coordinates of u, and ebasis the unit-energy
-    embedding of the points G~ u they give.  Two points of the constellation
-    differ by at most span in each coordinate, so bound caps |v_i| for every
-    point of a group written as its first point plus basis @ v; that bound
-    and the largest |coordinate| prove once that _search's int64 points fit.
+    basis holds the LLL-reduced basis H U of code.side_lattice(s), the u with every slot in
+    I_S, as integer columns in the coordinates of u, and ebasis the unit-energy embedding of
+    the points G~ u they give.  Two points of the constellation differ by at most span in each
+    coordinate, so bound caps |v_i| for every point of a group written as its first point plus
+    basis @ v; that bound and the largest |coordinate| prove once that _search's int64 points fit.
     """
     if cand.shape[1] < _SEARCH_MIN:
         return None
-    U, _ = lll or lll_gram(code.side_sublattice_gram(s))
-    basis = code.side_basis(s) @ np.array(U, dtype=object)
+    side = code.side_lattice(s)
+    basis = side.basis @ np.array(side.lll[0], dtype=object)
     points = (code.basis.astype(object) @ basis).astype(np.float64)  # G~ basis, exact ints
     basis = basis.astype(np.int64)
     span = np.ptp(code.coords_matrix, axis=0).astype(np.float64)
@@ -243,8 +241,8 @@ def _search_lattice(code, s, cand, lll=None):
 
 
 def _build_ctx(config):
-    """Read-only arrays shared by every chunk of a sweep: the group table cand, the message
-    grid with S's axes first (IndexCode.side_groups); pid, each point's group; _groups; ball."""
+    """Read-only arrays shared by every chunk of a sweep: cand, the message grid with S's axes
+    first (IndexCode.side_groups); pid, each point's group; _groups; ball, from side_lattice(s)."""
     code, field, s = config.code, config.code.field, config.side_info
     cand = code.side_groups(s)
     # small ints: _brute's stable argsort of a chunk's groups is a radix sort
@@ -253,8 +251,8 @@ def _build_ctx(config):
     n, gamma = field.n, code.gamma
     delta = ((42 * n + 2) * math.sqrt(n) * _U * gamma * np.abs(field.embed_matrix).max()
              * sum(column_max(code.coords_matrix)))  # bounds every |u|_1 with no |u| copy
-    lll = lll_gram(gram := code.side_sublattice_gram(s)) if cand.shape[1] > 1 else None  # once
-    lam = shortest_nonzero(gram, lll)[0] if lll else math.inf
+    side = code.side_lattice(s) if cand.shape[1] > 1 else None
+    lam = shortest_nonzero(side.gram, side.lll)[0] if side else math.inf
     d = gamma * math.sqrt(lam / 2) * (1.0 - 8.0 * _U) - 2.0 * delta
     return {
         "channel": config.channel,
@@ -265,7 +263,7 @@ def _build_ctx(config):
         "amps": [math.sqrt(10.0 ** (v / 10.0)) for v in config.snr_db],
         "pid": pid,
         "ball": (gamma * math.sqrt(int(code.norms2.max()) / 2) * (1.0 + 4.0 * _U) + delta, d),
-        **_groups(code, s, cand, lll),
+        **_groups(code, s, cand),
     }
 
 

@@ -22,14 +22,15 @@ from latticedex import (
     min_distance,
     minkowski_upper_bound,
     overall_side_info_gain,
+    preset_code,
     prime_ideals_above,
     quadratic_field,
     side_info_gain,
     whole_ring,
 )
 from conftest import _pair_scan, pair_scan_min_distance
-from latticedex import analysis
-from latticedex.analysis import SIX_DB
+from latticedex import analysis, codec
+from latticedex.analysis import SIX_DB, side_info_sets
 from latticedex.numberfield import linalg
 from latticedex.numberfield.linalg import lll_gram, shortest_nonzero
 
@@ -330,7 +331,7 @@ def test_m2_finite_distance_matches_lattice(zi_m2, zi_m2k2, module_codes):
     val0, _ = shortest_nonzero(zi_m2.gram2)
     assert (min_distance(zi_m2, ()) == Fraction(int(val0), 2)
             == pair_scan_min_distance(zi_m2, ()))
-    vals, _ = shortest_nonzero(zi_m2k2.side_sublattice_gram((1,)))
+    vals, _ = shortest_nonzero(zi_m2k2.side_lattice((1,)).gram)
     assert (min_distance(zi_m2k2, (1,)) == Fraction(int(vals), 2)
             == pair_scan_min_distance(zi_m2k2, (1,)))
     for label, code in module_codes.items():
@@ -413,16 +414,38 @@ def test_m2_diversity_counts_every_slot(module_codes, zi_1105):
     assert (rep.diversity, rep.product_distance) == (1, 1.0)
 
 
+def test_analysing_every_set_reduces_each_side_sublattice_once(monkeypatch):
+    # gains, minimum distances and fading figures read the code's one record per S
+    # (IndexCode.side_lattice): over every nonempty S of a freshly built cyclo-K4, each
+    # distinct side Gram, the code lattice's (S = {}) included, is LLL-reduced once
+    code = preset_code("cyclo-K4")
+    grams, lll_gram = [], linalg.lll_gram
+
+    def counted(gram):
+        grams.append(str(np.asarray(gram, dtype=object).tolist()))
+        return lll_gram(gram)
+
+    monkeypatch.setattr(linalg, "lll_gram", counted)
+    monkeypatch.setattr(codec, "lll_gram", counted)
+    sets = side_info_sets(len(code.primes))
+    for s in sets:
+        side_info_gain(code, s)
+        if code.subcode_indices(s).shape[0] >= 2:
+            min_distance(code, s)
+            diversity_and_product_distance(code, s)
+    assert len(grams) == len(set(grams)) == len(sets) + 1
+
+
 def test_side_ideal_differences_are_checked_at_the_exact_int64_bound(monkeypatch):
     # S = {1}, J = a prime of norm 2 in Z[i], whose HNF's first column is (2, 0):
     # a short vector (k, 0) maps to the difference (2k, 0), past int64 at k = 2^62
     field = quadratic_field(-1)
     code = build_index_code(field, [prime_ideals_above(field, p)[0] for p in (2, 5)])
-    assert code.side_basis((1,))[:, 0].tolist() == [2, 0]
+    assert code.side_lattice((1,)).basis[:, 0].tolist() == [2, 0]
     for k, error, what in ((2**62, Infeasible, "a side-ideal difference leaves the int64"),
                            (2**62 - 1, InvariantViolation, "no difference")):
         monkeypatch.setattr(analysis, "short_vectors",
-                            lambda gram, bound2: (np.array([[k, 0]]), np.array([1])))
+                            lambda gram, bound2, lll: (np.array([[k, 0]]), np.array([1])))
         with pytest.raises(error, match=what):
             min_distance(code, (1,))
 
@@ -449,7 +472,7 @@ def test_subcode_sums_are_checked_at_the_exact_int64_bound(monkeypatch):
     bound = max(x + abs(v) for x, v in zip(xmax, d))
     assert bound > max(span)
     monkeypatch.setattr(analysis, "short_vectors",
-                        lambda gram, bound2: (np.array([d]), np.array([2 * span[0] ** 2])))
+                        lambda gram, bound2, lll: (np.array([d]), np.array([2 * span[0] ** 2])))
     monkeypatch.setattr(linalg, "INT64_MAX", bound - 1)
     with pytest.raises(Infeasible, match="^a sum x \\+ d of the subcode leaves the int64"):
         min_distance(code, ())

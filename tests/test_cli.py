@@ -142,6 +142,38 @@ def test_parse_sets():
         _parse_sets("[1,2]", 2)
 
 
+def test_a_side_information_set_named_twice_is_refused(tmp_path, capsys, monkeypatch):
+    # [1,2] and [2,1] are one set: simulate ran its sweep twice and wrote its CSV twice, and
+    # analyze printed its row twice.  Both refuse the list (exit 1), naming the set; simulate
+    # before any sweep, from --sets or the config's side_info_sets alike
+    import latticedex.cli as cli_mod
+
+    def no_sweep(config):
+        raise AssertionError("a sweep ran before the sets were checked")
+
+    monkeypatch.setattr(cli_mod, "run_sim", no_sweep)
+    out = tmp_path / "out"
+    cases = (("[[1,2],[2,1]]", "[1, 2]"), ("[[1],[2],[1]]", "[1]"), ("[[],[2],[]]", "[]"),
+             ("[[2,2],[2]]", "[2]"))
+    simulate = ["simulate", "--preset", "example1", "--snr", "10", "--trials", "4096",
+                "--workers", "1", "--out-dir", str(out)]
+    for sets, named in cases:
+        for argv in (simulate + ["--sets", sets], ["analyze", "--preset", "example1",
+                                                   "--sets", sets]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            got = capsys.readouterr()
+            assert got.out == "", argv
+            assert got.err == f"error: side-information set {named} is named twice\n", argv
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**spec_from_preset("example1").to_dict(), "snr_db": [10.0],
+                                "max_trials": 4096, "workers": 1, "out_dir": str(out),
+                                "side_info_sets": [[1], [], [1]]}))
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert "side-information set [1] is named twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---- exit codes ----
 
 def test_missing_subcommand_exits_1(capsys):

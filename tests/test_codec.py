@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -1150,6 +1151,16 @@ def test_a_refused_save_leaves_the_file_at_the_path(ex1_code, zi_m2, tmp_path):
     with pytest.raises(Unsupported):
         save_code(zi_m2, path, csv)
     assert (path.read_bytes(), csv.read_bytes()) == both
+    # a path that cannot be opened (here a directory): neither file is truncated, and no file
+    # is made at the other path.  The code file was opened, and so truncated, before the CSV
+    # path, and was left empty
+    blocked, new = tmp_path / "blocked", tmp_path / "new.csv"
+    blocked.mkdir()
+    for args in ((path, blocked), (blocked, csv), (blocked, new)):
+        with pytest.raises(IsADirectoryError):
+            save_code(ex1_code, *args)
+        assert (path.read_bytes(), csv.read_bytes()) == both, args
+    assert not new.exists()
 
 
 def test_public_names_resolve():
@@ -1203,10 +1214,38 @@ def test_m2_subcode_and_fixed(zi_m2, zi_m2k2):
         zi_m2.check_side_info((0,))
 
 
+def test_the_side_lattice_is_its_definition(ex1_code, zi_m2k2):
+    # one record per S, on a plain code and an m = 2 code: J the product of S's primes,
+    # H = kron(I_m, HNF(J)) and gram = H^T G2 H in Python ints, read-only, and lll = (U, R)
+    # as tuples, U unimodular with R = U^T gram U
+    for code in (ex1_code, zi_m2k2):
+        k = len(code.primes)
+        for s in (s for r in range(k + 1) for s in itertools.combinations(range(1, k + 1), r)):
+            side = code.side_lattice(s)
+            assert side is code.side_lattice(list(reversed(s)) * 2)  # one record per set
+            J = functools.reduce(operator.mul, [code.primes[i - 1] for i in s],
+                                 whole_ring(code.field))
+            assert side.ideal == J == code.side_ideal(s)
+            H = np.kron(np.eye(code.m, dtype=np.int64), np.array(J.hnf, dtype=np.int64))
+            assert side.basis.dtype == side.gram.dtype == object
+            assert {type(v) for v in [*side.basis.flat, *side.gram.flat]} == {int}
+            assert np.array_equal(side.basis, H)
+            assert np.array_equal(side.gram, H.T @ code.gram2 @ H)
+            U, R = side.lll
+            assert all(isinstance(row, tuple) for row in (U, R, *U, *R))
+            assert abs(linalg.det_int(U)) == 1
+            U = np.array(U, dtype=object)
+            assert np.array_equal(U.T @ side.gram @ U, np.array(R, dtype=object))
+            for arr in (side.basis, side.gram):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] += 1
+            assert np.array_equal(side.basis, H)
+
+
 def test_sublattice_gram_determinant_scaling(zi_m2):
     code = zi_m2
     _, ld0 = np.linalg.slogdet(code.gram2.astype(float))
-    _, ld1 = np.linalg.slogdet(code.side_sublattice_gram((1,)).astype(float))
+    _, ld1 = np.linalg.slogdet(code.side_lattice((1,)).gram.astype(float))
     # sublattice index is N(p)^m = 25, so the Gram determinant grows by 25^2
     want = ld0 + 2.0 * code.m * np.log(5.0)
     assert abs(ld1 - want) < 1e-8

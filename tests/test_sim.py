@@ -31,12 +31,11 @@ from latticedex import (
     write_curve_csv,
 )
 from conftest import residue_indices_by_reduction
-from latticedex import sim
+from latticedex import codec, sim
 from latticedex.cli import main as cli_main
-from latticedex.codec import IndexCode
 from latticedex.errors import Infeasible
 from latticedex.numberfield import linalg
-from latticedex.presets import preset_snr_grid
+from latticedex.presets import preset_code, preset_snr_grid
 from latticedex.sim import SimPoint, _draw_fades, resolve_workers, side_info_tag
 
 
@@ -375,27 +374,32 @@ def test_a_file_remade_at_the_path_after_a_call_is_never_unpickled(ex1_code, mon
     assert run_sim(_cfg(ex1_code, workers=2, **cfg)).points == want
 
 
-def test_a_sweep_reduces_its_side_sublattice_once(ex1_code, cyclo_code, monkeypatch):
-    # the exit's lambda and the sphere search read one Gram of the side sublattice, reduced
-    # once: the Gram was made, and reduced with LLL, once for each of them
-    calls = {"gram": 0, "lll": 0}
+def test_a_sweep_reduces_its_side_sublattice_once(monkeypatch):
+    # the exit's lambda and the sphere search read the code's one record of the side sublattice
+    # (IndexCode.side_lattice): the first context on a code and S makes it, reducing its Gram
+    # with LLL once, and a second context on the same code and S makes nothing.  Fresh codes:
+    # the session fixtures may hold records already
+    assert not hasattr(sim, "lll_gram")  # sim reduces no lattice itself
+    cyclo, ex1 = preset_code("cyclo-K4"), preset_code("example1")
+    calls, lll_gram = [], linalg.lll_gram
 
-    def counted(name, fn):
-        return lambda *a, **kw: calls.__setitem__(name, calls[name] + 1) or fn(*a, **kw)
+    def counted(gram):
+        calls.append(1)
+        return lll_gram(gram)
 
-    monkeypatch.setattr(IndexCode, "side_sublattice_gram",
-                        counted("gram", IndexCode.side_sublattice_gram))
-    monkeypatch.setattr(linalg, "lll_gram", counted("lll", linalg.lll_gram))
-    monkeypatch.setattr(sim, "lll_gram", linalg.lll_gram)
-    for code, s, searched in ((cyclo_code, (), True), (cyclo_code, (1,), True),
-                              (ex1_code, (), False), (cyclo_code, (1, 2, 3, 4), False)):
-        calls.update(gram=0, lll=0)
+    monkeypatch.setattr(linalg, "lll_gram", counted)
+    monkeypatch.setattr(codec, "lll_gram", counted)
+    for code, s, searched in ((cyclo, (), True), (cyclo, (1,), True), (ex1, (), False),
+                              (cyclo, (1, 2, 3, 4), False)):
+        calls.clear()
         ctx = sim._build_ctx(_cfg(code, side_info=s))
         once = int(ctx["cand"].shape[1] > 1)
-        assert calls == {"gram": once, "lll": once}, (code, s)
+        assert len(calls) == once, (code, s)
         assert (ctx["lattice"] is not None) == searched
+        again = sim._build_ctx(_cfg(code, side_info=s))
+        assert len(calls) == once and again["ball"] == ctx["ball"], (code, s)
         if once:  # d from lambda as before, less its rounding
-            lam = linalg.shortest_nonzero(code.side_sublattice_gram(s))[0]
+            lam = linalg.shortest_nonzero(code.side_lattice(s).gram)[0]
             want = code.gamma * math.sqrt(lam / 2)
             assert want * (1 - 1e-9) < ctx["ball"][1] < want, (code, s)
 
