@@ -4,11 +4,11 @@ Side-information gains are computed from exact squared distances: d_0 is the
 shortest nonzero vector of the code lattice and d_S that of its side
 sublattice, the u with every slot in prod_{k in S} p_k (revealing w_S reduces
 the candidate set to a translate of it).  Both read the code's one record of
-that lattice, IndexCode.side_lattice (S = {} for the code lattice), whose Gram
-is LLL-reduced once per S; numberfield.linalg.shortest_nonzero enumerates
-(Fincke-Pohst) in the reduced basis with exact integer scoring, so skewed HNF
-sublattice bases cost no more than reduced ones.  For the plain code on O_K
-the side sublattice is the ideal lattice Psi(prod_{k in S} p_k).
+that lattice, IndexCode.side_lattice (S = {} for the code lattice), whose exact
+minimum numberfield.linalg.shortest_nonzero finds once per S (Fincke-Pohst with
+exact integer scoring) in the record's LLL-reduced basis, so skewed HNF bases
+cost no more than reduced ones.  For the plain code on O_K the side sublattice
+is the ideal lattice Psi(prod_{k in S} p_k).
 
 The finite subcode's figures scan no pair of points: every difference of a
 subcode is a nonzero d of the side sublattice (each slot in
@@ -154,9 +154,8 @@ def side_info_gain(code, s):
     s = code.check_side_info(s)
     if not s:
         raise InvalidArgument("side-information set must be nonempty")
-    base, side = code.side_lattice(()), code.side_lattice(s)
-    d0_sq = Fraction(shortest_nonzero(base.gram, base.lll)[0], 2)
-    ds_sq = Fraction(shortest_nonzero(side.gram, side.lll)[0], 2)
+    side = code.side_lattice(s)
+    d0_sq, ds_sq = Fraction(code.side_lattice(()).minimum, 2), Fraction(side.minimum, 2)
     r = rate(code, s)
     gamma_db = 10.0 * math.log10(float(ds_sq / d0_sq)) / r
     exact = code.field.is_imaginary_quadratic_pid
@@ -244,7 +243,7 @@ def _smallest_realised(code, s, idx, by_norm=False):
     at least 1 apart); the winner's key is checked exactly.  G~ has entries in O_K, so every
     slot of G~ d lies in J: a norm search stops at key N(J) with one slot, or when the radius
     covers every difference, 4 times the largest doubled energy.  The radius doubles from twice
-    the least doubled energy of a nonzero element of J.
+    the least doubled length of a d, the side sublattice's exact minimum (side.minimum).
     """
     field, side = code.field, code.side_lattice(s)
     H, norm = side.basis.astype(np.int64), side.ideal.norm  # N(J), the index of J in O_K
@@ -252,9 +251,7 @@ def _smallest_realised(code, s, idx, by_norm=False):
     span, xmax = X.max(axis=0) - X.min(axis=0), column_max(X)
     check_int64(product_bounds(code.basis, span.tolist()), "a difference G~ d of the subcode")
     full = 4 * int(code.norms2[idx].max())
-    # AM-GM: 2|Psi(d)|^2 >= c * n * |N(d)|^(2/n), c = 2 totally real, 1 totally complex
-    least = (2 if field.is_totally_real else 1) * field.n * norm ** (2 / field.n)
-    bound2 = min(full, math.ceil(2 * least))
+    bound2 = min(full, 2 * side.minimum)
     while True:
         Y, len2 = short_vectors(side.gram, bound2, lll=side.lll)
         check_int64(product_bounds(H, column_max(Y)), "a side-ideal difference")

@@ -54,7 +54,8 @@ from .numberfield import (
 )
 from .numberfield.field import _is_integer
 from .numberfield.linalg import (check_int64, column_max, det_int, lll_gram, product_bounds,
-                                 reduce_mod_hnf_batch, short_vectors, sublattice_gram)
+                                 reduce_mod_hnf_batch, short_vectors, shortest_nonzero,
+                                 sublattice_gram)
 
 DEFAULT_ENUMERATION_CAP = 10**6
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
@@ -62,7 +63,7 @@ _POINT_KEYS = ("coords", "embedded", "label")  # of each point in a code file
 _POINTS_KEY = '\n "points": '  # in a saved file
 _COORDS = re.compile(r'"coords": \[([^\]]*)\]')
 _READ = 1 << 18  # characters per read of a code file
-SideLattice = make_dataclass("SideLattice", ["ideal", "basis", "gram", "lll"], frozen=True)
+SideLattice = make_dataclass("SideLattice", "ideal basis gram lll minimum".split(), frozen=True)
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class IndexCode:
     its residues mod each p_k, has index i (_places), so message_residues reads it off i and
     message_grid, np.arange(M) shaped alphabet_sizes, maps messages to points.  idempotents
     holds e_k as the residue mod I of slot 0 of the point with message 1 on p_k, 0 elsewhere.
-    side_lattice(s), S's side sublattice and its LLL reduction, is made on first use and kept.
+    side_lattice(s), S's side sublattice, its LLL reduction and exact minimum, is made once, kept.
     """
 
     def __init__(self, field, primes, coords, gmatrix=None):
@@ -229,6 +230,7 @@ class IndexCode:
         self.alphabet_sizes = tuple(p.norm ** m for p in self.primes)
         if callable(coords):
             coords = coords(self.modulus, self.gram2, m)
+        coords = _int64_array(coords, -1, m * field.n)  # the loader's rule, before any reduction
         self.size = coords.shape[0]
         if self.size != self.modulus.norm ** m:
             raise InvariantViolation(
@@ -281,12 +283,19 @@ class IndexCode:
 
     # ---- message plumbing ----
 
+    def _checked_indices(self, idx, scalar=False):
+        """idx (an int if scalar) as int64, checked: integers (no bool or float) in [0, M)."""
+        a = np.asarray(idx)
+        if a.dtype.kind not in "iu" or (scalar and a.ndim) or ((a < 0) | (a >= self.size)).any():
+            raise InvalidArgument(f"point indices must be integers in [0, {self.size})")
+        return a.astype(np.int64, copy=False)
+
     def message_residues(self, idx):
         """The messages of point indices idx (an int or int array), shaped idx.shape + (K, m*n):
         canonical residues of u modulo each p_k, slot-major, the digits (_places) of idx."""
         box, places = self._places
-        digits = self.message_grid.ravel()[idx][..., None] // places % box  # idx range-checked
-        return digits.reshape(*np.shape(idx), len(self.primes), -1)
+        digits = self._checked_indices(idx)[..., None] // places % box
+        return digits.reshape(*np.shape(idx), len(self.primes), self.dimension)
 
     def _point(self, i):
         return CodePoint(i, self.message_from_index(i), tuple(self.coords_matrix[i].tolist()))
@@ -325,7 +334,7 @@ class IndexCode:
         return self._point(self.message_index(msg))
 
     def message_from_index(self, idx):
-        i, (box, places) = range(self.size)[idx], self._places  # idx an int, range-checked
+        i, (box, places) = int(self._checked_indices(idx, scalar=True)), self._places
         digits = iter([i // p % b for p, b in zip(places, box)])  # message_residues(i), as ints
         return Message(tuple(zip(*[digits] * self.dimension)))  # K tuples of m*n digits
 
@@ -359,14 +368,16 @@ class IndexCode:
 
     def side_lattice(self, s):
         """S's SideLattice: ideal J = prod_{k in S} p_k, basis H = kron(I_m, HNF(J)) spanning the u
-        with every slot in J, gram H^T G2 H (read-only Python ints), lll (U, R) = lll_gram(gram)."""
+        with every slot in J, gram H^T G2 H (read-only Python ints), lll (U, R) = lll_gram(gram)
+        and minimum = shortest_nonzero(gram, lll)[0], the exact doubled lambda_S (a Python int)."""
         s = self.check_side_info(s)
         if s not in self._side:
             J = math.prod([self.primes[k - 1] for k in s], start=whole_ring(self.field))
             H = np.kron(np.eye(self.m, dtype=object), np.array(J.hnf, dtype=object))
             G = sublattice_gram(H, self.gram2)
             H.flags.writeable = G.flags.writeable = False
-            self._side[s] = SideLattice(J, H, G, tuple(tuple(map(tuple, M)) for M in lll_gram(G)))
+            lll = tuple(tuple(map(tuple, M)) for M in lll_gram(G))
+            self._side[s] = SideLattice(J, H, G, lll, shortest_nonzero(G, lll)[0])
         return self._side[s]
 
     def side_ideal(self, s):
@@ -539,8 +550,7 @@ def _canonical_json(code, indent=None, csv=None):
 
 def save_code(code, path, points_csv=None):
     """Write the code file (the indent=1 sorted-key JSON of to_dict()) and points CSV if asked."""
-    if not code.is_plain:  # refused before either path is opened, so files there survive
-        raise Unsupported("code files hold only m = 1 codes with the identity generator")
+    code._file_header()  # refuses a code that is not plain before either path is opened
     with (open(path, "a") if os.path.exists(path) else nullcontext(),  # first, not truncated
           open(points_csv, "w") if points_csv else nullcontext() as csv, open(path, "w") as fh):
         fh.writelines(_canonical_json(code, indent=1, csv=csv))
@@ -619,8 +629,12 @@ def _canonical_code(fh):
 
 
 def _int64_array(rows, *shape):
-    """rows as an int64 array of the given shape; a float, string or big int raises (bools cast)."""
-    return np.array(rows).astype(np.int64, casting="safe").reshape(shape)
+    """rows as an int64 array of the given shape (first length -1: any), else a ValueError:
+    InvalidArgument for a bool, float, string or int past int64, or other trailing lengths."""
+    a = np.asarray(rows)
+    if a.dtype == bool or not np.can_cast(a.dtype, np.int64) or a.shape[1:] != shape[1:]:
+        raise InvalidArgument(f"need an integer array of shape {shape} (-1: any length)")
+    return a.astype(np.int64, copy=False).reshape(shape)
 
 
 def _stored_primes(doc):

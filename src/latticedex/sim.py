@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import Infeasible, InvalidArgument, Unsupported
 from .numberfield.field import _is_integer
-from .numberfield.linalg import check_int64, column_max, fp_search, product_bounds, shortest_nonzero
+from .numberfield.linalg import check_int64, column_max, fp_search, product_bounds
 
 CHUNK = 4096
 _TILE_BYTES = 1 << 20  # the one score tile fits a 2 MiB per-core L2 cache
@@ -242,7 +242,7 @@ def _search_lattice(code, s, cand):
 
 def _build_ctx(config):
     """Read-only arrays shared by every chunk of a sweep: cand, the message grid with S's axes
-    first (IndexCode.side_groups); pid, each point's group; _groups; ball, from side_lattice(s)."""
+    first (IndexCode.side_groups); pid, each point's group; _groups; ball, d from lambda_S."""
     code, field, s = config.code, config.code.field, config.side_info
     cand = code.side_groups(s)
     # small ints: _brute's stable argsort of a chunk's groups is a radix sort
@@ -251,8 +251,7 @@ def _build_ctx(config):
     n, gamma = field.n, code.gamma
     delta = ((42 * n + 2) * math.sqrt(n) * _U * gamma * np.abs(field.embed_matrix).max()
              * sum(column_max(code.coords_matrix)))  # bounds every |u|_1 with no |u| copy
-    side = code.side_lattice(s) if cand.shape[1] > 1 else None
-    lam = shortest_nonzero(side.gram, side.lll)[0] if side else math.inf
+    lam = code.side_lattice(s).minimum if cand.shape[1] > 1 else math.inf
     d = gamma * math.sqrt(lam / 2) * (1.0 - 8.0 * _U) - 2.0 * delta
     return {
         "channel": config.channel,
@@ -296,8 +295,8 @@ def _draw_chunk(ctx, point_idx, chunk_idx, open_only=False):
 def _open(ctx, a, z, h):
     """The trials of a chunk that can err: all but those proven to be decided as sent.
 
-    Two stored points of a group are d apart or more: gamma*sqrt(lambda/2), lambda the side
-    sublattice's exact minimum, less 8 ulps and twice delta, the farthest a stored point lies
+    Two stored points of a group are d apart or more: gamma*sqrt(lambda/2), lambda the exact
+    side_lattice(s).minimum, less 8 ulps and twice delta, the farthest a stored point lies
     from its exact place (embedding entries within 40n ulps of the largest, n + 2 more from
     the product with u and gamma); d = inf on one point, and pmax bounds every |P|.  With P
     sent, Q another point, r = y - a*h.P and D = a*h.(P - Q), Q's score exceeds P's by

@@ -13,6 +13,7 @@ from latticedex import (
     Infeasible,
     InvalidArgument,
     InvariantViolation,
+    SimConfig,
     build_index_code,
     cyclotomic_field,
     diversity_and_product_distance,
@@ -29,7 +30,7 @@ from latticedex import (
     whole_ring,
 )
 from conftest import _pair_scan, pair_scan_min_distance
-from latticedex import analysis, codec
+from latticedex import analysis, codec, sim
 from latticedex.analysis import SIX_DB, side_info_sets
 from latticedex.numberfield import linalg
 from latticedex.numberfield.linalg import lll_gram, shortest_nonzero
@@ -433,6 +434,31 @@ def test_analysing_every_set_reduces_each_side_sublattice_once(monkeypatch):
         if code.subcode_indices(s).shape[0] >= 2:
             min_distance(code, s)
             diversity_and_product_distance(code, s)
+    assert len(grams) == len(set(grams)) == len(sets) + 1
+
+
+def test_each_side_lattice_minimum_is_enumerated_once(monkeypatch):
+    # the exact minimum lambda_S lives on the code's one record per S (IndexCode.side_lattice):
+    # gains, fading figures and the simulator's exit read it, so over every nonempty S of a
+    # freshly built cyclo-K4, plus a sweep context on every S, shortest_nonzero runs once per
+    # distinct S, the code lattice's (S = {}) included
+    code = preset_code("cyclo-K4")
+    grams, shortest = [], linalg.shortest_nonzero
+
+    def counted(gram2, lll=None):
+        grams.append(str(np.asarray(gram2, dtype=object).tolist()))
+        return shortest(gram2, lll)
+
+    for module in (linalg, codec, analysis, sim):
+        if hasattr(module, "shortest_nonzero"):
+            monkeypatch.setattr(module, "shortest_nonzero", counted)
+    sets = side_info_sets(len(code.primes))
+    for s in sets:
+        side_info_gain(code, s)
+        if code.subcode_indices(s).shape[0] >= 2:
+            diversity_and_product_distance(code, s)
+    for s in [(), *sets]:
+        sim._build_ctx(SimConfig(code, "awgn", (12.0,), side_info=s, workers=1))
     assert len(grams) == len(set(grams)) == len(sets) + 1
 
 

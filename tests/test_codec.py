@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from latticedex import (
     Infeasible,
     InvalidArgument,
+    InvariantViolation,
     Message,
     SimConfig,
     Unsupported,
@@ -115,8 +116,25 @@ def test_a_points_message_is_read_off_its_index(request, fixture):
     assert np.array_equal(code.message_residues(every), residues_by_reduction(code))
     assert code.message_residues(7).tolist() == residues_by_reduction(code)[7].tolist()
     assert all(code.message_index(code.message_from_index(i)) == i for i in range(code.size))
-    with pytest.raises(IndexError):  # as the table it replaces did
+    with pytest.raises(InvalidArgument):
         code.message_from_index(code.size)
+
+
+def test_point_indices_are_range_checked(ex1_code):
+    # a point index is an integer in [0, M): no bool read as 1 or as a mask, no float, no
+    # negative index wrapping to the end and none past M, in either method
+    code = ex1_code
+    assert code.message_from_index(np.int64(54)) == code.message_from_index(54)
+    assert code.message_residues(np.array([0, 54], dtype=np.uint8)).tolist() == \
+        code.message_residues(np.array([0, 54])).tolist()
+    for bad in (True, np.True_, -1, -55, 55, 1.0, np.float64(3), "3", None, 2**70, [1]):
+        with pytest.raises(InvalidArgument, match=r"integers in \[0, 55\)"):
+            code.message_from_index(bad)
+    for bad in (-1, 55, [0, -1], np.array([3, 55]), np.ones(55, dtype=bool), np.array([1.0]),
+                True, [2**70]):
+        with pytest.raises(InvalidArgument, match=r"integers in \[0, 55\)"):
+            code.message_residues(bad)
+    assert code.message_residues(np.arange(0)).shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("fixture", ["ex1_code", "ex2_code", "ex3_code", "maxreal_code",
@@ -343,6 +361,23 @@ def test_index_code_checks_its_primes(ex1_code, load_doc):
         IndexCode(field, [], coords)
     with pytest.raises(InvalidArgument, match="field"):
         IndexCode(field, [prime_ideals_above(quadratic_field(-1), 5)[0]], coords)
+
+
+def test_index_code_checks_its_coordinates(ex1_code, zi_m2):
+    # coords must be integers (no bool or float) in M rows of m*n columns, refused before any
+    # reduction as bad input, not as a broken invariant; a list of integer rows is that array
+    for code in (ex1_code, zi_m2):
+        field, primes, X, g = code.field, code.primes, code.coords_matrix, code.gmatrix
+        assert np.array_equal(IndexCode(field, primes, X.tolist(), g).coords_matrix, X)
+        assert np.array_equal(IndexCode(field, primes, X.astype(np.int32), g).coords_matrix, X)
+        for bad in (X.ravel(), X[:, :-1], np.hstack([X, X]), X + 0.5, X.astype(np.float64),
+                    X != 0, X[:, :, None], X.astype(object) * 2**70, X.astype(str), 7, None):
+            with pytest.raises(InvalidArgument, match="integer array of shape"):
+                IndexCode(field, primes, bad, g)
+        with pytest.raises(InvariantViolation, match="points for the"):  # the count check
+            IndexCode(field, primes, X[:-1], g)
+        with pytest.raises(InvariantViolation, match="same coset"):
+            IndexCode(field, primes, np.vstack([X[:-1], X[:1]]), g)
 
 
 def test_index_code_takes_its_points_in_any_order(maxreal_code, module_codes):
@@ -1236,6 +1271,9 @@ def test_the_side_lattice_is_its_definition(ex1_code, zi_m2k2):
             assert abs(linalg.det_int(U)) == 1
             U = np.array(U, dtype=object)
             assert np.array_equal(U.T @ side.gram @ U, np.array(R, dtype=object))
+            # minimum, the exact doubled lambda_S, is the Gram's, found from scratch
+            assert type(side.minimum) is int
+            assert side.minimum == linalg.shortest_nonzero(H.T @ code.gram2 @ H)[0]
             for arr in (side.basis, side.gram):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0, 0] += 1
