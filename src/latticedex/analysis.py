@@ -35,6 +35,7 @@ from .numberfield.linalg import (check_int64, column_max, product_bounds, short_
                                  shortest_nonzero, sublattice_gram)
 
 SIX_DB = 20.0 * math.log10(2.0)  # exact gain of PID constructions, ~6.0206
+K_CAP = 20  # most messages K whose 2^K - 1 side-information sets a full scan makes
 _SEARCH_ROWS = 1 << 18  # sums x + d tested at once by the fading search
 
 
@@ -189,7 +190,7 @@ def _general_minkowski(gram2):
     return 2.0 * math.exp((log_covol - log_ball) / d)
 
 
-def side_info_sets(num_messages, k_cap=20):
+def side_info_sets(num_messages, k_cap=K_CAP):
     """All 2^K - 1 nonempty side-information sets, in bitmask order.
 
     Refuses (Infeasible) when K exceeds k_cap, before any set is made.
@@ -201,7 +202,7 @@ def side_info_sets(num_messages, k_cap=20):
             for mask in range(1, 1 << num_messages)]
 
 
-def overall_side_info_gain(code, k_cap=20):
+def overall_side_info_gain(code, k_cap=K_CAP):
     """(worst-case GainReport, all 2^K - 1 reports) over nonempty S."""
     reports = [side_info_gain(code, s) for s in side_info_sets(len(code.primes), k_cap)]
     best = min(reports, key=lambda r: r.gamma_db)

@@ -18,9 +18,8 @@ import typing
 from dataclasses import asdict, dataclass, field as dc_field
 
 from . import presets as preset_lib
-from .analysis import (diversity_and_product_distance, side_info_gain,
-                       side_info_sets)
-from .codec import build_index_code, load_code, save_code
+from .analysis import K_CAP, diversity_and_product_distance, side_info_gain, side_info_sets
+from .codec import DEFAULT_ENUMERATION_CAP, build_index_code, load_code, save_code
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
 from .numberfield import field_from_dict
@@ -33,20 +32,20 @@ _SNR_POINTS = 10_000  # points an --snr range may hold: each costs a chunk at le
 
 @dataclass
 class ExperimentSpec:
-    """One archivable experiment: code construction plus sweep parameters."""
+    """One archivable experiment: code construction plus sweep parameters (SimConfig's defaults)."""
 
-    label: str = "run"
+    label: str = SimConfig.label
     field: dict = dc_field(default_factory=dict)
     primes: list = dc_field(default_factory=list)
     side_info_sets: list | None = None
     channel: str = "awgn"
     snr_db: list = dc_field(default_factory=list)
-    min_errors: int = 10_000
-    max_trials: int = 100_000_000
-    seed: int = 0
-    workers: int | None = None
-    fade_per_complex: bool = False
-    enumeration_cap: int = 10 ** 6
+    min_errors: int = SimConfig.min_errors
+    max_trials: int = SimConfig.max_trials
+    seed: int = SimConfig.seed
+    workers: int | None = SimConfig.workers
+    fade_per_complex: bool = SimConfig.fade_per_complex
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     out_dir: str = "."
 
     def to_dict(self):
@@ -132,7 +131,7 @@ def _decode(load, source, what):
         raise InvalidArgument(f"{what}: {e}") from None
 
 
-def _parse_sets(text, k, k_cap=20):
+def _parse_sets(text, k, k_cap=K_CAP):
     if text == "all":
         return [list(s) for s in side_info_sets(k, k_cap)]
     return _check_sets(_decode(json.loads, text, "side-info sets must be JSON like [[1],[2]]"))
@@ -349,7 +348,7 @@ def build_parser():
     add_common(a, with_code=True)
     a.add_argument("--sets", help='JSON list of side-info sets, or "all"')
     a.add_argument("--json", help="also write the table as JSON")
-    a.add_argument("--k-cap", dest="k_cap", type=int, default=20,
+    a.add_argument("--k-cap", dest="k_cap", type=int, default=K_CAP,
                    help="refuse full scans beyond this many messages")
     a.set_defaults(func=cmd_analyze)
 

@@ -52,7 +52,7 @@ from .numberfield import (
     prime_ideals_above,
     whole_ring,
 )
-from .numberfield.field import _is_integer
+from .numberfield.field import _checked_array, _is_integer
 from .numberfield.linalg import (check_int64, column_max, det_int, lll_gram, product_bounds,
                                  reduce_mod_hnf_batch, short_vectors, shortest_nonzero,
                                  sublattice_gram)
@@ -199,6 +199,8 @@ class PointLookup:
         self.cosets = np.argsort(_index(self.ideals, self.places, coords))  # point of each coset
 
     def __call__(self, u):
+        shape = (-1, self.coords.shape[1])
+        u = _checked_array(u, shape, True, f"rows u must be an integer array of shape {shape}")
         idx = self.cosets[_index(self.ideals, self.places, u)]
         return np.where((self.coords[idx] == u).all(axis=1), idx, -1)
 
@@ -230,7 +232,8 @@ class IndexCode:
         self.alphabet_sizes = tuple(p.norm ** m for p in self.primes)
         if callable(coords):
             coords = coords(self.modulus, self.gram2, m)
-        coords = _int64_array(coords, -1, m * field.n)  # the loader's rule, before any reduction
+        coords = _checked_array(coords, (-1, m * field.n), True, "point coords must be an integer "
+                                f"array of shape {(-1, m * field.n)} (-1: any length)")
         self.size = coords.shape[0]
         if self.size != self.modulus.norm ** m:
             raise InvariantViolation(
@@ -283,19 +286,20 @@ class IndexCode:
 
     # ---- message plumbing ----
 
-    def _checked_indices(self, idx, scalar=False):
-        """idx (an int if scalar) as int64, checked: integers (no bool or float) in [0, M)."""
-        a = np.asarray(idx)
-        if a.dtype.kind not in "iu" or (scalar and a.ndim) or ((a < 0) | (a >= self.size)).any():
-            raise InvalidArgument(f"point indices must be integers in [0, {self.size})")
-        return a.astype(np.int64, copy=False)
+    def _checked_indices(self, idx, shape):
+        """idx as int64 (an int at shape ()), checked: integers (no bool or float) in [0, M)."""
+        bad = f"point indices must be integers in [0, {self.size})"
+        a = _checked_array(idx, shape, True, bad)
+        if not (0 <= a < self.size if shape == () else ((a >= 0) & (a < self.size)).all()):
+            raise InvalidArgument(bad)
+        return a
 
     def message_residues(self, idx):
         """The messages of point indices idx (an int or int array), shaped idx.shape + (K, m*n):
         canonical residues of u modulo each p_k, slot-major, the digits (_places) of idx."""
         box, places = self._places
-        digits = self._checked_indices(idx)[..., None] // places % box
-        return digits.reshape(*np.shape(idx), len(self.primes), self.dimension)
+        a = self._checked_indices(idx, None)
+        return (a[..., None] // places % box).reshape(*a.shape, len(self.primes), self.dimension)
 
     def _point(self, i):
         return CodePoint(i, self.message_from_index(i), tuple(self.coords_matrix[i].tolist()))
@@ -308,8 +312,8 @@ class IndexCode:
                      for i, (r, c) in enumerate(zip(messages, self.coords_matrix.tolist())))
 
     def _residue_index(self, k, res):
-        """Index of w_{k+1} in (O_K/p_k)^m after checking it is canonical: integers (no float or
-        bool taken for one; each element type checked once) in the HNF box of every slot."""
+        """Index of w_{k+1} in (O_K/p_k)^m after checking it is canonical: integers (the one
+        input rule, _checked_array) in the HNF box of every slot."""
         try:
             size = len(res)
         except TypeError:  # an int, None or another non-sequence
@@ -317,13 +321,9 @@ class IndexCode:
         if size != self.dimension:
             raise InvalidArgument(f"w_{k+1} must be a sequence of {self.dimension} integers")
         box, places = (v[k * size:(k + 1) * size] for v in self._places)
-        try:  # -1, like an int past int64, is outside the box
-            w = np.array(res, dtype=np.int64) if all(
-                map(_is_integer, {type(v): v for v in res}.values())) else np.int64(-1)
-        except OverflowError:
-            w = np.int64(-1)
+        w = _checked_array(res, (size,), True, bad := f"w_{k+1} = {res} is not a canonical residue")
         if not ((w >= 0) & (w < box)).all():
-            raise InvalidArgument(f"w_{k+1} = {res} is not a canonical residue")
+            raise InvalidArgument(bad)
         return int(w @ places) // places[-self.field.n]  # over its least significant place
 
     def message_index(self, msg):
@@ -334,7 +334,7 @@ class IndexCode:
         return self._point(self.message_index(msg))
 
     def message_from_index(self, idx):
-        i, (box, places) = int(self._checked_indices(idx, scalar=True)), self._places
+        i, (box, places) = int(self._checked_indices(idx, ())), self._places
         digits = iter([i // p % b for p, b in zip(places, box)])  # message_residues(i), as ints
         return Message(tuple(zip(*[digits] * self.dimension)))  # K tuples of m*n digits
 
@@ -571,9 +571,9 @@ def load_code(path):
     compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(compact(doc).encode()).hexdigest()  # text freed before the build
     field, primes = _stored_primes(doc)
-    try:
-        coords = _int64_array([pt["coords"] for pt in doc["points"]], -1, field.n)
-    except (KeyError, TypeError, ValueError):
+    try:  # IndexCode checks the coords
+        coords = [pt["coords"] for pt in doc["points"]]
+    except (KeyError, TypeError):
         raise InvalidArgument(f"points must be objects with {field.n} integer coords") from None
     try:  # in a file, a code IndexCode refuses is bad input, not a bug or too big a design
         code = IndexCode(field, primes, coords)
@@ -628,20 +628,12 @@ def _canonical_code(fh):
     return code if same and not fh.read(1) else None
 
 
-def _int64_array(rows, *shape):
-    """rows as an int64 array of the given shape (first length -1: any), else a ValueError:
-    InvalidArgument for a bool, float, string or int past int64, or other trailing lengths."""
-    a = np.asarray(rows)
-    if a.dtype == bool or not np.can_cast(a.dtype, np.int64) or a.shape[1:] != shape[1:]:
-        raise InvalidArgument(f"need an integer array of shape {shape} (-1: any length)")
-    return a.astype(np.int64, copy=False).reshape(shape)
-
-
 def _stored_primes(doc):
     """The field of a code file's dict and each prime as an ideal from its HNF alone."""
     field = field_from_dict(doc.get("field"))
     n = field.n
-    try:
-        return field, [Ideal(field, _int64_array(d["hnf"], n, n).tolist()) for d in doc["primes"]]
+    try:  # a refused hnf (a ValueError) takes this message
+        return field, [Ideal(field, _checked_array(d["hnf"], (n, n), True, "hnf").tolist())
+                       for d in doc["primes"]]
     except (KeyError, TypeError, ValueError):
         raise InvalidArgument(f"primes must be objects with an {n}x{n} integer hnf") from None

@@ -95,6 +95,32 @@ def _is_integer(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _checked_array(values, shape, integer, message):
+    """The one input rule: values as an int64 (integer) or float64 array of the given shape (a
+    leading -1: any length; None: any), a scalar at shape () as an int or float with no numpy, else
+    InvalidArgument(message) for a bool, string, complex number, None or other object, ragged
+    nesting, a number past the dtype or another shape.  An ndarray is judged by its dtype alone,
+    no copy made of an int64 or float64 one; anything else also once per entry type, as numpy
+    reads [True, 1] as two ints."""
+    kind, dtype = ((int, numbers.Integral), np.int64) if integer else (
+        (float, int, numbers.Real), np.float64)  # built-in types first: the ABC check is slower
+    ok = lambda v: isinstance(v, kind) and not isinstance(v, bool)
+    try:
+        if isinstance(values, np.ndarray):
+            a = values if values.dtype != bool and np.can_cast(values.dtype, dtype) else None
+        elif shape == () and ok(values) and (not integer or -2**63 <= values < 2**63):
+            return int(values) if integer else float(values)
+        else:
+            a = np.array(values, dtype=object)
+            a = a.astype(dtype) if all(map(ok, {type(v): v for v in a.flat}.values())) else None
+    except OverflowError:  # an int past the float range
+        a = None
+    if a is None or shape is not None and (a.ndim != len(shape) or a.shape[1:] != shape[1:]
+                                           or shape[:1] not in ((-1,), a.shape[:1])):
+        raise InvalidArgument(message)
+    return a.astype(dtype, copy=False)
+
+
 # ============================================================
 # Fields
 # ============================================================

@@ -45,7 +45,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 import pickle
 import tempfile
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InvalidArgument, Unsupported
-from .numberfield.field import _is_integer
+from .numberfield.field import _checked_array, _is_integer
 from .numberfield.linalg import check_int64, column_max, fp_search, product_bounds
 
 CHUNK = 4096
@@ -140,10 +139,8 @@ def check_sweep(settings):
     workers of settings), checked: a dict, the grid a tuple of floats and counts Python ints."""
     if settings.channel not in ("awgn", "rayleigh"):
         raise InvalidArgument(f"unknown channel {settings.channel!r}")
-    grid = settings.snr_db
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in grid):
-        raise InvalidArgument(f"snr values must be numbers, got {list(grid)!r}")
-    grid = tuple(map(float, grid))
+    grid = _checked_array(settings.snr_db, (-1,), False, "snr values must be numbers")
+    grid = tuple(grid.tolist())
     if not grid:
         raise InvalidArgument("snr grid is empty")
     try:  # a linear power past the largest float raises OverflowError
@@ -557,11 +554,11 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
     that one group, so a sphere search from _SEARCH_MIN points up and brute force
     below, ties toward the lowest message index.  Returns the Message.
     """
-    y = _real_vector("y", y, code.dimension)
+    y = _checked_array(y, (code.dimension,), False, f"y must be {code.dimension} real numbers")
     if h is not None:
-        h = _real_vector("h", h, code.dimension)[None, :]
-    if not isinstance(snr, numbers.Real) or isinstance(snr, bool):
-        raise InvalidArgument(f"snr must be a real number, got {snr!r}")
+        h = _checked_array(h, (code.dimension,), False, f"h must be {code.dimension} real numbers")
+        h = h[None, :]
+    snr = _checked_array(snr, (), False, "snr must be a real number")
     if not (math.isfinite(snr) and snr >= 0):
         raise InvalidArgument("snr must be finite and nonnegative")
     ctx, a = _groups(code, s, code.subcode_indices(s, fixed)[None]), math.sqrt(snr)
@@ -571,21 +568,6 @@ def ml_detect(code, y, s, fixed=None, snr=1.0, h=None):
         raise InvalidArgument("y and h must be finite and small enough for scores not to overflow")
     det = _detect(ctx, a, y[None, :], h, np.zeros(1, dtype=np.int64))
     return code.message_from_index(int(det[0]))
-
-
-def _real_vector(name, v, length):
-    """v as a float64 vector of the given length, refused unless it holds
-    real numbers: no bools, strings, complex numbers or ragged nesting.  Each
-    entry is checked on its own, as numpy reads [True, 1.0] as two floats."""
-    try:
-        arr = np.asarray(v)
-        ok = arr.shape == (length,) and all(
-            np.asarray(x).dtype.kind in "iuf" for x in np.asarray(v, dtype=object))
-    except ValueError:  # ragged nesting
-        ok = False
-    if not ok:
-        raise InvalidArgument(f"{name} must be {length} real numbers, got {v!r}")
-    return arr.astype(np.float64)
 
 
 # ============================================================

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,3 +506,48 @@ def test_subcode_sums_are_checked_at_the_exact_int64_bound(monkeypatch):
         min_distance(code, ())
     monkeypatch.setattr(linalg, "INT64_MAX", bound)
     assert min_distance(code, ()) == span[0] ** 2  # x + d is stored for x = (-2, -1)
+
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+def test_presets_match_the_benchmark_reference(ex1_code, ex2_code, ex3_code, cyclo_code,
+                                               maxreal_code, module_codes):
+    # the output contract that only a benchmark run checked: bench/reference.json (read only)
+    # holds each preset's content hash, the exact gains of every nonempty S (gamma_db within the
+    # benchmark's 1e-12), the fading figures of every S whose group holds two points or more
+    # (exact diversity, product distance within rel 1e-9) and the gains of the Z[i] module codes
+    ref = json.loads(_REFERENCE.read_text())
+    codes = {"example1": ex1_code, "example2": ex2_code, "example3": ex3_code,
+             "cyclo-K4": cyclo_code, "maxreal-K3": maxreal_code}
+
+    def key(s):
+        return "-".join(map(str, s))
+
+    def check(rep, want):
+        assert (rep.d0_sq, rep.ds_sq) == (Fraction(*want["d0_sq"]), Fraction(*want["dS_sq"]))
+        assert math.isclose(rep.gamma_db, want["gamma_db"], rel_tol=1e-12, abs_tol=1e-12)
+
+    assert set(ref["hashes"]) == set(codes)
+    gains = fading = 0
+    for name, code in codes.items():
+        assert code.content_hash() == ref["hashes"][name], name
+        sets = side_info_sets(code.num_messages)
+        assert set(map(key, sets)) == set(ref["gains"][name]), name
+        for s in sets:
+            check(side_info_gain(code, s), ref["gains"][name][key(s)])
+            gains += 1
+            if code.subcode_indices(s).shape[0] < 2:
+                assert key(s) not in ref["fading"][name], (name, s)
+                continue
+            got, want = diversity_and_product_distance(code, s), ref["fading"][name][key(s)]
+            assert got.diversity == want["diversity"], (name, s)
+            assert math.isclose(got.product_distance, want["product_distance"], rel_tol=1e-9)
+            fading += 1
+    assert (gains, fading) == (31, 26)
+    assert set(ref["module"]) == set(module_codes)
+    for case, code in module_codes.items():
+        sets = [s for k in (1, 2) for s in combinations(range(1, code.num_messages + 1), k)]
+        assert set(map(key, sets)) == set(ref["module"][case]), case
+        for s in sets:
+            check(side_info_gain(code, s), ref["module"][case][key(s)])

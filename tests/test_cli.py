@@ -729,6 +729,18 @@ def test_readme_config_designs_example1(ex1_code):
     assert build_from_spec(spec).content_hash() == ex1_code.content_hash()
 
 
+def test_readme_python_api_block_runs(capsys):
+    # the first code block under "## Python API" builds the code and prints what its comments say
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert (names["code"].size, names["code"].num_messages) == (22, 2)
+    assert capsys.readouterr().out == "6.020599913279624 True\n"
+
+
 def test_simulate_worker_flag_keeps_bytes(tmp_path):
     common = ["simulate", "--preset", "example2", "--snr", "6,10",
               "--trials", "25000", "--min-errors", "80", "--seed", "5",

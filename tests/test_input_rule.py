@@ -1,0 +1,216 @@
+"""The one input rule at every integer and real array boundary of codec and sim.
+
+Each boundary takes an int64 or float64 array, or anything that is one entry for entry: a
+list of Python or numpy numbers of the right shape.  A bool is never an int or a real, even
+inside a list, where numpy reads [True, 1] as two ints.  The plain tests pin inputs that were
+accepted or crashed before; the properties mutate one entry of a valid input on example1 and
+check that the call refuses it with InvalidArgument or gives what the clean array gives.
+"""
+
+import copy
+import math
+import operator
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latticedex import ml_detect
+from latticedex.cli import main
+from latticedex.codec import IndexCode, Message
+from latticedex.errors import InvalidArgument
+from latticedex.sim import SimConfig
+
+_BIG = 10 ** 400  # past the float range, as JSON may hold it
+
+
+def _cfg(code, snr_db):
+    return SimConfig(code=code, channel="awgn", snr_db=snr_db, workers=1)
+
+
+# ---- the inputs that were accepted or crashed ----
+
+def test_a_bool_among_the_coordinates_is_refused(ex1_code):
+    rows = ex1_code.coords_matrix.tolist()
+    i, j = next((i, j) for i, r in enumerate(rows) for j, v in enumerate(r) if v == 1)
+    rows[i][j] = True  # the same coset as 1: the code hashed like the built one
+    with pytest.raises(InvalidArgument, match="integer array of shape"):
+        IndexCode(ex1_code.field, ex1_code.primes, rows)
+
+
+def test_a_bool_among_the_point_indices_is_refused(ex1_code):
+    for bad in ([True, 1], [1, np.True_]):
+        with pytest.raises(InvalidArgument, match=r"integers in \[0, 55\)"):
+            ex1_code.message_residues(bad)
+
+
+def test_point_index_takes_integer_rows_as_a_list(ex1_code):
+    rows = ex1_code.coords_matrix
+    assert np.array_equal(ex1_code.point_index(rows.tolist()), np.arange(ex1_code.size))
+    assert np.array_equal(ex1_code.point_index(rows.astype(np.int32)), np.arange(ex1_code.size))
+    assert ex1_code.point_index(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    bad = rows.tolist()
+    bad[3][0] = True
+    with pytest.raises(InvalidArgument, match="integer array of shape"):
+        ex1_code.point_index(bad)
+
+
+def test_point_index_refuses_bool_and_float_rows(ex1_code):
+    # bool rows were matched to points ([0, 49, 49]); float rows gave -1
+    rows = ex1_code.coords_matrix
+    for bad in (rows[:3].astype(bool), rows.astype(np.float64), rows + 0.5):
+        with pytest.raises(InvalidArgument, match="integer array of shape"):
+            ex1_code.point_index(bad)
+
+
+def test_point_index_refuses_other_shapes(ex1_code):
+    # a 1-D row raised IndexError and three columns a numpy ValueError
+    rows = ex1_code.coords_matrix
+    for bad in (rows[0], rows[0].tolist(), np.hstack([rows, rows[:, :1]]), rows[:, :, None], 7,
+                None, "ab", [[1, 2], [3]]):
+        with pytest.raises(InvalidArgument, match="integer array of shape"):
+            ex1_code.point_index(bad)
+
+
+def test_an_snr_past_the_float_range_is_refused(ex1_code):
+    # float(10**400) raised OverflowError in SimConfig and in ml_detect
+    with pytest.raises(InvalidArgument, match="snr values must be numbers"):
+        _cfg(ex1_code, (_BIG,))
+    with pytest.raises(InvalidArgument, match="snr values must be numbers"):
+        _cfg(ex1_code, (10.0, -_BIG))
+    with pytest.raises(InvalidArgument, match="snr"):
+        ml_detect(ex1_code, np.zeros(2), (), snr=_BIG)
+    # an int is a real number: Python or numpy, in a tuple or an array
+    assert _cfg(ex1_code, (10, np.int64(12))).snr_db == (10.0, 12.0)
+    assert _cfg(ex1_code, np.array([10, 12])).snr_db == (10.0, 12.0)
+    assert ml_detect(ex1_code, [0, 0], (), snr=2**70) == ex1_code.zero_message()
+
+
+def test_simulate_refuses_a_config_snr_past_the_float_range(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"field": {"family": "quadratic", "param": 5}, "primes": ['
+                   '{"generator": [-1, 2]}, {"generator": [3, 2]}], '
+                   f'"snr_db": [{_BIG}]}}')
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert "snr values must be numbers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# ---- one property per boundary: one entry of a valid input mutated ----
+
+_MUTANTS = {"True": True, "np.True_": np.True_, "fraction": 1.5, "string": "3", "None": None,
+            "2**70": 2**70, "nested": None, "dropped": None}
+_REAL_MUTANTS = {**_MUTANTS, "nan": math.nan, "inf": -math.inf}
+
+
+def _mutated(data, value, real):
+    """value (a number, or a list of numbers or of lists of numbers) with one entry mutated."""
+    kind = data.draw(st.sampled_from(sorted(_REAL_MUTANTS if real else _MUTANTS)))
+    if not isinstance(value, list):
+        return {"nested": [value], "dropped": []}.get(kind, _REAL_MUTANTS[kind])
+    value = row = copy.deepcopy(value)
+    while isinstance(row[0], list):
+        row = row[data.draw(st.integers(0, len(row) - 1))]
+    j = data.draw(st.integers(0, len(row) - 1))
+    if kind == "dropped":
+        del row[j]
+    else:
+        row[j] = [row[j]] if kind == "nested" else _REAL_MUTANTS[kind]
+    return value
+
+
+def _clean(value, integer):
+    """value as an int64 or float64 array when every entry is such a number (no bool), else
+    None: then a boundary must refuse it."""
+    obj = np.array(value, dtype=object)
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if any(isinstance(v, (bool, np.bool_)) or not isinstance(v, kinds) for v in obj.flat):
+        return None
+    if integer and not all(-2**63 <= v < 2**63 for v in obj.flat):
+        return None
+    return obj.astype(np.int64 if integer else np.float64)
+
+
+def _outcome(call, value):
+    try:
+        return call(value)
+    except InvalidArgument:
+        return InvalidArgument
+
+
+def _agrees(call, value, integer, same=np.array_equal):
+    """call(value) refuses with InvalidArgument, or gives what the clean array gives; a value
+    with no clean array is refused.  Any other exception fails the test."""
+    got, clean = _outcome(call, value), _clean(value, integer)
+    if clean is None:
+        assert got is InvalidArgument, value
+        return
+    want = _outcome(call, clean)
+    assert (got is InvalidArgument) == (want is InvalidArgument), value
+    assert got is InvalidArgument or same(got, want), value
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_index_code_coordinates_property(ex1_code, data):
+    code = ex1_code
+    rows = _mutated(data, code.coords_matrix.tolist(), real=False)
+    _agrees(lambda x: IndexCode(code.field, code.primes, x).coords_matrix, rows, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_point_index_rows_property(ex1_code, data):
+    rows = ex1_code.coords_matrix.tolist()
+    picked = data.draw(st.lists(st.sampled_from(rows + [[1, 0], [7, -3]]), min_size=1,
+                                max_size=6))
+    _agrees(ex1_code.point_index, _mutated(data, picked, real=False), True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_point_indices_property(ex1_code, data):
+    code = ex1_code
+    idx = data.draw(st.lists(st.integers(0, code.size - 1), min_size=1, max_size=6))
+    _agrees(code.message_residues, _mutated(data, idx, real=False), True)
+    i = _mutated(data, data.draw(st.integers(0, code.size - 1)), real=False)
+    _agrees(code.message_from_index, i, True, same=operator.eq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_side_information_residues_property(ex1_code, data):
+    code = ex1_code
+    good = code.message_from_index(data.draw(st.integers(0, code.size - 1)))
+    k = data.draw(st.sampled_from([1, 2]))
+    res = _mutated(data, list(good.residues[k - 1]), real=False)
+
+    def group(r):
+        residues = list(good.residues)
+        residues[k - 1] = r
+        return code.subcode_indices((k,), Message(tuple(residues)))
+    _agrees(group, res, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ml_detect_property(ex1_code, data):
+    code = ex1_code
+    i = data.draw(st.integers(0, code.size - 1))
+    y = (code.gamma * code.embedded[i] + data.draw(st.sampled_from([0.0, 0.3]))).tolist()
+    h = data.draw(st.sampled_from([[1.0, 0.5], [2, 1]]))
+    eq = operator.eq
+    _agrees(lambda v: ml_detect(code, v, (), snr=4.0), _mutated(data, y, real=True), False, eq)
+    _agrees(lambda v: ml_detect(code, y, (), h=v), _mutated(data, h, real=True), False, eq)
+    snr = _mutated(data, data.draw(st.sampled_from([0.5, 4, 10.0])), real=True)
+    _agrees(lambda v: ml_detect(code, y, (), snr=v), snr, False, eq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sim_config_snr_grid_property(ex1_code, data):
+    grid = data.draw(st.lists(st.sampled_from([-4, 0, 2.5, 8, 12.0, 20]), min_size=1,
+                              max_size=4, unique=True))
+    grid = _mutated(data, sorted(grid), real=True)
+    _agrees(lambda g: _cfg(ex1_code, g).snr_db, grid, False, same=operator.eq)
