@@ -15,15 +15,13 @@ import math
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 from . import presets as preset_lib
 from .analysis import K_CAP, diversity_and_product_distance, side_info_gain, side_info_sets
 from .codec import DEFAULT_ENUMERATION_CAP, build_index_code, load_code, save_code
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
-from .numberfield import field_from_dict
-from .presets import resolve_primes
 from .sim import (SimConfig, check_sweep, curve_filename, resolve_workers, run_sim,
                   si_gain_from_curves, write_curve_csv)
 
@@ -76,9 +74,8 @@ def spec_from_preset(name, channel="awgn"):
 
 
 def build_from_spec(spec):
-    field = field_from_dict(spec.field)
-    primes = resolve_primes(field, spec.primes)
-    return build_index_code(field, primes, enumeration_cap=spec.enumeration_cap)
+    return build_index_code(*preset_lib.field_and_primes(spec.field, spec.primes),
+                            enumeration_cap=spec.enumeration_cap)
 
 
 # ============================================================
@@ -151,6 +148,7 @@ def _side_info_sets(code, sets):
 
 
 def _load_spec(args):
+    """The spec of --config or --preset with every flag given (not None) on its key of the spec."""
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             spec = ExperimentSpec.from_dict(_decode(json.load, fh, "config is not UTF-8 JSON"))
@@ -159,18 +157,10 @@ def _load_spec(args):
         spec = spec_from_preset(args.preset, channel)
     else:
         raise InvalidArgument("need --preset or --config")
-    # flag overrides
-    for attr, key in [("label", "label"), ("out_dir", "out_dir"),
-                      ("channel", "channel"), ("seed", "seed"),
-                      ("workers", "workers"), ("min_errors", "min_errors"),
-                      ("trials", "max_trials")]:
-        v = getattr(args, attr, None)
-        if v is not None:
-            setattr(spec, key, v)
-    if getattr(args, "snr", None):
+    for key in (f.name for f in fields(spec) if getattr(args, f.name, None) is not None):
+        setattr(spec, key, getattr(args, key))
+    if getattr(args, "snr", None):  # text to parse; an empty --snr is not given
         spec.snr_db = _parse_snr(args.snr)
-    if getattr(args, "fade_per_complex", False):
-        spec.fade_per_complex = True
     return spec
 
 
@@ -272,25 +262,17 @@ def cmd_simulate(args):
         raise InvalidArgument(f"--gap-at must be a target SER in (0, 1), got {args.gap_at!r}")
     code = build_from_spec(spec)
     k = len(code.primes)
-    if args.sets:
-        sets = _parse_sets(args.sets, k)
-    elif spec.side_info_sets is not None:
-        sets = _check_sets(spec.side_info_sets)
-    else:
-        sets = [[]] + [[i + 1] for i in range(k)]
-    sets = _side_info_sets(code, sets)  # all of them before any sweep
+    default = [[]] + [[i + 1] for i in range(k)]  # S = {} and each single message
+    sets = _side_info_sets(code, _parse_sets(args.sets, k) if args.sets else _check_sets(
+        default if spec.side_info_sets is None else spec.side_info_sets))  # before any sweep
     if not sets:
         raise InvalidArgument("the side-information set list is empty; [[]] simulates S = {}")
 
     os.makedirs(spec.out_dir, exist_ok=True)
+    sweep = {f.name: getattr(spec, f.name) for f in fields(SimConfig) if hasattr(spec, f.name)}
     results = {}
     for s in sets:
-        cfg = SimConfig(code=code, channel=spec.channel, snr_db=tuple(spec.snr_db),
-                        side_info=s, min_errors=spec.min_errors,
-                        max_trials=spec.max_trials, seed=spec.seed,
-                        workers=spec.workers, fade_per_complex=spec.fade_per_complex,
-                        label=spec.label)
-        res = run_sim(cfg)
+        res = run_sim(SimConfig(code=code, side_info=s, **sweep))
         results[res.side_info] = res
         path = os.path.join(spec.out_dir,
                             curve_filename(spec.label, spec.channel, res.side_info))
@@ -357,13 +339,14 @@ def build_parser():
     s.add_argument("--channel", choices=("awgn", "rayleigh"))
     s.add_argument("--snr", help='grid: "10,12,14" or "10:20:2"')
     s.add_argument("--sets", help="JSON list of side-info sets")
-    s.add_argument("--trials", type=int, help="max trials per point")
+    s.add_argument("--trials", dest="max_trials", metavar="TRIALS", type=int,
+                   help="max trials per point")
     s.add_argument("--min-errors", dest="min_errors", type=int,
                    help="stop a point after this many errors")
     s.add_argument("--seed", type=int)
     s.add_argument("--workers", type=int)
     s.add_argument("--fade-per-complex", dest="fade_per_complex",
-                   action="store_true", default=False,
+                   action="store_true", default=None,
                    help="one Rayleigh fade per place of the field instead of per coordinate")
     s.add_argument("--gap-at", dest="gap_at", type=float,
                    help="print horizontal curve gaps at this SER")

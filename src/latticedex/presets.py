@@ -96,10 +96,13 @@ def preset_config(name):
             f"unknown preset {name!r}; available: {', '.join(PRESETS)}") from None
 
 
+def field_and_primes(field, primes):
+    field = field_from_dict(field)
+    return field, resolve_primes(field, primes)
+
+
 def preset_field_and_primes(name):
-    config = preset_config(name)
-    field = field_from_dict(config["field"])
-    return field, resolve_primes(field, config["primes"])
+    return field_and_primes(**preset_config(name))
 
 
 def preset_code(name):

@@ -92,7 +92,7 @@ class SimResult:
     points: tuple
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, in __post_init__; dataclasses.replace checks a variant
 class SimConfig:
     code: object
     channel: str
@@ -108,8 +108,7 @@ class SimConfig:
     def __post_init__(self):
         if not self.code.is_plain:
             raise Unsupported("simulation needs an m = 1 code with the identity generator")
-        vars(self).update(check_sweep(self))
-        self.side_info = self.code.check_side_info(self.side_info)
+        vars(self).update(check_sweep(self), side_info=self.code.check_side_info(self.side_info))
         # numpy's normal and Rayleigh draws stay below 64 and 8 in magnitude
         snr, pmax = self.snr_db[-1], self.code.gamma * math.sqrt(int(self.code.norms2.max()) / 2)
         if (room := _score_room(self.code.dimension, 10.0 ** (snr / 20.0), 8.0, 64.0, pmax)) < 1:
@@ -135,8 +134,9 @@ def _score_room(dim, a, hmax, zmax, pmax):
 
 
 def check_sweep(settings):
-    """The sweep settings that need no code (channel, snr_db, min_errors, max_trials, seed and
-    workers of settings), checked: a dict, the grid a tuple of floats and counts Python ints."""
+    """The eight sweep settings that need no code (channel, snr_db, min_errors, max_trials, seed,
+    workers, fade_per_complex and label of settings), checked: a dict, the grid a tuple of floats,
+    counts Python ints, fade_per_complex a bool (numpy's too, no 0 or 1) and label a str."""
     if settings.channel not in ("awgn", "rayleigh"):
         raise InvalidArgument(f"unknown channel {settings.channel!r}")
     grid = _checked_array(settings.snr_db, (-1,), False, "snr values must be numbers")
@@ -157,7 +157,11 @@ def check_sweep(settings):
         if not (name == "workers" and v is None or _is_integer(v) and v >= least):  # None: auto
             raise InvalidArgument(f"{name} must be an integer of at least {least}, got {v!r}")
         out[name] = v if v is None else int(v)
-    return out
+    if not isinstance(settings.fade_per_complex, (bool, np.bool_)):
+        raise InvalidArgument(f"fade_per_complex must be a bool, got {settings.fade_per_complex!r}")
+    if not isinstance(settings.label, str):
+        raise InvalidArgument(f"label must be a string, got {settings.label!r}")
+    return {**out, "fade_per_complex": bool(settings.fade_per_complex), "label": settings.label}
 
 
 def resolve_workers(requested):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,11 +17,10 @@ from latticedex.cli import (
     _parse_snr,
     build_from_spec,
     main,
-    resolve_primes,
     spec_from_preset,
 )
 from latticedex.errors import Infeasible, InvalidArgument
-from latticedex.presets import PRESETS, preset_field_and_primes, preset_names
+from latticedex.presets import PRESETS, preset_field_and_primes, preset_names, resolve_primes
 
 
 # ---- spec plumbing ----
@@ -172,6 +172,95 @@ def test_a_side_information_set_named_twice_is_refused(tmp_path, capsys, monkeyp
     assert main(["simulate", "--config", str(path)]) == 1
     assert "side-information set [1] is named twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---- one owner for the sweep settings ----
+
+def test_every_sweep_setting_is_a_spec_key():
+    # cmd_simulate hands each SimConfig its settings by the spec's field names, so a SimConfig
+    # field that the spec lacked would be left at its default without a word
+    spec = {f.name: f for f in dataclasses.fields(ExperimentSpec)}
+    for f in dataclasses.fields(SimConfig):
+        if f.name in ("code", "side_info"):
+            continue
+        assert f.name in spec, f.name
+        if f.name not in ("channel", "snr_db"):
+            assert spec[f.name].default == f.default, f.name
+    need = [f.name for f in dataclasses.fields(SimConfig) if f.default is dataclasses.MISSING]
+    assert need == ["code", "channel", "snr_db"]
+
+
+_HELP = {
+    "design": (
+        'usage: latticedex design [-h]\n'
+        '                         [--preset {example1,example2,example3,cyclo-K4,maxreal-K3}]\n'
+        '                         [--config CONFIG] [--label LABEL] [--out-dir OUT_DIR]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --preset {example1,example2,example3,cyclo-K4,maxreal-K3}\n'
+        '                        built-in design\n'
+        '  --config CONFIG       JSON experiment file\n'
+        '  --label LABEL         output name stem\n'
+        '  --out-dir OUT_DIR     output directory\n'
+    ),
+    "analyze": (
+        'usage: latticedex analyze [-h]\n'
+        '                          [--preset {example1,example2,example3,cyclo-K4,maxreal-K3}]\n'
+        '                          [--config CONFIG] [--code CODE] [--label LABEL]\n'
+        '                          [--out-dir OUT_DIR] [--sets SETS] [--json JSON]\n'
+        '                          [--k-cap K_CAP]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --preset {example1,example2,example3,cyclo-K4,maxreal-K3}\n'
+        '                        built-in design\n'
+        '  --config CONFIG       JSON experiment file\n'
+        '  --code CODE           previously written code JSON\n'
+        '  --label LABEL         output name stem\n'
+        '  --out-dir OUT_DIR     output directory\n'
+        '  --sets SETS           JSON list of side-info sets, or "all"\n'
+        '  --json JSON           also write the table as JSON\n'
+        '  --k-cap K_CAP         refuse full scans beyond this many messages\n'
+    ),
+    "simulate": (
+        'usage: latticedex simulate [-h]\n'
+        '                           [--preset {example1,example2,example3,cyclo-K4,maxreal-K3}]\n'
+        '                           [--config CONFIG] [--label LABEL]\n'
+        '                           [--out-dir OUT_DIR] [--channel {awgn,rayleigh}]\n'
+        '                           [--snr SNR] [--sets SETS] [--trials TRIALS]\n'
+        '                           [--min-errors MIN_ERRORS] [--seed SEED]\n'
+        '                           [--workers WORKERS] [--fade-per-complex]\n'
+        '                           [--gap-at GAP_AT]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --preset {example1,example2,example3,cyclo-K4,maxreal-K3}\n'
+        '                        built-in design\n'
+        '  --config CONFIG       JSON experiment file\n'
+        '  --label LABEL         output name stem\n'
+        '  --out-dir OUT_DIR     output directory\n'
+        '  --channel {awgn,rayleigh}\n'
+        '  --snr SNR             grid: "10,12,14" or "10:20:2"\n'
+        '  --sets SETS           JSON list of side-info sets\n'
+        '  --trials TRIALS       max trials per point\n'
+        '  --min-errors MIN_ERRORS\n'
+        '                        stop a point after this many errors\n'
+        '  --seed SEED\n'
+        '  --workers WORKERS\n'
+        '  --fade-per-complex    one Rayleigh fade per place of the field instead of\n'
+        '                        per coordinate\n'
+        '  --gap-at GAP_AT       print horizontal curve gaps at this SER\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP))
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    # the flags land on the spec under its keys (dest), with the names and metavars of before
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == _HELP[command]
 
 
 # ---- exit codes ----

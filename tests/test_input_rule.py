@@ -1,26 +1,34 @@
-"""The one input rule at every integer and real array boundary of codec and sim.
+"""The one input rule at every integer and real array boundary of codec and sim, and the
+command line's inputs: config files and the --snr and --sets strings.
 
 Each boundary takes an int64 or float64 array, or anything that is one entry for entry: a
 list of Python or numpy numbers of the right shape.  A bool is never an int or a real, even
 inside a list, where numpy reads [True, 1] as two ints.  The plain tests pin inputs that were
 accepted or crashed before; the properties mutate one entry of a valid input on example1 and
-check that the call refuses it with InvalidArgument or gives what the clean array gives.
+check that the call refuses it with InvalidArgument or gives what the clean array gives.  The
+command-line properties check that every run ends in exit 0, 1 or 3, never in 2 or a traceback.
 """
 
+import contextlib
 import copy
+import io
+import json
 import math
 import operator
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticedex import ml_detect
-from latticedex.cli import main
+from latticedex import cli, load_code, ml_detect
+from latticedex.cli import main, spec_from_preset
 from latticedex.codec import IndexCode, Message
 from latticedex.errors import InvalidArgument
-from latticedex.sim import SimConfig
+from latticedex.sim import SimConfig, SimResult
 
 _BIG = 10 ** 400  # past the float range, as JSON may hold it
 
@@ -214,3 +222,72 @@ def test_sim_config_snr_grid_property(ex1_code, data):
                               max_size=4, unique=True))
     grid = _mutated(data, sorted(grid), real=True)
     _agrees(lambda g: _cfg(ex1_code, g).snr_db, grid, False, same=operator.eq)
+
+
+# ---- the command line: a config file, --snr and --sets, each mutated ----
+
+_CONFIG = {**spec_from_preset("example1").to_dict(), "label": "ex", "out_dir": "out",
+           "side_info_sets": [[], [1]], "snr_db": [10.0]}
+_TINY = ["--trials", "4096", "--workers", "1"]  # one chunk per point, in this process
+_KEY_MUTANTS = {"bool": True, "float": 1.5, "string": "x", "None": None, "2**70": 2**70}
+
+
+def _run(argv, where):
+    """main(argv) run in the directory where, which must end in exit 0, 1 or 3 with no traceback
+    on stderr; any exception but SystemExit escapes, as the command would end in a traceback."""
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert status in (0, 1, 3) and "Traceback" not in err.getvalue(), (argv, status, err)
+    return status
+
+
+def _no_sweep(config):
+    """run_sim with no trial run: a --snr grid of 10^4 points must not take a chunk each."""
+    return SimResult(config.label, config.channel, config.side_info, config.seed, "", "", ())
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_config_file_property(ex1_code, data):
+    doc = copy.deepcopy(_CONFIG)
+    key = data.draw(st.sampled_from(sorted(doc) + ["unknown"]))
+    kind = data.draw(st.sampled_from(sorted(_KEY_MUTANTS) + ["nested", "dropped"]))
+    if key == "unknown":
+        doc["snr"] = [10.0]
+    elif kind == "dropped":
+        del doc[key]
+    else:
+        doc[key] = [doc[key]] if kind == "nested" else _KEY_MUTANTS[kind]
+    with tempfile.TemporaryDirectory() as where:
+        with open(os.path.join(where, "cfg.json"), "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["design", "--config", "cfg.json"], ["analyze", "--config", "cfg.json"],
+                     ["simulate", "--config", "cfg.json"] + _TINY):
+            status = _run(argv, where)
+            if argv[0] == "design" and status == 0 and key not in ("field", "primes"):
+                spec = cli.ExperimentSpec.from_dict(doc)  # a sweep key: the code is the same
+                path = os.path.join(where, spec.out_dir, f"{spec.label}_code.json")
+                assert load_code(path).content_hash() == ex1_code.content_hash(), (key, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.text(alphabet="0123456789.,:-eEinfa ", max_size=16))
+def test_snr_flag_property(text):
+    with tempfile.TemporaryDirectory() as where, mock.patch.object(cli, "run_sim", _no_sweep):
+        _run(["simulate", "--preset", "example1", f"--snr={text}", "--sets", "[[]]"] + _TINY,
+             where)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=st.one_of(st.text(alphabet='[]0123456789,-. "al', max_size=16), st.just("all"),
+                      st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=4).map(
+                          json.dumps)))
+def test_sets_flag_property(text):
+    with tempfile.TemporaryDirectory() as where:
+        _run(["analyze", "--preset", "example1", f"--sets={text}"], where)
+        _run(["simulate", "--preset", "example1", f"--sets={text}", "--snr", "10"] + _TINY, where)

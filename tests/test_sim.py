@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -92,6 +93,34 @@ def test_config_validation(ex1_code):
     assert (cfg.workers, cfg.min_errors, cfg.max_trials) == (2, 5, 9)
     assert all(type(v) is int for v in (cfg.workers, cfg.min_errors, cfg.max_trials))
     assert _cfg(ex1_code, workers=None).workers is None
+
+
+def test_config_checks_the_fade_layout_and_the_label(ex1_code):
+    # fade_per_complex="no" drew fades per place, as True does, and entered the digest as "no";
+    # a list label was kept; np.True_ ran its sweep, then digest() raised a TypeError
+    for key, bad in (("fade_per_complex", "no"), ("fade_per_complex", 1),
+                     ("fade_per_complex", None), ("label", ["x"]), ("label", None)):
+        with pytest.raises(InvalidArgument, match=key):
+            _cfg(ex1_code, **{key: bad})
+    cfg = _cfg(ex1_code, channel="rayleigh", fade_per_complex=np.True_, max_trials=4096)
+    assert cfg.fade_per_complex is True
+    res = run_sim(cfg)
+    assert res.config_digest == _cfg(ex1_code, channel="rayleigh", fade_per_complex=True,
+                                     max_trials=4096).digest()
+    assert sum(p.trials for p in res.points) == 4096
+
+
+def test_a_config_stays_checked(ex1_code):
+    # cfg.seed = -1 then failed in numpy's generator and cfg.snr_db = (5000.0,) with an
+    # OverflowError, both inside run_sim
+    cfg = _cfg(ex1_code)
+    for f in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    for key, bad in (("seed", -1), ("snr_db", (5000.0,))):
+        with pytest.raises(InvalidArgument):
+            dataclasses.replace(cfg, **{key: bad})
+    assert dataclasses.replace(cfg, seed=8).digest() == _cfg(ex1_code, seed=8).digest()
 
 
 def test_config_digest_tracks_inputs(ex1_code, ex2_code):
