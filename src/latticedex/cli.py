@@ -149,17 +149,17 @@ def _side_info_sets(code, sets):
 
 def _load_spec(args):
     """The spec of --config or --preset with every flag given (not None) on its key of the spec."""
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         with open(args.config, encoding="utf-8") as fh:
             spec = ExperimentSpec.from_dict(_decode(json.load, fh, "config is not UTF-8 JSON"))
-    elif getattr(args, "preset", None):
+    elif getattr(args, "preset", None) is not None:
         channel = getattr(args, "channel", None) or "awgn"
         spec = spec_from_preset(args.preset, channel)
     else:
         raise InvalidArgument("need --preset or --config")
     for key in (f.name for f in fields(spec) if getattr(args, f.name, None) is not None):
         setattr(spec, key, getattr(args, key))
-    if getattr(args, "snr", None):  # text to parse; an empty --snr is not given
+    if getattr(args, "snr", None) is not None:  # text to parse: an empty --snr is an empty grid
         spec.snr_db = _parse_snr(args.snr)
     return spec
 
@@ -187,9 +187,9 @@ def _format_row(cells, widths):
 
 
 def cmd_analyze(args):
-    code = load_code(args.code) if args.code else build_from_spec(_load_spec(args))
+    code = load_code(args.code) if args.code is not None else build_from_spec(_load_spec(args))
     k = len(code.primes)
-    if args.sets:
+    if args.sets is not None:
         sets = [s for s in _side_info_sets(code, _parse_sets(args.sets, k, args.k_cap)) if s]
         if not sets:
             raise InvalidArgument("--sets names no nonempty side-information set")
@@ -229,7 +229,7 @@ def cmd_analyze(args):
     print(f"Gamma(C) = {worst.gamma_db:.4f} dB/bit/dim "
           f"(worst S = {{{','.join(str(v) for v in worst.s)}}})")
 
-    if args.json:
+    if args.json is not None:
         payload = {
             "field": code.field.to_dict(),
             "code_hash": code.content_hash(),
@@ -263,8 +263,9 @@ def cmd_simulate(args):
     code = build_from_spec(spec)
     k = len(code.primes)
     default = [[]] + [[i + 1] for i in range(k)]  # S = {} and each single message
-    sets = _side_info_sets(code, _parse_sets(args.sets, k) if args.sets else _check_sets(
-        default if spec.side_info_sets is None else spec.side_info_sets))  # before any sweep
+    sets = _side_info_sets(code, _parse_sets(args.sets, k) if args.sets is not None else
+                           _check_sets(default if spec.side_info_sets is None
+                                       else spec.side_info_sets))  # before any sweep
     if not sets:
         raise InvalidArgument("the side-information set list is empty; [[]] simulates S = {}")
 

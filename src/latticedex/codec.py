@@ -357,6 +357,9 @@ class IndexCode:
     # ---- side information ----
 
     def check_side_info(self, s):
+        """S as sorted distinct indices in 1..K; InvalidArgument for anything else."""
+        if isinstance(s, (str, bytes)) or not hasattr(s, "__iter__"):
+            raise InvalidArgument(f"side-information set {s!r} must be a collection of indices")
         s = tuple(s)
         if not all(_is_integer(k) for k in s):
             raise InvalidArgument(f"side-information set {list(s)} must hold integer "

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import Infeasible, InvalidArgument
 from .linalg import check_int64, det_int
-from .modp import is_prime, is_squarefree, prime_factors
+from .modp import is_prime, is_squarefree
 
 IMAGINARY_PID_DS = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 # Largest degree a field may have.  Building one costs about n^3 and every
@@ -122,6 +122,59 @@ def _checked_array(values, shape, integer, message):
 
 
 # ============================================================
+# Families: one record each
+# ============================================================
+# _quadratic(d), _cyclotomic(m) and _maximal_real(m) check their parameter and return the record
+# (min_poly, theta_name, name, embeddings, conj).  The embeddings of theta, one ("r", x) or
+# ("c", z) per place in canonical order, give the degree and the signature; conj(field) is the
+# coordinate tuple of conj(theta), and conj is None on a totally real field.
+
+
+def _quadratic(d):
+    if d in (0, 1):
+        raise InvalidArgument("d must be a squarefree integer other than 0, 1")
+    # the trace form holds |d|, so a d outside int64 is refused before any factoring
+    check_int64([d], f"d = {d}")
+    # theta embeds as a + b and a - b when d > 0, as a + bi when d < 0; conj(theta) = ct
+    rt = math.sqrt(abs(d))
+    if d % 4 == 1:
+        poly, theta, ct, a, b = ((1 - d) // 4, -1, 1), f"(1+sqrt({d}))/2", (1, -1), 0.5, rt / 2
+    else:
+        poly, theta, ct, a, b = (-d, 0, 1), f"sqrt({d})", (0, -1), 0.0, rt
+    embs = [("r", a + b), ("r", a - b)] if d > 0 else [("c", complex(a, b))]
+    return poly, theta, f"Q(sqrt({d}))", embs, None if d > 0 else lambda field: ct
+
+
+def _cyclotomic(m):
+    if m < 3 or m % 4 == 2:
+        raise InvalidArgument("need m >= 3 with m != 2 (mod 4)")
+    # phi(m) >= sqrt(m/2): a larger m is refused before its places are listed
+    if m > 2 * MAX_DEGREE**2:
+        raise Infeasible(f"Q(zeta{m}) has degree phi({m}) > {MAX_DEGREE}, the largest accepted")
+    # one place per pair zeta^j, zeta^-j with j a unit mod m, so phi(m) = 2 * places
+    units = [j for j in range(1, m // 2 + 1) if math.gcd(j, m) == 1]
+    if 2 * len(units) > MAX_DEGREE:
+        raise Infeasible(f"Q(zeta{m}) has degree phi({m}) = {2 * len(units)} > {MAX_DEGREE}, "
+                         "the largest accepted")
+    embs = [("c", cmath.exp(2j * math.pi * j / m)) for j in units]
+    return (cyclotomic_poly(m), f"zeta_{m}", f"Q(zeta{m})", embs,
+            lambda field: field._element_pow_coords(field._pow[1], m - 1))
+
+
+def _maximal_real(m):
+    if m < 5 or not is_prime(m):
+        raise InvalidArgument("need a prime m >= 5")
+    n = (m - 1) // 2
+    if n > MAX_DEGREE:
+        raise Infeasible(f"Q(zeta{m}+) has degree {n} > {MAX_DEGREE}, the largest accepted")
+    embs = [("r", 2 * math.cos(2 * math.pi * j / m)) for j in range(1, n + 1)]
+    return _maxreal_poly(m), f"2*cos(2*pi/{m})", f"Q(zeta{m}+)", embs, None
+
+
+_FAMILIES = {"quadratic": _quadratic, "cyclotomic": _cyclotomic, "maximal_real": _maximal_real}
+
+
+# ============================================================
 # Fields
 # ============================================================
 
@@ -136,61 +189,21 @@ class NumberField:
     def __init__(self, family, param):
         if not _is_integer(param):
             raise InvalidArgument(f"the field parameter must be an integer, not {param!r}")
-        param = int(param)
-        if family == "quadratic":
-            d = param
-            if d in (0, 1):
-                raise InvalidArgument("d must be a squarefree integer other than 0, 1")
-            # the trace form holds |d|, so a d outside int64 is refused before any factoring
-            check_int64([d], f"d = {d}")
-            if d % 4 == 1:
-                self.min_poly = ((1 - d) // 4, -1, 1)
-                self.theta_name = f"(1+sqrt({d}))/2"
-            else:
-                self.min_poly = (-d, 0, 1)
-                self.theta_name = f"sqrt({d})"
-            self.r1, self.r2 = (2, 0) if d > 0 else (0, 1)
-        elif family == "cyclotomic":
-            m = param
-            if m < 3 or m % 4 == 2:
-                raise InvalidArgument("need m >= 3 with m != 2 (mod 4)")
-            # phi(m) >= sqrt(m/2): a larger m is refused without factoring it
-            if m > 2 * MAX_DEGREE**2:
-                raise Infeasible(f"Q(zeta{m}) has degree phi({m}) > {MAX_DEGREE}, "
-                                 "the largest accepted")
-            primes = prime_factors(m)
-            n = m
-            for p in primes:
-                n = n // p * (p - 1)
-            if n > MAX_DEGREE:
-                raise Infeasible(f"Q(zeta{m}) has degree phi({m}) = {n} > {MAX_DEGREE}, "
-                                 "the largest accepted")
-            self.min_poly = cyclotomic_poly(m)
-            self.theta_name = f"zeta_{m}"
-            self.r1, self.r2 = 0, n // 2
-        elif family == "maximal_real":
-            m = param
-            if m < 5 or not is_prime(m):
-                raise InvalidArgument("need a prime m >= 5")
-            if (m - 1) // 2 > MAX_DEGREE:
-                raise Infeasible(f"Q(zeta{m}+) has degree "
-                                 f"{(m - 1) // 2} > {MAX_DEGREE}, the largest accepted")
-            self.min_poly = _maxreal_poly(m)
-            self.theta_name = f"2*cos(2*pi/{m})"
-            self.r1, self.r2 = (m - 1) // 2, 0
-        else:
+        if not isinstance(family, str) or family not in _FAMILIES:
             raise InvalidArgument(f"unknown field family {family!r}")
-        self.family = family
-        self.param = param
+        self.family, self.param = family, int(param)
+        self.min_poly, self.theta_name, self.name, embs, conj = _FAMILIES[family](self.param)
         self.n = len(self.min_poly) - 1
-        self._init_tables()
+        self.r2 = sum(kind == "c" for kind, _ in embs)
+        self.r1 = self.n - 2 * self.r2
+        self._init_tables(embs, conj)
         # after the trace form's int64 check: size guards come first
-        if family == "quadratic" and not is_squarefree(abs(param)):
-            raise InvalidArgument(f"d = {param} is not squarefree")
+        if family == "quadratic" and not is_squarefree(abs(self.param)):
+            raise InvalidArgument(f"d = {self.param} is not squarefree")
 
     # ---- precomputed tables ----
 
-    def _init_tables(self):
+    def _init_tables(self, embs, conj):
         n, a = self.n, self.min_poly
         # theta^j for j <= 3n - 3: products reach j = 2n - 2, and Tr(theta^j),
         # the trace of multiplication by theta^j, is sum_i (theta^(i+j))_i
@@ -203,17 +216,13 @@ class NumberField:
         # O_K = Z[theta], so disc(O_K) = det Tr(theta^(i+j))
         self.discriminant = det_int([self._trace_pow[i:i + n] for i in range(n)])
 
-        if self.r2 == 0:
-            self._conj_pow = self._pow[:n]
-        else:
-            if self.family == "quadratic":
-                ct = (1, -1) if self.param % 4 == 1 else (0, -1)
-            else:
-                ct = self._element_pow_coords(self._pow[1], self.param - 1)
-            conj_pows = [self._pow[0], tuple(ct)]
+        self._conj_pow = self._pow[:n]  # conj(theta)^j, j < n: theta^j on a totally real field
+        if conj is not None:
+            ct = conj(self)
+            conj_pows = [self._pow[0], ct]
             for _ in range(2, n):
                 conj_pows.append(self.mul_coords(conj_pows[-1], ct))
-            self._conj_pow = tuple(conj_pows[:n])
+            self._conj_pow = tuple(conj_pows)
 
         g2 = [[0] * n for _ in range(n)]
         for k in range(n):
@@ -228,29 +237,6 @@ class NumberField:
         self.gram2 = tuple(tuple(r) for r in g2)
         self.gram2_np = np.array(g2, dtype=np.int64)
 
-        embs = []
-        if self.family == "quadratic":
-            d = self.param
-            if d > 0:
-                rt = math.sqrt(d)
-                if d % 4 == 1:
-                    embs = [("r", (1 + rt) / 2), ("r", (1 - rt) / 2)]
-                else:
-                    embs = [("r", rt), ("r", -rt)]
-            else:
-                rt = math.sqrt(-d)
-                z = complex(0.5, rt / 2) if d % 4 == 1 else complex(0.0, rt)
-                embs = [("c", z)]
-        elif self.family == "cyclotomic":
-            m = self.param
-            embs = [
-                ("c", cmath.exp(2j * math.pi * j / m))
-                for j in range(1, m // 2 + 1)
-                if math.gcd(j, m) == 1
-            ]
-        else:
-            m = self.param
-            embs = [("r", 2 * math.cos(2 * math.pi * j / m)) for j in range(1, self.n + 1)]
         self.embeddings = tuple(embs)
         rows, places = [], []
         for place, (kind, z) in enumerate(embs):
@@ -284,14 +270,6 @@ class NumberField:
     @property
     def is_imaginary_quadratic_pid(self):
         return self.family == "quadratic" and self.param in IMAGINARY_PID_DS
-
-    @property
-    def name(self):
-        if self.family == "quadratic":
-            return f"Q(sqrt({self.param}))"
-        if self.family == "cyclotomic":
-            return f"Q(zeta{self.param})"
-        return f"Q(zeta{self.param}+)"
 
     def describe(self):
         return f"{self.name}, degree {self.n}, theta = {self.theta_name}, discriminant {self.discriminant}"

@@ -1,4 +1,4 @@
-"""Arithmetic modulo a prime: primality, small factorizations, F_p[x] factoring.
+"""Arithmetic modulo a prime: primality, the squarefree test, F_p[x] factoring.
 
 Everything the fields and ideals need from elementary number theory, in
 plain Python integers:
@@ -6,8 +6,7 @@ plain Python integers:
 * :func:`is_prime`: deterministic Miller-Rabin over the 13 prime bases
   2, ..., 41, exact below 3.317e24 (Sorenson and Webster, "Strong
   pseudoprimes to twelve prime bases", Math. Comp. 86, 2017);
-* :func:`prime_factors` (trial division, bounded inputs) and
-  :func:`is_squarefree` (for |d| < 2^63);
+* :func:`is_squarefree` (trial division, for |d| < 2^63);
 * :func:`factor_mod_p`: the monic irreducible factors of a monic
   polynomial over F_p with multiplicities, by square-free decomposition,
   distinct-degree splitting through the Frobenius matrix and Cantor-Zassenhaus
@@ -31,8 +30,6 @@ from .linalg import INT64_MAX
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin over _MR_BASES has no strong pseudoprime below this bound.
 MR_EXACT_BOUND = 3317044064679887385961981
-# prime_factors divides by every candidate up to sqrt(n): refuse larger n.
-TRIAL_DIVISION_LIMIT = 1 << 32
 
 # ============================================================
 # Integers
@@ -78,22 +75,6 @@ def _trial_divisors():
         yield q
         yield q + 2
         q += 6
-
-
-def prime_factors(n):
-    """{prime: exponent} of 1 <= n < TRIAL_DIVISION_LIMIT by trial division."""
-    if not 1 <= n < TRIAL_DIVISION_LIMIT:
-        raise Infeasible(f"{n} is outside the trial-division range [1, 2^32)")
-    out = {}
-    for q in _trial_divisors():
-        if q * q > n:
-            break
-        while n % q == 0:
-            out[q] = out.get(q, 0) + 1
-            n //= q
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def is_squarefree(n):

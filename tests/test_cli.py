@@ -721,6 +721,29 @@ def test_simulate_refuses_non_numeric_snr(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+# an empty value is a flag given: it used to be read as no flag, so these swept the preset's
+# whole grid, ran every default set, built the preset or wrote no JSON, and exited 0
+_EMPTY_FLAGS = {
+    "simulate-snr": ["simulate", "--preset", "example1", "--snr", "", "--sets", "[[]]"],
+    "simulate-sets": ["simulate", "--preset", "example1", "--snr", "10", "--sets", ""],
+    "analyze-sets": ["analyze", "--preset", "example1", "--sets", ""],
+    "analyze-config": ["analyze", "--config", "", "--preset", "example1"],
+    "analyze-code": ["analyze", "--code", "", "--preset", "example1"],
+    "analyze-json": ["analyze", "--preset", "example1", "--json", ""],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_FLAGS))
+def test_an_empty_flag_value_exits_1(case, tmp_path, capsys):
+    argv = _EMPTY_FLAGS[case] + ["--out-dir", str(tmp_path)]
+    if argv[0] == "simulate":
+        argv += ["--trials", "4096", "--workers", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_respects_config_sets(tmp_path):
     spec = spec_from_preset("example1")
     spec.side_info_sets = [[1]]

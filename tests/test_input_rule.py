@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticedex import cli, load_code, ml_detect
+from latticedex import cli, load_code, ml_detect, side_info_gain
 from latticedex.cli import main, spec_from_preset
 from latticedex.codec import IndexCode, Message
 from latticedex.errors import InvalidArgument
@@ -222,6 +222,33 @@ def test_sim_config_snr_grid_property(ex1_code, data):
                               max_size=4, unique=True))
     grid = _mutated(data, sorted(grid), real=True)
     _agrees(lambda g: _cfg(ex1_code, g).snr_db, grid, False, same=operator.eq)
+
+
+_SET_MUTANTS = {"True": True, "np.True_": np.True_, "fraction": 1.5, "string": "1", "None": None,
+                "2**70": 2**70, "zero": 0, "K+1": None, "nested": None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_side_information_set_property(ex1_code, data):
+    """One entry of a side-information set mutated, or the whole set given as an int, None or a
+    string (an int used to raise TypeError, and "" read as S = {}): refused with InvalidArgument
+    by every call that takes S, or the clean set's result."""
+    code, k = ex1_code, len(ex1_code.primes)
+    s = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=3))
+    kind = data.draw(st.sampled_from(sorted(_SET_MUTANTS) + ["whole set"]))
+    if kind == "whole set":
+        bad = data.draw(st.sampled_from([5, None, "", "1", "12"]))
+    else:
+        bad, j = list(s), data.draw(st.integers(0, len(s) - 1))
+        bad[j] = {"K+1": k + 1, "nested": [s[j]]}.get(kind, _SET_MUTANTS[kind])
+    eq = operator.eq
+    for call, same in ((lambda v: side_info_gain(code, v), eq),
+                       (code.subcode_indices, np.array_equal),
+                       (lambda v: ml_detect(code, [0.0, 0.0], v), eq),
+                       (lambda v: SimConfig(code, "awgn", (10.0,), side_info=v).side_info, eq)):
+        got = _outcome(call, bad)
+        assert got is InvalidArgument or same(got, _outcome(call, s)), (kind, bad)
 
 
 # ---- the command line: a config file, --snr and --sets, each mutated ----

@@ -21,7 +21,6 @@ from latticedex.numberfield.modp import (
     factor_mod_p,
     is_prime,
     is_squarefree,
-    prime_factors,
 )
 
 PRIMES = [int(p) for p in sympy.primerange(2, 2000)]
@@ -126,13 +125,6 @@ def test_is_prime_refuses_beyond_exact_range():
 
 
 # ---- trial division and the squarefree test ----
-
-def test_prime_factors_below_2048():
-    for n in range(1, 2049):
-        assert prime_factors(n) == sympy.factorint(n), n
-    with pytest.raises(Infeasible):
-        prime_factors(2**32)
-
 
 def test_cyclotomic_degree_from_trial_division():
     for m in range(3, 2 * 32**2 + 1):

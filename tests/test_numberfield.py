@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -135,6 +136,34 @@ def test_every_family_is_totally_real_or_totally_complex(family, param):
     assert real in (0, field.n)
     assert field.signature == ((field.n, 0) if real else (0, field.n // 2))
     assert field.is_totally_real != field.is_totally_complex
+
+
+def _supported_small_fields():
+    """Every supported quadratic d in [-30, 30], cyclotomic m <= 40 and maximal-real m <= 31."""
+    for d in range(-30, 31):
+        if d not in (0, 1) and all(e == 1 for e in sympy.factorint(abs(d)).values()):
+            yield quadratic_field(d)
+    for m in range(3, 41):
+        if m % 4 != 2 and sympy.totient(m) <= field_mod.MAX_DEGREE:
+            yield cyclotomic_field(m)
+    for m in sympy.primerange(5, 32):
+        yield maximal_real_field(int(m))
+
+
+# SHA-256 of the tables hashed below for the 74 fields of _supported_small_fields(), measured at
+# 497c2fa: any bit that moves in any of them fails this pin
+FIELD_TABLES_SHA256 = "300fb16dd9cc6742627c7094f757dda204bf62aa7b9897799f480d3625eac2b4"
+
+
+def test_field_tables_are_pinned():
+    fields = list(_supported_small_fields())
+    assert len(fields) == 74
+    h = hashlib.sha256()
+    for f in fields:
+        h.update(repr((f.min_poly, f.theta_name, f.name, f.describe(), f.signature, f.gram2,
+                       f.discriminant, f.places.tolist(), f.embeddings)).encode())
+        h.update(f.embed_matrix.tobytes())
+    assert h.hexdigest() == FIELD_TABLES_SHA256
 
 
 def test_imaginary_quadratic_pid_flag():
