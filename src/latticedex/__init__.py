@@ -5,12 +5,8 @@ side-information gains against the known bounds, and estimate symbol error
 rates over AWGN and Rayleigh channels with reproducible Monte Carlo.
 """
 
-from .analysis import (FadingReport, GainReport, diversity_and_product_distance,
-                       gain_bounds, ideal_lambda1_sq, min_distance, minkowski_upper_bound,
-                       overall_side_info_gain, side_info_gain)
-from .codec import (CodePoint, IndexCode, Message, build_index_code,
-                    decode_point, encode, load_code, rate, save_code,
-                    subcode_points)
+import importlib
+
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
 from .numberfield import (AlgebraicInt, Ideal, NumberField, classify_prime,
@@ -18,9 +14,31 @@ from .numberfield import (AlgebraicInt, Ideal, NumberField, classify_prime,
                           maximal_real_field, prime_ideals_above, principal_ideal,
                           quadratic_field, whole_ring)
 from .presets import preset_code, preset_names, preset_summary
-from .sim import (SimConfig, SimPoint, SimResult, confidence_interval,
-                  curve_filename, diversity_slope, ml_detect, read_curve_csv,
-                  run_sim, si_gain_from_curves, write_curve_csv)
+from .settings import SimConfig
+
+# the public names of the layers that load numpy, each imported from its module on first use
+# (PEP 562): fields, ideals, presets and settings load no numpy
+_NUMERIC = {name: module for module, names in (
+    ("analysis", "FadingReport GainReport diversity_and_product_distance gain_bounds "
+                 "ideal_lambda1_sq min_distance minkowski_upper_bound overall_side_info_gain "
+                 "side_info_gain"),
+    ("codec", "CodePoint IndexCode Message build_index_code decode_point encode load_code rate "
+              "save_code subcode_points"),
+    ("sim", "SimPoint SimResult confidence_interval curve_filename diversity_slope ml_detect "
+            "read_curve_csv run_sim si_gain_from_curves write_curve_csv"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__), name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

@@ -33,9 +33,9 @@ from .codec import build_index_code, rate
 from .errors import Infeasible, InvalidArgument, InvariantViolation
 from .numberfield.linalg import (check_int64, column_max, product_bounds, short_vectors,
                                  shortest_nonzero, sublattice_gram)
+from .settings import K_CAP
 
 SIX_DB = 20.0 * math.log10(2.0)  # exact gain of PID constructions, ~6.0206
-K_CAP = 20  # most messages K whose 2^K - 1 side-information sets a full scan makes
 _SEARCH_ROWS = 1 << 18  # sums x + d tested at once by the fading search
 
 
@@ -193,8 +193,11 @@ def _general_minkowski(gram2):
 def side_info_sets(num_messages, k_cap=K_CAP):
     """All 2^K - 1 nonempty side-information sets, in bitmask order.
 
-    Refuses (Infeasible) when K exceeds k_cap, before any set is made.
+    Refuses a negative k_cap (InvalidArgument), and K past k_cap (Infeasible) before any set
+    is made.
     """
+    if k_cap < 0:
+        raise InvalidArgument(f"k_cap must be at least 0, got {k_cap!r}")
     if num_messages > k_cap:
         raise Infeasible(f"2^{num_messages} subsets exceed the scan cap K <= {k_cap}; "
                          "raise the cap or name the sets")

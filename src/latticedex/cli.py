@@ -4,7 +4,8 @@ Subcommands: design | analyze | simulate | presets.  Experiments are
 described by a JSON document (see ExperimentSpec); command-line flags
 override individual fields.  Exit codes: 0 ok, 1 usage or invalid argument,
 2 invariant violation (analyze uses this for bound violations), 3 infeasible
-or unsupported design.
+or unsupported design.  The parser, the specs and `presets` load no numpy: design,
+analyze and simulate import codec, analysis and sim when they run.
 """
 
 from __future__ import annotations
@@ -18,12 +19,9 @@ import typing
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 from . import presets as preset_lib
-from .analysis import K_CAP, diversity_and_product_distance, side_info_gain, side_info_sets
-from .codec import DEFAULT_ENUMERATION_CAP, build_index_code, load_code, save_code
 from .errors import (Infeasible, InvalidArgument, InvariantViolation,
                      LatticedexError, Unsupported)
-from .sim import (SimConfig, check_sweep, curve_filename, resolve_workers, run_sim,
-                  si_gain_from_curves, write_curve_csv)
+from .settings import DEFAULT_ENUMERATION_CAP, K_CAP, SimConfig, check_sweep
 
 _SNR_POINTS = 10_000  # points an --snr range may hold: each costs a chunk at least
 
@@ -74,8 +72,9 @@ def spec_from_preset(name, channel="awgn"):
 
 
 def build_from_spec(spec):
-    return build_index_code(*preset_lib.field_and_primes(spec.field, spec.primes),
-                            enumeration_cap=spec.enumeration_cap)
+    from . import codec
+    return codec.build_index_code(*preset_lib.field_and_primes(spec.field, spec.primes),
+                                  enumeration_cap=spec.enumeration_cap)
 
 
 # ============================================================
@@ -98,8 +97,11 @@ def _snr_value(text):
 
 
 def _parse_snr(text):
-    """Either 'a,b,c' or 'start:stop:step' (stop inclusive)."""
-    if ":" in text:
+    """Either 'a,b,c' or 'start:stop:step' (stop inclusive); a text that names no point is
+    refused."""
+    if ":" not in text:
+        grid = [_snr_value(v) for v in text.split(",") if v.strip()]
+    else:
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidArgument("snr range must be start:stop:step")
@@ -116,8 +118,9 @@ def _parse_snr(text):
                 raise Infeasible(f"snr step {step!r} does not advance past {v!r}")
             grid.append(round(v, 9))
             v += step
-        return grid
-    return [_snr_value(v) for v in text.split(",") if v.strip()]
+    if not grid:
+        raise InvalidArgument(f"--snr {text!r} names no snr point")
+    return grid
 
 
 def _decode(load, source, what):
@@ -130,6 +133,7 @@ def _decode(load, source, what):
 
 def _parse_sets(text, k, k_cap=K_CAP):
     if text == "all":
+        from .analysis import side_info_sets
         return [list(s) for s in side_info_sets(k, k_cap)]
     return _check_sets(_decode(json.loads, text, "side-info sets must be JSON like [[1],[2]]"))
 
@@ -170,12 +174,13 @@ def _load_spec(args):
 
 
 def cmd_design(args):
+    from . import codec
     spec = _load_spec(args)
     code = build_from_spec(spec)
     os.makedirs(spec.out_dir, exist_ok=True)
     code_path = os.path.join(spec.out_dir, f"{spec.label}_code.json")
     points_path = os.path.join(spec.out_dir, f"{spec.label}_points.csv")
-    save_code(code, code_path, points_path)  # both files from one pass over the points
+    codec.save_code(code, code_path, points_path)  # both files from one pass over the points
     print(f"{code.field.describe()}; K={len(code.primes)}; {code.size} points")
     print(f"wrote {code_path}")
     print(f"wrote {points_path}")
@@ -187,20 +192,23 @@ def _format_row(cells, widths):
 
 
 def cmd_analyze(args):
-    code = load_code(args.code) if args.code is not None else build_from_spec(_load_spec(args))
+    from . import analysis, codec
+    analysis.side_info_sets(0, args.k_cap)  # a negative cap is refused whatever --sets names
+    code = (codec.load_code(args.code) if args.code is not None
+            else build_from_spec(_load_spec(args)))
     k = len(code.primes)
     if args.sets is not None:
         sets = [s for s in _side_info_sets(code, _parse_sets(args.sets, k, args.k_cap)) if s]
         if not sets:
             raise InvalidArgument("--sets names no nonempty side-information set")
     else:
-        sets = side_info_sets(k, args.k_cap)
+        sets = analysis.side_info_sets(k, args.k_cap)
 
-    reports = [side_info_gain(code, s) for s in sets]
+    reports = [analysis.side_info_gain(code, s) for s in sets]
     fading = {}
     for s in sets:
         if code.subcode_indices(s).shape[0] >= 2:
-            fading[s] = diversity_and_product_distance(code, s)
+            fading[s] = analysis.diversity_and_product_distance(code, s)
 
     d0 = reports[0].d0_sq
     print(f"{code.field.describe()}; K={k}; {code.size} points; "
@@ -253,11 +261,12 @@ def cmd_analyze(args):
 
 
 def cmd_simulate(args):
+    from . import sim
     spec = _load_spec(args)
     if not spec.snr_db:
         raise InvalidArgument("no snr grid: set snr_db in the config or pass --snr")
     check_sweep(spec)  # every setting that needs no code, before the build
-    resolve_workers(spec.workers)  # and LATTICEDEX_THREADS
+    sim.resolve_workers(spec.workers)  # and LATTICEDEX_THREADS
     if args.gap_at is not None and not 0.0 < args.gap_at < 1.0:  # nan too
         raise InvalidArgument(f"--gap-at must be a target SER in (0, 1), got {args.gap_at!r}")
     code = build_from_spec(spec)
@@ -273,11 +282,11 @@ def cmd_simulate(args):
     sweep = {f.name: getattr(spec, f.name) for f in fields(SimConfig) if hasattr(spec, f.name)}
     results = {}
     for s in sets:
-        res = run_sim(SimConfig(code=code, side_info=s, **sweep))
+        res = sim.run_sim(SimConfig(code=code, side_info=s, **sweep))
         results[res.side_info] = res
         path = os.path.join(spec.out_dir,
-                            curve_filename(spec.label, spec.channel, res.side_info))
-        write_curve_csv(path, res)
+                            sim.curve_filename(spec.label, spec.channel, res.side_info))
+        sim.write_curve_csv(path, res)
         total = sum(p.trials for p in res.points)
         print(f"wrote {path} ({len(res.points)} points, {total} trials)")
 
@@ -290,7 +299,7 @@ def cmd_simulate(args):
                 if not s:
                     continue
                 try:
-                    gain = si_gain_from_curves(base, res, args.gap_at)
+                    gain = sim.si_gain_from_curves(base, res, args.gap_at)
                     print(f"gap at SER {args.gap_at:g} for S={list(s)}: {gain:.2f} dB")
                 except InvalidArgument as e:
                     print(f"warning: S={list(s)}: {e}", file=sys.stderr)

@@ -56,8 +56,8 @@ from .numberfield.field import _checked_array, _is_integer
 from .numberfield.linalg import (check_int64, column_max, det_int, lll_gram, product_bounds,
                                  reduce_mod_hnf_batch, short_vectors, shortest_nonzero,
                                  sublattice_gram)
+from .settings import DEFAULT_ENUMERATION_CAP
 
-DEFAULT_ENUMERATION_CAP = 10**6
 _POINT_BLOCK = 1024  # points per chunk of the canonical JSON
 _POINT_KEYS = ("coords", "embedded", "label")  # of each point in a code file
 _POINTS_KEY = '\n "points": '  # in a saved file

@@ -18,6 +18,8 @@ x^T G2 x = 2 * ||Psi(x)||^2 exactly.  Column j lies at place places[j]
 ([0, 0, 1, 1] on Q(zeta5), [0, 1, 2] on Q(zeta7+)), and place_sizes gives
 |sigma(x)| at each of the r1 + r2 places.  Since O_K = Z[theta], the
 discriminant is det Tr(theta^(i+j)), read off the same trace table.
+A field is built in Python ints; gram2_np, embed_matrix and places are made
+on first use, and they, place_sizes and _checked_array import numpy.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 from ..errors import Infeasible, InvalidArgument
 from .linalg import check_int64, det_int
@@ -102,6 +102,7 @@ def _checked_array(values, shape, integer, message):
     nesting, a number past the dtype or another shape.  An ndarray is judged by its dtype alone,
     no copy made of an int64 or float64 one; anything else also once per entry type, as numpy
     reads [True, 1] as two ints."""
+    import numpy as np
     kind, dtype = ((int, numbers.Integral), np.int64) if integer else (
         (float, int, numbers.Real), np.float64)  # built-in types first: the ABC check is slower
     ok = lambda v: isinstance(v, kind) and not isinstance(v, bool)
@@ -235,22 +236,39 @@ class NumberField:
                     )
         check_int64([v for r in g2 for v in r], f"the trace form of {self.name}")
         self.gram2 = tuple(tuple(r) for r in g2)
-        self.gram2_np = np.array(g2, dtype=np.int64)
-
         self.embeddings = tuple(embs)
-        rows, places = [], []
-        for place, (kind, z) in enumerate(embs):
-            zp = [z**k for k in range(n)]
-            parts = [zp] if kind == "r" else [[w.real for w in zp], [w.imag for w in zp]]
-            rows += parts
-            places += [place] * len(parts)
-        self.embed_matrix = np.array(rows, dtype=np.float64)
-        self.places = np.array(places)
-        self._place_starts = np.searchsorted(self.places, np.arange(len(embs)))
+
+    # ---- numpy tables, made on first use ----
+
+    @cached_property
+    def gram2_np(self):
+        import numpy as np
+        return np.array(self.gram2, dtype=np.int64)
+
+    @cached_property
+    def embed_matrix(self):
+        import numpy as np
+        rows = []
+        for kind, z in self.embeddings:
+            zp = [z**k for k in range(self.n)]
+            rows += [zp] if kind == "r" else [[w.real for w in zp], [w.imag for w in zp]]
+        return np.array(rows, dtype=np.float64)
+
+    @cached_property
+    def places(self):
+        import numpy as np
+        return np.array([place for place, (kind, _) in enumerate(self.embeddings)
+                         for _ in range(1 + (kind == "c"))])
+
+    @cached_property
+    def _place_starts(self):
+        import numpy as np
+        return np.searchsorted(self.places, np.arange(len(self.embeddings)))
 
     def place_sizes(self, emb):
         """|sigma(x)| at each of the r1 + r2 places, for rows (..., n) of
         canonical embeddings; a real column's sqrt(x*x) is exactly |x|."""
+        import numpy as np
         return np.sqrt(np.add.reduceat(emb * emb, self._place_starts, axis=-1))
 
     # ---- identity ----

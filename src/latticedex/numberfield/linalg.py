@@ -8,7 +8,9 @@ arbitrary-precision Python int except the search: enumeration LLL-reduces
 the basis, lets a float Cholesky factor steer the search in numpy int64 and
 rescores every candidate exactly.  Every int64 computation of the package is
 proven in range here: check_int64 on exact product_bounds is the one proof,
-and hnf_reduction_limit caps what reduce_mod_hnf_batch takes.
+and hnf_reduction_limit caps what reduce_mod_hnf_batch takes.  numpy is
+imported by reduce_mod_hnf_batch, sublattice_gram, lll_gram's last product and
+the search (fp_search, short_vectors, shortest_nonzero) when they run.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from ..errors import Infeasible, InvalidArgument, InvariantViolation
 
@@ -123,6 +123,7 @@ def hnf_reduction_limit(hnf):
 def reduce_mod_hnf_batch(vecs, hnf):
     """Vectorized reduce_mod_hnf: vecs is (M, n) int64, returns same shape;
     Infeasible past hnf_reduction_limit, where the reduction could wrap."""
+    import numpy as np
     V = np.array(vecs, dtype=np.int64, copy=True)
     if max(int(V.max(initial=0)), -int(V.min(initial=0))) > hnf_reduction_limit(hnf):
         raise Infeasible("reduction modulo the HNF leaves the int64 range")
@@ -137,6 +138,7 @@ def reduce_mod_hnf_batch(vecs, hnf):
 def sublattice_gram(basis, gram):
     """B^T G B exactly: the Gram matrix under gram of the lattice spanned by
     the columns of basis, as an object array of Python ints."""
+    import numpy as np
     B = np.array(basis, dtype=object)
     return B.T @ np.array(gram, dtype=object) @ B
 
@@ -238,6 +240,7 @@ def lll_gram(gram):
             k += 1
     if abs(det_int(H)) != 1:
         raise InvariantViolation("LLL transform is not unimodular")
+    import numpy as np
     Hm = np.array(H, dtype=object)
     return Hm.T.tolist(), (Hm @ np.array(G, dtype=object) @ Hm.T).tolist()
 
@@ -249,7 +252,6 @@ def lll_gram(gram):
 _ENUM_LIMIT = 1 << 24  # max candidate rows materialised at one enumeration level
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # non-finite targets: dropped
 def fp_search(R, w, radius2, bound, cap):
     """Breadth-first Fincke-Pohst, the one search of this package: every
     integer v with |R_t v - w_t|^2 <= radius2_t for t targets, as (target of
@@ -262,30 +264,32 @@ def fp_search(R, w, radius2, bound, cap):
     a level would hold more than cap rows, the targets with the most rows
     first, before those rows are materialised.
     """
-    t, n = w.shape
-    kept = np.ones(t, dtype=bool)
-    tr = np.arange(t)  # the target of every row
-    T, V = np.zeros(t), np.zeros((t, 0), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        d = R[tr, i, i]
-        c = w[:, i] / d
-        room = (radius2[tr] - T) / (d * d)
-        kept[tr[~(np.isfinite(c) & np.isfinite(room))]] = False
-        r = np.sqrt(np.maximum(room, 0.0)) * (1.0 + 1e-9) + 1e-9
-        lo = np.clip(np.ceil(c - r), -bound[i], bound[i] + 1).astype(np.int64)
-        hi = np.clip(np.floor(c + r), -bound[i] - 1, bound[i]).astype(np.int64)
-        counts = np.where(kept[tr], np.maximum(hi - lo + 1, 0), 0)
-        if counts.sum() > cap:
-            per_target = np.bincount(tr, weights=counts, minlength=t)
-            order = np.argsort(per_target, kind="stable")
-            kept[order[np.cumsum(per_target[order]) > cap]] = False
-            counts[~kept[tr]] = 0
-        rows = np.repeat(np.arange(counts.shape[0]), counts)
-        vi = lo[rows] + np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-        tr = tr[rows]
-        T = T[rows] + (d[rows] * (c[rows] - vi)) ** 2
-        w = w[rows, :i] - R[tr, :i, i] * vi[:, None]
-        V = np.column_stack([vi, V[rows]])
+    import numpy as np
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite: dropped
+        t, n = w.shape
+        kept = np.ones(t, dtype=bool)
+        tr = np.arange(t)  # the target of every row
+        T, V = np.zeros(t), np.zeros((t, 0), dtype=np.int64)
+        for i in range(n - 1, -1, -1):
+            d = R[tr, i, i]
+            c = w[:, i] / d
+            room = (radius2[tr] - T) / (d * d)
+            kept[tr[~(np.isfinite(c) & np.isfinite(room))]] = False
+            r = np.sqrt(np.maximum(room, 0.0)) * (1.0 + 1e-9) + 1e-9
+            lo = np.clip(np.ceil(c - r), -bound[i], bound[i] + 1).astype(np.int64)
+            hi = np.clip(np.floor(c + r), -bound[i] - 1, bound[i]).astype(np.int64)
+            counts = np.where(kept[tr], np.maximum(hi - lo + 1, 0), 0)
+            if counts.sum() > cap:
+                per_target = np.bincount(tr, weights=counts, minlength=t)
+                order = np.argsort(per_target, kind="stable")
+                kept[order[np.cumsum(per_target[order]) > cap]] = False
+                counts[~kept[tr]] = 0
+            rows = np.repeat(np.arange(counts.shape[0]), counts)
+            vi = lo[rows] + np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+            tr = tr[rows]
+            T = T[rows] + (d[rows] * (c[rows] - vi)) ** 2
+            w = w[rows, :i] - R[tr, :i, i] * vi[:, None]
+            V = np.column_stack([vi, V[rows]])
     return tr, V, kept
 
 
@@ -295,6 +299,7 @@ def _enumerate(U, R, bound2, include_zero):
     clipped to the exact |y_i| bounds yb of the ellipsoid, which prove that
     scoring with R and mapping back with U stay in int64, and every row
     rescored exactly."""
+    import numpy as np
     n = len(R)
     bound2 = math.floor(bound2)
     if bound2 < 0 or (bound2 == 0 and not include_zero):
@@ -339,6 +344,7 @@ def shortest_nonzero(gram2, lll=None):
     The search radius is the smallest diagonal entry of the LLL-reduced Gram
     (its shortest basis vector), which always contains a minimizer.
     """
+    import numpy as np
     U, R = lll or lll_gram(gram2)
     X, norms = _enumerate(U, R, min(R[i][i] for i in range(len(R))), False)
     best = int(norms.min())

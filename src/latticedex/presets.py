@@ -10,7 +10,6 @@ from __future__ import annotations
 import copy
 import math
 
-from .codec import build_index_code
 from .errors import InvalidArgument
 # quadratic_field, cyclotomic_field and maximal_real_field are not called
 # here; they stay importable because bench/probe.py patches these names
@@ -107,6 +106,7 @@ def preset_field_and_primes(name):
 
 def preset_code(name):
     """Deterministic reconstruction of a built-in code."""
+    from .codec import build_index_code  # numpy loads with the first build, not with presets
     field, primes = preset_field_and_primes(name)
     return build_index_code(field, primes)
 

@@ -146,12 +146,12 @@ def test_a_side_information_set_named_twice_is_refused(tmp_path, capsys, monkeyp
     # [1,2] and [2,1] are one set: simulate ran its sweep twice and wrote its CSV twice, and
     # analyze printed its row twice.  Both refuse the list (exit 1), naming the set; simulate
     # before any sweep, from --sets or the config's side_info_sets alike
-    import latticedex.cli as cli_mod
+    from latticedex import sim
 
     def no_sweep(config):
         raise AssertionError("a sweep ran before the sets were checked")
 
-    monkeypatch.setattr(cli_mod, "run_sim", no_sweep)
+    monkeypatch.setattr(sim, "run_sim", no_sweep)
     out = tmp_path / "out"
     cases = (("[[1,2],[2,1]]", "[1, 2]"), ("[[1],[2],[1]]", "[1]"), ("[[],[2],[]]", "[]"),
              ("[[2,2],[2]]", "[2]"))
@@ -601,10 +601,10 @@ def test_analyze_refuses_small_edits_of_a_saved_file(tmp_path, capsys, monkeypat
 def test_analyze_reports_a_bound_violation(monkeypatch, capsys):
     import dataclasses
 
-    import latticedex.cli as cli_mod
+    from latticedex import analysis
 
-    real = cli_mod.side_info_gain
-    monkeypatch.setattr(cli_mod, "side_info_gain",
+    real = analysis.side_info_gain
+    monkeypatch.setattr(analysis, "side_info_gain",
                         lambda code, s: dataclasses.replace(real(code, s), gamma_db=99.0))
     assert main(["analyze", "--preset", "example1"]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -617,6 +617,24 @@ def test_analyze_k_cap_exits_3(capsys):
     assert main(["analyze", "--preset", "example1", "--k-cap", "1"]) == 3
     assert main(["analyze", "--preset", "example1", "--k-cap", "1", "--sets", "all"]) == 3
     assert main(["analyze", "--preset", "example1", "--k-cap", "1", "--sets", "[[1]]"]) == 0
+
+
+def test_analyze_refuses_a_negative_k_cap(capsys):
+    # -1 exited 3 as infeasible, and with --sets '[[1]]' it was accepted silently; a cap of 0
+    # refuses every full scan (exit 3) and leaves named sets alone
+    from latticedex.analysis import side_info_sets
+
+    for sets in ([], ["--sets", "[[1]]"], ["--sets", "all"]):
+        capsys.readouterr()
+        assert main(["analyze", "--preset", "example1", "--k-cap", "-1"] + sets) == 1, sets
+        assert capsys.readouterr().err == "error: k_cap must be at least 0, got -1\n", sets
+    assert main(["analyze", "--preset", "example1", "--k-cap", "0"]) == 3
+    assert main(["analyze", "--preset", "example1", "--k-cap", "0", "--sets", "[[1]]"]) == 0
+    with pytest.raises(InvalidArgument):
+        side_info_sets(2, -1)
+    with pytest.raises(Infeasible):
+        side_info_sets(2, 0)
+    assert side_info_sets(0, 0) == []
 
 
 def test_analyze_rejects_bad_sets(capsys, tmp_path):
@@ -658,6 +676,17 @@ def test_simulate_writes_curves_and_gaps(tmp_path, capsys):
     assert base.exists() and s2.exists()
     assert "gap at SER 0.05 for S=[2]" in out
     assert len(base.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("text", ["10:5:1", ",", ""])
+def test_an_snr_flag_that_names_no_point_exits_1(tmp_path, capsys, text):
+    # each was refused as "no snr grid: set snr_db in the config or pass --snr", with --snr passed
+    argv = ["simulate", "--preset", "example1", "--snr", text, "--trials", "4096",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --snr {text!r} names no snr point\n", err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_simulate_without_an_snr_grid_exits_1(tmp_path, capsys):
@@ -762,12 +791,10 @@ def test_code_independent_sweep_settings_are_refused_before_the_build(tmp_path, 
                                                                        monkeypatch):
     # each of these built the code first (seconds and hundreds of MB near the cap) and only
     # then exited 1; an snr of 4000 dB ended in an OverflowError traceback after the build
-    import latticedex.cli as cli_mod
-
     def no_build(*args, **kwargs):
         raise AssertionError("the code was built before the sweep settings were checked")
 
-    monkeypatch.setattr(cli_mod, "build_index_code", no_build)
+    monkeypatch.setattr(codec, "build_index_code", no_build)
     run = ["simulate", "--preset", "example1", "--snr", "10", "--trials", "4096",
            "--workers", "1", "--out-dir", str(tmp_path)]
     flags = (("--workers", "0"), ("--workers", "-3"), ("--seed", "-1"), ("--trials", "0"),
@@ -885,6 +912,29 @@ def test_commands_run_without_sympy(tmp_path):
               "assert c.main(['simulate', '--preset', 'example1', '--snr', '10', '--trials', "
               f"'4096', '--workers', '1', '--out-dir', {out!r}]) == 0; "
               "assert 'sympy' not in sys.modules, 'sympy was imported'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(latticedex.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_exact_path_loads_no_numpy():
+    # fields, prime ideals, `presets` and `--help` need no numeric module; the package's
+    # numeric names load theirs when first read
+    script = "\n".join([
+        "import sys",
+        "import latticedex, latticedex.cli as c",
+        "from latticedex.presets import preset_field_and_primes, preset_names",
+        "for name in preset_names(): preset_field_and_primes(name)",
+        "zi = latticedex.quadratic_field(-1)",
+        "assert [len(latticedex.prime_ideals_above(zi, p)) for p in (5, 13)] == [2, 2]",
+        "assert c.main(['presets']) == 0 and c.main(['--help']) == 0",
+        "numeric = ('numpy', 'latticedex.codec', 'latticedex.analysis', 'latticedex.sim')",
+        "loaded = [m for m in numeric if m in sys.modules]",
+        "assert not loaded, f'loaded {loaded}'",
+        "from latticedex import *",
+        "assert latticedex.run_sim is run_sim and 'numpy' in sys.modules",
+    ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(latticedex.__file__)), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticedex import cli, load_code, ml_detect, side_info_gain
+from latticedex import cli, load_code, ml_detect, side_info_gain, sim
 from latticedex.cli import main, spec_from_preset
 from latticedex.codec import IndexCode, Message
 from latticedex.errors import InvalidArgument
@@ -305,7 +305,7 @@ def test_config_file_property(ex1_code, data):
 @settings(max_examples=100, deadline=None)
 @given(text=st.text(alphabet="0123456789.,:-eEinfa ", max_size=16))
 def test_snr_flag_property(text):
-    with tempfile.TemporaryDirectory() as where, mock.patch.object(cli, "run_sim", _no_sweep):
+    with tempfile.TemporaryDirectory() as where, mock.patch.object(sim, "run_sim", _no_sweep):
         _run(["simulate", "--preset", "example1", f"--snr={text}", "--sets", "[[]]"] + _TINY,
              where)
 
