@@ -489,20 +489,19 @@ def rate(code, s):
 
 
 def _float_rows(values):
-    """repr, as json prints a float, of each float of a 2-D array, in object
-    arrays of _POINT_BLOCK rows; called once per bit pattern (0.0 and -0.0 differ)."""
-    table = {}
+    """repr, as json prints a float, of each float of a 2-D array, in object arrays of
+    _POINT_BLOCK rows: per column, one repr per distinct bit pattern (0.0 and -0.0 differ)."""
+    uniques = (np.unique(column, return_inverse=True) for column in values.view(np.int64).T)
+    tables = [(np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object),
+               inverse.astype(np.min_scalar_type(len(keys)))) for keys, inverse in uniques]
     for i in range(0, values.shape[0], _POINT_BLOCK):
-        keys, inverse = np.unique(values[i:i + _POINT_BLOCK].view(np.int64), return_inverse=True)
-        text = [table.get(key) or table.setdefault(key, repr(value))
-                for key, value in zip(keys.tolist(), keys.view(np.float64).tolist())]
-        yield np.array(text, dtype=object)[inverse.reshape(-1, values.shape[1])]
+        yield np.stack([text[inverse[i:i + _POINT_BLOCK]] for text, inverse in tables], axis=1)
 
 
 def _point_blocks(code, *labels):
     """(first index, rows) of each block of _POINT_BLOCK points: an object array, a row per point
-    of its int coordinates, float text (_float_rows) and text by labels[-1] (label % residue, a
-    table per label and prime); given two labels, first its index and text by labels[0]."""
+    of its int coordinates, float text (_float_rows' per-column tables) and text by labels[-1]
+    (label % residue, a table per label and prime); given two labels, index and labels[0] first."""
     k = len(code.primes)
     tables = [np.array([label % tuple(r[i]) for r in code.message_residues(np.moveaxis(
         code.message_grid, i, -1)[(0,) * (k - 1)]).tolist()], dtype=object)

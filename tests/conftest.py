@@ -143,6 +143,24 @@ def pair_scan_min_distance(code, s, fixed=None):
     return Fraction(min(best), 2)
 
 
+def reduced_form_minimum(code, s):
+    """Oracle of a_S on a plain imaginary quadratic code: the least N(x) / N(I_S) over nonzero
+    x in I_S.  Lagrange-Gauss reduction, in Python ints, of the 2x2 Gram of I_S on the columns
+    of its HNF under field.gram2, where x^T gram2 x = 2 N(x); its first entry is min 2 N(x)."""
+    ideal, g = code.side_ideal(s), code.field.gram2
+    h = ideal.hnf
+    (a, b), (_, c) = [[sum(h[i][u] * g[i][j] * h[j][v] for i in range(2) for j in range(2))
+                       for v in range(2)] for u in range(2)]
+    while True:
+        q = (2 * b + a) // (2 * a)  # b / a rounded: v2 - q v1 leaves |2b| <= a
+        b, c = b - q * a, c - q * (2 * b - q * a)
+        if a <= c:  # reduced: a is the least value of the form
+            break
+        a, c = c, a
+    assert a % (2 * ideal.norm) == 0, (a, ideal.norm)  # (x) inside I_S: N(I_S) divides N(x)
+    return a // (2 * ideal.norm)
+
+
 def residues_by_reduction(code):
     """Oracle of the messages, (M, K, m*n): each point's coordinates reduced modulo each
     prime, slot by slot, with no use of the index."""

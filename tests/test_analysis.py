@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -31,11 +32,12 @@ from latticedex import (
     side_info_gain,
     whole_ring,
 )
-from conftest import _pair_scan, pair_scan_min_distance
+from conftest import _pair_scan, pair_scan_min_distance, reduced_form_minimum
 from latticedex import analysis, codec, sim
 from latticedex.analysis import SIX_DB, side_info_sets
 from latticedex.numberfield import linalg
 from latticedex.numberfield.linalg import lll_gram, shortest_nonzero
+from test_acceptance import CPLX_BATTERY_DS, REAL_BATTERY_DS, _two_prime_code
 
 
 def test_lambda1_exact_where_int64_gram_products_wrap():
@@ -144,6 +146,37 @@ def test_lambda1_lower_bound_from_norm(ex1_code, ex2_code, ex3_code, cyclo_code,
             floor = scale * ideal.norm ** (2.0 / field.n)
             assert lam >= floor - 1e-9
             assert lam <= minkowski_upper_bound(field, ideal) ** 2 + 1e-9
+
+
+_battery_code = functools.lru_cache(maxsize=None)(_two_prime_code)  # built once per session
+
+
+def test_imaginary_quadratic_gains_follow_the_ideal_class(ex2_code, ex3_code):
+    # on Q(sqrt(d)), d < 0, |Psi(x)|^2 = N(x), so with a_S = min N(x) / N(I_S) over x in I_S
+    # (conftest's Lagrange-Gauss reduction), Gamma = 20 log10 2 + 10 log10(a_S) / R_S exactly;
+    # a reduced form has a_S <= sqrt(|D| / 3), and a_S = 1 when every ideal is principal
+    heegner = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
+    for d, code in [(-5, ex2_code), (-7, ex3_code)] + [(d, _battery_code(d))
+                                                       for d in CPLX_BATTERY_DS]:
+        disc = d if d % 4 == 1 else 4 * d
+        assert code.field.discriminant == disc, d
+        for s in side_info_sets(len(code.primes)):
+            a = reduced_form_minimum(code, s)
+            rate_bits = math.log2(code.side_ideal(s).norm) / 2
+            gamma = SIX_DB + 10.0 * math.log10(a) / rate_bits
+            assert abs(side_info_gain(code, s).gamma_db - gamma) <= 1e-12, (d, s, a)
+            assert 3 * a * a <= abs(disc), (d, s, a)
+            assert a == 1 or d not in heegner, (d, s, a)
+    # example2's primes above 7 are not principal, their product (7) is
+    assert [reduced_form_minimum(ex2_code, s) for s in ((1,), (2,), (1, 2))] == [2, 2, 1]
+
+
+def test_every_battery_gain_is_at_least_six_db(ex1_code, ex2_code, cyclo_code, maxreal_code):
+    # AM-GM over the places: Gamma >= 20 log10 2 on every plain code, PID or not
+    codes = [ex1_code, ex2_code, cyclo_code, maxreal_code]
+    for code in codes + [_battery_code(d) for d in REAL_BATTERY_DS + CPLX_BATTERY_DS]:
+        for s in side_info_sets(len(code.primes)):
+            assert side_info_gain(code, s).gamma_db >= SIX_DB - 1e-12, (code.field.name, s)
 
 
 def test_finite_min_distance_matches_lattice(ex1_code, ex2_code, ex3_code):

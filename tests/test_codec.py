@@ -905,6 +905,18 @@ def test_float_text_is_repr_of_each_element(values, cols, block):
     assert [r for b in blocks for r in b.tolist()] == [[repr(v) for v in r] for r in rows.tolist()]
 
 
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_code_files_do_not_depend_on_the_block_size(maxreal_code, block, tmp_path, monkeypatch):
+    # 2,197 points: each column's float text table is sliced across many blocks
+    save_code(maxreal_code, tmp_path / "want.json", tmp_path / "want.csv")
+    monkeypatch.setattr(codec, "_POINT_BLOCK", block)
+    code = IndexCode(maxreal_code.field, maxreal_code.primes, maxreal_code.coords_matrix.copy())
+    save_code(code, tmp_path / "got.json", tmp_path / "got.csv")
+    assert code.content_hash() == _PINNED["maxreal_code"][0]
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"want.{ext}").read_bytes()
+
+
 def test_negative_zero_keeps_its_sign_in_code_files(tmp_path):
     field = quadratic_field(-1)
     code = build_index_code(field, [prime_ideals_above(field, p)[0] for p in (2, 5)])
@@ -997,6 +1009,20 @@ def test_loading_a_saved_file_costs_about_its_build(cyclo_code, tmp_path):
 
     build = peak(lambda: IndexCode(cyclo_code.field, cyclo_code.primes, coords))
     assert peak(lambda: load_code(path)) <= build + 2 * 2**20
+
+
+def test_hashing_a_code_holds_a_few_copies_of_its_embedding(cyclo_code):
+    # the first content_hash of a code built outside the trace: its float text tables (one
+    # per column) and one block of text at a time, not a table of the whole array
+    code = IndexCode(cyclo_code.field, cyclo_code.primes, cyclo_code.coords_matrix.copy())
+    tracemalloc.start()
+    try:
+        code.content_hash()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.content_hash() == _PINNED["cyclo_code"][0]
+    assert peak <= 4 * code.embedded.nbytes, (peak, code.embedded.nbytes)
 
 
 def _compact_hash(text):
